@@ -21,6 +21,13 @@ Output files:
   ``sequences-runNN.gold.txt``; ``gen --task depparse``:
   ``treebank.conll``.
 - ``train``: ``model.json``, ``train-log.csv`` and ``timings.log``.
+  ``train --task depparse`` keeps gold trees per ``--supervision``:
+  ``unsup`` strips them all; ``sup`` trains on the first
+  ``--labeled-count`` sentences (all when not given), each with its
+  tree; ``semi`` keeps the trees of the first ``--labeled-count``
+  sentences and strips the rest.  ``train --task cluster --method
+  searn-nb`` is the exact-mode equivalence path (``--exact``); there
+  ``--k 1`` is accepted as a boundary case.
 - ``eval``: ``metrics.csv`` (``metric,run,value``, one row per run) and
   ``summary.json``, a flat object over the runs of the one metric scored:
   ``metric``, ``mean``, ``std``, ``n_runs``, ``single_run`` and
@@ -28,8 +35,8 @@ Output files:
 - ``learning-curve``: ``curve.csv``; ``equivalence``:
   ``equivalence.json``.
 
-Exit codes: 0 on success, 1 on data errors (including a failed
-equivalence check), 2 on configuration errors.
+Exit codes: 0 on success, 1 on data errors (a malformed data, gold or
+model file, or a failed equivalence check), 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -53,14 +60,17 @@ from .em import (HmmParams, MultinomialMixtureParams, hmm_decode,
                  hmm_em_train, hmm_posterior_decode, mm_e_step,
                  mm_em_train, mm_log_likelihood, mm_random_init)
 from .errors import ConfigError, DataError
-from .experiments import ParseExperiment, equivalence_sweep, learning_curve
+from .experiments import (ParseExperiment, SequenceExperiment, decode_labels,
+                          decode_trees, equivalence_sweep, learning_curve,
+                          parse_training_data, train_parser,
+                          train_sequence_searn)
 from .metrics import (corpus_arc_accuracy, matched_hamming, summarize,
                       write_runs_csv)
-from .task_cluster import read_documents, write_documents
-from .task_depparse import (ParseTask, ParseTaskConfig, TaggedSentence,
-                            load_conll, write_conll)
-from .task_sequence import (SequenceTask, SequenceTaskConfig, latent_labels,
-                            read_sequences, write_sequences)
+from .task_cluster import (ClusterTask, ClusterTaskConfig, read_documents,
+                           write_documents)
+from .task_depparse import ParseTask, ParseTaskConfig, load_conll, write_conll
+from .task_sequence import (SequenceTask, SequenceTaskConfig, read_sequences,
+                            write_sequences)
 
 _GEN_KEY = 701
 _TRAIN_KEY = 702
@@ -113,16 +123,8 @@ class ExperimentConfig:
     em_tol: float = 1e-5
 
 
-_INT_LIST_KEYS = {"seeds", "labeled_counts"}
-_BOOL_KEYS = {"exact", "posterior_decode"}
-
-
-def _parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in str(text).split(",") if part != "")
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, "
-                          f"got {text!r}")
+def _parse_int_list(text) -> tuple:
+    return tuple(int(part) for part in str(text).split(",") if part != "")
 
 
 def _parse_bool(text) -> bool:
@@ -133,27 +135,29 @@ def _parse_bool(text) -> bool:
         return True
     if lowered in ("false", "0", "no"):
         return False
-    raise ConfigError(f"expected true/false, got {text!r}")
+    raise ValueError(text)
 
 
-def _coerce(name: str, value, target_type):
-    if name in _INT_LIST_KEYS:
-        return _parse_int_list(value)
-    if name in _BOOL_KEYS:
-        return _parse_bool(value)
+# Each setting's parser, from its field's annotation (a string here, since
+# annotations are postponed): "int | None" -> int, "tuple" -> int list.
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
+            "tuple": _parse_int_list}
+_KINDS = {f.name: f.type.split(" |")[0] for f in fields(ExperimentConfig)}
+
+
+def _coerce(name: str, value):
     try:
-        return target_type(value)
+        return _PARSERS[_KINDS[name]](value)
     except (TypeError, ValueError):
         raise ConfigError(f"bad value for {name}: {value!r}")
 
 
 def read_config_file(path) -> dict:
     """Flat key=value lines; '#' starts a comment; keys mirror the flags."""
-    known = {f.name: f for f in fields(ExperimentConfig)}
     out = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -163,23 +167,10 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in known:
+        if key not in _KINDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, value.strip(), _FIELD_TYPES[key])
+        out[key] = _coerce(key, value.strip())
     return out
-
-
-_FIELD_TYPES = {
-    "task": str, "method": str, "supervision": str, "beta": float,
-    "n_samples": int, "iterations": int, "seeds": tuple, "seed": int,
-    "labeled_count": int, "labeled_counts": tuple, "data": str,
-    "gold": str, "model": str, "out": str, "order": int, "k": int,
-    "v": int, "runs": int, "sequences": int, "mean_length": float,
-    "sentences": int, "tagset": int, "documents": int, "clusters": int,
-    "doc_mean_length": float, "smoothing": float, "lr_variance": float,
-    "tree_variance": float, "tag_variance": float, "exact": bool,
-    "posterior_decode": bool, "em_tol": float,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,15 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", default=None,
                        help="flat key=value settings file")
-        for name, target in _FIELD_TYPES.items():
+        for name, kind in _KINDS.items():
             flag = "--" + name.replace("_", "-")
-            if name in _BOOL_KEYS:
+            if kind == "bool":
                 p.add_argument(flag, action="store_const", const=True,
                                default=None)
-            elif name in _INT_LIST_KEYS:
-                p.add_argument(flag, type=str, default=None)
-            else:
-                p.add_argument(flag, type=target, default=None)
+            else:  # parsed by merge_config, so bad values are config errors
+                p.add_argument(flag, default=None)
     return parser
 
 
@@ -211,10 +200,10 @@ def merge_config(args: argparse.Namespace) -> tuple:
         file_values = read_config_file(args.config)
         values.update(file_values)
         provided.update(file_values)
-    for name in _FIELD_TYPES:
+    for name in _KINDS:
         flag_value = getattr(args, name)
         if flag_value is not None:
-            values[name] = _coerce(name, flag_value, _FIELD_TYPES[name])
+            values[name] = _coerce(name, flag_value)
             provided.add(name)
     cfg = ExperimentConfig(**values)
     _validate(cfg)
@@ -254,39 +243,32 @@ def _resolve_cluster_count(cfg: ExperimentConfig, provided: set) -> None:
         cfg.clusters = cfg.k
 
 
-def _default_beta(cfg):
-    return {"cluster": 1.0, "sequence": 0.5, "depparse": 0.1}[cfg.task]
-
-
-def _default_n_samples(cfg):
-    return {"cluster": 1, "sequence": 2, "depparse": 1}[cfg.task]
-
-
-def _default_iterations(cfg):
-    if cfg.method == "em":
-        return 50
-    return {"cluster": 10, "sequence": 4, "depparse": 10}[cfg.task]
-
-
-def _default_vocab(cfg):
-    return 5 if cfg.task == "cluster" else 10
+# Settings whose default depends on the task; em training defaults to
+# 50 iterations on every task.
+_TASK_DEFAULTS = {
+    "cluster": {"beta": 1.0, "n_samples": 1, "iterations": 10, "v": 5},
+    "sequence": {"beta": 0.5, "n_samples": 2, "iterations": 4, "v": 10},
+    "depparse": {"beta": 0.1, "n_samples": 1, "iterations": 10, "v": 10},
+}
 
 
 def _resolved(cfg: ExperimentConfig) -> ExperimentConfig:
     """Fill task-dependent defaults for settings left unset."""
-    if cfg.beta is None:
-        cfg.beta = _default_beta(cfg)
-    if cfg.n_samples is None:
-        cfg.n_samples = _default_n_samples(cfg)
-    if cfg.iterations is None:
-        cfg.iterations = _default_iterations(cfg)
-    if cfg.v is None:
-        cfg.v = _default_vocab(cfg)
-    if cfg.smoothing is None:
-        cfg.smoothing = 0.0 if cfg.exact else 1.0
-    if cfg.runs is None:
-        cfg.runs = 10
+    defaults = dict(_TASK_DEFAULTS[cfg.task], runs=10,
+                    smoothing=0.0 if cfg.exact else 1.0)
+    if cfg.method == "em":
+        defaults["iterations"] = 50
+    for name, value in defaults.items():
+        if getattr(cfg, name) is None:
+            setattr(cfg, name, value)
     return cfg
+
+
+def _parse_experiment(cfg: ExperimentConfig) -> ParseExperiment:
+    return ParseExperiment(
+        n_sentences=cfg.sentences, tagset_size=cfg.tagset,
+        beta=cfg.beta, n_samples=cfg.n_samples, iterations=cfg.iterations,
+        tree_variance=cfg.tree_variance, tag_variance=cfg.tag_variance)
 
 
 def _out_dir(cfg) -> Path:
@@ -364,21 +346,21 @@ def _read_labels(path) -> np.ndarray:
                 raise DataError(f"{path}:{lineno}: malformed label line")
     if not labels:
         raise DataError(f"{path}: no labels")
-    return np.asarray(labels, dtype=np.int64)
+    try:
+        return np.asarray(labels, dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: label outside the 64-bit range")
 
 
 # ---------------------------------------------------------------------------
 # train
 
 
-def _write_train_log(path, rows) -> None:
-    """rows: (iteration, dev_accuracy or None, loss) triples."""
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "dev_accuracy", "loss"])
-        for iteration, dev, loss in rows:
-            dev_text = "" if dev is None else f"{dev:.12g}"
-            writer.writerow([iteration, dev_text, f"{loss:.12g}"])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_timings(path, per_iteration, total: float) -> None:
@@ -394,15 +376,31 @@ def _write_json(path, blob: dict) -> None:
         fh.write("\n")
 
 
-def _hmm_params_to_dict(params: HmmParams) -> dict:
-    return {"kind": "hmm", "initial": params.initial.tolist(),
-            "transition": params.transition.tolist(),
-            "emission": params.emission.tolist()}
+def _params_payload(kind: str, params) -> dict:
+    """Model-file form of EM parameters ("hmm" or "mm" tables)."""
+    tables = {f.name: getattr(params, f.name).tolist() for f in fields(params)}
+    return {"params": {"kind": kind, **tables}}
 
 
-def _mm_params_to_dict(params: MultinomialMixtureParams) -> dict:
-    return {"kind": "mm", "rho": params.rho.tolist(),
-            "theta": params.theta.tolist()}
+def _params_from_payload(cls, payload: dict):
+    return cls(**{f.name: payload[f.name] for f in fields(cls)})
+
+
+def _read_sequence_data(path):
+    xs, vocab = read_sequences(path)
+    if not xs:
+        raise DataError(f"{path}: no sequences")
+    return xs, vocab
+
+
+def _read_treebank(path) -> list:
+    sentences, rejected = load_conll(path)
+    if rejected:
+        print(f"warning: {rejected} malformed sentences skipped",
+              file=sys.stderr)
+    if not sentences:
+        raise DataError(f"{path}: no sentences")
+    return sentences
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
@@ -413,140 +411,88 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     cfg = _resolved(cfg)
     out = _out_dir(cfg)
     t0 = time.perf_counter()
-
-    if cfg.task == "sequence":
-        xs, vocab = read_sequences(cfg.data)
-        if not xs:
-            raise DataError(f"{cfg.data}: no sequences")
-        if cfg.method == "em":
-            params, ll_history = hmm_em_train(
-                xs, cfg.k, vocab, iterations=cfg.iterations,
-                seed=cfg.seed, tol=cfg.em_tol)
-            blob = {"format_version": 1, "method": "em",
-                    "task": {"task": "sequence", "k": cfg.k, "v": vocab},
-                    "params": _hmm_params_to_dict(params)}
-            rows = [(i + 1, None, -ll) for i, ll in enumerate(ll_history)]
-            per_iter = []
-        else:
-            kind = cfg.method.split("-")[1]
-            mode = "nb_hmm" if kind == "nb" else "lr_window"
-            task = SequenceTask(SequenceTaskConfig(K=cfg.k, V=vocab,
-                                                   feature_mode=mode))
-            history, per_iter = [], []
-            policy = searn_learn(
-                task, xs,
-                LearnerConfig(kind=kind, smoothing=cfg.smoothing,
-                              l2_variance=cfg.lr_variance),
-                beta=cfg.beta,
-                cfg=RolloutConfig(seed=derive_seed(cfg.seed, _TRAIN_KEY),
-                                  n_samples=cfg.n_samples),
-                stopping=StoppingRule(max_iterations=cfg.iterations,
-                                      patience=None),
-                history=history, timings=per_iter)
-            blob = {"format_version": 1, "method": cfg.method,
-                    "task": {"task": "sequence", "k": cfg.k, "v": vocab,
-                             "feature_mode": mode},
-                    "policy": policy_to_dict(policy, task.interner)}
-            rows = [(h["iteration"], h.get("dev_accuracy"),
-                     h["classification_loss"]) for h in history]
-
-    elif cfg.task == "cluster":
-        docs, vocab = read_documents(cfg.data)
-        if cfg.method == "em":
-            init = mm_random_init(cfg.k, vocab, cfg.seed)
-            params, trajectory = mm_em_train(docs, init,
-                                             iterations=cfg.iterations)
-            blob = {"format_version": 1, "method": "em",
-                    "task": {"task": "cluster", "k": cfg.k, "v": vocab},
-                    "params": _mm_params_to_dict(params)}
-            rows = [(i + 1, None, -mm_log_likelihood(p, docs))
-                    for i, p in enumerate(trajectory)]
-            per_iter = []
-        else:
-            if not cfg.exact or cfg.beta != 1.0:
-                raise ConfigError(
-                    "cluster training is the exact-mode equivalence path; "
-                    "use --exact (beta stays 1)")
-            from .task_cluster import ClusterTask, ClusterTaskConfig
-            task = ClusterTask(ClusterTaskConfig(K=cfg.k, V=vocab,
-                                                 exact_mode=True))
-            dataset = [np.asarray(d, dtype=float) for d in docs]
-            history, per_iter = [], []
-            # Same random initialization as the EM path with this seed, so
-            # the two trainers' trajectories are directly comparable.
-            start = task.policy_from_params(
-                mm_random_init(cfg.k, vocab, cfg.seed))
-            policy = searn_learn(
-                task, dataset,
-                LearnerConfig(kind="nb", smoothing=cfg.smoothing),
-                beta=1.0,
-                cfg=RolloutConfig(mode="exact", seed=cfg.seed),
-                stopping=StoppingRule(max_iterations=cfg.iterations,
-                                      patience=None),
-                start=start, history=history, timings=per_iter)
-            rule = policy.components[-1][0]
-            params = task.params_from_rule(rule)
-            blob = {"format_version": 1, "method": cfg.method,
-                    "task": {"task": "cluster", "k": cfg.k, "v": vocab},
-                    "params": _mm_params_to_dict(params)}
-            rows = [(h["iteration"], h.get("dev_accuracy"),
-                     h["classification_loss"]) for h in history]
-
-    else:  # depparse
-        if cfg.method == "em":
-            raise ConfigError("the em method applies to cluster and "
-                              "sequence tasks only")
-        sentences, rejected = load_conll(cfg.data)
-        if rejected:
-            print(f"warning: {rejected} malformed sentences skipped",
-                  file=sys.stderr)
-        if not sentences:
-            raise DataError(f"{cfg.data}: no sentences")
-        data = _apply_supervision(sentences, cfg.supervision,
-                                  cfg.labeled_count)
-        kind = cfg.method.split("-")[1]
-        task = ParseTask(ParseTaskConfig(tagset_size=cfg.tagset,
-                                         supervision=cfg.supervision))
-        history, per_iter = [], []
-        policy = searn_learn(
-            task, data,
-            LearnerConfig(kind=kind, smoothing=cfg.smoothing,
-                          l2_variance={"parse": cfg.tree_variance,
-                                       "tag": cfg.tag_variance}),
-            beta=cfg.beta,
-            cfg=RolloutConfig(seed=derive_seed(cfg.seed, _TRAIN_KEY),
-                              n_samples=cfg.n_samples),
-            stopping=StoppingRule(max_iterations=cfg.iterations,
-                                  patience=None),
-            history=history, timings=per_iter)
-        blob = {"format_version": 1, "method": cfg.method,
-                "task": {"task": "depparse", "tagset": cfg.tagset,
-                         "supervision": cfg.supervision},
-                "policy": policy_to_dict(policy, task.interner)}
+    history, per_iter = [], []
+    if cfg.method == "em":
+        spec, payload, losses = _train_em(cfg)
+        rows = [(i + 1, None, loss) for i, loss in enumerate(losses)]
+    else:
+        spec, payload = _train_searn(cfg, history, per_iter)
         rows = [(h["iteration"], h.get("dev_accuracy"),
                  h["classification_loss"]) for h in history]
-
-    _write_json(out / "model.json", blob)
-    _write_train_log(out / "train-log.csv", rows)
+    _write_json(out / "model.json", {"format_version": 1,
+                                     "method": cfg.method, "task": spec,
+                                     **payload})
+    _write_csv(out / "train-log.csv", ["iteration", "dev_accuracy", "loss"],
+               [(i, "" if dev is None else f"{dev:.12g}", f"{loss:.12g}")
+                for i, dev, loss in rows])
     _write_timings(out / "timings.log", per_iter, time.perf_counter() - t0)
     print(f"wrote {out / 'model.json'}")
     return 0
 
 
-def _apply_supervision(sentences, supervision: str, labeled_count):
-    """Keep gold trees per the supervision mode (training inputs only)."""
-    bare = [TaggedSentence(s.tags) for s in sentences]
-    if supervision == "sup":
-        missing = sum(1 for s in sentences if s.gold_tree is None)
-        if missing:
-            raise DataError("supervised training needs gold trees on "
-                            f"every sentence ({missing} missing)")
-        return list(sentences)
-    if supervision == "unsup":
-        return bare
-    if labeled_count > len(sentences):
-        raise ConfigError("labeled_count exceeds the dataset")
-    return list(sentences[:labeled_count]) + bare[labeled_count:]
+def _train_em(cfg: ExperimentConfig) -> tuple:
+    """EM baselines: (task spec, model payload, per-iteration -LL)."""
+    if cfg.task == "sequence":
+        xs, vocab = _read_sequence_data(cfg.data)
+        params, lls = hmm_em_train(xs, cfg.k, vocab,
+                                   iterations=cfg.iterations,
+                                   seed=cfg.seed, tol=cfg.em_tol)
+        return ({"task": "sequence", "k": cfg.k, "v": vocab},
+                _params_payload("hmm", params), [-ll for ll in lls])
+    docs, vocab = read_documents(cfg.data)
+    params, trajectory = mm_em_train(docs, mm_random_init(cfg.k, vocab,
+                                                          cfg.seed),
+                                     iterations=cfg.iterations)
+    return ({"task": "cluster", "k": cfg.k, "v": vocab},
+            _params_payload("mm", params),
+            [-mm_log_likelihood(p, docs) for p in trajectory])
+
+
+def _train_searn(cfg: ExperimentConfig, history, timings) -> tuple:
+    """Mixture training: (task spec, model payload)."""
+    if cfg.task == "cluster":
+        return _train_cluster_exact(cfg, history, timings)
+    kind = cfg.method.split("-")[1]
+    seed = derive_seed(cfg.seed, _TRAIN_KEY)
+    if cfg.task == "sequence":
+        xs, vocab = _read_sequence_data(cfg.data)
+        exp = SequenceExperiment(
+            n_states=cfg.k, vocab_size=vocab, beta=cfg.beta,
+            n_samples=cfg.n_samples, iterations=cfg.iterations,
+            smoothing=cfg.smoothing, lr_variance=cfg.lr_variance)
+        task, policy = train_sequence_searn(exp, xs, kind, seed, history,
+                                            timings)
+        spec = {"task": "sequence", "k": cfg.k, "v": vocab,
+                "feature_mode": task.config.feature_mode}
+    else:
+        data = parse_training_data(_read_treebank(cfg.data),
+                                   cfg.supervision, cfg.labeled_count)
+        task, policy = train_parser(_parse_experiment(cfg), data,
+                                    cfg.supervision, seed, kind,
+                                    cfg.smoothing, history, timings)
+        spec = {"task": "depparse", "tagset": cfg.tagset,
+                "supervision": cfg.supervision}
+    return spec, {"policy": policy_to_dict(policy, task.interner)}
+
+
+def _train_cluster_exact(cfg: ExperimentConfig, history, timings) -> tuple:
+    if not cfg.exact or cfg.beta != 1.0:
+        raise ConfigError("cluster training is the exact-mode equivalence "
+                          "path; use --exact (beta stays 1)")
+    docs, vocab = read_documents(cfg.data)
+    task = ClusterTask(ClusterTaskConfig(K=cfg.k, V=vocab, exact_mode=True))
+    # Same random initialization as the EM path with this seed, so the
+    # two trainers' trajectories are directly comparable.
+    start = task.policy_from_params(mm_random_init(cfg.k, vocab, cfg.seed))
+    policy = searn_learn(
+        task, [np.asarray(d, dtype=float) for d in docs],
+        LearnerConfig(kind="nb", smoothing=cfg.smoothing), beta=1.0,
+        cfg=RolloutConfig(mode="exact", seed=cfg.seed),
+        stopping=StoppingRule(max_iterations=cfg.iterations, patience=None),
+        start=start, history=history, timings=timings)
+    params = task.params_from_rule(policy.components[-1][0])
+    return ({"task": "cluster", "k": cfg.k, "v": vocab},
+            _params_payload("mm", params))
 
 
 # ---------------------------------------------------------------------------
@@ -557,76 +503,84 @@ def _split_list(text) -> list:
     return [part for part in str(text).split(",") if part]
 
 
-def _load_model(path) -> dict:
+def _load_model(path) -> tuple:
+    """(task name, model): mixture or HMM parameters, or a (task, policy)
+    pair.  A file that does not hold a well-formed model is a DataError."""
     try:
         with open(path, encoding="utf-8") as fh:
             blob = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise DataError(f"{path}: not a model file ({exc})")
-    if blob.get("format_version") != 1:
+    if not isinstance(blob, dict) or blob.get("format_version") != 1:
         raise DataError(f"{path}: unsupported model format")
-    return blob
+    try:
+        spec, method = blob["task"], blob["method"]
+        name = spec["task"]
+        if name not in _TASKS or method not in _METHODS:
+            raise DataError(f"{path}: unknown task {name!r} or method "
+                            f"{method!r}")
+        if name == "cluster":
+            return name, _params_from_payload(MultinomialMixtureParams,
+                                              blob["params"])
+        if name == "sequence" and method == "em":
+            return name, _params_from_payload(HmmParams, blob["params"])
+        if name == "sequence":
+            task = SequenceTask(SequenceTaskConfig(
+                K=spec["k"], V=spec["v"], feature_mode=spec["feature_mode"]))
+        else:
+            task = ParseTask(ParseTaskConfig(
+                tagset_size=spec["tagset"], supervision=spec["supervision"]))
+        policy, task.interner = policy_from_dict(blob["policy"])
+        return name, (task, policy)
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ConfigError) as exc:
+        raise DataError(f"{path}: malformed model ({exc!r})")
 
 
-def _eval_one(blob: dict, data_path, gold_path, cfg, run: int) -> tuple:
-    """Returns (metric_name, value) for one (model, dataset) pairing."""
-    spec = blob["task"]
-    task_name = spec["task"]
+def _eval_one(task_name: str, model, data_path, gold_path, cfg,
+              run: int) -> tuple:
+    """Returns (metric_name, value) for one (model, dataset) pairing.
+
+    Decoding goes through this module's ``run_policy`` and
+    ``hmm_posterior_decode`` bindings, which perfbench's wrong-output
+    checks replace."""
+    if task_name == "cluster":
+        docs, vocab = read_documents(data_path)
+        gold = _read_labels(gold_path)
+        if vocab != model.vocab_size:
+            raise DataError(f"{data_path}: V={vocab}, but the model has "
+                            f"V={model.vocab_size}")
+        pred = np.argmax(mm_e_step(model, docs), axis=1)
+        return "matched_hamming", matched_hamming(pred, gold,
+                                                  model.n_clusters,
+                                                  int(gold.max()) + 1)
     if task_name == "sequence":
-        xs, _ = read_sequences(data_path)
-        gold_seqs, k_gold = read_sequences(gold_path)
+        xs, _ = _read_sequence_data(data_path)
+        gold_seqs, k_gold = _read_sequence_data(gold_path)
         gold = np.concatenate([np.asarray(g) for g in gold_seqs])
-        if blob["method"] == "em":
-            params = HmmParams(
-                initial=blob["params"]["initial"],
-                transition=blob["params"]["transition"],
-                emission=blob["params"]["emission"])
+        if isinstance(model, HmmParams):
+            if max(max(x) for x in xs) >= model.vocab_size:
+                raise DataError(f"{data_path}: symbol outside the model's "
+                                f"V={model.vocab_size}")
             decoder = (hmm_posterior_decode if cfg.posterior_decode
                        else hmm_decode)
-            pred = np.concatenate([decoder(params, x) for x in xs])
+            pred = np.concatenate([decoder(model, x) for x in xs])
+            k_pred = model.n_states
         else:
-            task = SequenceTask(SequenceTaskConfig(
-                K=spec["k"], V=spec["v"],
-                feature_mode=spec["feature_mode"]))
-            policy, task.interner = policy_from_dict(blob["policy"])
-            preds = []
-            for i, x in enumerate(xs):
-                rng = np.random.default_rng(
-                    derive_seed(cfg.seed, _EVAL_KEY, run, i))
-                preds.append(latent_labels(run_policy(task, x, policy,
-                                                      rng)))
-            pred = np.concatenate(preds)
-        return "matched_hamming", matched_hamming(pred, gold,
-                                                  spec["k"], k_gold)
-    if task_name == "cluster":
-        docs, _ = read_documents(data_path)
-        gold = _read_labels(gold_path)
-        params = MultinomialMixtureParams(rho=blob["params"]["rho"],
-                                          theta=blob["params"]["theta"])
-        pred = np.argmax(mm_e_step(params, docs), axis=1)
-        return "matched_hamming", matched_hamming(pred, gold,
-                                                  params.rho.shape[0],
-                                                  int(gold.max()) + 1)
-    # depparse
-    sentences, rejected = load_conll(data_path)
-    if rejected:
-        print(f"warning: {rejected} malformed sentences skipped",
-              file=sys.stderr)
+            task, policy = model
+            pred = decode_labels(task, policy, xs, cfg.seed, _EVAL_KEY, run,
+                                 runner=run_policy)
+            k_pred = task.config.K
+        return "matched_hamming", matched_hamming(pred, gold, k_pred, k_gold)
+    sentences = _read_treebank(data_path)
     golds = [s.gold_tree for s in sentences]
     if any(g is None for g in golds):
         raise DataError("evaluation needs gold trees on every sentence")
-    task = ParseTask(ParseTaskConfig(tagset_size=spec["tagset"],
-                                     supervision=spec["supervision"]))
-    policy, task.interner = policy_from_dict(blob["policy"])
-    keep_gold = spec["supervision"] == "sup"
-    preds = []
-    for i, sent in enumerate(sentences):
-        inp = sent if keep_gold else TaggedSentence(sent.tags)
-        rng = np.random.default_rng(derive_seed(cfg.seed, _EVAL_KEY,
-                                                run, i))
-        preds.append(run_policy(task, inp, policy, rng).tree)
+    task, policy = model
+    preds = decode_trees(task, policy, sentences, cfg.seed, _EVAL_KEY, run,
+                         runner=run_policy)
     return "arc_accuracy", corpus_arc_accuracy(preds, golds)
 
 
@@ -650,11 +604,11 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     metric_name = None
     values = []
     for run in range(n_runs):
-        blob = _load_model(pick(models, run))
-        if blob["task"]["task"] != "depparse" and pick(golds, run) is None:
+        task_name, model = _load_model(pick(models, run))
+        if task_name != "depparse" and pick(golds, run) is None:
             raise ConfigError("eval needs --gold for this task")
-        name, value = _eval_one(blob, pick(datas, run), pick(golds, run),
-                                cfg, run)
+        name, value = _eval_one(task_name, model, pick(datas, run),
+                                pick(golds, run), cfg, run)
         if metric_name is not None and name != metric_name:
             raise ConfigError("cannot aggregate runs across metrics")
         metric_name = name
@@ -679,20 +633,15 @@ def cmd_learning_curve(cfg: ExperimentConfig) -> int:
         raise ConfigError("learning curves are a depparse protocol")
     cfg = _resolved(cfg)
     out = _out_dir(cfg)
-    exp = ParseExperiment(
-        n_sentences=cfg.sentences, tagset_size=cfg.tagset,
-        beta=cfg.beta, n_samples=cfg.n_samples, iterations=cfg.iterations,
-        tree_variance=cfg.tree_variance, tag_variance=cfg.tag_variance)
     t0 = time.perf_counter()
-    rows = learning_curve(exp, cfg.labeled_counts, master_seeds=cfg.seeds)
-    with open(out / "curve.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["arm", "labeled_count", "mean", "two_sigma",
-                         "values"])
-        for row in rows:
-            writer.writerow([row.arm, row.labeled_count,
-                             f"{row.mean:.12g}", f"{row.two_sigma:.12g}",
-                             ";".join(f"{v:.12g}" for v in row.values)])
+    rows = learning_curve(_parse_experiment(cfg), cfg.labeled_counts,
+                          master_seeds=cfg.seeds)
+    _write_csv(out / "curve.csv",
+               ["arm", "labeled_count", "mean", "two_sigma", "values"],
+               [(row.arm, row.labeled_count, f"{row.mean:.12g}",
+                 f"{row.two_sigma:.12g}",
+                 ";".join(f"{v:.12g}" for v in row.values))
+                for row in rows])
     _write_timings(out / "timings.log", [], time.perf_counter() - t0)
     print(f"wrote {out / 'curve.csv'} "
           f"({len(rows)} points, seeds {list(cfg.seeds)})")
@@ -750,7 +699,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, UnicodeDecodeError) as exc:
+        # config files are decoded in read_config_file, so an undecodable
+        # file here is a data or model file
         print(f"data error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .classifiers import (
-    LROptimizerConfig,
     NBModel,
     LRModel,
     costs_to_weighted_labels,
@@ -58,13 +57,6 @@ def derive_seed(seed: int, *key: int) -> int:
 # Domain types
 
 
-class Decision(NamedTuple):
-    """One atomic prediction slot: 1-based index and its action space."""
-
-    t: int
-    action_space: tuple
-
-
 @dataclass
 class CostSensitiveExample:
     """A feature vector with one cost per legal action.
@@ -98,7 +90,6 @@ class RolloutConfig:
     """Cost-estimation settings for one learning run."""
 
     n_samples: int = 1
-    tie_randomness: bool = True
     mode: str = "sampled"
     seed: int = 0
 
@@ -116,7 +107,6 @@ class LearnerConfig:
     kind: str = "nb"
     smoothing: float = 0.0
     l2_variance: float | dict = 1.0
-    optimizer: LROptimizerConfig | None = None
 
     def variance_for(self, group: str) -> float:
         if isinstance(self.l2_variance, dict):
@@ -214,18 +204,16 @@ class Task(abc.ABC):
         raise TaskContractError("task has no estimation decisions")
 
     # closed-form expected costs; only the cluster task supports this
-    supports_exact = False
-
     def exact_examples(self, dataset, policy, cfg: RolloutConfig):
         raise TaskContractError("task does not support exact cost mode")
 
     def shortcut_costs(self, state):
         """Exact cost vector when derivable without rollouts, else None.
 
-        Only consulted during example generation, and only under tied
-        continuation randomness.  A task may implement it for decisions
-        whose action provably never alters the tied continuation (so the
-        returned vector must equal what rollouts would compute).
+        Only consulted during example generation.  A task may implement it
+        for decisions whose action provably never alters the tied
+        continuation (so the returned vector must equal what rollouts
+        would compute).
         """
         return None
 
@@ -376,12 +364,12 @@ def _costs_at_state(task: Task, example, example_id: int, t: int, state,
                     allow_shortcut: bool = False) -> np.ndarray:
     """Mean completion loss per legal action, minimum subtracted.
 
-    With tie_randomness on, sample s of every action's rollout runs on the
-    stream seeded by (example_id, t, s), so all candidates see identical
-    continuation randomness.
+    Sample s of every action's rollout runs on the stream seeded by
+    (example_id, t, s), so all candidates see identical continuation
+    randomness.
     """
     legal = task.legal_actions(state)
-    if allow_shortcut and cfg.tie_randomness:
+    if allow_shortcut:
         shortcut = task.shortcut_costs(state)
         if shortcut is not None:
             costs = np.asarray(shortcut, dtype=float)
@@ -389,10 +377,7 @@ def _costs_at_state(task: Task, example, example_id: int, t: int, state,
     costs = np.zeros(len(legal))
     for s in range(cfg.n_samples):
         for k, action in enumerate(legal):
-            if cfg.tie_randomness:
-                rng = _rng(cfg.seed, _ROLLOUT, example_id, t, s)
-            else:
-                rng = _rng(cfg.seed, _ROLLOUT, example_id, t, s, k)
+            rng = _rng(cfg.seed, _ROLLOUT, example_id, t, s)
             final = _run_to_completion(task, task.apply(state, action),
                                        example, pol, rng, t)
             costs[k] += task.rollout_loss(final, example)
@@ -511,28 +496,30 @@ def train_rule(task: Task, generated: GeneratedExamples,
                                     smoothing=learner.smoothing)
         elif learner.kind == "lr":
             models[name] = lr_train(labeled, spec.n_actions, n_features,
-                                    learner.variance_for(name),
-                                    config=learner.optimizer)
+                                    learner.variance_for(name))
         else:
             raise ConfigError(f"unknown learner kind: {learner.kind!r}")
     return LearnedRule(models)
 
 
+def _regrets(rule: LearnedRule, examples) -> list:
+    """Cost regret of the rule's choice on each example whose group it has
+    a model for."""
+    out = []
+    for ex in examples:
+        model = rule.models.get(ex.group)
+        if model is not None:
+            costs_pred = model.predict_costs(ex.features)
+            predicted = min(ex.actions, key=lambda a: (costs_pred[a], a))
+            out.append(float(ex.costs[ex.actions.index(predicted)]
+                             - ex.costs.min()))
+    return out
+
+
 def _classification_loss(rule: LearnedRule, generated: GeneratedExamples) -> float:
     """Mean cost regret of the rule's choices over its own training batch."""
-    if not generated.cost_examples:
-        return 0.0
-    total = 0.0
-    scored = 0
-    for ex in generated.cost_examples:
-        model = rule.models.get(ex.group)
-        if model is None:
-            continue
-        costs_pred = model.predict_costs(ex.features)
-        predicted = min(ex.actions, key=lambda a: (costs_pred[a], a))
-        total += float(ex.costs[ex.actions.index(predicted)] - ex.costs.min())
-        scored += 1
-    return total / scored if scored else 0.0
+    regrets = _regrets(rule, generated.cost_examples)
+    return sum(regrets) / len(regrets) if regrets else 0.0
 
 
 def _dev_accuracy(task: Task, dev_data, pol: Policy, rule: LearnedRule,
@@ -546,15 +533,7 @@ def _dev_accuracy(task: Task, dev_data, pol: Policy, rule: LearnedRule,
     generated = generate_examples(dev_data, pol, task, dev_cfg)
     if not generated.cost_examples:
         return 0.0
-    hits = 0
-    for ex in generated.cost_examples:
-        model = rule.models.get(ex.group)
-        if model is None:
-            continue
-        costs_pred = model.predict_costs(ex.features)
-        predicted = min(ex.actions, key=lambda a: (costs_pred[a], a))
-        if ex.costs[ex.actions.index(predicted)] <= ex.costs.min():
-            hits += 1
+    hits = sum(1 for r in _regrets(rule, generated.cost_examples) if r <= 0.0)
     return hits / len(generated.cost_examples)
 
 

@@ -12,7 +12,6 @@ import numpy as np
 from .em import HmmParams, _check_distribution
 from .errors import ConfigError
 from .task_depparse import DependencyTree, TaggedSentence
-from .task_depparse import load_conll, write_conll  # noqa: F401  (re-export)
 
 _PARAM_KEY = 101
 _DATA_KEY = 102

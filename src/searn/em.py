@@ -206,11 +206,6 @@ def hmm_sequence_log_likelihood(params: HmmParams, x) -> float:
     return float(logsumexp(hmm_log_forward(params, x)[-1]))
 
 
-def hmm_log_likelihood(params: HmmParams, data) -> float:
-    """Total log likelihood of a list of symbol sequences."""
-    return sum(hmm_sequence_log_likelihood(params, x) for x in data)
-
-
 def hmm_random_init(n_states: int, vocab_size: int, seed) -> HmmParams:
     rng = np.random.default_rng(seed)
 

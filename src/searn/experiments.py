@@ -1,8 +1,10 @@
-"""Desk-scale experiment protocols shared by the CLI and the test suite.
+"""Desk-scale experiment protocols and the per-task train/decode steps.
 
 Each protocol fixes a dataset grid, per-method training settings, and a
 seed-derivation scheme so that every run is reproducible from a single
-master seed.  The functions return plain values or ``RunSummary`` rows;
+master seed.  The training and decoding steps (``train_sequence_searn``,
+``train_parser``, ``parse_training_data``, ``decode``) are the ones the
+CLI runs too.  The functions return plain values or ``RunSummary`` rows;
 file output lives in the CLI layer.
 """
 
@@ -102,33 +104,55 @@ def run_sequence_em(exp: SequenceExperiment,
     return summarize(errors, metric="matched_hamming")
 
 
+def decode(task, policy, inputs, seed: int, *key: int, runner=None) -> list:
+    """Final states of one policy run per input; input i runs on the
+    stream seeded by ``derive_seed(seed, *key, i)``.  ``runner`` stands
+    in for ``run_policy`` (a caller may hold its own binding of it)."""
+    runner = runner or run_policy
+    return [runner(task, x, policy,
+                   np.random.default_rng(derive_seed(seed, *key, i)))
+            for i, x in enumerate(inputs)]
+
+
+def decode_labels(task, policy, xs, seed: int, *key: int,
+                  runner=None) -> np.ndarray:
+    """Pooled latent labels of a sequence task's decode."""
+    return np.concatenate([latent_labels(state) for state in
+                           decode(task, policy, xs, seed, *key,
+                                  runner=runner)])
+
+
+def train_sequence_searn(exp: SequenceExperiment, xs, kind: str, seed: int,
+                         history=None, timings=None):
+    """Mixture-train a sequence labeller ("nb" or "lr" learner) with the
+    method settings of ``exp``; returns (task, policy)."""
+    if kind not in ("nb", "lr"):
+        raise ConfigError("kind must be 'nb' or 'lr'")
+    task = SequenceTask(SequenceTaskConfig(
+        K=exp.n_states, V=exp.vocab_size,
+        feature_mode="nb_hmm" if kind == "nb" else "lr_window"))
+    policy = searn_learn(
+        task, xs, LearnerConfig(kind=kind, smoothing=exp.smoothing,
+                                l2_variance=exp.lr_variance),
+        beta=exp.beta,
+        cfg=RolloutConfig(seed=seed, n_samples=exp.n_samples),
+        stopping=StoppingRule(max_iterations=exp.iterations, patience=None),
+        history=history, timings=timings)
+    return task, policy
+
+
 def run_sequence_searn(exp: SequenceExperiment, kind: str,
                        datasets=None) -> RunSummary:
     """Matched Hamming error of a mixture-trained policy ("nb" or "lr")."""
-    if kind not in ("nb", "lr"):
-        raise ConfigError("kind must be 'nb' or 'lr'")
     base = _SEQ_BASE[exp.order]
     method_key = base + (_SEQ_NB if kind == "nb" else _SEQ_LR)
-    feature_mode = "nb_hmm" if kind == "nb" else "lr_window"
-    learner = LearnerConfig(kind=kind, smoothing=exp.smoothing,
-                            l2_variance=exp.lr_variance)
     errors = []
     for ds, (xs, gold) in enumerate(datasets or sequence_datasets(exp)):
-        task = SequenceTask(SequenceTaskConfig(
-            K=exp.n_states, V=exp.vocab_size, feature_mode=feature_mode))
-        policy = searn_learn(
-            task, xs, learner, beta=exp.beta,
-            cfg=RolloutConfig(seed=derive_seed(exp.master_seed,
-                                               method_key, ds),
-                              n_samples=exp.n_samples),
-            stopping=StoppingRule(max_iterations=exp.iterations,
-                                  patience=None))
-        preds = []
-        for i, x in enumerate(xs):
-            rng = np.random.default_rng(
-                derive_seed(exp.master_seed, base + _SEQ_DECODE, ds, i))
-            preds.append(latent_labels(run_policy(task, x, policy, rng)))
-        errors.append(matched_hamming(np.concatenate(preds), gold,
+        task, policy = train_sequence_searn(
+            exp, xs, kind, derive_seed(exp.master_seed, method_key, ds))
+        pred = decode_labels(task, policy, xs, exp.master_seed,
+                             base + _SEQ_DECODE, ds)
+        errors.append(matched_hamming(pred, gold,
                                       exp.n_states, exp.n_states))
     return summarize(errors, metric="matched_hamming")
 
@@ -181,15 +205,59 @@ def _strip_gold(sentences):
     return [TaggedSentence(s.tags) for s in sentences]
 
 
-def _decode_trees(task, policy, sentences, seed, keep_gold: bool):
-    """Greedy decode; gold stays attached only where the task requires a
+def parse_training_data(sentences, supervision: str,
+                        labeled_count: int | None = None) -> list:
+    """Training inputs for one supervision mode.
+
+    "unsup" strips every gold tree; "sup" keeps the first
+    ``labeled_count`` sentences (all when None), each with its gold tree;
+    "semi" keeps the gold trees of the first ``labeled_count`` sentences
+    and strips the rest.
+    """
+    if supervision == "unsup":
+        return _strip_gold(sentences)
+    if supervision not in ("sup", "semi"):
+        raise ConfigError(f"unknown supervision {supervision!r}")
+    if labeled_count is None:
+        if supervision == "semi":
+            raise ConfigError("semi-supervised runs need labeled_count")
+        labeled_count = len(sentences)
+    if not 0 <= labeled_count <= len(sentences):
+        raise ConfigError(f"labeled_count must lie in [0, {len(sentences)}]"
+                          " (the training set size)")
+    labeled = list(sentences[:labeled_count])
+    if supervision == "semi":
+        return labeled + _strip_gold(sentences[labeled_count:])
+    return labeled
+
+
+def train_parser(exp: ParseExperiment, data, supervision: str, seed: int,
+                 kind: str = "lr", smoothing: float = 0.0, history=None,
+                 timings=None):
+    """Mixture-train a parser on prepared inputs (see
+    ``parse_training_data``) with the settings of ``exp``; returns
+    (task, policy)."""
+    task = ParseTask(ParseTaskConfig(tagset_size=exp.tagset_size,
+                                     supervision=supervision))
+    learner = LearnerConfig(kind=kind, smoothing=smoothing,
+                            l2_variance={"parse": exp.tree_variance,
+                                         "tag": exp.tag_variance})
+    policy = searn_learn(
+        task, data, learner, beta=exp.beta,
+        cfg=RolloutConfig(seed=seed, n_samples=exp.n_samples),
+        stopping=StoppingRule(max_iterations=exp.iterations, patience=None),
+        history=history, timings=timings)
+    return task, policy
+
+
+def decode_trees(task: ParseTask, policy, sentences, seed: int, *key: int,
+                 runner=None) -> list:
+    """Predicted trees; gold stays attached only where the task requires a
     gold tree to build states (the stripped policy never consults it)."""
-    preds = []
-    for i, sent in enumerate(sentences):
-        inp = sent if keep_gold else TaggedSentence(sent.tags)
-        rng = np.random.default_rng(derive_seed(seed, _PARSE_ITEM_KEY, i))
-        preds.append(run_policy(task, inp, policy, rng).tree)
-    return preds
+    if task.config.supervision != "sup":
+        sentences = _strip_gold(sentences)
+    return [state.tree for state in decode(task, policy, sentences, seed,
+                                           *key, runner=runner)]
 
 
 def run_parse(exp: ParseExperiment, supervision: str,
@@ -197,40 +265,17 @@ def run_parse(exp: ParseExperiment, supervision: str,
               corpus=None) -> float:
     """Train one parsing arm and return held-out arc accuracy.
 
-    ``supervision``: "sup" (all gold trees kept), "unsup" (none), or
-    "semi" (first ``labeled_count`` sentences keep gold).
+    ``supervision`` and ``labeled_count`` select the training inputs as in
+    ``parse_training_data``.
     """
     train, _, test = corpus or parse_corpus(exp)
-    if supervision == "sup":
-        if labeled_count is not None:
-            train = train[:labeled_count]
-        data = list(train)
-    elif supervision == "unsup":
-        data = _strip_gold(train)
-    elif supervision == "semi":
-        if labeled_count is None:
-            raise ConfigError("semi-supervised runs need labeled_count")
-        if labeled_count > len(train):
-            raise ConfigError("labeled_count exceeds the training set")
-        data = list(train[:labeled_count]) + _strip_gold(
-            train[labeled_count:])
-    else:
-        raise ConfigError(f"unknown supervision {supervision!r}")
-
-    task = ParseTask(ParseTaskConfig(tagset_size=exp.tagset_size,
-                                     supervision=supervision))
-    learner = LearnerConfig(kind="lr",
-                            l2_variance={"parse": exp.tree_variance,
-                                         "tag": exp.tag_variance})
-    policy = searn_learn(
-        task, data, learner, beta=exp.beta,
-        cfg=RolloutConfig(seed=derive_seed(exp.master_seed,
-                                           _PARSE_TRAIN_KEY),
-                          n_samples=exp.n_samples),
-        stopping=StoppingRule(max_iterations=exp.iterations, patience=None))
-    preds = _decode_trees(task, policy, test,
-                          derive_seed(exp.master_seed, _PARSE_DECODE_KEY),
-                          keep_gold=(supervision == "sup"))
+    data = parse_training_data(train, supervision, labeled_count)
+    task, policy = train_parser(exp, data, supervision,
+                                derive_seed(exp.master_seed,
+                                            _PARSE_TRAIN_KEY))
+    preds = decode_trees(task, policy, test,
+                         derive_seed(exp.master_seed, _PARSE_DECODE_KEY),
+                         _PARSE_ITEM_KEY)
     return corpus_arc_accuracy(preds, [s.gold_tree for s in test])
 
 
@@ -239,10 +284,9 @@ def random_parse_baseline(exp: ParseExperiment, corpus=None) -> float:
     _, _, test = corpus or parse_corpus(exp)
     task = ParseTask(ParseTaskConfig(tagset_size=exp.tagset_size,
                                      supervision="unsup"))
-    policy = initial_policy()
-    preds = _decode_trees(task, policy, test,
-                          derive_seed(exp.master_seed, _PARSE_BASELINE_KEY),
-                          keep_gold=False)
+    preds = decode_trees(task, initial_policy(), test,
+                         derive_seed(exp.master_seed, _PARSE_BASELINE_KEY),
+                         _PARSE_ITEM_KEY)
     return corpus_arc_accuracy(preds, [s.gold_tree for s in test])
 
 

@@ -1,13 +1,12 @@
 """Evaluation: matched Hamming error, arc accuracy, run aggregation."""
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -89,20 +88,3 @@ def write_runs_csv(path, summaries) -> None:
             for run, value in enumerate(summary.values):
                 writer.writerow([summary.metric, run, f"{value:.12g}"])
 
-
-def write_summary_json(path, summaries) -> None:
-    """Aggregate view of the same runs, keyed by metric name."""
-    blob = {}
-    for summary in summaries:
-        if summary.metric in blob:
-            raise ConfigError(f"duplicate metric {summary.metric!r}")
-        blob[summary.metric] = {
-            "mean": summary.mean,
-            "std": summary.std,
-            "n_runs": summary.n_runs,
-            "single_run": summary.single_run,
-            "values": list(summary.values),
-        }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -20,7 +20,6 @@ import numpy as np
 from .classifiers import NBModel
 from .core import (
     CostSensitiveExample,
-    Decision,
     GeneratedExamples,
     GroupSpec,
     LearnedRule,
@@ -35,9 +34,8 @@ from .core import (
 )
 from .em import (
     MultinomialMixtureParams,
-    mm_e_step,
+    mm_em_train,
     mm_log_likelihood,
-    mm_m_step,
     mm_random_init,
 )
 from .errors import ConfigError, DataError, TrainingError
@@ -72,24 +70,19 @@ class DocumentCounts:
 
 @dataclass
 class ClusterTaskConfig:
+    """K clusters over V words.
+
+    K = 1 leaves no cluster choice to learn; it is accepted only in exact
+    mode, where the equivalence check uses it as a boundary case.
+    """
+
     K: int
     V: int
     exact_mode: bool = False
 
     def __post_init__(self):
-        if self.K < 2 or self.V < 2:
-            raise ConfigError("need K >= 2 and V >= 2")
-
-    @classmethod
-    def _single_cluster(cls, V: int, exact_mode: bool = True):
-        # K = 1 is degenerate (no cluster choice exists) and rejected by
-        # the normal constructor; the equivalence checker accepts it as a
-        # boundary case, so it builds the config through this back door.
-        cfg = object.__new__(cls)
-        cfg.K = 1
-        cfg.V = V
-        cfg.exact_mode = exact_mode
-        return cfg
+        if self.V < 2 or self.K < (1 if self.exact_mode else 2):
+            raise ConfigError("need K >= 2 (K >= 1 in exact mode) and V >= 2")
 
 
 class ClusterState:
@@ -150,10 +143,6 @@ class ClusterTask(Task):
         for k in range(config.K):
             self.interner.intern(f"cluster={k}")
         self.interner.intern("total")
-
-    @property
-    def supports_exact(self):
-        return self.config.exact_mode
 
     def groups(self):
         return {
@@ -260,7 +249,7 @@ class ClusterTask(Task):
             regrets = mix_costs - mix_costs.min()
             if K >= 2 and np.any(np.round(regrets, 12) != 0.0):
                 out.append(CostSensitiveExample(
-                    features=self._count_features(doc),
+                    features=self.features(ClusterState(self, doc)),
                     actions=tuple(range(K)),
                     costs=regrets,
                     group=CLUSTER,
@@ -268,10 +257,6 @@ class ClusterTask(Task):
             for k in range(K):
                 records.append((k, doc, float(z[k])))
         return GeneratedExamples(out, {DOC: records})
-
-    def _count_features(self, doc: DocumentCounts) -> FeatureVector:
-        pairs = [(f"w={v}", c) for v, c in enumerate(doc.counts) if c > 0]
-        return FeatureVector.from_pairs(self.interner, pairs)
 
     def _component_costs(self, rule, doc: DocumentCounts) -> np.ndarray:
         K = self.config.K
@@ -330,13 +315,6 @@ class ClusterTask(Task):
         return MultinomialMixtureParams(rho=rho, theta=theta)
 
 
-def cluster_decompose(task: ClusterTask, doc) -> list:
-    """The two decision slots of one document."""
-    task.initial_state(doc)
-    return [Decision(1, tuple(range(task.config.K))),
-            Decision(2, (EMIT_DOC,))]
-
-
 # ---------------------------------------------------------------------------
 # EM trajectory equivalence
 
@@ -389,21 +367,14 @@ def run_equivalence(dataset, K: int, iterations: int, shared_init,
     if params0.n_clusters != K or params0.vocab_size != V:
         raise ConfigError("initialization shape does not match K, V")
 
-    if K == 1:
-        config = ClusterTaskConfig._single_cluster(V)
-    else:
-        config = ClusterTaskConfig(K=K, V=V, exact_mode=True)
-    task = ClusterTask(config)
+    task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
     learner = LearnerConfig(kind="nb", smoothing=0.0)
     cfg = RolloutConfig(mode="exact", seed=0)
 
     report = EquivalenceReport(iterations=iterations, tolerance=tolerance)
-    em_params = params0
+    _, em_trajectory = mm_em_train(docs, params0, iterations)
     pol = task.policy_from_params(params0)
-    for _ in range(iterations):
-        z = mm_e_step(em_params, docs)
-        em_params = mm_m_step(z, docs)
-
+    for em_params in em_trajectory:
         generated = task.exact_examples(dataset, pol, cfg)
         rule = train_rule(task, generated, learner)
         pol = interpolate_policy(pol, rule, 1.0)
@@ -447,7 +418,13 @@ def read_documents(path):
             if not line or line.startswith("#"):
                 continue
             if line.startswith("V="):
-                vocab_size = int(line[2:])
+                try:
+                    header = int(line[2:])
+                except ValueError:
+                    header = 0
+                if header < 1 or vocab_size not in (None, header):
+                    raise DataError(f"{path}:{lineno}: malformed V= header")
+                vocab_size = header
                 continue
             if vocab_size is None:
                 raise DataError(f"{path}:{lineno}: document before V= header")
@@ -456,13 +433,13 @@ def read_documents(path):
                 try:
                     word, count = token.split(":")
                     word, count = int(word), int(count)
-                except ValueError:
+                    if not 0 <= word < vocab_size:
+                        raise DataError(f"{path}:{lineno}: word id {word} "
+                                        f"outside V={vocab_size}")
+                    counts[word] += count
+                except (ValueError, OverflowError):
                     raise DataError(f"{path}:{lineno}: malformed pair "
                                     f"{token!r}")
-                if not 0 <= word < vocab_size:
-                    raise DataError(f"{path}:{lineno}: word id {word} "
-                                    f"outside V={vocab_size}")
-                counts[word] += count
             rows.append(counts)
     if vocab_size is None:
         raise DataError(f"{path}: missing V= header")

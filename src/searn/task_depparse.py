@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Decision, GroupSpec, Task
+from .core import GroupSpec, Task
 from .errors import ConfigError, DataError, StateError
 from .features import FeatureVector, Interner
 
@@ -421,26 +421,6 @@ def tree_features(task: ParseTask, ps: ParserState,
                 if h == node:
                     pairs.append((f"{prefix}.dep={tags[d - 1]}", 1.0))
     return FeatureVector.from_pairs(task.interner, pairs)
-
-
-def parse_decompose(task: ParseTask, sent: TaggedSentence,
-                    rng=None) -> list:
-    """Decision sequence along the initial policy's path.
-
-    Phase-1 action spaces are the legal subsets along the realized path
-    (at most 2T decisions); the tagging phase appends one full-tagset
-    decision per token.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    state = task.initial_state(sent)
-    decisions = []
-    t = 0
-    while not task.is_final(state):
-        decisions.append(Decision(t, tuple(task.legal_actions(state))))
-        state = task.apply(state, task.initial_action(state, rng))
-        t += 1
-    return decisions
 
 
 # ---------------------------------------------------------------------------

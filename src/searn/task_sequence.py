@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Decision, GroupSpec, Task
+from .core import GroupSpec, Task
 from .errors import ConfigError, DataError, TaskContractError
 from .features import FeatureVector, Interner
 
@@ -139,40 +139,6 @@ class SequenceTask(Task):
             raise TaskContractError("emitted symbol out of range")
 
 
-def seq_decompose(task: SequenceTask, x) -> list:
-    """The 2T decision slots for one sequence."""
-    state = task.initial_state(x)
-    T = len(state.x)
-    K, V = task.config.K, task.config.V
-    return [Decision(t, tuple(range(K if t <= T else V)))
-            for t in range(1, 2 * T + 1)]
-
-
-def seq_features(task: SequenceTask, x, prefix, t: int) -> FeatureVector:
-    """Feature vector for decision t after a given action prefix."""
-    state = task.initial_state(x)
-    if len(prefix) != t - 1:
-        raise ConfigError("prefix length must be t - 1")
-    for a in prefix:
-        state = task.apply(state, a)
-    return task.features(state)
-
-
-def seq_loss(true_x, structure) -> float:
-    """Reconstruction Hamming error, normalized by sequence length.
-
-    ``structure`` is the full 2T-action sequence; only its second half is
-    compared against the input.
-    """
-    true_x = list(true_x)
-    structure = list(structure)
-    T = len(true_x)
-    if len(structure) != 2 * T:
-        raise DataError("structure must have 2T components")
-    wrong = sum(1 for p in range(T) if structure[T + p] != true_x[p])
-    return wrong / T
-
-
 def latent_labels(state: SeqState) -> np.ndarray:
     """The first-half actions of a completed rollout."""
     return np.asarray(state.actions[: len(state.x)], dtype=np.int64)
@@ -199,7 +165,12 @@ def read_sequences(path):
             if not line or line.startswith("#"):
                 continue
             if line.startswith("V="):
-                vocab_size = int(line[2:])
+                try:
+                    vocab_size = int(line[2:])
+                except ValueError:
+                    vocab_size = 0
+                if vocab_size < 1:
+                    raise DataError(f"{path}:{lineno}: malformed V= header")
                 continue
             try:
                 seq = tuple(int(tok) for tok in line.split())

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from searn.cli import (ExperimentConfig, main, merge_config, read_config_file)
@@ -234,6 +235,57 @@ class TestClusterEval:
             read_bytes(tmp_path / "old" / "metrics.csv")
 
 
+class TestClusterExactTrain:
+    def test_single_cluster_matches_em(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("gen", "--task", "cluster", "--documents", "12",
+                       "--seed", "3", "--out", str(data)) == 0
+        params = {}
+        for method, extra in (("em", []), ("searn-nb", ["--exact"])):
+            out = tmp_path / method
+            assert run_cli("train", "--task", "cluster", "--method", method,
+                           "--k", "1", "--iterations", "3",
+                           "--data", str(data / "documents.txt"),
+                           "--out", str(out), *extra) == 0
+            params[method] = json.loads(
+                (out / "model.json").read_text())["params"]
+        assert params["searn-nb"]["rho"] == [1.0]
+        for key in ("rho", "theta"):
+            np.testing.assert_allclose(params["searn-nb"][key],
+                                       params["em"][key], atol=1e-12)
+
+
+class TestParseTrain:
+    def test_sup_labeled_count_trains_on_first_trees(self, tmp_path):
+        full, head = tmp_path / "full", tmp_path / "head"
+        # a shorter draw with the same seed is a prefix of a longer one
+        for out, n in ((full, "12"), (head, "5")):
+            assert run_cli("gen", "--task", "depparse", "--sentences", n,
+                           "--seed", "2", "--out", str(out)) == 0
+        models = {}
+        for name, data, extra in (
+                ("first5", full, ["--labeled-count", "5"]),
+                ("head", head, []), ("all", full, [])):
+            out = tmp_path / name
+            assert run_cli("train", "--task", "depparse", "--method",
+                           "searn-lr", "--supervision", "sup",
+                           "--iterations", "1",
+                           "--data", str(data / "treebank.conll"),
+                           "--out", str(out), *extra) == 0
+            models[name] = read_bytes(out / "model.json")
+        assert models["first5"] == models["head"]
+        assert models["first5"] != models["all"]
+
+    def test_labeled_count_beyond_data_rejected(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("gen", "--task", "depparse", "--sentences", "4",
+                       "--out", str(data)) == 0
+        assert run_cli("train", "--task", "depparse", "--method", "searn-lr",
+                       "--supervision", "sup", "--labeled-count", "9",
+                       "--data", str(data / "treebank.conll"),
+                       "--out", str(tmp_path / "o")) == 2
+
+
 # ---------------------------------------------------------------------------
 # validation and exit codes
 
@@ -265,6 +317,58 @@ class TestExitCodes:
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense=1\n")
         assert run_cli("gen", "--config", str(p)) == 2
+
+    @pytest.mark.parametrize("task", ["sequence", "cluster"])
+    def test_malformed_vocab_header_is_data_error(self, tmp_path, task):
+        data = tmp_path / "data.txt"
+        data.write_text("V=abc\n0 1\n" if task == "sequence"
+                        else "V=abc\n0:1\n")
+        assert run_cli("train", "--task", task, "--method", "em",
+                       "--data", str(data), "--out", str(tmp_path / "o")) == 1
+
+
+    def test_undecodable_files(self, tmp_path):
+        data, cfg = tmp_path / "data.txt", tmp_path / "bad.cfg"
+        data.write_bytes(b"V=3\n0 1 \xff\n")
+        cfg.write_bytes(b"task=seq\xffuence\n")
+        assert run_cli("train", "--task", "sequence", "--method", "em",
+                       "--data", str(data), "--out", str(tmp_path / "o")) == 1
+        assert run_cli("gen", "--config", str(cfg)) == 2
+
+
+_SEQ_SPEC = {"task": "sequence", "k": 2, "v": 10, "feature_mode": "nb_hmm"}
+
+
+@pytest.mark.parametrize("blob", [
+    {"format_version": 1, "method": "em"},
+    [1, 2],
+    "model",
+    {"format_version": 2, "method": "em", "task": _SEQ_SPEC},
+    {"format_version": 1, "method": "em", "task": "sequence"},
+    {"format_version": 1, "method": "em", "task": {"task": "tagging"}},
+    {"format_version": 1, "method": "svm", "task": _SEQ_SPEC},
+    {"format_version": 1, "method": "em", "task": _SEQ_SPEC},
+    {"format_version": 1, "method": "em", "task": _SEQ_SPEC,
+     "params": {"initial": [1.0], "transition": "x", "emission": []}},
+    {"format_version": 1, "method": "searn-nb", "task": _SEQ_SPEC},
+    {"format_version": 1, "method": "searn-nb", "task": _SEQ_SPEC,
+     "policy": []},
+    {"format_version": 1, "method": "searn-nb",
+     "task": {"task": "sequence", "k": 2}, "policy": {}},
+    {"format_version": 1, "method": "em",
+     "task": {"task": "cluster", "k": 2, "v": 10},
+     "params": {"rho": [0.5, 0.5]}},
+], ids=["no-task", "list", "string", "version", "task-not-object",
+        "unknown-task", "unknown-method", "no-params", "bad-tables",
+        "no-policy", "policy-list", "spec-fields", "no-theta"])
+def test_malformed_model_is_data_error(seq_run, tmp_path, blob):
+    data, _ = seq_run
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(blob))
+    assert run_cli("eval", "--model", str(model),
+                   "--data", str(data / "sequences-run00.txt"),
+                   "--gold", str(data / "sequences-run00.gold.txt"),
+                   "--out", str(tmp_path / "eval")) == 1
 
 
 # ---------------------------------------------------------------------------

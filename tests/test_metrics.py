@@ -1,7 +1,6 @@
 """Metric oracles: factorial matching brute force, frozen arithmetic."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from searn.metrics import (
     matched_hamming,
     summarize,
     write_runs_csv,
-    write_summary_json,
 )
 from searn.task_depparse import DependencyTree
 
@@ -148,17 +146,3 @@ class TestEmitters:
         assert lines[0] == "metric,run,value"
         assert lines[1] == "err,0,0.25"
         assert lines[2] == "err,1,0.5"
-
-    def test_json_round_trip(self, tmp_path):
-        path = tmp_path / "summary.json"
-        write_summary_json(path, [summarize((0.25, 0.5), metric="err")])
-        blob = json.loads(path.read_text())
-        assert blob["err"]["mean"] == 0.375
-        assert blob["err"]["n_runs"] == 2
-
-    def test_byte_stable(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        runs = [summarize((0.1, 0.2, 0.3), metric="acc")]
-        write_summary_json(a, runs)
-        write_summary_json(b, runs)
-        assert a.read_bytes() == b.read_bytes()

@@ -22,7 +22,6 @@ from searn.task_cluster import (
     ClusterTask,
     ClusterTaskConfig,
     DocumentCounts,
-    cluster_decompose,
     cluster_loss,
     read_documents,
     run_equivalence,
@@ -44,10 +43,12 @@ def make_task(K=2, V=5, exact=False):
 class TestDecompose:
     def test_two_decisions(self):
         task = make_task(K=3)
-        decisions = cluster_decompose(task, [1, 0, 2, 0, 0])
-        assert len(decisions) == 2
-        assert decisions[0].action_space == (0, 1, 2)
-        assert len(decisions[1].action_space) == 1
+        state = task.initial_state([1, 0, 2, 0, 0])
+        assert task.legal_actions(state) == (0, 1, 2)
+        state = task.apply(state, 2)
+        assert len(task.legal_actions(state)) == 1
+        state = task.apply(state, task.initial_action(state, None))
+        assert task.is_final(state)
 
     def test_cluster_features_are_raw_counts(self):
         task = make_task(V=4)
@@ -69,6 +70,12 @@ class TestDecompose:
             ClusterTaskConfig(K=1, V=4)
         with pytest.raises(ConfigError):
             ClusterTaskConfig(K=2, V=1)
+
+    def test_single_cluster_only_in_exact_mode(self):
+        task = make_task(K=1, V=4, exact=True)
+        assert task.legal_actions(task.initial_state([1, 0, 2, 0])) == (0,)
+        with pytest.raises(ConfigError):
+            ClusterTaskConfig(K=0, V=4, exact_mode=True)
 
     def test_document_validation(self):
         with pytest.raises(DataError):

@@ -17,7 +17,7 @@ from searn.core import (
     run_policy,
     searn_learn,
 )
-from searn.errors import ConfigError, DataError
+from searn.errors import ConfigError, DataError, TaskContractError
 from searn.features import FeatureVector
 from searn.task_sequence import (
     EMIT,
@@ -25,9 +25,6 @@ from searn.task_sequence import (
     SequenceTask,
     SequenceTaskConfig,
     read_sequences,
-    seq_decompose,
-    seq_features,
-    seq_loss,
     write_sequences,
 )
 
@@ -37,17 +34,35 @@ def make_task(K=2, V=4, mode="nb_hmm", wide=False):
                                            wide_emission=wide))
 
 
+def walk(task, x, actions):
+    """The state reached from x's initial state by the given actions."""
+    state = task.initial_state(x)
+    for a in actions:
+        state = task.apply(state, a)
+    return state
+
+
+def action_spaces(task, x):
+    """Legal action sets along the initial policy's path."""
+    rng = np.random.default_rng(0)
+    state = task.initial_state(x)
+    spaces = []
+    while not task.is_final(state):
+        spaces.append(task.legal_actions(state))
+        state = task.apply(state, task.initial_action(state, rng))
+    return spaces
+
+
 class TestDecompose:
     def test_two_t_decisions(self):
         task = make_task()
-        decisions = seq_decompose(task, (0, 1, 2, 3, 0))
-        assert len(decisions) == 10
-        assert [d.t for d in decisions] == list(range(1, 11))
+        x = (0, 1, 2, 3, 0)
+        assert len(action_spaces(task, x)) == 10
+        assert task.max_decisions(x) == 10
 
     def test_action_space_sizes(self):
         task = make_task(K=3, V=5)
-        decisions = seq_decompose(task, (0, 1))
-        assert [len(d.action_space) for d in decisions] == [3, 3, 5, 5]
+        assert [len(s) for s in action_spaces(task, (0, 1))] == [3, 3, 5, 5]
 
     def test_initial_rollout_reconstructs_input(self):
         task = make_task()
@@ -78,31 +93,32 @@ class TestFeatures:
         task = make_task(K=4, V=5)
         x = (1, 2, 0)
         # latent prefix predicted (3, 1, 0); first emit decision t=4
-        fv = seq_features(task, x, (3, 1, 0), 4)
+        fv = task.features(walk(task, x, (3, 1, 0)))
         assert fv.as_dict(task.interner) == {"emit_label=3": 1.0}
 
     def test_emit_never_sees_the_input(self):
         task = make_task()
         x = (1, 2, 3)
         for t in (4, 5, 6):
-            fv = seq_features(task, x, (0, 1, 0) + tuple([x[p - 4] for p in range(4, t)]), t)
+            fv = task.features(walk(
+                task, x, (0, 1, 0) + tuple([x[p - 4] for p in range(4, t)])))
             names = set(fv.as_dict(task.interner))
             assert all(not n.startswith("x[") for n in names)
 
     def test_nb_hmm_latent_features(self):
         task = make_task()
-        fv1 = seq_features(task, (0, 1, 2), (), 1)
+        fv1 = task.features(walk(task, (0, 1, 2), ()))
         assert fv1.as_dict(task.interner) == {"bias": 1.0, "prev=START": 1.0}
-        fv2 = seq_features(task, (0, 1, 2), (1,), 2)
+        fv2 = task.features(walk(task, (0, 1, 2), (1,)))
         assert fv2.as_dict(task.interner) == {"bias": 1.0, "prev=1": 1.0}
 
     def test_lr_window_boundaries(self):
         task = make_task(mode="lr_window")
-        fv = seq_features(task, (3, 1, 2), (), 1)
+        fv = task.features(walk(task, (3, 1, 2), ()))
         d = fv.as_dict(task.interner)
         assert d == {"bias": 1.0, "prev=START": 1.0, "x[-1]=S": 1.0,
                      "x[0]=3": 1.0, "x[+1]=1": 1.0}
-        fv_end = seq_features(task, (3, 1, 2), (0, 1), 3)
+        fv_end = task.features(walk(task, (3, 1, 2), (0, 1)))
         d_end = fv_end.as_dict(task.interner)
         assert d_end["x[+1]=E"] == 1.0
         assert d_end["x[0]=2"] == 1.0
@@ -112,29 +128,35 @@ class TestFeatures:
         x = (1, 2, 0)
         # latent prefix (2, 0, 1) plus the first emission; t=5 is the
         # emission of position 2, whose latent label was 0
-        fv = seq_features(task, x, (2, 0, 1, 1), 5)
+        fv = task.features(walk(task, x, (2, 0, 1, 1)))
         d = fv.as_dict(task.interner)
         assert d == {"emit_label=0": 1.0, "emit_prev=2": 1.0, "emit_next=1": 1.0}
 
 
 class TestLoss:
+    @staticmethod
+    def loss(x, structure):
+        task = make_task()
+        return task.rollout_loss(walk(task, x, structure), x)
+
     def test_perfect_and_all_wrong(self):
         x = (0, 1, 2)
-        assert seq_loss(x, (0, 0, 0, 0, 1, 2)) == 0.0
-        assert seq_loss(x, (0, 0, 0, 1, 2, 0)) == 1.0
+        assert self.loss(x, (0, 0, 0, 0, 1, 2)) == 0.0
+        assert self.loss(x, (0, 0, 0, 1, 2, 0)) == 3.0
 
-    def test_normalized(self):
+    def test_counts_emission_mistakes(self):
         x = (0, 1, 2, 3)
-        assert seq_loss(x, (0,) * 4 + (0, 1, 0, 3)) == 0.25
+        assert self.loss(x, (0,) * 4 + (0, 1, 0, 3)) == 1.0
 
     def test_latent_half_ignored(self):
         x = (0, 1)
         for latents in [(0, 0), (1, 1), (0, 1)]:
-            assert seq_loss(x, latents + x) == 0.0
+            assert self.loss(x, latents + x) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            seq_loss((0, 1), (0, 1, 0))
+        task = make_task()
+        with pytest.raises(TaskContractError):
+            task.validate_final(walk(task, (0, 1), (0, 1, 0)), (0, 1))
 
 
 class TestIterationOneProperty:
