@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp
 
+from .em import logsumexp
 from .errors import ConfigError, OptimizerError, TrainingError
 from .features import FeatureVector
 
@@ -227,25 +227,23 @@ def _sparse_design(examples, n_features: int):
     return X, np.asarray(labels, dtype=np.int64), np.asarray(weights, dtype=float)
 
 
-def _lr_objective_probs(X, y, w, l2_variance, W):
-    """Objective value and softmax probabilities at W."""
-    n = X.shape[0]
-    n_classes = W.shape[0]
-    logits = X @ W.T if n else np.zeros((0, n_classes))
-    lse = logsumexp(logits, axis=1) if n else np.zeros(0)
-    data_loss = float(np.dot(w, lse - logits[np.arange(n), y])) if n else 0.0
+def _lr_objective(X, y, w, l2_variance, W, rows):
+    """Objective value at W, with the logits and their row log-normalizers
+    (``rows`` is ``np.arange(n)``, built once per fit)."""
+    logits = X @ W.T
+    lse = logsumexp(logits, axis=1)
+    data_loss = float(np.dot(w, lse - logits[rows, y]))
     penalty = float(np.sum(W * W)) / (2.0 * l2_variance)
-    probs = np.exp(logits - lse[:, None]) if n else logits
-    return data_loss + penalty, probs
+    return data_loss + penalty, logits, lse
 
 
-def _lr_gradient(X, y, w, l2_variance, W, P):
-    n = X.shape[0]
-    rows = P.copy()
-    if n:
-        rows[np.arange(n), y] -= 1.0
-        rows *= w[:, None]
-    return (X.T @ rows).T + W / l2_variance
+def _lr_gradient(XT, y, w, l2_variance, W, logits, lse, rows):
+    """Gradient at W from its logits and log-normalizers; ``XT`` is the
+    design matrix's transpose, built once per fit."""
+    G = np.exp(logits - lse[:, None])
+    G[rows, y] -= 1.0
+    G *= w[:, None]
+    return (XT @ G).T + W / l2_variance
 
 
 def lr_objective_grad(examples, n_classes, n_features, l2_variance, weights):
@@ -254,9 +252,10 @@ def lr_objective_grad(examples, n_classes, n_features, l2_variance, weights):
     Exposed so the gradient can be checked against finite differences.
     """
     X, y, w = _sparse_design(examples, n_features)
+    rows = np.arange(X.shape[0])
     W = np.asarray(weights, dtype=float).reshape(n_classes, n_features)
-    f, P = _lr_objective_probs(X, y, w, l2_variance, W)
-    return f, _lr_gradient(X, y, w, l2_variance, W, P)
+    f, logits, lse = _lr_objective(X, y, w, l2_variance, W, rows)
+    return f, _lr_gradient(X.T, y, w, l2_variance, W, logits, lse, rows)
 
 
 def lr_train(
@@ -270,21 +269,24 @@ def lr_train(
 
     Full-batch gradient descent with a backtracking (Armijo) line search;
     fully deterministic given the data.  Stops at the gradient tolerance or
-    the epoch cap, whichever comes first.
+    the epoch cap, whichever comes first.  Trial points of the line search
+    cost one objective each; softmax probabilities are formed only for the
+    gradient at an accepted point.
     """
     if l2_variance <= 0:
         raise ConfigError("l2_variance must be positive")
     cfg = config or LROptimizerConfig()
     examples = list(examples)
     X, y, w = _sparse_design(examples, n_features)
+    XT, rows = X.T, np.arange(X.shape[0])
     W = np.zeros((n_classes, n_features))
-    f, P = _lr_objective_probs(X, y, w, l2_variance, W)
+    f, logits, lse = _lr_objective(X, y, w, l2_variance, W, rows)
     if not np.isfinite(f):
         raise OptimizerError("objective non-finite at initialization")
     step = cfg.initial_step
     epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        grad = _lr_gradient(X, y, w, l2_variance, W, P)
+        grad = _lr_gradient(XT, y, w, l2_variance, W, logits, lse, rows)
         gnorm2 = float(np.sum(grad * grad))
         if np.max(np.abs(grad)) < cfg.grad_tol:
             epoch -= 1
@@ -293,9 +295,10 @@ def lr_train(
         accepted = False
         while step >= cfg.min_step:
             W_try = W - step * grad
-            f_try, P_try = _lr_objective_probs(X, y, w, l2_variance, W_try)
+            f_try, logits_try, lse_try = _lr_objective(X, y, w, l2_variance,
+                                                       W_try, rows)
             if np.isfinite(f_try) and f_try <= f - cfg.armijo * step * gnorm2:
-                W, f, P = W_try, f_try, P_try
+                W, f, logits, lse = W_try, f_try, logits_try, lse_try
                 accepted = True
                 break
             if not np.isfinite(f_try) and step <= cfg.min_step * 2:

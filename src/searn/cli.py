@@ -479,6 +479,10 @@ def _train_cluster_exact(cfg: ExperimentConfig, history, timings) -> tuple:
     if not cfg.exact or cfg.beta != 1.0:
         raise ConfigError("cluster training is the exact-mode equivalence "
                           "path; use --exact (beta stays 1)")
+    if cfg.smoothing > 0:
+        raise ConfigError("exact-mode cluster training takes no smoothing: "
+                          "it would smooth the cluster and total features "
+                          "too, so the model has no EM counterpart")
     docs, vocab = read_documents(cfg.data)
     task = ClusterTask(ClusterTaskConfig(K=cfg.k, V=vocab, exact_mode=True))
     # Same random initialization as the EM path with this seed, so the

@@ -14,11 +14,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, DataError
 
 _SUM_TOL = 1e-12
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis``, bit-identical to scipy.special.logsumexp.
+
+    Repeats scipy's arithmetic for real float64 input without weights: the
+    ``m`` entries that tie for the maximum are taken out of the sum, the rest
+    give s = sum(exp(a - max)), and the result is log1p(s / m) + log(m) +
+    max.  Returns a numpy scalar when every axis is reduced.  It skips
+    scipy's per-call array-API dispatch, which dominates on the small arrays
+    the learners pass.
+
+    scipy replaces a non-finite result by log(sum(exp(a))).  Here that is
+    never needed: the tied entries are zeroed after the exp (scipy sets them
+    to -inf before it, which gives the same 0 except in an all -inf slice,
+    where scipy's NaN falls back to -inf, the value this formula gives), and
+    the only other non-finite results, from a +inf or NaN maximum, already
+    equal the direct sum.  An empty input gives -inf; scipy raises instead
+    when it has more than one dimension and every axis is reduced.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0:
+        a = a.reshape(1)
+    if axis is None:
+        axis = tuple(range(a.ndim))
+    # The reductions call the ufuncs' reduce directly: it is what np.sum
+    # and np.max run, without their Python wrapper.
+    total = np.add.reduce
+    if a.size == 0:
+        out = np.full(total(a, axis=axis, keepdims=True).shape, -np.inf)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+            ties = a == a_max
+            m = total(ties, axis=axis, dtype=float, keepdims=True)
+            e = np.exp(a - a_max)
+            np.copyto(e, 0.0, where=ties)
+            # s == 0 implies m >= 1 (m is 0 only for a NaN max, where s is
+            # NaN), so this division is scipy's where(s == 0, s, s / m).
+            out = np.log1p(total(e, axis=axis, keepdims=True) / m) \
+                + np.log(m) + a_max
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def _check_distribution(name, arr, axis=-1):

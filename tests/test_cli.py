@@ -254,6 +254,24 @@ class TestClusterExactTrain:
             np.testing.assert_allclose(params["searn-nb"][key],
                                        params["em"][key], atol=1e-12)
 
+    def test_smoothing_rejected_with_reason(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli("gen", "--task", "cluster", "--documents", "12",
+                       "--k", "3", "--seed", "3", "--out", str(data)) == 0
+        docs = str(data / "documents.txt")
+        capsys.readouterr()
+        assert run_cli("train", "--task", "cluster", "--method", "searn-nb",
+                       "--exact", "--k", "3", "--smoothing", "0.5",
+                       "--iterations", "2", "--data", docs,
+                       "--out", str(tmp_path / "exact")) == 2
+        err = capsys.readouterr().err
+        assert "no smoothing" in err and "no EM counterpart" in err
+        assert not (tmp_path / "exact" / "model.json").exists()
+        # the EM baseline keeps its smoothing option
+        assert run_cli("train", "--task", "cluster", "--method", "em",
+                       "--k", "3", "--smoothing", "0.5", "--iterations", "2",
+                       "--data", docs, "--out", str(tmp_path / "em")) == 0
+
 
 class TestParseTrain:
     def test_sup_labeled_count_trains_on_first_trees(self, tmp_path):

@@ -1,0 +1,243 @@
+"""The in-package logsumexp and the numeric paths rewritten around it.
+
+``searn.em.logsumexp`` must give the same bits as ``scipy.special.logsumexp``,
+and ``lr_train`` and the HMM lattices must give the same bits as the loops
+they replaced, kept here as oracles: the optimizer's iterates decide every
+trained model, so an equal-to-tolerance kernel would not be enough.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import searn
+from searn.classifiers import (LabeledExample, LROptimizerConfig,
+                               _sparse_design, lr_train)
+from searn.em import (HmmParams, hmm_log_backward, hmm_log_forward,
+                      hmm_sequence_log_likelihood, logsumexp)
+from searn.features import FeatureVector
+
+INF, NAN = np.inf, np.nan
+
+
+def assert_same_bits(got, want):
+    """Equal type, shape and bits; NaNs must sit at the same positions."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64),
+                                  want[~nan].view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# logsumexp against scipy
+
+# A small pool of values makes tied maxima and all -inf rows common.
+_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.5, 700.0, -745.0, 1.7e308, -1.7e308,
+                     INF, -INF, NAN]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def _arrays_and_axes(draw):
+    a = draw(hnp.arrays(np.float64,
+                        hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                         max_side=10),
+                        elements=_ELEMENTS))
+    if a.ndim > 1 and draw(st.booleans()):
+        a = a.T  # a Fortran-ordered view: the reductions run in another order
+    axis = draw(st.sampled_from([None, 0, 1, -1][:a.ndim + 1] + [-1]))
+    return a, axis
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(case=_arrays_and_axes())
+@example(case=(np.full((2, 3), -INF), 1))
+@example(case=(np.array([[1.0, 1.0, 1.0], [3.0, -INF, 3.0]]), 1))
+@example(case=(np.array([[INF, 1.0], [INF, INF], [-INF, INF]]), None))
+@example(case=(np.array([NAN, 1.0, INF]), 0))
+@example(case=(np.zeros((0, 3)), 0))
+@example(case=(np.zeros((3, 0)), 1))
+@example(case=(np.zeros(0), None))
+def test_logsumexp_bit_identical_to_scipy(case):
+    a, axis = case
+    try:
+        with np.errstate(all="ignore"):
+            want = scipy.special.logsumexp(a, axis=axis)
+    except IndexError:
+        # scipy cannot shape the result for an empty input with more than
+        # one dimension reduced over every axis; the sum is still empty.
+        assert a.size == 0 and axis is None and a.ndim > 1
+        assert logsumexp(a, axis=axis) == -INF
+        return
+    assert_same_bits(logsumexp(a, axis=axis), want)
+
+
+def test_logsumexp_scalar_and_integer_input():
+    assert_same_bits(logsumexp(3.0), scipy.special.logsumexp(3.0))
+    assert_same_bits(logsumexp([1, 2]), scipy.special.logsumexp([1, 2]))
+
+
+# ---------------------------------------------------------------------------
+# lr_train against the loop it replaced
+
+
+def _oracle_lr_train(examples, n_classes, n_features, l2_variance, cfg):
+    """lr_train as it was: scipy's logsumexp, X.T rebuilt for every gradient
+    and softmax probabilities at every trial point of the line search."""
+    X, y, w = _sparse_design(examples, n_features)
+    n = X.shape[0]
+
+    def objective_probs(W):
+        logits = X @ W.T
+        lse = scipy.special.logsumexp(logits, axis=1)
+        data_loss = float(np.dot(w, lse - logits[np.arange(n), y]))
+        penalty = float(np.sum(W * W)) / (2.0 * l2_variance)
+        return data_loss + penalty, np.exp(logits - lse[:, None])
+
+    def gradient(W, P):
+        rows = P.copy()
+        rows[np.arange(n), y] -= 1.0
+        rows *= w[:, None]
+        return (X.T @ rows).T + W / l2_variance
+
+    W = np.zeros((n_classes, n_features))
+    f, P = objective_probs(W)
+    step, epoch = cfg.initial_step, 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        grad = gradient(W, P)
+        gnorm2 = float(np.sum(grad * grad))
+        if np.max(np.abs(grad)) < cfg.grad_tol:
+            epoch -= 1
+            break
+        step = min(step * 2.0, 1e6)
+        accepted = False
+        while step >= cfg.min_step:
+            W_try = W - step * grad
+            f_try, P_try = objective_probs(W_try)
+            if np.isfinite(f_try) and f_try <= f - cfg.armijo * step * gnorm2:
+                W, f, P = W_try, f_try, P_try
+                accepted = True
+                break
+            step *= cfg.backtrack
+        if not accepted:
+            break
+    return W, epoch
+
+
+def _lr_problem(seed, n=60, n_features=25, n_classes=4):
+    """Sparse count features, as the tasks produce, with repeated rows."""
+    rng = np.random.default_rng(seed)
+    examples = []
+    for _ in range(n):
+        ids = np.unique(rng.integers(0, n_features, size=5))
+        values = rng.integers(1, 4, size=ids.size).astype(float)
+        examples.append(LabeledExample(
+            FeatureVector(tuple(int(i) for i in ids),
+                          tuple(float(v) for v in values)),
+            int(rng.integers(n_classes)), float(rng.uniform(0.1, 3.0))))
+    return examples, n_classes, n_features
+
+
+@pytest.mark.parametrize("seed, n, variance, max_epochs, capped", [
+    (0, 60, 1.0, 500, False),
+    (1, 60, 0.05, 500, False),  # a strong prior: converges in few epochs
+    (2, 60, 4.0, 7, True),      # stopped by the epoch cap
+    (3, 0, 1.0, 500, False),    # no examples: zero gradient at the start
+])
+def test_lr_train_matches_oracle_bytes(seed, n, variance, max_epochs, capped):
+    examples, K, F = _lr_problem(seed, n)
+    cfg = LROptimizerConfig(max_epochs=max_epochs)
+    want_W, want_epochs = _oracle_lr_train(examples, K, F, variance, cfg)
+    assert (want_epochs == max_epochs) == capped
+    model = lr_train(examples, K, F, variance, config=cfg)
+    assert model.trained_epochs == want_epochs
+    assert model.weights.tobytes() == want_W.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# HMM lattices against scipy-based loops
+
+
+def _oracle_forward(params, x):
+    with np.errstate(divide="ignore"):
+        log_init, log_trans, log_emit = (np.log(params.initial),
+                                         np.log(params.transition),
+                                         np.log(params.emission))
+    alpha = np.empty((len(x), params.n_states))
+    alpha[0] = log_init + log_emit[:, x[0]]
+    for t in range(1, len(x)):
+        alpha[t] = scipy.special.logsumexp(alpha[t - 1][:, None] + log_trans,
+                                           axis=0) + log_emit[:, x[t]]
+    return alpha
+
+
+def _oracle_backward(params, x):
+    with np.errstate(divide="ignore"):
+        log_trans, log_emit = np.log(params.transition), np.log(params.emission)
+    beta = np.zeros((len(x), params.n_states))
+    for t in range(len(x) - 2, -1, -1):
+        beta[t] = scipy.special.logsumexp(
+            log_trans + (log_emit[:, x[t + 1]] + beta[t + 1])[None, :], axis=1)
+    return beta
+
+
+def _hmm(seed, K, V, zeros):
+    """A random HMM; ``zeros`` blanks some transition and emission entries
+    so that -inf terms reach the kernel."""
+    rng = np.random.default_rng(seed)
+
+    def table(shape):
+        t = rng.uniform(size=shape)
+        if zeros:
+            t[rng.uniform(size=shape) < 0.3] = 0.0
+            t[..., 0] += 0.1  # no row left empty
+        return t / t.sum(axis=-1, keepdims=True)
+
+    return HmmParams(table(K), table((K, K)), table((K, V)))
+
+
+@pytest.mark.parametrize("seed, K, V, zeros", [
+    (0, 2, 4, False), (1, 3, 6, False), (2, 4, 5, True), (3, 9, 3, True),
+])
+def test_hmm_lattices_match_oracle_bytes(seed, K, V, zeros):
+    params = _hmm(seed, K, V, zeros)
+    rng = np.random.default_rng(100 + seed)
+    for length in (1, 2, 15):
+        x = rng.integers(0, V, size=length)
+        alpha = hmm_log_forward(params, x)
+        assert_same_bits(alpha, _oracle_forward(params, x))
+        assert_same_bits(hmm_log_backward(params, x),
+                         _oracle_backward(params, x))
+        assert_same_bits(hmm_sequence_log_likelihood(params, x),
+                         float(scipy.special.logsumexp(alpha[-1])))
+
+
+# ---------------------------------------------------------------------------
+# Tooling guard
+
+
+def test_no_module_uses_scipy_logsumexp():
+    """scipy's logsumexp costs more in per-call dispatch than in arithmetic
+    on the small arrays the learners pass; searn.em.logsumexp replaces it."""
+    offenders = []
+    for path in sorted(Path(searn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("scipy.special")
+                    and any(a.name == "logsumexp" for a in node.names)):
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Attribute) and node.attr == "logsumexp"
+                  and "special" in ast.unparse(node.value)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
