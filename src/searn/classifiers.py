@@ -75,6 +75,8 @@ class NBModel:
     feature_log_prob: np.ndarray
     smoothing: float
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # (features, legal actions) -> chosen action, kept by Task.model_action
+    _decisions: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -181,6 +183,8 @@ class LRModel:
     l2_variance: float
     trained_epochs: int
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # (features, legal actions) -> chosen action, kept by Task.model_action
+    _decisions: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:

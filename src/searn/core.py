@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import abc
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -181,13 +183,22 @@ class Task(abc.ABC):
     def rollout_loss(self, state, example) -> float:
         """Task loss of a completed structure (un-normalized counts)."""
 
-    def model_action(self, model, state):
-        """A trained model's action: cheapest predicted legal action."""
-        legal = self.legal_actions(state)
-        if not legal:
-            raise StateError("no legal action available")
-        costs = model.predict_costs(self.features(state))
-        return min(legal, key=lambda a: (costs[a], a))
+    def model_action(self, model, state, legal: tuple):
+        """A trained model's action: cheapest predicted legal action.
+
+        ``legal`` is ``legal_actions(state)``, computed once by the caller.
+        Ties go to the lowest action id.  The choice depends only on the
+        state's features and ``legal``, so it is memoized per model on that
+        pair, beside (and as long-lived as) the model's prediction cache.
+        """
+        fv = self.features(state)
+        key = (fv, legal)
+        action = model._decisions.get(key)
+        if action is None:
+            costs = model.predict_costs(fv)
+            action = min(legal, key=lambda a: (costs[a], a))
+            model._decisions[key] = action
+        return action
 
     def weight_mode(self, group: str) -> str:
         """Cost-to-weight conversion used when training this group."""
@@ -249,13 +260,6 @@ class LearnedRule:
 
     models: dict
 
-    def action(self, state, rng):
-        task = state.task
-        model = self.models.get(task.group_of(state))
-        if model is None:
-            return task.initial_action(state, rng)
-        return task.model_action(model, state)
-
 
 @dataclass
 class Policy:
@@ -273,6 +277,10 @@ class Policy:
         n_initial = sum(1 for r, _ in self.components if isinstance(r, InitialRule))
         if n_initial > 1:
             raise ConfigError("at most one initial-policy component allowed")
+        # running weight totals, summed left to right, for policy_act; the
+        # last is +inf so that a draw at or past the rounded total picks
+        # the last component
+        self._cumulative = tuple(accumulate(self.weights))[:-1] + (np.inf,)
 
     @property
     def includes_initial(self) -> bool:
@@ -317,20 +325,19 @@ def strip_initial_policy(pol: Policy) -> Policy:
 def policy_act(pol: Policy, state, rng: np.random.Generator):
     """Sample a mixture component by weight, then act by its rule."""
     task = state.task
-    if not task.legal_actions(state):
+    legal = task.legal_actions(state)
+    if not legal:
         raise StateError("no legal action at this state")
     rule = pol.components[0][0]
     if len(pol.components) > 1:
-        u = rng.random()
-        acc = 0.0
-        for r, w in pol.components:
-            acc += w
-            rule = r
-            if u < acc:
-                break
+        # the first component whose running total exceeds the draw
+        rule = pol.components[bisect_right(pol._cumulative, rng.random())][0]
     if isinstance(rule, InitialRule):
         return task.initial_action(state, rng)
-    return rule.action(state, rng)
+    model = rule.models.get(task.group_of(state))
+    if model is None:
+        return task.initial_action(state, rng)
+    return task.model_action(model, state, legal)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +367,16 @@ def run_policy(task: Task, example, pol: Policy, rng: np.random.Generator):
 
 
 def _costs_at_state(task: Task, example, example_id: int, t: int, state,
-                    pol: Policy, cfg: RolloutConfig,
+                    legal: tuple, pol: Policy, cfg: RolloutConfig,
                     allow_shortcut: bool = False) -> np.ndarray:
-    """Mean completion loss per legal action, minimum subtracted.
+    """Mean completion loss per ``legal`` action, minimum subtracted.
 
     Sample s of every action's rollout runs on the stream seeded by
     (example_id, t, s), so all candidates see identical continuation
-    randomness.
+    randomness.  One SeedSequence per sample serves every candidate: a
+    generator built from it draws the same stream each time, since
+    seeding reads the sequence's state without changing it.
     """
-    legal = task.legal_actions(state)
     if allow_shortcut:
         shortcut = task.shortcut_costs(state)
         if shortcut is not None:
@@ -376,10 +384,12 @@ def _costs_at_state(task: Task, example, example_id: int, t: int, state,
             return costs - costs.min()
     costs = np.zeros(len(legal))
     for s in range(cfg.n_samples):
+        seq = np.random.SeedSequence(cfg.seed,
+                                     spawn_key=(_ROLLOUT, example_id, t, s))
         for k, action in enumerate(legal):
-            rng = _rng(cfg.seed, _ROLLOUT, example_id, t, s)
             final = _run_to_completion(task, task.apply(state, action),
-                                       example, pol, rng, t)
+                                       example, pol,
+                                       np.random.default_rng(seq), t)
             costs[k] += task.rollout_loss(final, example)
     costs /= cfg.n_samples
     return costs - costs.min()
@@ -399,7 +409,8 @@ def estimate_costs(task: Task, example, t: int, prefix, pol: Policy,
         if a not in task.legal_actions(state):
             raise StateError(f"prefix action {a!r} is illegal at its state")
         state = task.apply(state, a)
-    return _costs_at_state(task, example, example_id, t, state, pol, cfg)
+    return _costs_at_state(task, example, example_id, t, state,
+                           task.legal_actions(state), pol, cfg)
 
 
 def _constant_costs(costs: np.ndarray) -> bool:
@@ -447,7 +458,7 @@ def generate_examples(dataset, pol: Policy, task: Task,
                 legal = task.legal_actions(state)
                 if len(legal) >= 2:
                     costs = _costs_at_state(task, example, example_id, t,
-                                            state, pol, cfg,
+                                            state, legal, pol, cfg,
                                             allow_shortcut=True)
                     if not _constant_costs(costs):
                         out.append(CostSensitiveExample(

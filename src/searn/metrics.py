@@ -24,7 +24,9 @@ def matched_hamming(pred, gold, k_pred: int, k_gold: int) -> float:
 
     Labels are pooled across the whole dataset before matching; an
     unmatched label (when k_pred != k_gold) counts all its tokens as
-    errors.
+    errors.  The confusion matrix covers only the labels that occur, so
+    its size does not grow with the label ids; a label that never occurs
+    would add only zero-count pairs, which change no matching's score.
     """
     pred = np.asarray(pred, dtype=np.int64)
     gold = np.asarray(gold, dtype=np.int64)
@@ -36,7 +38,9 @@ def matched_hamming(pred, gold, k_pred: int, k_gold: int) -> float:
         raise DataError("predicted label outside [0, k_pred)")
     if gold.min() < 0 or gold.max() >= k_gold:
         raise DataError("gold label outside [0, k_gold)")
-    confusion = np.zeros((k_pred, k_gold), dtype=np.int64)
+    pred_labels, pred = np.unique(pred, return_inverse=True)
+    gold_labels, gold = np.unique(gold, return_inverse=True)
+    confusion = np.zeros((len(pred_labels), len(gold_labels)), dtype=np.int64)
     np.add.at(confusion, (pred, gold), 1)
     rows, cols = linear_sum_assignment(confusion, maximize=True)
     agreement = confusion[rows, cols].sum()

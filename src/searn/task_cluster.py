@@ -185,10 +185,10 @@ class ClusterTask(Task):
             return int(rng.integers(self.config.K))
         return state.doc.empirical()
 
-    def model_action(self, model, state):
+    def model_action(self, model, state, legal):
         if state.cluster is not None:
             return model.distribution_for(state.cluster)
-        return super().model_action(model, state)
+        return super().model_action(model, state, legal)
 
     def apply(self, state, action):
         if state.cluster is None:

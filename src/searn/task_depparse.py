@@ -43,59 +43,72 @@ class ParserState(NamedTuple):
 INITIAL_PARSER_STATE = ParserState(stack=(), i=1, arcs=())
 
 
-def _head_in(arcs, dependent) -> Optional[int]:
+def _heads_of(arcs, T: int) -> list:
+    """heads[d] = head of token d (first arc wins), 0 while headless."""
+    heads = [0] * (T + 1)
     for h, d in arcs:
-        if d == dependent:
-            return h
-    return None
+        if not heads[d]:
+            heads[d] = h
+    return heads
 
 
-def legal_actions(state: ParserState, T: int) -> tuple:
-    """Subset of the four actions whose preconditions hold."""
+def _legal(stack, i: int, heads, T: int) -> tuple:
     out = []
-    if state.stack and state.i <= T:
-        top = state.stack[0]
-        if _head_in(state.arcs, top) is None:
+    if stack and i <= T:
+        if not heads[stack[0]]:
             out.append(LEFT_ARC)
-        if _head_in(state.arcs, state.i) is None:
+        if not heads[i]:
             out.append(RIGHT_ARC)
-    if state.stack and _head_in(state.arcs, state.stack[0]) is not None:
+    if stack and heads[stack[0]]:
         out.append(REDUCE)
-    if state.i <= T:
+    if i <= T:
         out.append(SHIFT)
     return tuple(out)
 
 
-def apply_action(state: ParserState, action: int, T: int) -> ParserState:
-    """One transition; rejects an action whose precondition fails."""
+def legal_actions(state: ParserState, T: int) -> tuple:
+    """Subset of the four actions whose preconditions hold."""
+    return _legal(state.stack, state.i, _heads_of(state.arcs, T), T)
+
+
+def _transition(state: ParserState, heads, action: int, T: int) -> tuple:
+    """One checked transition given the state's heads (see _heads_of):
+    (next state, the (head, dependent) arc it adds or None)."""
     stack, i, arcs = state
     if action == LEFT_ARC:
         if not stack:
             raise StateError("left-arc needs a nonempty stack")
         if i > T:
             raise StateError("left-arc needs remaining input")
-        if _head_in(arcs, stack[0]) is not None:
+        if heads[stack[0]]:
             raise StateError("left-arc target already has a head")
-        return ParserState(stack[1:], i, arcs + ((i, stack[0]),))
+        arc = (i, stack[0])
+        return ParserState(stack[1:], i, arcs + (arc,)), arc
     if action == RIGHT_ARC:
         if not stack:
             raise StateError("right-arc needs a nonempty stack")
         if i > T:
             raise StateError("right-arc needs remaining input")
-        if _head_in(arcs, i) is not None:
+        if heads[i]:
             raise StateError("right-arc target already has a head")
-        return ParserState((i,) + stack, i + 1, arcs + ((stack[0], i),))
+        arc = (stack[0], i)
+        return ParserState((i,) + stack, i + 1, arcs + (arc,)), arc
     if action == REDUCE:
         if not stack:
             raise StateError("reduce needs a nonempty stack")
-        if _head_in(arcs, stack[0]) is None:
+        if not heads[stack[0]]:
             raise StateError("reduce needs a headed stack top")
-        return ParserState(stack[1:], i, arcs)
+        return ParserState(stack[1:], i, arcs), None
     if action == SHIFT:
         if i > T:
             raise StateError("shift needs remaining input")
-        return ParserState((i,) + stack, i + 1, arcs)
+        return ParserState((i,) + stack, i + 1, arcs), None
     raise StateError(f"unknown parser action {action!r}")
+
+
+def apply_action(state: ParserState, action: int, T: int) -> ParserState:
+    """One transition; rejects an action whose precondition fails."""
+    return _transition(state, _heads_of(state.arcs, T), action, T)[0]
 
 
 def _check_heads(heads) -> None:
@@ -233,16 +246,26 @@ class ParseTaskConfig:
 
 
 class ParseState:
-    """Rollout state: sentence, parser state, produced tags, cached tree."""
+    """Rollout state: sentence, parser state, produced tags, cached tree.
 
-    __slots__ = ("task", "sent", "ps", "produced", "tree")
+    While parsing, ``heads`` follows ``ps.arcs`` incrementally, so no step
+    looks a head up in the arc list: ``heads[d]`` is token d's head, 0
+    while it has none.  ``windows`` memoizes the sentence's tag-window
+    pairs (see _window); one dict is shared by every state reached from an
+    initial state.  Once parsing ends, both are None and ``tree`` is set.
+    """
 
-    def __init__(self, task, sent, ps, produced, tree):
+    __slots__ = ("task", "sent", "ps", "produced", "tree", "heads",
+                 "windows")
+
+    def __init__(self, task, sent, ps, produced, tree, heads, windows):
         self.task = task
         self.sent = sent
         self.ps = ps
         self.produced = produced
         self.tree = tree
+        self.heads = heads
+        self.windows = windows
 
 
 class ParseTask(Task):
@@ -253,6 +276,7 @@ class ParseTask(Task):
         if config.supervision != "sup":
             specs[TAG] = GroupSpec(TAG, config.tagset_size, "classify")
         self._groups = specs
+        self._tag_legal = tuple(range(config.tagset_size))
 
     def groups(self):
         return self._groups
@@ -274,7 +298,8 @@ class ParseTask(Task):
             raise DataError("tag id outside the configured tagset")
         if self.config.supervision == "sup" and example.gold_tree is None:
             raise DataError("supervised mode requires a gold tree")
-        return ParseState(self, example, INITIAL_PARSER_STATE, (), None)
+        return ParseState(self, example, INITIAL_PARSER_STATE, (), None,
+                          (0,) * (example.n_tokens + 1), {})
 
     def max_decisions(self, example) -> int:
         T = example.n_tokens
@@ -293,13 +318,16 @@ class ParseTask(Task):
         return PARSE if state.ps.i <= state.sent.n_tokens else TAG
 
     def legal_actions(self, state: ParseState) -> tuple:
-        if state.ps.i <= state.sent.n_tokens:
-            return legal_actions(state.ps, state.sent.n_tokens)
-        return tuple(range(self.config.tagset_size))
+        ps = state.ps
+        if ps.i <= state.sent.n_tokens:
+            return _legal(ps.stack, ps.i, state.heads, state.sent.n_tokens)
+        return self._tag_legal
 
     def features(self, state: ParseState) -> FeatureVector:
-        if state.ps.i <= state.sent.n_tokens:
-            return tree_features(self, state.ps, state.sent)
+        ps = state.ps
+        if ps.i <= state.sent.n_tokens:
+            return FeatureVector.from_pairs(self.interner, _tree_pairs(
+                state.windows, state.sent.tags, ps, state.heads))
         return self._tag_features(state)
 
     def initial_action(self, state: ParseState, rng) -> int:
@@ -308,20 +336,31 @@ class ParseTask(Task):
             gold = state.sent.gold_tree
             if self.config.supervision != "unsup" and gold is not None:
                 return supervised_oracle(state.ps, gold, T)
-            legal = legal_actions(state.ps, T)
+            legal = self.legal_actions(state)
             return legal[int(rng.integers(len(legal)))]
         return state.sent.tags[len(state.produced)]
 
     def apply(self, state: ParseState, action: int) -> ParseState:
         T = state.sent.n_tokens
         if state.ps.i <= T:
-            ps = apply_action(state.ps, action, T)
-            tree = finalize(ps, T) if ps.i == T + 1 else None
-            return ParseState(self, state.sent, ps, (), tree)
+            ps, arc = _transition(state.ps, state.heads, action, T)
+            if ps.i == T + 1:
+                # the full tree check runs on every completed parse; the
+                # tree is all that later steps read, and dropping the
+                # rest frees the sentence's windows with its last parse
+                return ParseState(self, state.sent, ps, (), finalize(ps, T),
+                                  None, None)
+            heads = state.heads
+            if arc is not None:
+                h, d = arc
+                heads = heads[:d] + (h,) + heads[d + 1:]
+            return ParseState(self, state.sent, ps, (), None, heads,
+                              state.windows)
         if not 0 <= action < self.config.tagset_size:
             raise StateError(f"tag {action} outside the tagset")
         return ParseState(self, state.sent, state.ps,
-                          state.produced + (action,), state.tree)
+                          state.produced + (action,), state.tree,
+                          state.heads, state.windows)
 
     def rollout_loss(self, state: ParseState, example) -> float:
         sent = state.sent
@@ -397,30 +436,44 @@ def _distance_bucket(gap: int) -> str:
     return "7+"
 
 
-def tree_features(task: ParseTask, ps: ParserState,
-                  sent: TaggedSentence) -> FeatureVector:
-    """Tag windows around the stack top and input, plus arc context."""
-    tags = sent.tags
-    T = sent.n_tokens
+def _window(windows: dict, prefix: str, center: int, tags) -> tuple:
+    """The window pairs around ``center``, built once per sentence."""
+    pairs = windows.get((prefix, center))
+    if pairs is None:
+        pairs = tuple(_window_pairs(prefix, center, tags, len(tags)))
+        windows[prefix, center] = pairs
+    return pairs
+
+
+def _tree_pairs(windows: dict, tags, ps: ParserState, heads) -> list:
+    """Feature pairs of a parse decision; ``heads`` as in ParseState."""
     i = ps.i
-    if i > T:
-        raise StateError("no features past the final parser state")
-    pairs = list(_window_pairs("in", i, tags, T))
+    pairs = list(_window(windows, "in", i, tags))
     if not ps.stack:
         pairs.append(("st=NULL", 1.0))
     else:
         top = ps.stack[0]
-        pairs.extend(_window_pairs("st", top, tags, T))
+        pairs.extend(_window(windows, "st", top, tags))
         pairs.append((f"pair={tags[top - 1]}|{tags[i - 1]}", 1.0))
         pairs.append((f"dist={_distance_bucket(i - top)}", 1.0))
         for node, prefix in ((top, "st"), (i, "in")):
-            head = _head_in(ps.arcs, node)
-            if head is not None:
+            head = heads[node]
+            if head:
                 pairs.append((f"{prefix}.head={tags[head - 1]}", 1.0))
             for h, d in ps.arcs:
                 if h == node:
                     pairs.append((f"{prefix}.dep={tags[d - 1]}", 1.0))
-    return FeatureVector.from_pairs(task.interner, pairs)
+    return pairs
+
+
+def tree_features(task: ParseTask, ps: ParserState,
+                  sent: TaggedSentence) -> FeatureVector:
+    """Tag windows around the stack top and input, plus arc context."""
+    T = sent.n_tokens
+    if ps.i > T:
+        raise StateError("no features past the final parser state")
+    return FeatureVector.from_pairs(task.interner, _tree_pairs(
+        {}, sent.tags, ps, _heads_of(ps.arcs, T)))
 
 
 # ---------------------------------------------------------------------------

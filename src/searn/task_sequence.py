@@ -53,7 +53,19 @@ class SeqState(NamedTuple):
 class SequenceTask(Task):
     def __init__(self, config: SequenceTaskConfig):
         self.config = config
+        self._latent_legal = tuple(range(config.K))
+        self._emit_legal = tuple(range(config.V))
         self.interner = Interner()
+
+    @property
+    def interner(self) -> Interner:
+        return self._interner
+
+    @interner.setter
+    def interner(self, interner: Interner) -> None:
+        # a new table voids the memo: its vectors hold the old table's ids
+        self._interner = interner
+        self._features = {}
 
     def groups(self):
         return {
@@ -79,29 +91,39 @@ class SequenceTask(Task):
         return LATENT if len(state.actions) < len(state.x) else EMIT
 
     def legal_actions(self, state):
-        n = self.config.K if self.group_of(state) == LATENT else self.config.V
-        return tuple(range(n))
+        if len(state.actions) < len(state.x):
+            return self._latent_legal
+        return self._emit_legal
 
     def features(self, state):
+        """Latent decisions read the previous label (and, in lr_window
+        mode, the input window); emissions read their own latent label
+        (and, with wide_emission, its neighbours).
+
+        Memoized per task: the key holds every value ``features`` reads,
+        so a hit returns the vector a rebuild would give.  Only a
+        first-seen key builds names, so the interner sees each name first
+        in the order an unmemoized build would intern it.
+        """
         x, actions = state.x, state.actions
         T = len(x)
         t = len(actions) + 1
         if t <= T:
-            prev = actions[t - 2] if t > 1 else "START"
-            names = ["bias", f"prev={prev}"]
+            key = (LATENT, actions[t - 2] if t > 1 else "START")
             if self.config.feature_mode == "lr_window":
-                left = x[t - 2] if t > 1 else "S"
-                right = x[t] if t < T else "E"
-                names += [f"x[-1]={left}", f"x[0]={x[t - 1]}", f"x[+1]={right}"]
-            return FeatureVector.from_names(self.interner, names)
-        p = t - T
-        y = actions[p - 1]
-        names = [f"emit_label={y}"]
-        if self.config.wide_emission:
-            left = actions[p - 2] if p > 1 else "S"
-            right = actions[p] if p < T else "E"
-            names += [f"emit_prev={left}", f"emit_next={right}"]
-        return FeatureVector.from_names(self.interner, names)
+                key += (x[t - 2] if t > 1 else "S", x[t - 1],
+                        x[t] if t < T else "E")
+        else:
+            p = t - T
+            key = (EMIT, actions[p - 1])
+            if self.config.wide_emission:
+                key += (actions[p - 2] if p > 1 else "S",
+                        actions[p] if p < T else "E")
+        fv = self._features.get(key)
+        if fv is None:
+            fv = FeatureVector.from_names(self.interner, _feature_names(key))
+            self._features[key] = fv
+        return fv
 
     def initial_action(self, state, rng):
         if self.group_of(state) == LATENT:
@@ -137,6 +159,19 @@ class SequenceTask(Task):
             raise TaskContractError("latent label out of range")
         if any(not 0 <= a < self.config.V for a in state.actions[T:]):
             raise TaskContractError("emitted symbol out of range")
+
+
+def _feature_names(key: tuple) -> list:
+    """Feature names of a ``SequenceTask.features`` memo key."""
+    if key[0] == LATENT:
+        names = ["bias", f"prev={key[1]}"]
+        if len(key) > 2:
+            names += [f"x[-1]={key[2]}", f"x[0]={key[3]}", f"x[+1]={key[4]}"]
+        return names
+    names = [f"emit_label={key[1]}"]
+    if len(key) > 2:
+        names += [f"emit_prev={key[2]}", f"emit_next={key[3]}"]
+    return names
 
 
 def latent_labels(state: SeqState) -> np.ndarray:

@@ -86,6 +86,20 @@ class TestMatchedHamming:
             assert matched_hamming(p2, gold, 3, 3) == pytest.approx(base)
             assert matched_hamming(pred, g2, 3, 3) == pytest.approx(base)
 
+    def test_huge_label_ids_score_like_renumbered_ones(self):
+        # the confusion matrix is sized by the labels present, not by
+        # the largest id, so a 3e9 label neither allocates gigabytes nor
+        # moves the score
+        rng = np.random.default_rng(4)
+        pred = rng.integers(0, 3, size=50)
+        dense = rng.integers(0, 4, size=50)
+        sparse_ids = np.array([0, 7, 123_456, 3_000_000_000])
+        sparse = sparse_ids[dense]
+        expected = matched_hamming(pred, dense, 3, 4)
+        assert matched_hamming(pred, sparse, 3, 3_000_000_001) == expected
+        assert matched_hamming(sparse, pred, 3_000_000_001, 3) \
+            == matched_hamming(dense, pred, 4, 3)
+
     def test_errors(self):
         with pytest.raises(DataError):
             matched_hamming([0, 1], [0], 2, 2)

@@ -1,0 +1,444 @@
+"""The rollout engine against the per-step path it replaced.
+
+The reference below is the engine before legality was computed once per
+step, before model decisions and sequence features were memoized, before
+the parser kept incremental heads, and before one SeedSequence served
+every candidate of a deviation.  Both engines learn side by side, each
+with its own task, interner and models, and must agree bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from searn.classifiers import NBModel
+from searn.core import (
+    _PATH,
+    _ROLLOUT,
+    INITIAL_RULE,
+    CostSensitiveExample,
+    GeneratedExamples,
+    InitialRule,
+    LearnedRule,
+    LearnerConfig,
+    Policy,
+    RolloutConfig,
+    _constant_costs,
+    _rng,
+    generate_examples,
+    initial_policy,
+    interpolate_policy,
+    run_policy,
+    train_rule,
+)
+from searn.errors import StateError
+from searn.features import FeatureVector
+from searn.task_cluster import ClusterState, ClusterTask, ClusterTaskConfig
+from searn.task_depparse import (
+    INITIAL_PARSER_STATE,
+    LEFT_ARC,
+    REDUCE,
+    RIGHT_ARC,
+    SHIFT,
+    ParserState,
+    ParseState,
+    ParseTask,
+    ParseTaskConfig,
+    TaggedSentence,
+    _distance_bucket,
+    _window_pairs,
+    finalize,
+)
+from searn.task_sequence import EMIT, LATENT, SequenceTask, SequenceTaskConfig
+
+# ---------------------------------------------------------------------------
+# The reference engine
+
+
+def oracle_model_action(task, model, state):
+    if isinstance(task, ClusterTask) and state.cluster is not None:
+        return model.distribution_for(state.cluster)
+    legal = task.legal_actions(state)
+    if not legal:
+        raise StateError("no legal action available")
+    costs = model.predict_costs(task.features(state))
+    return min(legal, key=lambda a: (costs[a], a))
+
+
+def oracle_policy_act(pol, state, rng):
+    task = state.task
+    if not task.legal_actions(state):
+        raise StateError("no legal action at this state")
+    rule = pol.components[0][0]
+    if len(pol.components) > 1:
+        u = rng.random()
+        acc = 0.0
+        for r, w in pol.components:
+            acc += w
+            rule = r
+            if u < acc:
+                break
+    if isinstance(rule, InitialRule):
+        return task.initial_action(state, rng)
+    model = rule.models.get(task.group_of(state))
+    if model is None:
+        return task.initial_action(state, rng)
+    return oracle_model_action(task, model, state)
+
+
+def oracle_run_to_completion(task, state, pol, rng):
+    while not task.is_final(state):
+        state = task.apply(state, oracle_policy_act(pol, state, rng))
+    return state
+
+
+def oracle_run_policy(task, example, pol, rng):
+    final = oracle_run_to_completion(task, task.initial_state(example), pol,
+                                     rng)
+    task.validate_final(final, example)
+    return final
+
+
+def oracle_costs_at_state(task, example, example_id, t, state, pol, cfg):
+    legal = task.legal_actions(state)
+    shortcut = task.shortcut_costs(state)
+    if shortcut is not None:
+        costs = np.asarray(shortcut, dtype=float)
+        return costs - costs.min()
+    costs = np.zeros(len(legal))
+    for s in range(cfg.n_samples):
+        for k, action in enumerate(legal):
+            rng = _rng(cfg.seed, _ROLLOUT, example_id, t, s)
+            final = oracle_run_to_completion(task, task.apply(state, action),
+                                             pol, rng)
+            costs[k] += task.rollout_loss(final, example)
+    costs /= cfg.n_samples
+    return costs - costs.min()
+
+
+def oracle_generate_examples(dataset, pol, task, cfg):
+    specs = task.groups()
+    out = []
+    records = {name: [] for name, g in specs.items() if g.kind == "estimate"}
+    for example_id, example in enumerate(dataset):
+        path_rng = _rng(cfg.seed, _PATH, example_id)
+        state = task.initial_state(example)
+        t = 0
+        while not task.is_final(state):
+            t += 1
+            group = task.group_of(state)
+            if specs[group].kind == "estimate":
+                records[group].append(task.estimation_record(state, example))
+            else:
+                legal = task.legal_actions(state)
+                if len(legal) >= 2:
+                    costs = oracle_costs_at_state(task, example, example_id,
+                                                  t, state, pol, cfg)
+                    if not _constant_costs(costs):
+                        out.append(CostSensitiveExample(
+                            features=task.features(state),
+                            actions=tuple(legal), costs=costs, group=group))
+            state = task.apply(state, oracle_policy_act(pol, state, path_rng))
+        task.validate_final(state, example)
+    return GeneratedExamples(out, records)
+
+
+class OracleSequenceTask(SequenceTask):
+    """Legality and features rebuilt from the state on every call."""
+
+    def legal_actions(self, state):
+        n = self.config.K if self.group_of(state) == LATENT else self.config.V
+        return tuple(range(n))
+
+    def features(self, state):
+        x, actions = state.x, state.actions
+        T = len(x)
+        t = len(actions) + 1
+        if t <= T:
+            prev = actions[t - 2] if t > 1 else "START"
+            names = ["bias", f"prev={prev}"]
+            if self.config.feature_mode == "lr_window":
+                left = x[t - 2] if t > 1 else "S"
+                right = x[t] if t < T else "E"
+                names += [f"x[-1]={left}", f"x[0]={x[t - 1]}",
+                          f"x[+1]={right}"]
+            return FeatureVector.from_names(self.interner, names)
+        p = t - T
+        names = [f"emit_label={actions[p - 1]}"]
+        if self.config.wide_emission:
+            left = actions[p - 2] if p > 1 else "S"
+            right = actions[p] if p < T else "E"
+            names += [f"emit_prev={left}", f"emit_next={right}"]
+        return FeatureVector.from_names(self.interner, names)
+
+
+def _head_in(arcs, dependent):
+    for h, d in arcs:
+        if d == dependent:
+            return h
+    return None
+
+
+def oracle_parser_legal(ps, T):
+    out = []
+    if ps.stack and ps.i <= T:
+        if _head_in(ps.arcs, ps.stack[0]) is None:
+            out.append(LEFT_ARC)
+        if _head_in(ps.arcs, ps.i) is None:
+            out.append(RIGHT_ARC)
+    if ps.stack and _head_in(ps.arcs, ps.stack[0]) is not None:
+        out.append(REDUCE)
+    if ps.i <= T:
+        out.append(SHIFT)
+    return tuple(out)
+
+
+def oracle_apply_action(ps, action, T):
+    if action not in oracle_parser_legal(ps, T):
+        raise StateError(f"illegal parser action {action!r}")
+    stack, i, arcs = ps
+    if action == LEFT_ARC:
+        return ParserState(stack[1:], i, arcs + ((i, stack[0]),))
+    if action == RIGHT_ARC:
+        return ParserState((i,) + stack, i + 1, arcs + ((stack[0], i),))
+    if action == REDUCE:
+        return ParserState(stack[1:], i, arcs)
+    return ParserState((i,) + stack, i + 1, arcs)
+
+
+def oracle_tree_features(task, ps, sent):
+    tags = sent.tags
+    T = sent.n_tokens
+    i = ps.i
+    pairs = list(_window_pairs("in", i, tags, T))
+    if not ps.stack:
+        pairs.append(("st=NULL", 1.0))
+    else:
+        top = ps.stack[0]
+        pairs.extend(_window_pairs("st", top, tags, T))
+        pairs.append((f"pair={tags[top - 1]}|{tags[i - 1]}", 1.0))
+        pairs.append((f"dist={_distance_bucket(i - top)}", 1.0))
+        for node, prefix in ((top, "st"), (i, "in")):
+            head = _head_in(ps.arcs, node)
+            if head is not None:
+                pairs.append((f"{prefix}.head={tags[head - 1]}", 1.0))
+            for h, d in ps.arcs:
+                if h == node:
+                    pairs.append((f"{prefix}.dep={tags[d - 1]}", 1.0))
+    return FeatureVector.from_pairs(task.interner, pairs)
+
+
+class OracleParseTask(ParseTask):
+    """Parser state kept as the arc list alone, scanned on every call."""
+
+    def initial_state(self, example):
+        state = super().initial_state(example)
+        return ParseState(self, state.sent, state.ps, (), None, None, None)
+
+    def legal_actions(self, state):
+        if state.ps.i <= state.sent.n_tokens:
+            return oracle_parser_legal(state.ps, state.sent.n_tokens)
+        return tuple(range(self.config.tagset_size))
+
+    def features(self, state):
+        if state.ps.i <= state.sent.n_tokens:
+            return oracle_tree_features(self, state.ps, state.sent)
+        return self._tag_features(state)
+
+    def initial_action(self, state, rng):
+        T = state.sent.n_tokens
+        gold = state.sent.gold_tree
+        if state.ps.i <= T and (self.config.supervision == "unsup"
+                                or gold is None):
+            legal = oracle_parser_legal(state.ps, T)
+            return legal[int(rng.integers(len(legal)))]
+        return super().initial_action(state, rng)
+
+    def apply(self, state, action):
+        T = state.sent.n_tokens
+        if state.ps.i <= T:
+            ps = oracle_apply_action(state.ps, action, T)
+            tree = finalize(ps, T) if ps.i == T + 1 else None
+            return ParseState(self, state.sent, ps, (), tree, None, None)
+        if not 0 <= action < self.config.tagset_size:
+            raise StateError(f"tag {action} outside the tagset")
+        return ParseState(self, state.sent, state.ps,
+                          state.produced + (action,), state.tree, None, None)
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+
+
+def assert_same_examples(new, old):
+    assert len(new.cost_examples) == len(old.cost_examples)
+    for a, b in zip(new.cost_examples, old.cost_examples):
+        assert a.features.ids == b.features.ids
+        assert a.features.values == b.features.values
+        assert a.actions == b.actions
+        assert a.costs.tobytes() == b.costs.tobytes()
+        assert (a.group, a.weight) == (b.group, b.weight)
+    assert new.estimation_records.keys() == old.estimation_records.keys()
+    for name, recs in new.estimation_records.items():
+        olds = old.estimation_records[name]
+        assert len(recs) == len(olds)
+        for (k1, doc1, w1), (k2, doc2, w2) in zip(recs, olds):
+            assert (k1, w1) == (k2, w2)
+            assert doc1.counts.tobytes() == doc2.counts.tobytes()
+
+
+def final_key(state):
+    if isinstance(state, ParseState):
+        return state.ps, state.produced, state.tree.heads
+    if isinstance(state, ClusterState):
+        return state.cluster, np.asarray(state.emitted).tobytes()
+    return state.actions
+
+
+def learn_side_by_side(new, old, data, learner, beta, cfg, iterations=2):
+    """Generate, train and interpolate with both engines; compare the
+    examples of every iteration, then decode with both mixtures."""
+    pol_new = pol_old = initial_policy()
+    n_examples = 0
+    for it in range(iterations):
+        it_cfg = RolloutConfig(n_samples=cfg.n_samples, seed=cfg.seed + it)
+        gen_new = generate_examples(data, pol_new, new, it_cfg)
+        gen_old = oracle_generate_examples(data, pol_old, old, it_cfg)
+        assert_same_examples(gen_new, gen_old)
+        n_examples += len(gen_new.cost_examples)
+        pol_new = interpolate_policy(pol_new, train_rule(new, gen_new,
+                                                         learner), beta)
+        pol_old = interpolate_policy(pol_old, train_rule(old, gen_old,
+                                                         learner), beta)
+    for i, x in enumerate(data):
+        f_new = run_policy(new, x, pol_new, np.random.default_rng(i))
+        f_old = oracle_run_policy(old, x, pol_old, np.random.default_rng(i))
+        assert final_key(f_new) == final_key(f_old)
+    assert new.interner.names() == old.interner.names()
+    assert n_examples > 0
+    return pol_new
+
+
+def random_sequences(V, n, seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(2, 7, size=n)
+    return [tuple(int(v) for v in rng.integers(0, V, size=T))
+            for T in lengths]
+
+
+def random_tree(T, rng):
+    ps = INITIAL_PARSER_STATE
+    while ps.i <= T:
+        legal = oracle_parser_legal(ps, T)
+        ps = oracle_apply_action(ps, legal[int(rng.integers(len(legal)))], T)
+    return finalize(ps, T)
+
+
+def random_sentences(tagset, n, seed, labeled):
+    rng = np.random.default_rng(seed)
+    out = []
+    for j in range(n):
+        T = int(rng.integers(2, 7))
+        tags = tuple(int(t) for t in rng.integers(0, tagset, size=T))
+        gold = random_tree(T, rng) if labeled(j) else None
+        out.append(TaggedSentence(tags, gold))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Cases
+
+
+@pytest.mark.parametrize("mode,wide,kind,n_samples", [
+    ("nb_hmm", False, "nb", 2),
+    ("lr_window", False, "lr", 1),
+    ("nb_hmm", True, "nb", 1),
+    ("lr_window", True, "lr", 2),
+])
+def test_sequence_matches_reference(mode, wide, kind, n_samples):
+    config = SequenceTaskConfig(K=3, V=4, feature_mode=mode,
+                                wide_emission=wide)
+    learner = LearnerConfig(kind=kind, smoothing=0.5)
+    learn_side_by_side(SequenceTask(config), OracleSequenceTask(config),
+                       random_sequences(4, 6, seed=11), learner, beta=0.5,
+                       cfg=RolloutConfig(n_samples=n_samples, seed=5))
+
+
+@pytest.mark.parametrize("supervision,kind", [
+    ("unsup", "lr"), ("unsup", "nb"), ("sup", "nb"), ("semi", "lr"),
+])
+def test_depparse_matches_reference(supervision, kind):
+    config = ParseTaskConfig(tagset_size=4, supervision=supervision)
+    labeled = {"unsup": lambda j: False, "sup": lambda j: True,
+               "semi": lambda j: j % 2 == 0}[supervision]
+    data = random_sentences(4, 5, seed=21, labeled=labeled)
+    learner = LearnerConfig(kind=kind, smoothing=0.5)
+    learn_side_by_side(ParseTask(config), OracleParseTask(config), data,
+                       learner, beta=0.5,
+                       cfg=RolloutConfig(n_samples=2, seed=9))
+
+
+def test_cluster_sampled_matches_reference():
+    # the emission decision goes through ClusterTask.model_action
+    config = ClusterTaskConfig(K=2, V=5)
+    rng = np.random.default_rng(31)
+    docs = list(rng.integers(0, 6, size=(8, 5)).astype(float) + 1.0)
+    learn_side_by_side(ClusterTask(config), ClusterTask(config), docs,
+                       LearnerConfig(kind="nb", smoothing=0.5), beta=0.5,
+                       cfg=RolloutConfig(n_samples=1, seed=3), iterations=3)
+
+
+def _uniform_nb(n_classes, n_features):
+    return NBModel(class_log_prior=np.full(n_classes, -np.log(n_classes)),
+                   feature_log_prob=np.full((n_classes, n_features),
+                                            -np.log(n_features)),
+                   smoothing=1.0)
+
+
+def test_cost_ties_go_to_lowest_id():
+    # every predicted cost ties, so each decision is the lowest legal id,
+    # and a memoized choice for one legal set is not reused for another
+    config = SequenceTaskConfig(K=3, V=4)
+    new, old = SequenceTask(config), OracleSequenceTask(config)
+    data = random_sequences(4, 5, seed=41)
+    for task in (new, old):
+        task.interner.intern("bias")
+    rule = LearnedRule({LATENT: _uniform_nb(3, 1), EMIT: _uniform_nb(4, 1)})
+    pol = Policy(((INITIAL_RULE, 0.5), (rule, 0.5)))
+    cfg = RolloutConfig(n_samples=2, seed=13)
+    assert_same_examples(generate_examples(data, pol, new, cfg),
+                         oracle_generate_examples(data, pol, old, cfg))
+    greedy = Policy(((rule, 1.0),))
+    for i, x in enumerate(data):
+        final = run_policy(new, x, greedy, np.random.default_rng(i))
+        assert final.actions == (0,) * (2 * len(x))
+        assert final_key(final) == final_key(
+            oracle_run_policy(old, x, greedy, np.random.default_rng(i)))
+    state = new.initial_state(data[0])
+    model = rule.models[LATENT]
+    assert new.model_action(model, state, (1, 2)) == 1
+    assert new.model_action(model, state, (0, 1, 2)) == 0
+    assert new.model_action(model, state, (2,)) == 2
+
+
+def test_parse_steps_match_reference_per_state():
+    # a fresh interner per state makes the order in which one call
+    # interns its names visible (two dependents of one node, say)
+    config = ParseTaskConfig(tagset_size=6)
+    task = ParseTask(config)
+    rng = np.random.default_rng(51)
+    for sent in random_sentences(6, 300, seed=52,
+                                 labeled=lambda j: False):
+        state = task.initial_state(sent)
+        T = sent.n_tokens
+        while state.ps.i <= T:
+            legal = task.legal_actions(state)
+            assert legal == oracle_parser_legal(state.ps, T)
+            fresh, reference = ParseTask(config), OracleParseTask(config)
+            assert fresh.features(state) == oracle_tree_features(
+                reference, state.ps, sent)
+            assert fresh.interner.names() == reference.interner.names()
+            action = legal[int(rng.integers(len(legal)))]
+            after = task.apply(state, action)
+            assert after.ps == oracle_apply_action(state.ps, action, T)
+            state = after
+        assert state.tree.heads == finalize(state.ps, T).heads

@@ -7,11 +7,13 @@ from searn.core import (
     LearnerConfig,
     Policy,
     RolloutConfig,
+    StoppingRule,
     generate_examples,
     initial_policy,
     policy_from_dict,
     policy_to_dict,
     run_policy,
+    searn_learn,
     train_rule,
 )
 from searn.em import MultinomialMixtureParams, mm_e_step, mm_random_init
@@ -174,6 +176,28 @@ class TestSampledMode:
         assert DOC in rule.models
         theta = rule.models[DOC].theta
         np.testing.assert_allclose(theta.sum(axis=1), np.ones(2), atol=1e-12)
+
+    def test_second_iteration_acts_through_learned_emission_model(self):
+        # iteration 2 rolls out with iteration 1's ClusterEmissionModel,
+        # which only ClusterTask.model_action knows how to act with
+        task = make_task(K=2, V=5)
+        docs = list(random_corpus(8, 5, 12))
+        history = []
+        pol = searn_learn(task, docs, LearnerConfig(kind="nb", smoothing=0.5),
+                          beta=0.5, cfg=RolloutConfig(seed=13),
+                          stopping=StoppingRule(max_iterations=2,
+                                                patience=None),
+                          history=history)
+        assert history[0]["n_cost_examples"] == 0
+        assert history[1]["n_cost_examples"] > 0
+        rule = pol.components[-1][0]
+        assert set(rule.models) == {CLUSTER, DOC}
+        for i, doc in enumerate(docs):
+            final = run_policy(task, doc, pol, np.random.default_rng(i))
+            emitted = [r.models[DOC].distribution_for(final.cluster)
+                       for r, _ in pol.components]
+            assert any(np.array_equal(final.emitted, e) for e in emitted)
+            assert np.isfinite(task.rollout_loss(final, doc))
 
     def test_rollout_terminates_and_validates(self):
         task = make_task(K=3, V=4)

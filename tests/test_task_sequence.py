@@ -18,7 +18,7 @@ from searn.core import (
     searn_learn,
 )
 from searn.errors import ConfigError, DataError, TaskContractError
-from searn.features import FeatureVector
+from searn.features import FeatureVector, Interner
 from searn.task_sequence import (
     EMIT,
     LATENT,
@@ -111,6 +111,15 @@ class TestFeatures:
         assert fv1.as_dict(task.interner) == {"bias": 1.0, "prev=START": 1.0}
         fv2 = task.features(walk(task, (0, 1, 2), (1,)))
         assert fv2.as_dict(task.interner) == {"bias": 1.0, "prev=1": 1.0}
+
+    def test_new_interner_voids_memoized_vectors(self):
+        # a loaded model brings its own feature table; vectors built
+        # through the old table must not be served from the memo
+        task = make_task()
+        state = walk(task, (0, 1, 2), (1,))
+        task.features(state)
+        task.interner = Interner(["unrelated", "prev=1", "bias"])
+        assert task.features(state) == FeatureVector((1, 2), (1.0, 1.0))
 
     def test_lr_window_boundaries(self):
         task = make_task(mode="lr_window")
