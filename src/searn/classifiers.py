@@ -144,19 +144,25 @@ def nb_train(examples, n_classes: int, n_features: int, smoothing: float) -> NBM
     return NBModel(class_log_prior, feature_log_prob, smoothing)
 
 
-def nb_predict_costs(model: NBModel, fv: FeatureVector) -> np.ndarray:
-    """Negative per-class log joint scores, minimum subtracted.
+def _linear_costs(bias: np.ndarray, table: np.ndarray,
+                  fv: FeatureVector) -> np.ndarray:
+    """max(s) - s for the per-class scores s = bias + table @ fv.
 
-    The softmin of the returned vector is exactly the class posterior.
-    Feature ids unseen at training time are ignored.
+    Feature ids past the table's columns (unseen at training time) are
+    ignored.
     """
-    scores = model.class_log_prior.copy()
-    n_feat = model.feature_log_prob.shape[1]
+    scores = bias.copy()
+    n_feat = table.shape[1]
     for fid, v in zip(fv.ids, fv.values):
         if fid < n_feat:
-            scores += v * model.feature_log_prob[:, fid]
-    costs = -scores
-    return costs - costs.min()
+            scores += v * table[:, fid]
+    return scores.max() - scores
+
+
+def nb_predict_costs(model: NBModel, fv: FeatureVector) -> np.ndarray:
+    """Negative per-class log joint scores, minimum subtracted; their
+    softmin is exactly the class posterior."""
+    return _linear_costs(model.class_log_prior, model.feature_log_prob, fv)
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +256,6 @@ def _lr_gradient(XT, y, w, l2_variance, W, logits, lse, rows):
     return (XT @ G).T + W / l2_variance
 
 
-def lr_objective_grad(examples, n_classes, n_features, l2_variance, weights):
-    """Objective and analytic gradient at an arbitrary weight matrix.
-
-    Exposed so the gradient can be checked against finite differences.
-    """
-    X, y, w = _sparse_design(examples, n_features)
-    rows = np.arange(X.shape[0])
-    W = np.asarray(weights, dtype=float).reshape(n_classes, n_features)
-    f, logits, lse = _lr_objective(X, y, w, l2_variance, W, rows)
-    return f, _lr_gradient(X.T, y, w, l2_variance, W, logits, lse, rows)
-
-
 def lr_train(
     examples,
     n_classes: int,
@@ -314,13 +308,6 @@ def lr_train(
 
 
 def lr_predict_costs(model: LRModel, fv: FeatureVector) -> np.ndarray:
-    """Negative class log-probabilities under the softmax, min subtracted.
-
-    Equals max(logits) - logits, so the cheapest action is the argmax logit.
-    """
-    logits = np.zeros(model.n_classes)
-    n_feat = model.weights.shape[1]
-    for fid, v in zip(fv.ids, fv.values):
-        if fid < n_feat:
-            logits += v * model.weights[:, fid]
-    return logits.max() - logits
+    """Negative class log-probabilities under the softmax, min subtracted:
+    max(logits) - logits, so the cheapest action is the argmax logit."""
+    return _linear_costs(np.zeros(model.n_classes), model.weights, fv)

@@ -51,8 +51,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (LearnerConfig, RolloutConfig, StoppingRule, derive_seed,
-                   policy_from_dict, policy_to_dict, run_policy, searn_learn)
+from .core import (LearnerConfig, RolloutConfig, derive_seed, policy_from_dict,
+                   policy_to_dict, run_policy, searn_learn)
 from .datagen import (DocGenConfig, HmmGenConfig, TreebankGenConfig,
                       gen_document_corpus, gen_hmm_dataset, gen_hmm_params,
                       gen_treebank)
@@ -414,17 +414,17 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     history, per_iter = [], []
     if cfg.method == "em":
         spec, payload, losses = _train_em(cfg)
-        rows = [(i + 1, None, loss) for i, loss in enumerate(losses)]
     else:
         spec, payload = _train_searn(cfg, history, per_iter)
-        rows = [(h["iteration"], h.get("dev_accuracy"),
-                 h["classification_loss"]) for h in history]
+        losses = [h["classification_loss"] for h in history]
     _write_json(out / "model.json", {"format_version": 1,
                                      "method": cfg.method, "task": spec,
                                      **payload})
+    # the learning loop measures no dev metric; the empty dev_accuracy
+    # column is part of the file format
     _write_csv(out / "train-log.csv", ["iteration", "dev_accuracy", "loss"],
-               [(i, "" if dev is None else f"{dev:.12g}", f"{loss:.12g}")
-                for i, dev, loss in rows])
+               [(i, "", f"{loss:.12g}")
+                for i, loss in enumerate(losses, start=1)])
     _write_timings(out / "timings.log", per_iter, time.perf_counter() - t0)
     print(f"wrote {out / 'model.json'}")
     return 0
@@ -491,8 +491,7 @@ def _train_cluster_exact(cfg: ExperimentConfig, history, timings) -> tuple:
     policy = searn_learn(
         task, [np.asarray(d, dtype=float) for d in docs],
         LearnerConfig(kind="nb", smoothing=cfg.smoothing), beta=1.0,
-        cfg=RolloutConfig(mode="exact", seed=cfg.seed),
-        stopping=StoppingRule(max_iterations=cfg.iterations, patience=None),
+        cfg=RolloutConfig(seed=cfg.seed), iterations=cfg.iterations,
         start=start, history=history, timings=timings)
     params = task.params_from_rule(policy.components[-1][0])
     return ({"task": "cluster", "k": cfg.k, "v": vocab},

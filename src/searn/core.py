@@ -39,7 +39,7 @@ from .errors import (
 from .features import FeatureVector, Interner
 
 # spawn-key tags partitioning the seed space by purpose
-_PATH, _ROLLOUT, _ITER, _DEV = 0, 1, 2, 3
+_PATH, _ROLLOUT, _ITER = 0, 1, 2
 
 # costs are rounded to this many decimals before the constant-vector test
 _COST_DECIMALS = 12
@@ -92,14 +92,11 @@ class RolloutConfig:
     """Cost-estimation settings for one learning run."""
 
     n_samples: int = 1
-    mode: str = "sampled"
     seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        if self.mode not in ("sampled", "exact"):
-            raise ConfigError(f"unknown rollout mode: {self.mode!r}")
 
 
 @dataclass
@@ -118,15 +115,6 @@ class LearnerConfig:
                 return float(self.l2_variance["default"])
             raise ConfigError(f"no l2_variance entry for group {group!r}")
         return float(self.l2_variance)
-
-
-@dataclass
-class StoppingRule:
-    """Iteration cap plus optional dev-accuracy early stopping."""
-
-    max_iterations: int = 50
-    patience: int | None = 3
-    dev_data: list | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +160,9 @@ class Task(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def initial_action(self, state, rng):
-        """The initial policy's action in this state."""
+    def initial_action(self, state, legal: tuple, rng):
+        """The initial policy's action in this state; ``legal`` is
+        ``legal_actions(state)``, computed once by the caller."""
 
     @abc.abstractmethod
     def apply(self, state, action):
@@ -214,9 +203,11 @@ class Task(abc.ABC):
     def train_estimator(self, group: str, records, learner: LearnerConfig):
         raise TaskContractError("task has no estimation decisions")
 
-    # closed-form expected costs; only the cluster task supports this
-    def exact_examples(self, dataset, policy, cfg: RolloutConfig):
-        raise TaskContractError("task does not support exact cost mode")
+    def exact_examples(self, dataset, policy):
+        """Closed-form expected-cost examples of the whole dataset (the
+        result ``generate_examples`` returns), or None where the task has
+        no closed form and costs must be rolled out."""
+        return None
 
     def shortcut_costs(self, state):
         """Exact cost vector when derivable without rollouts, else None.
@@ -283,10 +274,6 @@ class Policy:
         self._cumulative = tuple(accumulate(self.weights))[:-1] + (np.inf,)
 
     @property
-    def includes_initial(self) -> bool:
-        return any(isinstance(r, InitialRule) for r, _ in self.components)
-
-    @property
     def weights(self) -> tuple:
         return tuple(w for _, w in self.components)
 
@@ -322,10 +309,13 @@ def strip_initial_policy(pol: Policy) -> Policy:
     return Policy(tuple((r, w / total) for r, w in learned))
 
 
-def policy_act(pol: Policy, state, rng: np.random.Generator):
-    """Sample a mixture component by weight, then act by its rule."""
+def policy_act(pol: Policy, state, legal: tuple, rng: np.random.Generator):
+    """Sample a mixture component by weight, then act by its rule.
+
+    ``legal`` is ``state.task.legal_actions(state)``, computed once per
+    step by the caller and handed to whichever rule acts.
+    """
     task = state.task
-    legal = task.legal_actions(state)
     if not legal:
         raise StateError("no legal action at this state")
     rule = pol.components[0][0]
@@ -333,10 +323,10 @@ def policy_act(pol: Policy, state, rng: np.random.Generator):
         # the first component whose running total exceeds the draw
         rule = pol.components[bisect_right(pol._cumulative, rng.random())][0]
     if isinstance(rule, InitialRule):
-        return task.initial_action(state, rng)
+        return task.initial_action(state, legal, rng)
     model = rule.models.get(task.group_of(state))
     if model is None:
-        return task.initial_action(state, rng)
+        return task.initial_action(state, legal, rng)
     return task.model_action(model, state, legal)
 
 
@@ -353,7 +343,8 @@ def _run_to_completion(task: Task, state, example, pol: Policy,
         if steps >= limit:
             raise TaskContractError(
                 f"rollout exceeded the task's {limit}-decision bound")
-        state = task.apply(state, policy_act(pol, state, rng))
+        legal = task.legal_actions(state)
+        state = task.apply(state, policy_act(pol, state, legal, rng))
         steps += 1
     return state
 
@@ -395,24 +386,6 @@ def _costs_at_state(task: Task, example, example_id: int, t: int, state,
     return costs - costs.min()
 
 
-def estimate_costs(task: Task, example, t: int, prefix, pol: Policy,
-                   cfg: RolloutConfig, example_id: int = 0) -> np.ndarray:
-    """Cost vector for the t-th decision after a given action prefix.
-
-    ``prefix`` holds the t-1 actions already taken; they are replayed
-    through the task to reconstruct the decision state.
-    """
-    if len(prefix) != t - 1:
-        raise ConfigError("prefix length must be t - 1")
-    state = task.initial_state(example)
-    for a in prefix:
-        if a not in task.legal_actions(state):
-            raise StateError(f"prefix action {a!r} is illegal at its state")
-        state = task.apply(state, a)
-    return _costs_at_state(task, example, example_id, t, state,
-                           task.legal_actions(state), pol, cfg)
-
-
 def _constant_costs(costs: np.ndarray) -> bool:
     rounded = np.round(costs, _COST_DECIMALS)
     return bool(np.all(rounded == rounded[0]))
@@ -431,13 +404,15 @@ def generate_examples(dataset, pol: Policy, task: Task,
 
     One cost-sensitive example per classify decision whose cost vector is
     not constant; estimation decisions contribute raw records instead.
-    Output is deterministic given cfg.seed and does not depend on the
-    order in which examples are processed.
+    A task with closed-form costs (see Task.exact_examples) rolls nothing
+    out.  Output is deterministic given cfg.seed and does not depend on
+    the order in which examples are processed.
     """
     if not dataset:
         raise DataError("dataset is empty")
-    if cfg.mode == "exact":
-        return task.exact_examples(dataset, pol, cfg)
+    exact = task.exact_examples(dataset, pol)
+    if exact is not None:
+        return exact
     specs = task.groups()
     out = []
     records: dict = {name: [] for name, g in specs.items() if g.kind == "estimate"}
@@ -452,22 +427,21 @@ def generate_examples(dataset, pol: Policy, task: Task,
                 raise TaskContractError(
                     f"roll-in exceeded the task's {limit}-decision bound")
             group = task.group_of(state)
+            legal = task.legal_actions(state)
             if specs[group].kind == "estimate":
                 records[group].append(task.estimation_record(state, example))
-            else:
-                legal = task.legal_actions(state)
-                if len(legal) >= 2:
-                    costs = _costs_at_state(task, example, example_id, t,
-                                            state, legal, pol, cfg,
-                                            allow_shortcut=True)
-                    if not _constant_costs(costs):
-                        out.append(CostSensitiveExample(
-                            features=task.features(state),
-                            actions=tuple(legal),
-                            costs=costs,
-                            group=group,
-                        ))
-            state = task.apply(state, policy_act(pol, state, path_rng))
+            elif len(legal) >= 2:
+                costs = _costs_at_state(task, example, example_id, t, state,
+                                        legal, pol, cfg, allow_shortcut=True)
+                if not _constant_costs(costs):
+                    out.append(CostSensitiveExample(
+                        features=task.features(state),
+                        actions=tuple(legal),
+                        costs=costs,
+                        group=group,
+                    ))
+            state = task.apply(state, policy_act(pol, state, legal,
+                                                 path_rng))
         task.validate_final(state, example)
     return GeneratedExamples(out, records)
 
@@ -513,60 +487,34 @@ def train_rule(task: Task, generated: GeneratedExamples,
     return LearnedRule(models)
 
 
-def _regrets(rule: LearnedRule, examples) -> list:
-    """Cost regret of the rule's choice on each example whose group it has
-    a model for."""
-    out = []
-    for ex in examples:
+def _classification_loss(rule: LearnedRule, generated: GeneratedExamples) -> float:
+    """Mean cost regret of the rule's choices over its own training batch,
+    counting the examples whose group the rule has a model for."""
+    regrets = []
+    for ex in generated.cost_examples:
         model = rule.models.get(ex.group)
         if model is not None:
             costs_pred = model.predict_costs(ex.features)
             predicted = min(ex.actions, key=lambda a: (costs_pred[a], a))
-            out.append(float(ex.costs[ex.actions.index(predicted)]
-                             - ex.costs.min()))
-    return out
-
-
-def _classification_loss(rule: LearnedRule, generated: GeneratedExamples) -> float:
-    """Mean cost regret of the rule's choices over its own training batch."""
-    regrets = _regrets(rule, generated.cost_examples)
+            regrets.append(float(ex.costs[ex.actions.index(predicted)]
+                                 - ex.costs.min()))
     return sum(regrets) / len(regrets) if regrets else 0.0
 
 
-def _dev_accuracy(task: Task, dev_data, pol: Policy, rule: LearnedRule,
-                  cfg: RolloutConfig, iteration: int) -> float:
-    """Fraction of dev cost examples where the rule picks a cheapest action.
-
-    Dev examples are generated under the pre-interpolation policy with a
-    seed private to (iteration), so the metric is reproducible.
-    """
-    dev_cfg = replace(cfg, seed=derive_seed(cfg.seed, _DEV, iteration))
-    generated = generate_examples(dev_data, pol, task, dev_cfg)
-    if not generated.cost_examples:
-        return 0.0
-    hits = sum(1 for r in _regrets(rule, generated.cost_examples) if r <= 0.0)
-    return hits / len(generated.cost_examples)
-
-
 def searn_learn(task: Task, dataset, learner: LearnerConfig, beta: float,
-                cfg: RolloutConfig, stopping: StoppingRule | None = None,
+                cfg: RolloutConfig, iterations: int,
                 start: Policy | None = None, history: list | None = None,
                 timings: list | None = None) -> Policy:
     """The full learning loop; returns the stripped final mixture.
 
-    Each iteration: generate cost-sensitive examples under the current
-    policy, train a new rule, interpolate it in with weight beta.  Stops
-    at the iteration cap or when dev accuracy fails to improve for
-    ``stopping.patience`` consecutive iterations.  ``history``, when
-    given, receives one record per iteration (no timing fields);
-    ``timings`` receives per-iteration wall seconds, kept apart so that
-    history stays byte-comparable across runs.
+    Each of ``iterations`` rounds: generate cost-sensitive examples under
+    the current policy, train a new rule, interpolate it in with weight
+    beta.  ``history``, when given, receives one record per iteration (no
+    timing fields); ``timings`` receives per-iteration wall seconds, kept
+    apart so that history stays byte-comparable across runs.
     """
-    stopping = stopping or StoppingRule()
     pol = start if start is not None else initial_policy()
-    best_dev = -np.inf
-    stale = 0
-    for iteration in range(1, stopping.max_iterations + 1):
+    for iteration in range(1, iterations + 1):
         t0 = time.perf_counter()
         it_cfg = replace(cfg, seed=derive_seed(cfg.seed, _ITER, iteration))
         generated = generate_examples(dataset, pol, task, it_cfg)
@@ -576,33 +524,12 @@ def searn_learn(task: Task, dataset, learner: LearnerConfig, beta: float,
             "n_cost_examples": len(generated.cost_examples),
             "classification_loss": _classification_loss(rule, generated),
         }
-        dev_acc = None
-        if stopping.dev_data is not None:
-            dev_acc = _dev_accuracy(task, stopping.dev_data, pol, rule,
-                                    cfg, iteration)
-            record["dev_accuracy"] = dev_acc
         pol = interpolate_policy(pol, rule, beta)
         if history is not None:
             history.append(record)
         if timings is not None:
             timings.append(time.perf_counter() - t0)
-        if dev_acc is not None and stopping.patience is not None:
-            if dev_acc > best_dev:
-                best_dev = dev_acc
-                stale = 0
-            else:
-                stale += 1
-                if stale >= stopping.patience:
-                    break
     return strip_initial_policy(pol)
-
-
-def searn_bound(loss_initial: float, loss_avg: float, T: int, c: float) -> float:
-    """Worst-case structured loss after the full theoretical schedule."""
-    if loss_initial < 0 or loss_avg < 0 or c < 0 or T < 1:
-        raise ConfigError("arguments must be nonnegative with T >= 1")
-    return loss_initial + 2.0 * loss_avg * T * np.log(T) \
-        + c * (1.0 + np.log(T)) / T
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (LearnerConfig, RolloutConfig, StoppingRule, derive_seed,
-                   initial_policy, run_policy, searn_learn)
+from .core import (LearnerConfig, RolloutConfig, derive_seed, initial_policy,
+                   run_policy, searn_learn)
 from .datagen import (DocGenConfig, HmmGenConfig, TreebankGenConfig,
                       gen_document_corpus, gen_hmm_dataset, gen_hmm_params,
                       gen_treebank, split_dataset)
@@ -136,8 +136,7 @@ def train_sequence_searn(exp: SequenceExperiment, xs, kind: str, seed: int,
                                 l2_variance=exp.lr_variance),
         beta=exp.beta,
         cfg=RolloutConfig(seed=seed, n_samples=exp.n_samples),
-        stopping=StoppingRule(max_iterations=exp.iterations, patience=None),
-        history=history, timings=timings)
+        iterations=exp.iterations, history=history, timings=timings)
     return task, policy
 
 
@@ -245,8 +244,7 @@ def train_parser(exp: ParseExperiment, data, supervision: str, seed: int,
     policy = searn_learn(
         task, data, learner, beta=exp.beta,
         cfg=RolloutConfig(seed=seed, n_samples=exp.n_samples),
-        stopping=StoppingRule(max_iterations=exp.iterations, patience=None),
-        history=history, timings=timings)
+        iterations=exp.iterations, history=history, timings=timings)
     return task, policy
 
 

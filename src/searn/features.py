@@ -8,8 +8,6 @@ agree on what feature 17 means.  Every task therefore owns a single
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class Interner:
     """Bidirectional string <-> integer id table, append-only."""
@@ -79,13 +77,6 @@ class FeatureVector:
         if interner is None:
             return dict(zip(self.ids, self.values))
         return {interner.name(fid): v for fid, v in zip(self.ids, self.values)}
-
-    def to_dense(self, n_features: int) -> np.ndarray:
-        out = np.zeros(n_features)
-        for fid, v in zip(self.ids, self.values):
-            if fid < n_features:
-                out[fid] = v
-        return out
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -47,16 +47,9 @@ def matched_hamming(pred, gold, k_pred: int, k_gold: int) -> float:
     return float(1.0 - agreement / len(pred))
 
 
-def arc_accuracy(pred, gold) -> float:
-    """Fraction of tokens whose predicted head (root included) is gold's."""
-    if pred.n_tokens != gold.n_tokens:
-        raise DataError("trees have different lengths")
-    hits = sum(1 for p, g in zip(pred.heads, gold.heads) if p == g)
-    return hits / pred.n_tokens
-
-
 def corpus_arc_accuracy(preds, golds) -> float:
-    """Token-weighted accuracy pooled over a corpus of tree pairs."""
+    """Token-weighted accuracy pooled over a corpus of tree pairs: the
+    fraction of tokens whose predicted head (root included) is gold's."""
     if len(preds) != len(golds):
         raise DataError("corpora have different sizes")
     if not preds:

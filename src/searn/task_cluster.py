@@ -25,7 +25,6 @@ from .core import (
     LearnedRule,
     LearnerConfig,
     Policy,
-    RolloutConfig,
     Task,
     InitialRule,
     interpolate_policy,
@@ -180,7 +179,7 @@ class ClusterTask(Task):
             self.interner,
             [(f"cluster={state.cluster}", 1.0), ("total", state.doc.total)])
 
-    def initial_action(self, state, rng):
+    def initial_action(self, state, legal, rng):
         if state.cluster is None:
             return int(rng.integers(self.config.K))
         return state.doc.empirical()
@@ -220,9 +219,9 @@ class ClusterTask(Task):
 
     # ----- closed-form expected costs -------------------------------------
 
-    def exact_examples(self, dataset, policy: Policy,
-                       cfg: RolloutConfig) -> GeneratedExamples:
-        """Expected-loss cost vectors and posterior-weighted records.
+    def exact_examples(self, dataset, policy: Policy):
+        """Expected-loss cost vectors and posterior-weighted records in
+        exact mode; None otherwise, so costs are rolled out.
 
         For each mixture component, the expected completion loss of
         choosing cluster k is the negative log joint -log rho_k - sum_v
@@ -232,7 +231,7 @@ class ClusterTask(Task):
         weight; record weights are the mixture-posterior responsibilities.
         """
         if not self.config.exact_mode:
-            raise ConfigError("task was not configured for exact mode")
+            return None
         docs = [self.initial_state(d).doc for d in dataset]
         K = self.config.K
         out = []
@@ -369,13 +368,12 @@ def run_equivalence(dataset, K: int, iterations: int, shared_init,
 
     task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
     learner = LearnerConfig(kind="nb", smoothing=0.0)
-    cfg = RolloutConfig(mode="exact", seed=0)
 
     report = EquivalenceReport(iterations=iterations, tolerance=tolerance)
     _, em_trajectory = mm_em_train(docs, params0, iterations)
     pol = task.policy_from_params(params0)
     for em_params in em_trajectory:
-        generated = task.exact_examples(dataset, pol, cfg)
+        generated = task.exact_examples(dataset, pol)
         rule = train_rule(task, generated, learner)
         pol = interpolate_policy(pol, rule, 1.0)
 

@@ -28,31 +28,29 @@ _WINDOW = ((-2, "-2"), (-1, "-1"), (0, "0"), (1, "+1"), (2, "+2"))
 
 
 class ParserState(NamedTuple):
-    """Immutable transition-system state.
+    """Immutable transition-system state of a T-token sentence.
 
     ``stack`` holds token indices, top first; ``i`` is the next input
-    position in [1, T+1]; ``arcs`` is a tuple of (head, dependent)
-    pairs in creation order.
+    position in [1, T+1]; ``arcs`` is a tuple of (head, dependent) pairs
+    in creation order, the order in which features read dependents.
+    ``heads`` has length T+1 and always agrees with ``arcs``: ``heads[d]``
+    is the head of token d, 0 while d has none (``heads[0]`` is unused).
     """
 
     stack: tuple
     i: int
     arcs: tuple
+    heads: tuple
 
 
-INITIAL_PARSER_STATE = ParserState(stack=(), i=1, arcs=())
+def initial_parser_state(T: int) -> ParserState:
+    """Empty stack and no arcs, before token 1 of a T-token sentence."""
+    return ParserState((), 1, (), (0,) * (T + 1))
 
 
-def _heads_of(arcs, T: int) -> list:
-    """heads[d] = head of token d (first arc wins), 0 while headless."""
-    heads = [0] * (T + 1)
-    for h, d in arcs:
-        if not heads[d]:
-            heads[d] = h
-    return heads
-
-
-def _legal(stack, i: int, heads, T: int) -> tuple:
+def legal_actions(state: ParserState, T: int) -> tuple:
+    """Subset of the four actions whose preconditions hold."""
+    stack, i, _, heads = state
     out = []
     if stack and i <= T:
         if not heads[stack[0]]:
@@ -66,24 +64,19 @@ def _legal(stack, i: int, heads, T: int) -> tuple:
     return tuple(out)
 
 
-def legal_actions(state: ParserState, T: int) -> tuple:
-    """Subset of the four actions whose preconditions hold."""
-    return _legal(state.stack, state.i, _heads_of(state.arcs, T), T)
-
-
-def _transition(state: ParserState, heads, action: int, T: int) -> tuple:
-    """One checked transition given the state's heads (see _heads_of):
-    (next state, the (head, dependent) arc it adds or None)."""
-    stack, i, arcs = state
+def apply_action(state: ParserState, action: int, T: int) -> ParserState:
+    """One transition; rejects an action whose precondition fails."""
+    stack, i, arcs, heads = state
     if action == LEFT_ARC:
         if not stack:
             raise StateError("left-arc needs a nonempty stack")
         if i > T:
             raise StateError("left-arc needs remaining input")
-        if heads[stack[0]]:
+        d = stack[0]
+        if heads[d]:
             raise StateError("left-arc target already has a head")
-        arc = (i, stack[0])
-        return ParserState(stack[1:], i, arcs + (arc,)), arc
+        return ParserState(stack[1:], i, arcs + ((i, d),),
+                           heads[:d] + (i,) + heads[d + 1:])
     if action == RIGHT_ARC:
         if not stack:
             raise StateError("right-arc needs a nonempty stack")
@@ -91,24 +84,19 @@ def _transition(state: ParserState, heads, action: int, T: int) -> tuple:
             raise StateError("right-arc needs remaining input")
         if heads[i]:
             raise StateError("right-arc target already has a head")
-        arc = (stack[0], i)
-        return ParserState((i,) + stack, i + 1, arcs + (arc,)), arc
+        return ParserState((i,) + stack, i + 1, arcs + ((stack[0], i),),
+                           heads[:i] + (stack[0],) + heads[i + 1:])
     if action == REDUCE:
         if not stack:
             raise StateError("reduce needs a nonempty stack")
         if not heads[stack[0]]:
             raise StateError("reduce needs a headed stack top")
-        return ParserState(stack[1:], i, arcs), None
+        return ParserState(stack[1:], i, arcs, heads)
     if action == SHIFT:
         if i > T:
             raise StateError("shift needs remaining input")
-        return ParserState((i,) + stack, i + 1, arcs), None
+        return ParserState((i,) + stack, i + 1, arcs, heads)
     raise StateError(f"unknown parser action {action!r}")
-
-
-def apply_action(state: ParserState, action: int, T: int) -> ParserState:
-    """One transition; rejects an action whose precondition fails."""
-    return _transition(state, _heads_of(state.arcs, T), action, T)[0]
 
 
 def _check_heads(heads) -> None:
@@ -173,12 +161,7 @@ def finalize(state: ParserState, T: int) -> DependencyTree:
     """Total tree after all input is consumed; headless tokens go to root."""
     if state.i != T + 1:
         raise StateError("finalize requires all input to be consumed")
-    heads = [0] * T
-    for h, d in state.arcs:
-        if heads[d - 1] != 0:
-            raise StateError(f"token {d} received two heads")
-        heads[d - 1] = h
-    return DependencyTree(tuple(heads))
+    return DependencyTree(state.heads[1:])
 
 
 @dataclass(frozen=True)
@@ -205,14 +188,15 @@ class TaggedSentence:
 
 
 def supervised_oracle(state: ParserState, gold: DependencyTree,
-                      T: int) -> int:
+                      legal: tuple) -> int:
     """Action that stays on a gold-reproducing path, with legal fallback.
 
+    ``legal`` is ``legal_actions(state, T)`` for the gold tree's length T.
     Reduce fires only when the stack top has its head and no token at or
     past the input position still wants the top as its head; popping
     earlier would orphan those dependents.
     """
-    legal = legal_actions(state, T)
+    T = gold.n_tokens
     if state.stack:
         top = state.stack[0]
         if state.i <= T:
@@ -248,23 +232,19 @@ class ParseTaskConfig:
 class ParseState:
     """Rollout state: sentence, parser state, produced tags, cached tree.
 
-    While parsing, ``heads`` follows ``ps.arcs`` incrementally, so no step
-    looks a head up in the arc list: ``heads[d]`` is token d's head, 0
-    while it has none.  ``windows`` memoizes the sentence's tag-window
-    pairs (see _window); one dict is shared by every state reached from an
-    initial state.  Once parsing ends, both are None and ``tree`` is set.
+    ``windows`` memoizes the sentence's tag-window pairs (see _window);
+    one dict is shared by every state reached from an initial state.
+    Once parsing ends, it is None and ``tree`` is set.
     """
 
-    __slots__ = ("task", "sent", "ps", "produced", "tree", "heads",
-                 "windows")
+    __slots__ = ("task", "sent", "ps", "produced", "tree", "windows")
 
-    def __init__(self, task, sent, ps, produced, tree, heads, windows):
+    def __init__(self, task, sent, ps, produced, tree, windows):
         self.task = task
         self.sent = sent
         self.ps = ps
         self.produced = produced
         self.tree = tree
-        self.heads = heads
         self.windows = windows
 
 
@@ -298,8 +278,9 @@ class ParseTask(Task):
             raise DataError("tag id outside the configured tagset")
         if self.config.supervision == "sup" and example.gold_tree is None:
             raise DataError("supervised mode requires a gold tree")
-        return ParseState(self, example, INITIAL_PARSER_STATE, (), None,
-                          (0,) * (example.n_tokens + 1), {})
+        return ParseState(self, example,
+                          initial_parser_state(example.n_tokens), (), None,
+                          {})
 
     def max_decisions(self, example) -> int:
         T = example.n_tokens
@@ -318,49 +299,42 @@ class ParseTask(Task):
         return PARSE if state.ps.i <= state.sent.n_tokens else TAG
 
     def legal_actions(self, state: ParseState) -> tuple:
-        ps = state.ps
-        if ps.i <= state.sent.n_tokens:
-            return _legal(ps.stack, ps.i, state.heads, state.sent.n_tokens)
+        T = state.sent.n_tokens
+        if state.ps.i <= T:
+            return legal_actions(state.ps, T)
         return self._tag_legal
 
     def features(self, state: ParseState) -> FeatureVector:
         ps = state.ps
         if ps.i <= state.sent.n_tokens:
             return FeatureVector.from_pairs(self.interner, _tree_pairs(
-                state.windows, state.sent.tags, ps, state.heads))
+                state.windows, state.sent.tags, ps))
         return self._tag_features(state)
 
-    def initial_action(self, state: ParseState, rng) -> int:
-        T = state.sent.n_tokens
-        if state.ps.i <= T:
+    def initial_action(self, state: ParseState, legal: tuple, rng) -> int:
+        if state.ps.i <= state.sent.n_tokens:
             gold = state.sent.gold_tree
             if self.config.supervision != "unsup" and gold is not None:
-                return supervised_oracle(state.ps, gold, T)
-            legal = self.legal_actions(state)
+                return supervised_oracle(state.ps, gold, legal)
             return legal[int(rng.integers(len(legal)))]
         return state.sent.tags[len(state.produced)]
 
     def apply(self, state: ParseState, action: int) -> ParseState:
         T = state.sent.n_tokens
         if state.ps.i <= T:
-            ps, arc = _transition(state.ps, state.heads, action, T)
+            ps = apply_action(state.ps, action, T)
             if ps.i == T + 1:
                 # the full tree check runs on every completed parse; the
                 # tree is all that later steps read, and dropping the
-                # rest frees the sentence's windows with its last parse
+                # windows frees them with the sentence's last parse
                 return ParseState(self, state.sent, ps, (), finalize(ps, T),
-                                  None, None)
-            heads = state.heads
-            if arc is not None:
-                h, d = arc
-                heads = heads[:d] + (h,) + heads[d + 1:]
-            return ParseState(self, state.sent, ps, (), None, heads,
-                              state.windows)
+                                  None)
+            return ParseState(self, state.sent, ps, (), None, state.windows)
         if not 0 <= action < self.config.tagset_size:
             raise StateError(f"tag {action} outside the tagset")
         return ParseState(self, state.sent, state.ps,
                           state.produced + (action,), state.tree,
-                          state.heads, state.windows)
+                          state.windows)
 
     def rollout_loss(self, state: ParseState, example) -> float:
         sent = state.sent
@@ -445,8 +419,8 @@ def _window(windows: dict, prefix: str, center: int, tags) -> tuple:
     return pairs
 
 
-def _tree_pairs(windows: dict, tags, ps: ParserState, heads) -> list:
-    """Feature pairs of a parse decision; ``heads`` as in ParseState."""
+def _tree_pairs(windows: dict, tags, ps: ParserState) -> list:
+    """Tag windows around the stack top and input, plus arc context."""
     i = ps.i
     pairs = list(_window(windows, "in", i, tags))
     if not ps.stack:
@@ -457,23 +431,13 @@ def _tree_pairs(windows: dict, tags, ps: ParserState, heads) -> list:
         pairs.append((f"pair={tags[top - 1]}|{tags[i - 1]}", 1.0))
         pairs.append((f"dist={_distance_bucket(i - top)}", 1.0))
         for node, prefix in ((top, "st"), (i, "in")):
-            head = heads[node]
+            head = ps.heads[node]
             if head:
                 pairs.append((f"{prefix}.head={tags[head - 1]}", 1.0))
             for h, d in ps.arcs:
                 if h == node:
                     pairs.append((f"{prefix}.dep={tags[d - 1]}", 1.0))
     return pairs
-
-
-def tree_features(task: ParseTask, ps: ParserState,
-                  sent: TaggedSentence) -> FeatureVector:
-    """Tag windows around the stack top and input, plus arc context."""
-    T = sent.n_tokens
-    if ps.i > T:
-        raise StateError("no features past the final parser state")
-    return FeatureVector.from_pairs(task.interner, _tree_pairs(
-        {}, sent.tags, ps, _heads_of(ps.arcs, T)))
 
 
 # ---------------------------------------------------------------------------

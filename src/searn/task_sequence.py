@@ -125,7 +125,7 @@ class SequenceTask(Task):
             self._features[key] = fv
         return fv
 
-    def initial_action(self, state, rng):
+    def initial_action(self, state, legal, rng):
         if self.group_of(state) == LATENT:
             return int(rng.integers(self.config.K))
         p = len(state.actions) - len(state.x)
@@ -201,12 +201,15 @@ def read_sequences(path):
                 continue
             if line.startswith("V="):
                 try:
-                    vocab_size = int(line[2:])
+                    header = int(line[2:])
                 except ValueError:
-                    vocab_size = 0
-                if vocab_size < 1:
+                    header = 0
+                if header < 1 or vocab_size not in (None, header):
                     raise DataError(f"{path}:{lineno}: malformed V= header")
+                vocab_size = header
                 continue
+            if vocab_size is None:
+                raise DataError(f"{path}:{lineno}: sequence before V= header")
             try:
                 seq = tuple(int(tok) for tok in line.split())
             except ValueError:

@@ -12,6 +12,9 @@ import pytest
 from searn.classifiers import (
     LabeledExample,
     LROptimizerConfig,
+    _lr_gradient,
+    _lr_objective,
+    _sparse_design,
     costs_to_weighted_labels,
     lr_predict_costs,
     lr_train,
@@ -166,11 +169,48 @@ class TestNaiveBayes:
                                    nb_predict_costs(model, fv), atol=0)
 
 
-def _lr_objective(weights, examples, n_features, l2_variance):
+def _negated_min_costs(model, fv):
+    """NB's own cost formula before NB and LR shared one scoring loop:
+    -s - min(-s) for the joint log scores s."""
+    scores = model.class_log_prior.copy()
+    n_feat = model.feature_log_prob.shape[1]
+    for fid, v in zip(fv.ids, fv.values):
+        if fid < n_feat:
+            scores += v * model.feature_log_prob[:, fid]
+    costs = -scores
+    return costs - costs.min()
+
+
+def test_shared_scorer_keeps_nb_cost_bytes():
+    # max(s) - s must equal -s - min(-s) bit for bit, including -inf
+    # entries, all -inf rows, ties, unseen ids and magnitudes near 1e300
+    from searn.classifiers import NBModel
+    rng = np.random.default_rng(2)
+    for trial in range(3_000):
+        K, F = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        scale = 10.0 ** float(rng.integers(-3, 301))
+        prior = rng.normal(size=K) * scale
+        table = rng.normal(size=(K, F)) * scale
+        if trial % 3 == 0:
+            prior, table = np.round(prior / scale), np.round(table / scale)
+        table[rng.random(size=(K, F)) < 0.2] = -np.inf
+        if trial % 7 == 0:
+            prior[:] = -np.inf
+        ids = sorted(rng.choice(F + 2, size=int(rng.integers(0, F + 3)),
+                                replace=False).tolist())
+        fv = FeatureVector(ids, rng.integers(1, 4, size=len(ids)) * 1.0)
+        model = NBModel(prior, table, 0.0)
+        with np.errstate(all="ignore"):
+            assert nb_predict_costs(model, fv).tobytes() \
+                == _negated_min_costs(model, fv).tobytes()
+
+
+def _reference_objective(weights, examples, l2_variance):
     """Straight-line reimplementation used as the gradient oracle."""
     total = float(np.sum(weights * weights) / (2.0 * l2_variance))
     for ex in examples:
-        logits = weights @ ex.features.to_dense(n_features)
+        logits = sum(v * weights[:, fid]
+                     for fid, v in zip(ex.features.ids, ex.features.values))
         lse = np.logaddexp.reduce(logits)
         total += ex.weight * (lse - logits[ex.label])
     return total
@@ -192,13 +232,16 @@ class TestLogisticRegression:
         return it, examples, n_features, n_classes
 
     def test_gradient_matches_finite_differences(self):
-        from searn.classifiers import lr_objective_grad
         it, examples, F, K = self._dataset()
         sigma2 = 2.0
         rng = np.random.default_rng(42)
         W = rng.normal(scale=0.5, size=(K, F))
-        f, G = lr_objective_grad(examples, K, F, sigma2, W)
-        np.testing.assert_allclose(f, _lr_objective(W, examples, F, sigma2),
+        X, y, w = _sparse_design(examples, F)
+        rows = np.arange(X.shape[0])
+        f, logits, lse = _lr_objective(X, y, w, sigma2, W, rows)
+        G = _lr_gradient(X.T, y, w, sigma2, W, logits, lse, rows)
+        np.testing.assert_allclose(f, _reference_objective(W, examples,
+                                                           sigma2),
                                    rtol=1e-12)
         h = 1e-5
         FD = np.zeros((K, F))
@@ -207,7 +250,8 @@ class TestLogisticRegression:
                 for sgn in (1.0, -1.0):
                     Wp = W.copy()
                     Wp[k, j] += sgn * h
-                    FD[k, j] += sgn * _lr_objective(Wp, examples, F, sigma2)
+                    FD[k, j] += sgn * _reference_objective(Wp, examples,
+                                                           sigma2)
         FD /= 2.0 * h
         rel = np.linalg.norm(G - FD) / np.linalg.norm(FD)
         assert rel < 1e-4
@@ -215,11 +259,11 @@ class TestLogisticRegression:
     def test_objective_non_increasing(self):
         it, examples, F, K = self._dataset(seed=3)
         sigma2 = 1.0
-        prev = _lr_objective(np.zeros((K, F)), examples, F, sigma2)
+        prev = _reference_objective(np.zeros((K, F)), examples, sigma2)
         for epochs in range(1, 12):
             cfg = LROptimizerConfig(max_epochs=epochs, grad_tol=0.0)
             model = lr_train(examples, K, F, sigma2, config=cfg)
-            cur = _lr_objective(model.weights, examples, F, sigma2)
+            cur = _reference_objective(model.weights, examples, sigma2)
             assert cur <= prev + 1e-9
             prev = cur
 

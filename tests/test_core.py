@@ -11,9 +11,8 @@ from searn.core import (
     LearnerConfig,
     Policy,
     RolloutConfig,
-    StoppingRule,
     Task,
-    estimate_costs,
+    _costs_at_state,
     generate_examples,
     initial_policy,
     interpolate_policy,
@@ -21,7 +20,6 @@ from searn.core import (
     policy_from_dict,
     policy_to_dict,
     run_policy,
-    searn_bound,
     searn_learn,
     strip_initial_policy,
     train_rule,
@@ -67,7 +65,7 @@ class ToyTask(Task):
         return FeatureVector.from_names(self.interner,
                                         [f"x={state.example[0]}"])
 
-    def initial_action(self, state, rng):
+    def initial_action(self, state, legal, rng):
         return state.example[1]
 
     def apply(self, state, action):
@@ -90,7 +88,6 @@ class TestPolicyAlgebra:
         h = LearnedRule({})
         pol = interpolate_policy(initial_policy(), h, 1.0)
         assert pol.components == ((h, 1.0),)
-        assert not pol.includes_initial
 
     def test_two_step_weights(self):
         h1, h2 = LearnedRule({}), LearnedRule({})
@@ -156,7 +153,8 @@ class TestPolicyAct:
         rng = np.random.default_rng(0)
         for example in dataset:
             state = task.initial_state(example)
-            assert policy_act(pol, state, rng) == example[1]
+            assert policy_act(pol, state, task.legal_actions(state),
+                              rng) == example[1]
 
     def test_component_selection_frequencies(self):
         # {initial: 0.25, learned: 0.75}; the toy initial rule answers the
@@ -173,8 +171,9 @@ class TestPolicyAct:
         rng = np.random.default_rng(7)
         state = task.initial_state(("a", 1))
         draws = 10_000
+        legal = task.legal_actions(state)
         picked_initial = sum(
-            1 for _ in range(draws) if policy_act(pol, state, rng) == 1)
+            1 for _ in range(draws) if policy_act(pol, state, legal, rng) == 1)
         sigma = np.sqrt(draws * 0.25 * 0.75)
         assert abs(picked_initial - draws * 0.25) < 3 * sigma
 
@@ -184,29 +183,29 @@ class TestPolicyAct:
                 return ()
 
         task = DeadTask()
+        state = task.initial_state(("a", 0))
         with pytest.raises(StateError):
-            policy_act(initial_policy(), task.initial_state(("a", 0)),
+            policy_act(initial_policy(), state, task.legal_actions(state),
                        np.random.default_rng(0))
+
+
+def first_decision_costs(task, example, cfg):
+    state = task.initial_state(example)
+    return _costs_at_state(task, example, 0, 1, state,
+                           task.legal_actions(state), initial_policy(), cfg)
 
 
 class TestEstimateCosts:
     def test_toy_costs_are_immediate_loss(self):
-        task = ToyTask()
-        cfg = RolloutConfig(seed=3)
-        costs = estimate_costs(task, ("a", 1), 1, (), initial_policy(), cfg)
+        costs = first_decision_costs(ToyTask(), ("a", 1),
+                                     RolloutConfig(seed=3))
         np.testing.assert_array_equal(costs, [1.0, 0.0])
-
-    def test_bad_prefix_length(self):
-        task = ToyTask()
-        with pytest.raises(ConfigError):
-            estimate_costs(task, ("a", 1), 2, (), initial_policy(),
-                           RolloutConfig(seed=0))
 
     def test_repeatable(self):
         task = ToyTask()
         cfg = RolloutConfig(seed=11, n_samples=3)
-        c1 = estimate_costs(task, ("b", 0), 1, (), initial_policy(), cfg)
-        c2 = estimate_costs(task, ("b", 0), 1, (), initial_policy(), cfg)
+        c1 = first_decision_costs(task, ("b", 0), cfg)
+        c2 = first_decision_costs(task, ("b", 0), cfg)
         np.testing.assert_array_equal(c1, c2)
 
 
@@ -246,9 +245,7 @@ class TestSearnLearn:
         cfg = RolloutConfig(seed=8)
         pol = searn_learn(task, dataset, LearnerConfig(kind="nb",
                                                        smoothing=0.1),
-                          beta=1.0, cfg=cfg,
-                          stopping=StoppingRule(max_iterations=1,
-                                                patience=None))
+                          beta=1.0, cfg=cfg, iterations=1)
         assert len(pol.components) == 1
         rule = pol.components[0][0]
         assert isinstance(rule, LearnedRule)
@@ -262,46 +259,10 @@ class TestSearnLearn:
         history = []
         searn_learn(task, toy_dataset(), LearnerConfig(kind="nb",
                                                        smoothing=0.1),
-                    beta=0.5, cfg=RolloutConfig(seed=9),
-                    stopping=StoppingRule(max_iterations=3, patience=None),
+                    beta=0.5, cfg=RolloutConfig(seed=9), iterations=3,
                     history=history)
         assert [h["iteration"] for h in history] == [1, 2, 3]
         assert all("n_cost_examples" in h for h in history)
-
-    def test_dev_stopping_halts_early(self):
-        task = ToyTask()
-        dataset = toy_dataset()
-        history = []
-        searn_learn(task, dataset, LearnerConfig(kind="nb", smoothing=0.1),
-                    beta=0.5, cfg=RolloutConfig(seed=10),
-                    stopping=StoppingRule(max_iterations=30, patience=2,
-                                          dev_data=dataset),
-                    history=history)
-        # toy dev accuracy is 1.0 from iteration 1, so it never improves
-        # after that and patience kicks in
-        assert len(history) == 3
-
-
-class TestSearnBound:
-    def test_zero_case(self):
-        assert searn_bound(0.0, 0.0, 17, 0.0) == 0.0
-
-    def test_frozen_value(self):
-        np.testing.assert_allclose(
-            searn_bound(0.0, 0.1, 10, 1.0),
-            2 * 0.1 * 10 * np.log(10) + (1 + np.log(10)) / 10,
-            rtol=1e-12)
-        np.testing.assert_allclose(searn_bound(0.0, 0.1, 10, 1.0), 4.9354,
-                                   atol=5e-5)
-
-    def test_monotone_in_avg_loss(self):
-        lo = searn_bound(1.0, 0.1, 8, 0.5)
-        hi = searn_bound(1.0, 0.2, 8, 0.5)
-        assert hi > lo
-
-    def test_rejects_negative(self):
-        with pytest.raises(ConfigError):
-            searn_bound(-1.0, 0.0, 3, 0.0)
 
 
 class TestPolicySerialization:
@@ -311,8 +272,7 @@ class TestPolicySerialization:
         pol = searn_learn(task, dataset, LearnerConfig(kind="nb",
                                                        smoothing=0.1),
                           beta=0.5, cfg=RolloutConfig(seed=12),
-                          stopping=StoppingRule(max_iterations=2,
-                                                patience=None))
+                          iterations=2)
         blob = policy_to_dict(pol, task.interner)
         clone, interner = policy_from_dict(blob)
         np.testing.assert_allclose(clone.weights, pol.weights, atol=0)

@@ -58,12 +58,6 @@ class TestFeatureVector:
         fv = FeatureVector.from_names(it, ["p", "q"])
         assert fv.as_dict(it) == {"p": 1.0, "q": 1.0}
 
-    def test_to_dense_ignores_unseen_ids(self):
-        it = Interner()
-        fv = FeatureVector.from_pairs(it, [("a", 1.0), ("b", 2.0), ("c", 3.0)])
-        dense = fv.to_dense(2)
-        assert dense.tolist() == [1.0, 2.0]
-
     def test_immutable(self):
         it = Interner()
         fv = FeatureVector.from_pairs(it, [("a", 1.0)])

@@ -7,7 +7,6 @@ import pytest
 
 from searn.errors import DataError
 from searn.metrics import (
-    arc_accuracy,
     corpus_arc_accuracy,
     matched_hamming,
     summarize,
@@ -112,15 +111,16 @@ class TestMatchedHamming:
 class TestArcAccuracy:
     def test_identical_trees(self):
         tree = DependencyTree((0, 1, 1, 3))
-        assert arc_accuracy(tree, tree) == 1.0
+        assert corpus_arc_accuracy([tree], [tree]) == 1.0
 
     def test_half_correct(self):
-        assert arc_accuracy(DependencyTree((0, 0)),
-                            DependencyTree((0, 1))) == 0.5
+        assert corpus_arc_accuracy([DependencyTree((0, 0))],
+                                   [DependencyTree((0, 1))]) == 0.5
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            arc_accuracy(DependencyTree((0,)), DependencyTree((0, 1)))
+            corpus_arc_accuracy([DependencyTree((0,))],
+                                [DependencyTree((0, 1))])
 
     def test_corpus_pooling_is_token_weighted(self):
         act = [DependencyTree((0,)), DependencyTree((0, 1, 1))]

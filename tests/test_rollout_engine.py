@@ -34,7 +34,6 @@ from searn.errors import StateError
 from searn.features import FeatureVector
 from searn.task_cluster import ClusterState, ClusterTask, ClusterTaskConfig
 from searn.task_depparse import (
-    INITIAL_PARSER_STATE,
     LEFT_ARC,
     REDUCE,
     RIGHT_ARC,
@@ -47,6 +46,7 @@ from searn.task_depparse import (
     _distance_bucket,
     _window_pairs,
     finalize,
+    initial_parser_state,
 )
 from searn.task_sequence import EMIT, LATENT, SequenceTask, SequenceTaskConfig
 
@@ -66,7 +66,8 @@ def oracle_model_action(task, model, state):
 
 def oracle_policy_act(pol, state, rng):
     task = state.task
-    if not task.legal_actions(state):
+    legal = task.legal_actions(state)
+    if not legal:
         raise StateError("no legal action at this state")
     rule = pol.components[0][0]
     if len(pol.components) > 1:
@@ -78,10 +79,10 @@ def oracle_policy_act(pol, state, rng):
             if u < acc:
                 break
     if isinstance(rule, InitialRule):
-        return task.initial_action(state, rng)
+        return task.initial_action(state, legal, rng)
     model = rule.models.get(task.group_of(state))
     if model is None:
-        return task.initial_action(state, rng)
+        return task.initial_action(state, legal, rng)
     return oracle_model_action(task, model, state)
 
 
@@ -192,17 +193,23 @@ def oracle_parser_legal(ps, T):
     return tuple(out)
 
 
+def oracle_parser_state(stack, i, arcs, T):
+    heads = tuple(_head_in(arcs, d) or 0 for d in range(T + 1))
+    return ParserState(stack, i, arcs, heads)
+
+
 def oracle_apply_action(ps, action, T):
     if action not in oracle_parser_legal(ps, T):
         raise StateError(f"illegal parser action {action!r}")
-    stack, i, arcs = ps
+    stack, i, arcs, _ = ps
     if action == LEFT_ARC:
-        return ParserState(stack[1:], i, arcs + ((i, stack[0]),))
+        return oracle_parser_state(stack[1:], i, arcs + ((i, stack[0]),), T)
     if action == RIGHT_ARC:
-        return ParserState((i,) + stack, i + 1, arcs + ((stack[0], i),))
+        return oracle_parser_state((i,) + stack, i + 1,
+                                   arcs + ((stack[0], i),), T)
     if action == REDUCE:
-        return ParserState(stack[1:], i, arcs)
-    return ParserState((i,) + stack, i + 1, arcs)
+        return oracle_parser_state(stack[1:], i, arcs, T)
+    return oracle_parser_state((i,) + stack, i + 1, arcs, T)
 
 
 def oracle_tree_features(task, ps, sent):
@@ -232,7 +239,7 @@ class OracleParseTask(ParseTask):
 
     def initial_state(self, example):
         state = super().initial_state(example)
-        return ParseState(self, state.sent, state.ps, (), None, None, None)
+        return ParseState(self, state.sent, state.ps, (), None, None)
 
     def legal_actions(self, state):
         if state.ps.i <= state.sent.n_tokens:
@@ -244,25 +251,25 @@ class OracleParseTask(ParseTask):
             return oracle_tree_features(self, state.ps, state.sent)
         return self._tag_features(state)
 
-    def initial_action(self, state, rng):
+    def initial_action(self, state, legal, rng):
         T = state.sent.n_tokens
         gold = state.sent.gold_tree
         if state.ps.i <= T and (self.config.supervision == "unsup"
                                 or gold is None):
             legal = oracle_parser_legal(state.ps, T)
             return legal[int(rng.integers(len(legal)))]
-        return super().initial_action(state, rng)
+        return super().initial_action(state, legal, rng)
 
     def apply(self, state, action):
         T = state.sent.n_tokens
         if state.ps.i <= T:
             ps = oracle_apply_action(state.ps, action, T)
             tree = finalize(ps, T) if ps.i == T + 1 else None
-            return ParseState(self, state.sent, ps, (), tree, None, None)
+            return ParseState(self, state.sent, ps, (), tree, None)
         if not 0 <= action < self.config.tagset_size:
             raise StateError(f"tag {action} outside the tagset")
         return ParseState(self, state.sent, state.ps,
-                          state.produced + (action,), state.tree, None, None)
+                          state.produced + (action,), state.tree, None)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +333,7 @@ def random_sequences(V, n, seed):
 
 
 def random_tree(T, rng):
-    ps = INITIAL_PARSER_STATE
+    ps = initial_parser_state(T)
     while ps.i <= T:
         legal = oracle_parser_legal(ps, T)
         ps = oracle_apply_action(ps, legal[int(rng.integers(len(legal)))], T)

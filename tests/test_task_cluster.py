@@ -7,7 +7,6 @@ from searn.core import (
     LearnerConfig,
     Policy,
     RolloutConfig,
-    StoppingRule,
     generate_examples,
     initial_policy,
     policy_from_dict,
@@ -16,7 +15,8 @@ from searn.core import (
     searn_learn,
     train_rule,
 )
-from searn.em import MultinomialMixtureParams, mm_e_step, mm_random_init
+from searn.em import (MultinomialMixtureParams, mm_e_step, mm_em_train,
+                      mm_random_init)
 from searn.errors import ConfigError, DataError
 from searn.task_cluster import (
     CLUSTER,
@@ -42,6 +42,16 @@ def make_task(K=2, V=5, exact=False):
     return ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=exact))
 
 
+class CountingClusterTask(ClusterTask):
+    """Counts completed rollouts."""
+
+    rollouts = 0
+
+    def rollout_loss(self, state, example):
+        self.rollouts += 1
+        return super().rollout_loss(state, example)
+
+
 class TestDecompose:
     def test_two_decisions(self):
         task = make_task(K=3)
@@ -49,7 +59,8 @@ class TestDecompose:
         assert task.legal_actions(state) == (0, 1, 2)
         state = task.apply(state, 2)
         assert len(task.legal_actions(state)) == 1
-        state = task.apply(state, task.initial_action(state, None))
+        legal = task.legal_actions(state)
+        state = task.apply(state, task.initial_action(state, legal, None))
         assert task.is_final(state)
 
     def test_cluster_features_are_raw_counts(self):
@@ -125,8 +136,7 @@ class TestExactCosts:
         params = mm_random_init(K, V, 3)
         task = make_task(K=K, V=V, exact=True)
         pol = task.policy_from_params(params)
-        generated = task.exact_examples(list(docs), pol, RolloutConfig(
-            mode="exact", seed=0))
+        generated = task.exact_examples(list(docs), pol)
         z_oracle = mm_e_step(params, docs)
         assert len(generated.cost_examples) == len(docs)
         for n, ex in enumerate(generated.cost_examples):
@@ -140,8 +150,7 @@ class TestExactCosts:
         params = mm_random_init(K, V, 5)
         task = make_task(K=K, V=V, exact=True)
         pol = task.policy_from_params(params)
-        generated = task.exact_examples(list(docs), pol,
-                                        RolloutConfig(mode="exact", seed=0))
+        generated = task.exact_examples(list(docs), pol)
         z_oracle = mm_e_step(params, docs)
         weights = np.zeros((len(docs), K))
         for i, (k, doc, w) in enumerate(generated.estimation_records[DOC]):
@@ -149,10 +158,29 @@ class TestExactCosts:
         np.testing.assert_allclose(weights, z_oracle, atol=1e-12)
 
     def test_exact_mode_requires_configuration(self):
-        task = make_task(exact=False)
-        with pytest.raises(ConfigError):
-            task.exact_examples([np.ones(5)], initial_policy(),
-                                RolloutConfig(seed=0))
+        # under one default rollout config, the exact-mode task trains by
+        # the closed form (no rollouts, EM's trajectory) and the sampled
+        # task rolls out
+        V, K, iterations = 5, 2, 3
+        docs = list(random_corpus(8, V, 14))
+        params0 = mm_random_init(K, V, 15)
+        em_params, _ = mm_em_train(np.asarray(docs), params0, iterations)
+        for exact in (True, False):
+            task = CountingClusterTask(ClusterTaskConfig(K=K, V=V,
+                                                         exact_mode=exact))
+            pol = searn_learn(task, docs, LearnerConfig(kind="nb"), beta=1.0,
+                              cfg=RolloutConfig(), iterations=iterations,
+                              start=task.policy_from_params(params0))
+            if exact:
+                assert task.rollouts == 0
+                got = task.params_from_rule(pol.components[-1][0])
+                np.testing.assert_allclose(got.rho, em_params.rho,
+                                           rtol=0, atol=1e-8)
+                np.testing.assert_allclose(got.theta, em_params.theta,
+                                           rtol=0, atol=1e-8)
+            else:
+                assert task.exact_examples(docs, pol) is None
+                assert task.rollouts > 0
 
 
 class TestSampledMode:
@@ -185,9 +213,7 @@ class TestSampledMode:
         history = []
         pol = searn_learn(task, docs, LearnerConfig(kind="nb", smoothing=0.5),
                           beta=0.5, cfg=RolloutConfig(seed=13),
-                          stopping=StoppingRule(max_iterations=2,
-                                                patience=None),
-                          history=history)
+                          iterations=2, history=history)
         assert history[0]["n_cost_examples"] == 0
         assert history[1]["n_cost_examples"] > 0
         rule = pol.components[-1][0]

@@ -6,8 +6,7 @@ import pytest
 from searn.core import (
     LearnerConfig,
     RolloutConfig,
-    StoppingRule,
-    estimate_costs,
+    _costs_at_state,
     initial_policy,
     policy_act,
     run_policy,
@@ -16,7 +15,6 @@ from searn.core import (
 from searn.errors import ConfigError, DataError, StateError
 from searn.task_depparse import (
     ACTION_NAMES,
-    INITIAL_PARSER_STATE,
     LEFT_ARC,
     REDUCE,
     RIGHT_ARC,
@@ -25,14 +23,15 @@ from searn.task_depparse import (
     ParseTask,
     ParseTaskConfig,
     ParserState,
+    ParseState,
     TaggedSentence,
     apply_action,
     finalize,
+    initial_parser_state,
     is_projective,
     legal_actions,
     load_conll,
     supervised_oracle,
-    tree_features,
     write_conll,
 )
 
@@ -48,7 +47,7 @@ def make_task(supervision="unsup", tagset=12, max_length=10):
 
 def random_rollout_tree(T, rng):
     """Finalize a uniform-random legal action trace; tracks step count."""
-    state = INITIAL_PARSER_STATE
+    state = initial_parser_state(T)
     steps = 0
     while state.i <= T:
         legal = legal_actions(state, T)
@@ -59,60 +58,76 @@ def random_rollout_tree(T, rng):
     return finalize(state, T), steps
 
 
+def heads_from_arcs(arcs, T):
+    """heads[d] = head of token d from the arc list (first arc wins)."""
+    heads = [0] * (T + 1)
+    for h, d in arcs:
+        if not heads[d]:
+            heads[d] = h
+    return tuple(heads)
+
+
+def parser_state(stack, i, arcs, T):
+    return ParserState(stack, i, arcs, heads_from_arcs(arcs, T))
+
+
 class TestTransitions:
     def test_initial_state_allows_only_shift(self):
-        assert legal_actions(INITIAL_PARSER_STATE, T=3) == (SHIFT,)
+        assert legal_actions(initial_parser_state(3), T=3) == (SHIFT,)
 
     def test_headless_top_blocks_reduce(self):
-        state = ParserState(stack=(1,), i=2, arcs=())
+        state = parser_state((1,), 2, (), T=2)
         assert set(legal_actions(state, T=2)) == {LEFT_ARC, RIGHT_ARC,
                                                   SHIFT}
 
     def test_headed_top_blocks_left_arc(self):
-        state = ParserState(stack=(1,), i=2, arcs=((2, 1),))
+        state = parser_state((1,), 2, ((2, 1),), T=2)
         legal = legal_actions(state, T=2)
         assert REDUCE in legal
         assert LEFT_ARC not in legal
 
     def test_shift_transition(self):
-        state = apply_action(INITIAL_PARSER_STATE, SHIFT, T=2)
-        assert state == ParserState(stack=(1,), i=2, arcs=())
+        state = apply_action(initial_parser_state(2), SHIFT, T=2)
+        assert state == ParserState(stack=(1,), i=2, arcs=(),
+                                    heads=(0, 0, 0))
 
     def test_right_arc_transition(self):
-        state = ParserState(stack=(1,), i=2, arcs=())
+        state = parser_state((1,), 2, (), T=2)
         out = apply_action(state, RIGHT_ARC, T=2)
-        assert out == ParserState(stack=(2, 1), i=3, arcs=((1, 2),))
+        assert out == ParserState(stack=(2, 1), i=3, arcs=((1, 2),),
+                                  heads=(0, 0, 1))
 
     def test_left_arc_transition(self):
-        state = ParserState(stack=(1,), i=2, arcs=())
+        state = parser_state((1,), 2, (), T=2)
         out = apply_action(state, LEFT_ARC, T=2)
-        assert out == ParserState(stack=(), i=2, arcs=((2, 1),))
+        assert out == ParserState(stack=(), i=2, arcs=((2, 1),),
+                                  heads=(0, 2, 0))
 
     def test_illegal_actions_name_the_precondition(self):
         with pytest.raises(StateError, match="stack"):
-            apply_action(INITIAL_PARSER_STATE, LEFT_ARC, T=2)
-        headed = ParserState(stack=(1,), i=2, arcs=((2, 1),))
+            apply_action(initial_parser_state(2), LEFT_ARC, T=2)
+        headed = parser_state((1,), 2, ((2, 1),), T=2)
         with pytest.raises(StateError, match="head"):
             apply_action(headed, LEFT_ARC, T=2)
-        drained = ParserState(stack=(1,), i=3, arcs=())
+        drained = parser_state((1,), 3, (), T=2)
         with pytest.raises(StateError, match="input"):
             apply_action(drained, SHIFT, T=2)
         with pytest.raises(StateError, match="head"):
             apply_action(drained, REDUCE, T=2)
 
     def test_finalize_single_token(self):
-        state = apply_action(INITIAL_PARSER_STATE, SHIFT, T=1)
+        state = apply_action(initial_parser_state(1), SHIFT, T=1)
         assert finalize(state, T=1).heads == (0,)
 
     def test_finalize_chain(self):
-        state = INITIAL_PARSER_STATE
+        state = initial_parser_state(2)
         for a in (SHIFT, RIGHT_ARC):
             state = apply_action(state, a, T=2)
         assert finalize(state, T=2).heads == (0, 1)
 
     def test_finalize_requires_consumed_input(self):
         with pytest.raises(StateError):
-            finalize(INITIAL_PARSER_STATE, T=1)
+            finalize(initial_parser_state(1), T=1)
 
 
 class TestTreeValidation:
@@ -148,25 +163,42 @@ class TestRandomRolloutProperties:
             assert steps <= 2 * T
             assert len(tree.heads) == T
 
+    def test_heads_follow_arcs(self):
+        # every state of a random legal action sequence keeps heads equal
+        # to the heads its arcs give, and finalize returns the arcs' tree
+        rng = np.random.default_rng(91)
+        for _ in range(2_000):
+            T = int(rng.integers(1, 7))
+            state = initial_parser_state(T)
+            while state.i <= T:
+                legal = legal_actions(state, T)
+                state = apply_action(state, legal[rng.integers(len(legal))],
+                                     T)
+                assert state.heads == heads_from_arcs(state.arcs, T)
+            assert finalize(state, T) == DependencyTree(
+                heads_from_arcs(state.arcs, T)[1:])
+
 
 class TestOracle:
     def test_chain_prefers_right_arc(self):
         gold = DependencyTree((0, 1))
-        state = ParserState(stack=(1,), i=2, arcs=())
-        assert supervised_oracle(state, gold, T=2) == RIGHT_ARC
+        state = parser_state((1,), 2, (), T=2)
+        assert supervised_oracle(state, gold,
+                                 legal_actions(state, 2)) == RIGHT_ARC
 
     def test_reversed_chain_prefers_left_arc(self):
         gold = DependencyTree((2, 0))
-        state = ParserState(stack=(1,), i=2, arcs=())
-        assert supervised_oracle(state, gold, T=2) == LEFT_ARC
+        state = parser_state((1,), 2, (), T=2)
+        assert supervised_oracle(state, gold,
+                                 legal_actions(state, 2)) == LEFT_ARC
 
     def oracle_parse(self, gold):
         T = gold.n_tokens
-        state = INITIAL_PARSER_STATE
+        state = initial_parser_state(T)
         steps = 0
         while state.i <= T:
-            state = apply_action(state, supervised_oracle(state, gold, T),
-                                 T)
+            action = supervised_oracle(state, gold, legal_actions(state, T))
+            state = apply_action(state, action, T)
             steps += 1
             assert steps <= 2 * T
         return finalize(state, T)
@@ -187,20 +219,19 @@ class TestOracle:
 
 
 class TestTreeFeatures:
-    def names(self, task, state, tags):
-        sent = TaggedSentence(tags)
-        fv = tree_features(task, state, sent)
-        return fv.as_dict(task.interner)
+    def names(self, task, ps, tags):
+        state = ParseState(task, TaggedSentence(tags), ps, (), None, {})
+        return task.features(state).as_dict(task.interner)
 
     def test_initial_state_has_null_stack_marker(self):
         task = make_task()
-        got = self.names(task, INITIAL_PARSER_STATE, (2, 0, 1))
+        got = self.names(task, initial_parser_state(3), (2, 0, 1))
         assert got == {"in[-2]=S": 1.0, "in[-1]=S": 1.0, "in[0]=2": 1.0,
                        "in[+1]=0": 1.0, "in[+2]=1": 1.0, "st=NULL": 1.0}
 
     def test_adjacent_pair_distance_and_windows(self):
         task = make_task()
-        state = ParserState(stack=(1,), i=2, arcs=())
+        state = parser_state((1,), 2, (), T=3)
         got = self.names(task, state, (2, 0, 1))
         assert got["dist=1"] == 1.0
         assert got["pair=2|0"] == 1.0
@@ -216,13 +247,13 @@ class TestTreeFeatures:
     def test_distance_buckets(self, gap, bucket):
         task = make_task()
         tags = tuple(range(10))
-        state = ParserState(stack=(1,), i=1 + gap, arcs=())
+        state = parser_state((1,), 1 + gap, (), T=10)
         got = self.names(task, state, tags)
         assert got[f"dist={bucket}"] == 1.0
 
     def test_head_tag_after_right_arc(self):
         task = make_task()
-        state = INITIAL_PARSER_STATE
+        state = initial_parser_state(3)
         for a in (SHIFT, RIGHT_ARC):
             state = apply_action(state, a, T=3)
         got = self.names(task, state, (5, 2, 7))
@@ -231,7 +262,7 @@ class TestTreeFeatures:
 
     def test_dependent_tag_after_left_arc(self):
         task = make_task()
-        state = INITIAL_PARSER_STATE
+        state = initial_parser_state(3)
         for a in (SHIFT, SHIFT, LEFT_ARC):
             state = apply_action(state, a, T=3)
         got = self.names(task, state, (5, 2, 7))
@@ -239,10 +270,12 @@ class TestTreeFeatures:
         assert "st.head=5" not in got
 
     def test_no_features_past_final(self):
+        # once the input is consumed, decisions read tag features only
         task = make_task()
-        state = ParserState(stack=(1,), i=3, arcs=())
-        with pytest.raises(StateError):
-            tree_features(task, state, TaggedSentence((1, 1)))
+        state = drive(task, TaggedSentence((1, 1)), [SHIFT, SHIFT])
+        assert task.group_of(state) == "tag"
+        got = task.features(state).as_dict(task.interner)
+        assert got == {"parent=ROOT": 1.0}
 
 
 def action_spaces(task, sent, rng):
@@ -250,8 +283,9 @@ def action_spaces(task, sent, rng):
     state = task.initial_state(sent)
     spaces = []
     while not task.is_final(state):
-        spaces.append(task.legal_actions(state))
-        state = task.apply(state, task.initial_action(state, rng))
+        legal = task.legal_actions(state)
+        spaces.append(legal)
+        state = task.apply(state, task.initial_action(state, legal, rng))
     return spaces
 
 
@@ -386,8 +420,7 @@ class TestRolloutIntegration:
         task = make_task(supervision="sup", tagset=6)
         pol = searn_learn(task, sents, LearnerConfig(kind="nb",
                                                      smoothing=0.1),
-                          beta=0.1, cfg=RolloutConfig(seed=4),
-                          stopping=StoppingRule(max_iterations=2))
+                          beta=0.1, cfg=RolloutConfig(seed=4), iterations=2)
         state = run_policy(task, sents[0], pol, np.random.default_rng(0))
         assert state.tree is not None
 
@@ -402,27 +435,24 @@ class TestRolloutIntegration:
         cfg = RolloutConfig(seed=31, n_samples=2)
         pol = searn_learn(task, sents,
                           LearnerConfig(kind="nb", smoothing=0.5),
-                          beta=0.3, cfg=cfg,
-                          stopping=StoppingRule(max_iterations=2,
-                                                patience=None))
+                          beta=0.3, cfg=cfg, iterations=2)
         sent = sents[0]
         walk = np.random.default_rng(37)
         state = task.initial_state(sent)
-        prefix = []
+        t = 0
         checked = 0
         while not task.is_final(state):
-            t = len(prefix) + 1
+            t += 1
+            legal = task.legal_actions(state)
             shortcut = task.shortcut_costs(state)
             if shortcut is not None:
-                rolled = estimate_costs(task, sent, t, tuple(prefix),
-                                        pol, cfg)
+                rolled = _costs_at_state(task, sent, 0, t, state, legal, pol,
+                                         cfg)
                 np.testing.assert_array_equal(rolled, shortcut)
                 checked += 1
             else:
                 assert task.group_of(state) == "parse"
-            action = policy_act(pol, state, walk)
-            prefix.append(action)
-            state = task.apply(state, action)
+            state = task.apply(state, policy_act(pol, state, legal, walk))
         assert checked == sent.n_tokens
 
 

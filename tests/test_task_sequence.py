@@ -9,8 +9,7 @@ from searn.core import (
     LearnerConfig,
     Policy,
     RolloutConfig,
-    StoppingRule,
-    estimate_costs,
+    _costs_at_state,
     generate_examples,
     initial_policy,
     policy_act,
@@ -42,14 +41,22 @@ def walk(task, x, actions):
     return state
 
 
+def costs_after(task, x, prefix, pol, cfg):
+    """Rolled-out costs of the decision that follows ``prefix``."""
+    state = walk(task, x, prefix)
+    return _costs_at_state(task, x, 0, len(prefix) + 1, state,
+                           task.legal_actions(state), pol, cfg)
+
+
 def action_spaces(task, x):
     """Legal action sets along the initial policy's path."""
     rng = np.random.default_rng(0)
     state = task.initial_state(x)
     spaces = []
     while not task.is_final(state):
-        spaces.append(task.legal_actions(state))
-        state = task.apply(state, task.initial_action(state, rng))
+        legal = task.legal_actions(state)
+        spaces.append(legal)
+        state = task.apply(state, task.initial_action(state, legal, rng))
     return spaces
 
 
@@ -178,9 +185,8 @@ class TestIterationOneProperty:
         T = len(x)
         cfg = RolloutConfig(seed=4, n_samples=2)
         for p in range(T):
-            t = T + 1 + p
             prefix = tuple(int(v) for v in rng.integers(0, 2, size=T)) + x[:p]
-            costs = estimate_costs(task, x, t, prefix, initial_policy(), cfg)
+            costs = costs_after(task, x, prefix, initial_policy(), cfg)
             expected = np.ones(5)
             expected[x[p]] = 0.0
             np.testing.assert_array_equal(costs, expected)
@@ -192,7 +198,7 @@ class TestIterationOneProperty:
         cfg = RolloutConfig(seed=6, n_samples=2)
         for t in (1, 3, 5):
             prefix = tuple(int(v) for v in rng.integers(0, 3, size=t - 1))
-            costs = estimate_costs(task, x, t, prefix, initial_policy(), cfg)
+            costs = costs_after(task, x, prefix, initial_policy(), cfg)
             np.testing.assert_array_equal(costs, np.zeros(3))
 
     def test_only_emit_examples_survive_filtering(self):
@@ -217,9 +223,7 @@ class TestEmitShortcut:
                 for _ in range(5)]
         cfg = RolloutConfig(seed=21, n_samples=2)
         pol = searn_learn(task, data, LearnerConfig(kind="nb", smoothing=0.5),
-                          beta=0.4, cfg=cfg,
-                          stopping=StoppingRule(max_iterations=2,
-                                                patience=None))
+                          beta=0.4, cfg=cfg, iterations=2)
         assert len(pol.components) > 1
         x = data[0]
         T = len(x)
@@ -229,10 +233,11 @@ class TestEmitShortcut:
         for t in range(1, 2 * T + 1):
             if t > T:
                 shortcut = task.shortcut_costs(state)
-                rolled = estimate_costs(task, x, t, state.actions, pol, cfg)
+                rolled = costs_after(task, x, state.actions, pol, cfg)
                 np.testing.assert_array_equal(rolled, shortcut)
                 checked += 1
-            state = task.apply(state, policy_act(pol, state, walk))
+            state = task.apply(state, policy_act(
+                pol, state, task.legal_actions(state), walk))
         assert checked == T
 
     def test_latent_decisions_take_no_shortcut(self):
@@ -250,19 +255,18 @@ class TestEmitShortcut:
         cfg = RolloutConfig(seed=29, n_samples=2)
         pol = searn_learn(task, data,
                           LearnerConfig(kind="lr", l2_variance=1.0),
-                          beta=0.5, cfg=cfg,
-                          stopping=StoppingRule(max_iterations=2,
-                                                patience=None))
+                          beta=0.5, cfg=cfg, iterations=2)
         x = data[1]
         T = len(x)
         walk = np.random.default_rng(19)
         state = task.initial_state(x)
         for t in range(1, 2 * T + 1):
             if t > T:
-                rolled = estimate_costs(task, x, t, state.actions, pol, cfg)
+                rolled = costs_after(task, x, state.actions, pol, cfg)
                 np.testing.assert_array_equal(rolled,
                                               task.shortcut_costs(state))
-            state = task.apply(state, policy_act(pol, state, walk))
+            state = task.apply(state, policy_act(
+                pol, state, task.legal_actions(state), walk))
 
 
 class TestRelabelingInvariance:
@@ -278,8 +282,7 @@ class TestRelabelingInvariance:
                 for _ in range(6)]
         pol = searn_learn(task, data, LearnerConfig(kind="nb", smoothing=0.5),
                           beta=1.0, cfg=RolloutConfig(seed=101, n_samples=2),
-                          stopping=StoppingRule(max_iterations=3,
-                                                patience=None))
+                          iterations=3)
         rule = pol.components[0][0]
         perm = {0: 1, 1: 0}
         swapped = LearnedRule({
@@ -370,6 +373,18 @@ class TestCorpusFiles:
         path = tmp_path / "bad.txt"
         path.write_text("0 1 2\n")
         with pytest.raises(DataError):
+            read_sequences(path)
+
+    def test_sequence_before_header(self, tmp_path):
+        path = tmp_path / "late.txt"
+        path.write_text("1 2\nV=3\n")
+        with pytest.raises(DataError, match="before V= header"):
+            read_sequences(path)
+
+    def test_second_header_rejected(self, tmp_path):
+        path = tmp_path / "twice.txt"
+        path.write_text("V=3\n1 2\nV=10\n")
+        with pytest.raises(DataError, match="3: malformed V= header"):
             read_sequences(path)
 
     def test_malformed_line_names_position(self, tmp_path):
