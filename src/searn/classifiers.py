@@ -8,11 +8,12 @@ per-action regret vector into one or more weighted labeled examples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .em import logsumexp
 from .errors import ConfigError, OptimizerError, TrainingError
@@ -220,7 +221,20 @@ class LRModel:
         )
 
 
-def _sparse_design(examples, n_features: int):
+class _Design(NamedTuple):
+    """The n x F design matrix as CSR arrays, the example weights, and the
+    flat index of each example's gold logit in an n x K array."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    weights: np.ndarray
+    gold: np.ndarray
+
+
+def _sparse_design(examples, n_classes: int, n_features: int) -> _Design:
+    """Build the design of one fit.  Ids and labels are checked here: the
+    products below index W and the logits with them unchecked."""
     data, indices, indptr = [], [], [0]
     labels, weights = [], []
     for ex in examples:
@@ -229,31 +243,48 @@ def _sparse_design(examples, n_features: int):
         indptr.append(len(indices))
         labels.append(ex.label)
         weights.append(ex.weight)
-    X = sp.csr_matrix(
-        (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(len(labels), n_features),
-    )
-    return X, np.asarray(labels, dtype=np.int64), np.asarray(weights, dtype=float)
+    indices = np.asarray(indices, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = indices[(indices < 0) | (indices >= n_features)]
+    if bad.size:
+        raise ConfigError(f"feature id {bad[0]} outside [0, {n_features})")
+    bad = labels[(labels < 0) | (labels >= n_classes)]
+    if bad.size:
+        raise ConfigError(f"label {bad[0]} outside [0, {n_classes})")
+    return _Design(np.asarray(indptr, dtype=np.int64), indices,
+                   np.asarray(data, dtype=float),
+                   np.asarray(weights, dtype=float),
+                   np.arange(labels.size) * n_classes + labels)
 
 
-def _lr_objective(X, y, w, l2_variance, W, rows):
-    """Objective value at W, with the logits and their row log-normalizers
-    (``rows`` is ``np.arange(n)``, built once per fit)."""
-    logits = X @ W.T
+# The two products below call the compiled kernels that scipy.sparse's
+# ``X @ W.T`` and ``X.T @ G`` reach (the CSC view of a CSR matrix shares its
+# arrays), without the Python dispatch around them; each accumulates into a
+# zeroed output in the same order, so the bits are scipy's.
+
+
+def _lr_objective(design: _Design, l2_variance, W):
+    """Objective value at W, with the logits and their row log-normalizers."""
+    (K, F), n = W.shape, design.weights.size
+    logits = np.zeros((n, K))
+    _sparsetools.csr_matvecs(n, F, K, design.indptr, design.indices,
+                             design.data, W.T.ravel(), logits.ravel())
     lse = logsumexp(logits, axis=1)
-    data_loss = float(np.dot(w, lse - logits[rows, y]))
-    penalty = float(np.sum(W * W)) / (2.0 * l2_variance)
+    data_loss = float(np.dot(design.weights, lse - logits.ravel()[design.gold]))
+    penalty = float(np.add.reduce(W * W, axis=None)) / (2.0 * l2_variance)
     return data_loss + penalty, logits, lse
 
 
-def _lr_gradient(XT, y, w, l2_variance, W, logits, lse, rows):
-    """Gradient at W from its logits and log-normalizers; ``XT`` is the
-    design matrix's transpose, built once per fit."""
+def _lr_gradient(design: _Design, l2_variance, W, logits, lse):
+    """Gradient at W from its logits and log-normalizers."""
+    (n, K), F = logits.shape, W.shape[1]
     G = np.exp(logits - lse[:, None])
-    G[rows, y] -= 1.0
-    G *= w[:, None]
-    return (XT @ G).T + W / l2_variance
+    G.ravel()[design.gold] -= 1.0
+    G *= design.weights[:, None]
+    XtG = np.zeros((F, K))
+    _sparsetools.csc_matvecs(F, n, K, design.indptr, design.indices,
+                             design.data, G.ravel(), XtG.ravel())
+    return XtG.T + W / l2_variance
 
 
 def lr_train(
@@ -269,37 +300,38 @@ def lr_train(
     fully deterministic given the data.  Stops at the gradient tolerance or
     the epoch cap, whichever comes first.  Trial points of the line search
     cost one objective each; softmax probabilities are formed only for the
-    gradient at an accepted point.
+    gradient at an accepted point.  A feature id outside [0, n_features) or
+    a label outside [0, n_classes) is a ConfigError.
     """
     if l2_variance <= 0:
         raise ConfigError("l2_variance must be positive")
     cfg = config or LROptimizerConfig()
-    examples = list(examples)
-    X, y, w = _sparse_design(examples, n_features)
-    XT, rows = X.T, np.arange(X.shape[0])
+    design = _sparse_design(examples, n_classes, n_features)
     W = np.zeros((n_classes, n_features))
-    f, logits, lse = _lr_objective(X, y, w, l2_variance, W, rows)
-    if not np.isfinite(f):
+    f, logits, lse = _lr_objective(design, l2_variance, W)
+    if not math.isfinite(f):
         raise OptimizerError("objective non-finite at initialization")
     step = cfg.initial_step
     epoch = 0
+    # np.add.reduce and np.maximum.reduce are what np.sum and np.max run,
+    # without their Python wrappers.
     for epoch in range(1, cfg.max_epochs + 1):
-        grad = _lr_gradient(XT, y, w, l2_variance, W, logits, lse, rows)
-        gnorm2 = float(np.sum(grad * grad))
-        if np.max(np.abs(grad)) < cfg.grad_tol:
+        grad = _lr_gradient(design, l2_variance, W, logits, lse)
+        gnorm2 = float(np.add.reduce(grad * grad, axis=None))
+        if np.maximum.reduce(np.abs(grad), axis=None) < cfg.grad_tol:
             epoch -= 1
             break
         step = min(step * 2.0, 1e6)
         accepted = False
         while step >= cfg.min_step:
             W_try = W - step * grad
-            f_try, logits_try, lse_try = _lr_objective(X, y, w, l2_variance,
-                                                       W_try, rows)
-            if np.isfinite(f_try) and f_try <= f - cfg.armijo * step * gnorm2:
+            f_try, logits_try, lse_try = _lr_objective(design, l2_variance,
+                                                       W_try)
+            if math.isfinite(f_try) and f_try <= f - cfg.armijo * step * gnorm2:
                 W, f, logits, lse = W_try, f_try, logits_try, lse_try
                 accepted = True
                 break
-            if not np.isfinite(f_try) and step <= cfg.min_step * 2:
+            if not math.isfinite(f_try) and step <= cfg.min_step * 2:
                 raise OptimizerError(f"loss became non-finite at step size {step:g}")
             step *= cfg.backtrack
         if not accepted:

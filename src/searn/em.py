@@ -244,10 +244,6 @@ def hmm_log_backward(params: HmmParams, x) -> np.ndarray:
     return beta
 
 
-def hmm_sequence_log_likelihood(params: HmmParams, x) -> float:
-    return float(logsumexp(hmm_log_forward(params, x)[-1]))
-
-
 def hmm_random_init(n_states: int, vocab_size: int, seed) -> HmmParams:
     rng = np.random.default_rng(seed)
 

@@ -5,10 +5,15 @@ throwaway script before the implementations existed.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import searn
 from searn.classifiers import (
     LabeledExample,
     LROptimizerConfig,
@@ -236,10 +241,9 @@ class TestLogisticRegression:
         sigma2 = 2.0
         rng = np.random.default_rng(42)
         W = rng.normal(scale=0.5, size=(K, F))
-        X, y, w = _sparse_design(examples, F)
-        rows = np.arange(X.shape[0])
-        f, logits, lse = _lr_objective(X, y, w, sigma2, W, rows)
-        G = _lr_gradient(X.T, y, w, sigma2, W, logits, lse, rows)
+        design = _sparse_design(examples, K, F)
+        f, logits, lse = _lr_objective(design, sigma2, W)
+        G = _lr_gradient(design, sigma2, W, logits, lse)
         np.testing.assert_allclose(f, _reference_objective(W, examples,
                                                            sigma2),
                                    rtol=1e-12)
@@ -303,6 +307,36 @@ class TestLogisticRegression:
         m1 = lr_train(base, 2, 2, 1.0)
         m2 = lr_train(doubled, 2, 2, 1.0)
         np.testing.assert_allclose(m1.weights, m2.weights, atol=1e-7)
+
+    def test_label_outside_classes_rejected(self):
+        it, examples, F, K = self._dataset()
+        for label in (-1, K):
+            bad = examples[:-1] + [examples[-1]._replace(label=label)]
+            with pytest.raises(ConfigError, match=f"label {label} outside"):
+                lr_train(bad, K, F, 1.0)
+
+    def test_feature_id_outside_features_rejected(self):
+        # In a child process: an unchecked id reads and writes past W inside
+        # the compiled products, which can crash the interpreter.
+        code = (
+            "from searn.classifiers import LabeledExample, lr_train\n"
+            "from searn.errors import ConfigError\n"
+            "from searn.features import FeatureVector\n"
+            "for fid in (5, 2, -1):\n"
+            "    ex = LabeledExample(FeatureVector([0, fid], [1.0, 1.0]), 0, 1.0)\n"
+            "    try:\n"
+            "        lr_train([ex], 2, 2, 1.0)\n"
+            "    except ConfigError as err:\n"
+            "        print(err)\n"
+        )
+        src = str(Path(searn.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "feature id 5 outside [0, 2)", "feature id 2 outside [0, 2)",
+            "feature id -1 outside [0, 2)"]
 
     def test_nonpositive_variance_rejected(self):
         it, examples, F, K = self._dataset()

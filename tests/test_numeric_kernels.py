@@ -11,16 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse import _sparsetools
 
 import searn
 from searn.classifiers import (LabeledExample, LROptimizerConfig,
                                _sparse_design, lr_train)
-from searn.em import (HmmParams, hmm_log_backward, hmm_log_forward,
-                      hmm_sequence_log_likelihood, logsumexp)
+from searn.em import HmmParams, hmm_log_backward, hmm_log_forward, logsumexp
 from searn.features import FeatureVector
 
 INF, NAN = np.inf, np.nan
@@ -92,11 +93,29 @@ def test_logsumexp_scalar_and_integer_input():
 # lr_train against the loop it replaced
 
 
+def _csr_design(examples, n_features):
+    """The design matrix as a scipy.sparse matrix, with labels and weights."""
+    data, indices, indptr = [], [], [0]
+    for ex in examples:
+        data.extend(ex.features.values)
+        indices.extend(ex.features.ids)
+        indptr.append(len(indices))
+    X = sp.csr_matrix((np.asarray(data, dtype=float),
+                       np.asarray(indices, dtype=np.int64),
+                       np.asarray(indptr, dtype=np.int64)),
+                      shape=(len(examples), n_features))
+    return (X, np.asarray([ex.label for ex in examples], dtype=np.int64),
+            np.asarray([ex.weight for ex in examples], dtype=float))
+
+
 def _oracle_lr_train(examples, n_classes, n_features, l2_variance, cfg):
-    """lr_train as it was: scipy's logsumexp, X.T rebuilt for every gradient
-    and softmax probabilities at every trial point of the line search."""
-    X, y, w = _sparse_design(examples, n_features)
+    """lr_train as it was: scipy.sparse's products, scipy's logsumexp, X.T
+    rebuilt for every gradient and softmax probabilities at every trial
+    point of the line search.  Also reports whether any trial point's
+    objective was non-finite."""
+    X, y, w = _csr_design(examples, n_features)
     n = X.shape[0]
+    nonfinite = False
 
     def objective_probs(W):
         logits = X @ W.T
@@ -125,6 +144,7 @@ def _oracle_lr_train(examples, n_classes, n_features, l2_variance, cfg):
         while step >= cfg.min_step:
             W_try = W - step * grad
             f_try, P_try = objective_probs(W_try)
+            nonfinite |= not np.isfinite(f_try)
             if np.isfinite(f_try) and f_try <= f - cfg.armijo * step * gnorm2:
                 W, f, P = W_try, f_try, P_try
                 accepted = True
@@ -132,37 +152,92 @@ def _oracle_lr_train(examples, n_classes, n_features, l2_variance, cfg):
             step *= cfg.backtrack
         if not accepted:
             break
-    return W, epoch
+    return W, epoch, nonfinite
 
 
-def _lr_problem(seed, n=60, n_features=25, n_classes=4):
-    """Sparse count features, as the tasks produce, with repeated rows."""
+def _lr_problem(seed, n=60, n_features=25, n_classes=4, duplicates=False,
+                empty=False, zero_weight=False, value_scale=1.0,
+                weight_scale=1.0):
+    """Sparse count features, as the tasks produce, with repeated rows.
+
+    ``duplicates`` repeats two feature ids within each example, ``empty``
+    leaves every seventh example without features, ``zero_weight`` gives
+    every fifth a weight of zero, and the scales multiply every value and
+    weight."""
     rng = np.random.default_rng(seed)
     examples = []
-    for _ in range(n):
+    for i in range(n):
         ids = np.unique(rng.integers(0, n_features, size=5))
-        values = rng.integers(1, 4, size=ids.size).astype(float)
+        if duplicates:
+            ids = np.concatenate([ids, ids[:2]])
+        if empty and i % 7 == 0:
+            ids = ids[:0]
+        values = rng.integers(1, 4, size=ids.size) * value_scale
+        weight = float(rng.uniform(0.1, 3.0)) * weight_scale
         examples.append(LabeledExample(
-            FeatureVector(tuple(int(i) for i in ids),
+            FeatureVector(tuple(int(j) for j in ids),
                           tuple(float(v) for v in values)),
-            int(rng.integers(n_classes)), float(rng.uniform(0.1, 3.0))))
+            int(rng.integers(n_classes)),
+            0.0 if zero_weight and i % 5 == 0 else weight))
     return examples, n_classes, n_features
 
 
-@pytest.mark.parametrize("seed, n, variance, max_epochs, capped", [
-    (0, 60, 1.0, 500, False),
-    (1, 60, 0.05, 500, False),  # a strong prior: converges in few epochs
-    (2, 60, 4.0, 7, True),      # stopped by the epoch cap
-    (3, 0, 1.0, 500, False),    # no examples: zero gradient at the start
+@pytest.mark.parametrize("seed, problem, variance, max_epochs, capped, "
+                         "nonfinite", [
+    pytest.param(0, {}, 1.0, 500, False, False, id="0-60-1.0-500-False"),
+    # a strong prior: converges in few epochs
+    pytest.param(1, {}, 0.05, 500, False, False, id="1-60-0.05-500-False"),
+    # stopped by the epoch cap
+    pytest.param(2, {}, 4.0, 7, True, False, id="2-60-4.0-7-True"),
+    # no examples: zero gradient at the start
+    pytest.param(3, {"n": 0}, 1.0, 500, False, False, id="3-0-1.0-500-False"),
+    pytest.param(4, {"duplicates": True}, 1.0, 500, True, False,
+                 id="duplicate-ids"),
+    pytest.param(5, {"empty": True}, 1.0, 500, False, False, id="empty-row"),
+    pytest.param(6, {"n": 20, "n_features": 40, "n_classes": 2}, 1.0, 500,
+                 False, False, id="K2-F40-n20"),
+    pytest.param(7, {"n": 20, "n_features": 40, "n_classes": 12}, 1.0, 500,
+                 False, False, id="K12-F40-n20"),
+    pytest.param(8, {"zero_weight": True}, 1.0, 500, False, False,
+                 id="zero-weights"),
+    # ||W||^2 of the first doubled step overflows; smaller steps still train
+    pytest.param(9, {"value_scale": 1e-140, "weight_scale": 2e292}, 1.0, 40,
+                 True, True, id="overflowing-trial"),
 ])
-def test_lr_train_matches_oracle_bytes(seed, n, variance, max_epochs, capped):
-    examples, K, F = _lr_problem(seed, n)
+def test_lr_train_matches_oracle_bytes(seed, problem, variance, max_epochs,
+                                       capped, nonfinite):
+    examples, K, F = _lr_problem(seed, **problem)
     cfg = LROptimizerConfig(max_epochs=max_epochs)
-    want_W, want_epochs = _oracle_lr_train(examples, K, F, variance, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_W, want_epochs, want_nonfinite = _oracle_lr_train(
+            examples, K, F, variance, cfg)
+        model = lr_train(examples, K, F, variance, config=cfg)
     assert (want_epochs == max_epochs) == capped
-    model = lr_train(examples, K, F, variance, config=cfg)
+    assert want_nonfinite == nonfinite
     assert model.trained_epochs == want_epochs
     assert model.weights.tobytes() == want_W.tobytes()
+
+
+@pytest.mark.parametrize("K", [2, 12])
+def test_sparse_kernels_match_scipy_products(K):
+    """lr_train calls scipy's compiled CSR/CSC kernels directly; they must
+    give the bits of scipy.sparse's ``X @ W.T`` and ``X.T @ G``."""
+    rng = np.random.default_rng(K)
+    F = 9
+    ids = [[1, 4, 1, 7], [], [0, 8, 8, 8], [3], [5, 2, 5]]  # repeats, empty
+    examples = [LabeledExample(FeatureVector(r, rng.normal(size=len(r))),
+                               0, 1.0) for r in ids]
+    X, _, _ = _csr_design(examples, F)
+    design = _sparse_design(examples, K, F)
+    n = len(examples)
+    W, G = rng.normal(size=(K, F)), rng.normal(size=(n, K))
+    logits, XtG = np.zeros((n, K)), np.zeros((F, K))
+    _sparsetools.csr_matvecs(n, F, K, design.indptr, design.indices,
+                             design.data, W.T.ravel(), logits.ravel())
+    _sparsetools.csc_matvecs(F, n, K, design.indptr, design.indices,
+                             design.data, G.ravel(), XtG.ravel())
+    assert_same_bits(logits, X @ W.T)
+    assert_same_bits(XtG, X.T @ G)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +294,7 @@ def test_hmm_lattices_match_oracle_bytes(seed, K, V, zeros):
         assert_same_bits(alpha, _oracle_forward(params, x))
         assert_same_bits(hmm_log_backward(params, x),
                          _oracle_backward(params, x))
-        assert_same_bits(hmm_sequence_log_likelihood(params, x),
+        assert_same_bits(float(logsumexp(hmm_log_forward(params, x)[-1])),
                          float(scipy.special.logsumexp(alpha[-1])))
 
 

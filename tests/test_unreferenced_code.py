@@ -16,9 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "searn"
 KEPT = {
     "run_sequence": "imported by tests/test_golden.py",
     "random_parse_baseline": "imported by tests/test_golden.py",
-    "hmm_sequence_log_likelihood": "the per-sequence HMM likelihood that "
-                                   "tests/test_em.py checks Baum-Welch's "
-                                   "ascent with",
 }
 
 
