@@ -35,12 +35,10 @@ def costs_to_weighted_labels(example, mode: str) -> "list[LabeledExample]":
     largest regret in the vector (ties broken toward the lowest action id).
     ``softmin`` emits every action with weight proportional to exp(-cost),
     normalized to sum to one.  Costs are assumed to be regrets already
-    (minimum subtracted); softmin is invariant to that shift anyway.  The
-    example's own weight multiplies the emitted weights.
+    (minimum subtracted); softmin is invariant to that shift anyway.
     """
     costs = np.asarray(example.costs, dtype=float)
     actions = list(example.actions)
-    base = float(getattr(example, "weight", 1.0))
     if costs.size != len(actions):
         raise ConfigError("cost vector length does not match action list")
     if np.all(costs == costs[0]):
@@ -51,11 +49,11 @@ def costs_to_weighted_labels(example, mode: str) -> "list[LabeledExample]":
     if mode == "argmin_spread":
         best = int(np.argmin(costs))
         spread = float(np.max(costs) - np.min(costs))
-        return [LabeledExample(example.features, actions[best], base * spread)]
+        return [LabeledExample(example.features, actions[best], spread)]
     if mode == "softmin":
         w = np.exp(-(costs - costs.min()))
         w /= w.sum()
-        return [LabeledExample(example.features, a, base * float(wk))
+        return [LabeledExample(example.features, a, float(wk))
                 for a, wk in zip(actions, w)]
     raise ConfigError(f"unknown cost-to-weight mode: {mode!r}")
 
@@ -75,9 +73,11 @@ class NBModel:
     class_log_prior: np.ndarray
     feature_log_prob: np.ndarray
     smoothing: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
     # (features, legal actions) -> chosen action, kept by Task.model_action
-    _decisions: dict = field(default_factory=dict, repr=False, compare=False)
+    _decisions: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -189,9 +189,11 @@ class LRModel:
     weights: np.ndarray
     l2_variance: float
     trained_epochs: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
     # (features, legal actions) -> chosen action, kept by Task.model_action
-    _decisions: dict = field(default_factory=dict, repr=False, compare=False)
+    _decisions: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -301,7 +303,8 @@ def lr_train(
     the epoch cap, whichever comes first.  Trial points of the line search
     cost one objective each; softmax probabilities are formed only for the
     gradient at an accepted point.  A feature id outside [0, n_features) or
-    a label outside [0, n_classes) is a ConfigError.
+    a label outside [0, n_classes) is a ConfigError; a non-finite objective
+    at the start or gradient norm at any epoch is an OptimizerError.
     """
     if l2_variance <= 0:
         raise ConfigError("l2_variance must be positive")
@@ -318,6 +321,9 @@ def lr_train(
     for epoch in range(1, cfg.max_epochs + 1):
         grad = _lr_gradient(design, l2_variance, W, logits, lse)
         gnorm2 = float(np.add.reduce(grad * grad, axis=None))
+        if not math.isfinite(gnorm2):
+            # no step can pass the Armijo test below
+            raise OptimizerError(f"gradient norm non-finite at epoch {epoch}")
         if np.maximum.reduce(np.abs(grad), axis=None) < cfg.grad_tol:
             epoch -= 1
             break

@@ -36,7 +36,8 @@ Output files:
   ``equivalence.json``.
 
 Exit codes: 0 on success, 1 on data errors (a malformed data, gold or
-model file, or a failed equivalence check), 2 on configuration errors.
+model file, or a failed equivalence check) and on training failures,
+2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .datagen import (DocGenConfig, HmmGenConfig, TreebankGenConfig,
 from .em import (HmmParams, MultinomialMixtureParams, hmm_decode,
                  hmm_em_train, hmm_posterior_decode, mm_e_step,
                  mm_em_train, mm_log_likelihood, mm_random_init)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TrainingError
 from .experiments import (ParseExperiment, SequenceExperiment, decode_labels,
                           decode_trees, equivalence_sweep, learning_curve,
                           parse_training_data, train_parser,
@@ -709,6 +710,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except TrainingError as exc:
+        print(f"training error: {exc}", file=sys.stderr)
         return 1
 
 

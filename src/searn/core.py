@@ -71,7 +71,6 @@ class CostSensitiveExample:
     actions: tuple
     costs: np.ndarray
     group: str
-    weight: float = 1.0
 
 
 class GroupSpec(NamedTuple):
@@ -111,8 +110,6 @@ class LearnerConfig:
         if isinstance(self.l2_variance, dict):
             if group in self.l2_variance:
                 return float(self.l2_variance[group])
-            if "default" in self.l2_variance:
-                return float(self.l2_variance["default"])
             raise ConfigError(f"no l2_variance entry for group {group!r}")
         return float(self.l2_variance)
 
@@ -536,11 +533,6 @@ def searn_learn(task: Task, dataset, learner: LearnerConfig, beta: float,
 # Policy serialization
 
 MODEL_TYPES = {"nb": NBModel, "lr": LRModel}
-
-
-def register_model_type(name: str, cls) -> None:
-    """Let task modules add their own serializable estimator models."""
-    MODEL_TYPES[name] = cls
 
 
 def model_from_dict(d: dict):

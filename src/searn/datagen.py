@@ -11,7 +11,7 @@ import numpy as np
 
 from .em import HmmParams, _check_distribution
 from .errors import ConfigError
-from .task_depparse import DependencyTree, TaggedSentence
+from .task_depparse import MAX_LENGTH, DependencyTree, TaggedSentence
 
 _PARAM_KEY = 101
 _DATA_KEY = 102
@@ -169,15 +169,12 @@ class TreebankGenConfig:
     n_sentences: int
     seed: int
     tagset_size: int = 12
-    max_length: int = 10
 
     def __post_init__(self):
         if self.n_sentences < 1:
             raise ConfigError("n_sentences must be at least 1")
         if self.tagset_size < 2:
             raise ConfigError("tagset_size must be at least 2")
-        if self.max_length < 2:
-            raise ConfigError("max_length must be at least 2")
 
 
 class _Node:
@@ -190,10 +187,10 @@ class _Node:
         self.index = 0
 
 
-def _sample_tree(rng, cfg, root_dist, child_table) -> _Node:
-    """Head-outward expansion under a token budget; projective by layout."""
+def _sample_tree(rng, root_dist, child_table) -> _Node:
+    """Head-outward expansion up to MAX_LENGTH tokens; projective."""
     root = _Node(_draw(rng, root_dist))
-    remaining = cfg.max_length - 1
+    remaining = MAX_LENGTH - 1
     queue = [root]
     while queue:
         node = queue.pop(0)
@@ -241,8 +238,7 @@ def gen_treebank(cfg: TreebankGenConfig) -> list:
     child_table /= child_table.sum(axis=1, keepdims=True)
     sentences = []
     for _ in range(cfg.n_sentences):
-        tags, heads = _linearize(_sample_tree(rng, cfg, root_dist,
-                                              child_table))
+        tags, heads = _linearize(_sample_tree(rng, root_dist, child_table))
         sentences.append(TaggedSentence(tags, DependencyTree(heads)))
     return sentences
 

@@ -63,8 +63,8 @@ def logsumexp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
-def _check_distribution(name, arr, axis=-1):
-    sums = np.sum(arr, axis=axis)
+def _check_distribution(name, arr):
+    sums = np.sum(arr, axis=-1)
     if not np.allclose(sums, 1.0, atol=_SUM_TOL, rtol=0.0):
         raise ConfigError(f"{name} rows must sum to 1 (got max error "
                           f"{np.max(np.abs(sums - 1.0)):.3e})")
@@ -160,21 +160,19 @@ def mm_e_step(params: MultinomialMixtureParams, docs) -> np.ndarray:
     return np.exp(log_joint - norms[:, None])
 
 
-def mm_m_step(z, docs, smoothing: float = 0.0) -> MultinomialMixtureParams:
-    """Re-estimate (rho, theta) from responsibilities.
+def mm_m_step(z, docs) -> MultinomialMixtureParams:
+    """Re-estimate (rho, theta) from responsibilities, unsmoothed.
 
     theta[k, v] is proportional to sum_n z[n, k] * d[n, v]; rho[k] to
-    sum_n z[n, k].  A cluster with zero total responsibility is an error
-    when smoothing is zero.
+    sum_n z[n, k].  A cluster with zero total responsibility is an error.
     """
     z = np.asarray(z, dtype=float)
     D = _doc_matrix(docs)
-    totals = z.sum(axis=0)
-    if smoothing == 0.0 and np.any(totals == 0.0):
+    rho = z.sum(axis=0)
+    if np.any(rho == 0.0):
         raise DataError("a cluster received zero responsibility (unsmoothed mode)")
-    rho = totals + smoothing
     rho /= rho.sum()
-    theta = z.T @ D + smoothing
+    theta = z.T @ D
     theta /= theta.sum(axis=1, keepdims=True)
     return MultinomialMixtureParams(rho=rho, theta=theta)
 
@@ -194,8 +192,7 @@ def mm_random_init(n_clusters: int, vocab_size: int, seed) -> MultinomialMixture
     return MultinomialMixtureParams(rho=rho, theta=theta)
 
 
-def mm_em_train(docs, init: MultinomialMixtureParams, iterations: int,
-                smoothing: float = 0.0):
+def mm_em_train(docs, init: MultinomialMixtureParams, iterations: int):
     """Run EM from an explicit initialization.
 
     Returns (final params, trajectory), where the trajectory lists the
@@ -206,7 +203,7 @@ def mm_em_train(docs, init: MultinomialMixtureParams, iterations: int,
     trajectory = []
     for _ in range(iterations):
         z = mm_e_step(params, docs)
-        params = mm_m_step(z, docs, smoothing=smoothing)
+        params = mm_m_step(z, docs)
         trajectory.append(params)
     return params, trajectory
 
@@ -259,8 +256,8 @@ def hmm_random_init(n_states: int, vocab_size: int, seed) -> HmmParams:
 
 
 def hmm_em_train(data, n_states: int, vocab_size: int, iterations: int, seed,
-                 tol: float = 1e-5, init: HmmParams | None = None):
-    """Baum-Welch from a random (or explicit) initialization.
+                 tol: float = 1e-5):
+    """Baum-Welch from a random initialization.
 
     Runs until the iteration cap or until the total log likelihood improves
     by less than ``tol``.  Returns (params, per-iteration log likelihoods).
@@ -274,7 +271,7 @@ def hmm_em_train(data, n_states: int, vocab_size: int, iterations: int, seed,
     for x in data:
         if x.min() < 0 or x.max() >= vocab_size:
             raise DataError("symbol id outside vocabulary")
-    params = init if init is not None else hmm_random_init(n_states, vocab_size, seed)
+    params = hmm_random_init(n_states, vocab_size, seed)
     history = []
     prev_ll = -np.inf
     for _ in range(iterations):

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: DataError -> 1, ConfigError -> 2.
+The CLI maps these onto exit codes: DataError and TrainingError (which
+includes OptimizerError) -> 1, ConfigError -> 2.
 """
 
 

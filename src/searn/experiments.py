@@ -35,6 +35,9 @@ _PARSE_ITEM_KEY = 401
 _PARSE_BASELINE_KEY = 405
 _EQUIV_DATA_KEY = 601
 _EQUIV_INIT_KEY = 602
+# equivalence-sweep cluster counts (cycled) and largest passing gap
+_EQUIV_CLUSTER_COUNTS = (2, 3)
+_EQUIV_TOLERANCE = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +90,12 @@ def sequence_datasets(exp: SequenceExperiment) -> list:
     return out
 
 
-def run_sequence_em(exp: SequenceExperiment,
-                    datasets=None) -> RunSummary:
+def run_sequence_em(exp: SequenceExperiment) -> RunSummary:
     """Matched Hamming error of the EM baseline, one value per dataset."""
     base = _SEQ_BASE[exp.order]
     decoder = hmm_posterior_decode if exp.posterior_decode else hmm_decode
     errors = []
-    for ds, (xs, gold) in enumerate(datasets or sequence_datasets(exp)):
+    for ds, (xs, gold) in enumerate(sequence_datasets(exp)):
         params, _ = hmm_em_train(
             xs, exp.n_states, exp.vocab_size,
             iterations=exp.em_iterations,
@@ -140,13 +142,12 @@ def train_sequence_searn(exp: SequenceExperiment, xs, kind: str, seed: int,
     return task, policy
 
 
-def run_sequence_searn(exp: SequenceExperiment, kind: str,
-                       datasets=None) -> RunSummary:
+def run_sequence_searn(exp: SequenceExperiment, kind: str) -> RunSummary:
     """Matched Hamming error of a mixture-trained policy ("nb" or "lr")."""
     base = _SEQ_BASE[exp.order]
     method_key = base + (_SEQ_NB if kind == "nb" else _SEQ_LR)
     errors = []
-    for ds, (xs, gold) in enumerate(datasets or sequence_datasets(exp)):
+    for ds, (xs, gold) in enumerate(sequence_datasets(exp)):
         task, policy = train_sequence_searn(
             exp, xs, kind, derive_seed(exp.master_seed, method_key, ds))
         pred = decode_labels(task, policy, xs, exp.master_seed,
@@ -156,13 +157,12 @@ def run_sequence_searn(exp: SequenceExperiment, kind: str,
     return summarize(errors, metric="matched_hamming")
 
 
-def run_sequence(exp: SequenceExperiment, method: str,
-                 datasets=None) -> RunSummary:
+def run_sequence(exp: SequenceExperiment, method: str) -> RunSummary:
     """Dispatch on method name: em | searn-nb | searn-lr."""
     if method == "em":
-        return run_sequence_em(exp, datasets)
+        return run_sequence_em(exp)
     if method in ("searn-nb", "searn-lr"):
-        return run_sequence_searn(exp, method.split("-")[1], datasets)
+        return run_sequence_searn(exp, method.split("-")[1])
     raise ConfigError(f"unknown sequence method {method!r}")
 
 
@@ -277,9 +277,9 @@ def run_parse(exp: ParseExperiment, supervision: str,
     return corpus_arc_accuracy(preds, [s.gold_tree for s in test])
 
 
-def random_parse_baseline(exp: ParseExperiment, corpus=None) -> float:
+def random_parse_baseline(exp: ParseExperiment) -> float:
     """Arc accuracy of the untrained policy (random legal actions)."""
-    _, _, test = corpus or parse_corpus(exp)
+    _, _, test = parse_corpus(exp)
     task = ParseTask(ParseTaskConfig(tagset_size=exp.tagset_size,
                                      supervision="unsup"))
     preds = decode_trees(task, initial_policy(), test,
@@ -342,25 +342,23 @@ def learning_curve(exp: ParseExperiment, labeled_counts,
 
 
 def equivalence_sweep(n_corpora: int = 20, n_documents: int = 10,
-                      vocab_size: int = 5, cluster_counts=(2, 3),
-                      iterations: int = 10, master_seed: int = 0,
-                      tolerance: float = 1e-8) -> list:
+                      vocab_size: int = 5, iterations: int = 10,
+                      master_seed: int = 0) -> list:
     """Exact-mode mixture training vs. EM on random document corpora.
 
     Returns one ``EquivalenceReport`` per corpus; cluster counts cycle
-    through ``cluster_counts``.
+    through ``_EQUIV_CLUSTER_COUNTS``.
     """
     if n_corpora < 1:
         raise ConfigError("n_corpora must be at least 1")
     reports = []
     for c in range(n_corpora):
-        K = cluster_counts[c % len(cluster_counts)]
+        K = _EQUIV_CLUSTER_COUNTS[c % len(_EQUIV_CLUSTER_COUNTS)]
         corpus = gen_document_corpus(DocGenConfig(
             n_documents=n_documents, vocab_size=vocab_size, n_clusters=K,
             seed=derive_seed(master_seed, _EQUIV_DATA_KEY, c)))
         docs = [doc for doc, _ in corpus]
         reports.append(run_equivalence(
-            docs, K, iterations,
-            shared_init=derive_seed(master_seed, _EQUIV_INIT_KEY, c),
-            tolerance=tolerance))
+            docs, K, iterations, derive_seed(master_seed, _EQUIV_INIT_KEY, c),
+            _EQUIV_TOLERANCE))
     return reports

@@ -28,15 +28,10 @@ from .core import (
     Task,
     InitialRule,
     interpolate_policy,
-    register_model_type,
     train_rule,
 )
-from .em import (
-    MultinomialMixtureParams,
-    mm_em_train,
-    mm_log_likelihood,
-    mm_random_init,
-)
+from .corpus_files import read_corpus, write_corpus
+from .em import MultinomialMixtureParams, mm_em_train, mm_random_init
 from .errors import ConfigError, DataError, TrainingError
 from .features import FeatureVector, Interner
 
@@ -102,16 +97,6 @@ class ClusterEmissionModel:
 
     def distribution_for(self, cluster: int) -> np.ndarray:
         return self.theta[cluster]
-
-    def to_dict(self) -> dict:
-        return {"type": "cluster_emission", "theta": self.theta.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClusterEmissionModel":
-        return cls(theta=np.asarray(d["theta"], dtype=float))
-
-
-register_model_type("cluster_emission", ClusterEmissionModel)
 
 
 def cluster_loss(true_doc: DocumentCounts, probs) -> float:
@@ -322,12 +307,10 @@ class ClusterTask(Task):
 class EquivalenceReport:
     """Per-iteration parameter gaps between the two trainers."""
 
-    iterations: int
-    rho_diffs: list = field(default_factory=list)
-    theta_diffs: list = field(default_factory=list)
-    emission_table_diffs: list = field(default_factory=list)
-    log_likelihoods: list = field(default_factory=list)
-    tolerance: float = 1e-8
+    tolerance: float
+    rho_diffs: list = field(default_factory=list, init=False)
+    theta_diffs: list = field(default_factory=list, init=False)
+    emission_table_diffs: list = field(default_factory=list, init=False)
 
     @property
     def max_diff(self) -> float:
@@ -339,37 +322,23 @@ class EquivalenceReport:
         return self.max_diff < self.tolerance
 
 
-def run_equivalence(dataset, K: int, iterations: int, shared_init,
-                    em_init: MultinomialMixtureParams | None = None,
-                    tolerance: float = 1e-8) -> EquivalenceReport:
+def run_equivalence(dataset, K: int, iterations: int, seed: int,
+                    tolerance: float) -> EquivalenceReport:
     """Walk EM and the exact-mode learning loop from one initialization.
 
-    ``shared_init`` is either a seed (int) or explicit mixture parameters;
-    both trainers start from the identical (rho, theta).  Passing a
-    different ``em_init`` is rejected: the comparison is only meaningful
-    from a shared starting point.  The report lists, per iteration, the
-    max absolute gap between the NB classifier's tables and EM's (rho,
-    theta), and between the learned emission table and EM's theta.
+    Both trainers start from the identical (rho, theta), drawn by
+    ``mm_random_init`` from ``seed``.  The report lists, per iteration,
+    the max absolute gap between the NB classifier's tables and EM's
+    (rho, theta), and between the learned emission table and EM's theta.
     """
     docs = np.asarray([DocumentCounts(np.asarray(d, dtype=float)).counts
                        for d in dataset])
     V = docs.shape[1]
-    if isinstance(shared_init, MultinomialMixtureParams):
-        params0 = shared_init
-    else:
-        params0 = mm_random_init(K, V, shared_init)
-    if em_init is not None:
-        same = (np.array_equal(em_init.rho, params0.rho)
-                and np.array_equal(em_init.theta, params0.theta))
-        if not same:
-            raise ConfigError("both trainers must share one initialization")
-    if params0.n_clusters != K or params0.vocab_size != V:
-        raise ConfigError("initialization shape does not match K, V")
-
+    params0 = mm_random_init(K, V, seed)
     task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
     learner = LearnerConfig(kind="nb", smoothing=0.0)
 
-    report = EquivalenceReport(iterations=iterations, tolerance=tolerance)
+    report = EquivalenceReport(tolerance)
     _, em_trajectory = mm_em_train(docs, params0, iterations)
     pol = task.policy_from_params(params0)
     for em_params in em_trajectory:
@@ -385,7 +354,6 @@ def run_equivalence(dataset, K: int, iterations: int, shared_init,
         emission = rule.models[DOC].theta
         report.emission_table_diffs.append(
             float(np.max(np.abs(emission - em_params.theta))))
-        report.log_likelihoods.append(mm_log_likelihood(em_params, docs))
     return report
 
 
@@ -395,50 +363,27 @@ def run_equivalence(dataset, K: int, iterations: int, shared_init,
 
 def write_documents(path, docs, vocab_size: int, header_comment: str = ""):
     """One document per line as `word:count` pairs; `V=<int>` header."""
-    with open(path, "w") as f:
-        if header_comment:
-            for line in header_comment.splitlines():
-                f.write(f"# {line}\n")
-        f.write(f"V={vocab_size}\n")
-        for doc in docs:
-            counts = np.asarray(doc, dtype=float)
-            pairs = [f"{v}:{int(c)}" for v, c in enumerate(counts) if c > 0]
-            f.write(" ".join(pairs) + "\n")
+    rows = (enumerate(np.asarray(doc, dtype=float)) for doc in docs)
+    lines = (" ".join(f"{v}:{int(c)}" for v, c in r if c > 0) for r in rows)
+    write_corpus(path, lines, vocab_size, header_comment)
+
+
+def _parse_document(line: str, where: str, vocab_size: int) -> np.ndarray:
+    counts = np.zeros(vocab_size)
+    for token in line.split():
+        try:
+            word, count = token.split(":")
+            word, count = int(word), int(count)
+            if not 0 <= word < vocab_size:
+                raise DataError(f"{where}: word id {word} "
+                                f"outside V={vocab_size}")
+            counts[word] += count
+        except (ValueError, OverflowError):
+            raise DataError(f"{where}: malformed pair {token!r}")
+    return counts
 
 
 def read_documents(path):
     """Returns (count matrix, vocab_size)."""
-    rows = []
-    vocab_size = None
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("V="):
-                try:
-                    header = int(line[2:])
-                except ValueError:
-                    header = 0
-                if header < 1 or vocab_size not in (None, header):
-                    raise DataError(f"{path}:{lineno}: malformed V= header")
-                vocab_size = header
-                continue
-            if vocab_size is None:
-                raise DataError(f"{path}:{lineno}: document before V= header")
-            counts = np.zeros(vocab_size)
-            for token in line.split():
-                try:
-                    word, count = token.split(":")
-                    word, count = int(word), int(count)
-                    if not 0 <= word < vocab_size:
-                        raise DataError(f"{path}:{lineno}: word id {word} "
-                                        f"outside V={vocab_size}")
-                    counts[word] += count
-                except (ValueError, OverflowError):
-                    raise DataError(f"{path}:{lineno}: malformed pair "
-                                    f"{token!r}")
-            rows.append(counts)
-    if vocab_size is None:
-        raise DataError(f"{path}: missing V= header")
+    rows, vocab_size = read_corpus(path, "document", _parse_document)
     return np.asarray(rows), vocab_size

@@ -24,6 +24,9 @@ ACTION_NAMES = ("left-arc", "right-arc", "reduce", "shift")
 PARSE = "parse"
 TAG = "tag"
 
+# the longest sentence a task accepts and the treebank generator writes
+MAX_LENGTH = 10
+
 _WINDOW = ((-2, "-2"), (-1, "-1"), (0, "0"), (1, "+1"), (2, "+2"))
 
 
@@ -217,14 +220,11 @@ def supervised_oracle(state: ParserState, gold: DependencyTree,
 @dataclass(frozen=True)
 class ParseTaskConfig:
     tagset_size: int
-    max_length: int = 10
     supervision: str = "unsup"
 
     def __post_init__(self):
         if self.tagset_size < 2:
             raise ConfigError("tagset_size must be at least 2")
-        if self.max_length < 1:
-            raise ConfigError("max_length must be at least 1")
         if self.supervision not in ("unsup", "sup", "semi"):
             raise ConfigError("supervision must be unsup, sup or semi")
 
@@ -271,9 +271,8 @@ class ParseTask(Task):
     def initial_state(self, example: TaggedSentence) -> ParseState:
         if not isinstance(example, TaggedSentence):
             example = TaggedSentence(tuple(example))
-        if example.n_tokens > self.config.max_length:
-            raise DataError(f"sentence exceeds max_length "
-                            f"{self.config.max_length}")
+        if example.n_tokens > MAX_LENGTH:
+            raise DataError(f"sentence exceeds {MAX_LENGTH} tokens")
         if any(t >= self.config.tagset_size for t in example.tags):
             raise DataError("tag id outside the configured tagset")
         if self.config.supervision == "sup" and example.gold_tree is None:
@@ -503,15 +502,13 @@ def load_conll(path):
     return sentences, rejected
 
 
-def write_conll(path, sentences, trees=None, header_comment=None):
-    """Write sentences; predicted trees override gold heads when given."""
-    if trees is not None and len(trees) != len(sentences):
-        raise ConfigError("one tree per sentence required")
+def write_conll(path, sentences, header_comment=None):
+    """Write sentences with their gold heads ("_" where there is none)."""
     with open(path, "w", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        for n, sent in enumerate(sentences):
-            tree = trees[n] if trees is not None else sent.gold_tree
+        for sent in sentences:
+            tree = sent.gold_tree
             for d in range(1, sent.n_tokens + 1):
                 head = "_" if tree is None else str(tree.head_of(d))
                 fh.write(f"{d}\t{sent.tags[d - 1]}\t{head}\n")

@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GroupSpec, Task
+from .corpus_files import read_corpus, write_corpus
 from .errors import ConfigError, DataError, TaskContractError
 from .features import FeatureVector, Interner
 
@@ -27,15 +28,12 @@ class SequenceTaskConfig:
 
     feature_mode "nb_hmm" restricts latent features to the previous
     predicted label (chain analogy); "lr_window" adds the surrounding
-    input symbols.  wide_emission also conditions emissions on the
-    neighboring latent labels (legal because every latent decision
-    precedes every emission in the 2T ordering).
+    input symbols.
     """
 
     K: int
     V: int
     feature_mode: str = "nb_hmm"
-    wide_emission: bool = False
 
     def __post_init__(self):
         if self.K < 2 or self.V < 2:
@@ -97,8 +95,7 @@ class SequenceTask(Task):
 
     def features(self, state):
         """Latent decisions read the previous label (and, in lr_window
-        mode, the input window); emissions read their own latent label
-        (and, with wide_emission, its neighbours).
+        mode, the input window); emissions read their own latent label.
 
         Memoized per task: the key holds every value ``features`` reads,
         so a hit returns the vector a rebuild would give.  Only a
@@ -114,11 +111,7 @@ class SequenceTask(Task):
                 key += (x[t - 2] if t > 1 else "S", x[t - 1],
                         x[t] if t < T else "E")
         else:
-            p = t - T
-            key = (EMIT, actions[p - 1])
-            if self.config.wide_emission:
-                key += (actions[p - 2] if p > 1 else "S",
-                        actions[p] if p < T else "E")
+            key = (EMIT, actions[t - T - 1])
         fv = self._features.get(key)
         if fv is None:
             fv = FeatureVector.from_names(self.interner, _feature_names(key))
@@ -168,10 +161,7 @@ def _feature_names(key: tuple) -> list:
         if len(key) > 2:
             names += [f"x[-1]={key[2]}", f"x[0]={key[3]}", f"x[+1]={key[4]}"]
         return names
-    names = [f"emit_label={key[1]}"]
-    if len(key) > 2:
-        names += [f"emit_prev={key[2]}", f"emit_next={key[3]}"]
-    return names
+    return [f"emit_label={key[1]}"]
 
 
 def latent_labels(state: SeqState) -> np.ndarray:
@@ -181,42 +171,20 @@ def latent_labels(state: SeqState) -> np.ndarray:
 
 def write_sequences(path, data, vocab_size: int, header_comment: str = ""):
     """One sequence per line, space-separated symbol ids; `V=<int>` header."""
-    with open(path, "w") as f:
-        if header_comment:
-            for line in header_comment.splitlines():
-                f.write(f"# {line}\n")
-        f.write(f"V={vocab_size}\n")
-        for x in data:
-            f.write(" ".join(str(int(v)) for v in x) + "\n")
+    write_corpus(path, (" ".join(str(int(v)) for v in x) for x in data),
+                 vocab_size, header_comment)
+
+
+def _parse_sequence(line: str, where: str, vocab_size: int) -> tuple:
+    try:
+        return tuple(int(tok) for tok in line.split())
+    except ValueError:
+        raise DataError(f"{where}: malformed sequence line")
 
 
 def read_sequences(path):
     """Returns (sequences, vocab_size)."""
-    sequences = []
-    vocab_size = None
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("V="):
-                try:
-                    header = int(line[2:])
-                except ValueError:
-                    header = 0
-                if header < 1 or vocab_size not in (None, header):
-                    raise DataError(f"{path}:{lineno}: malformed V= header")
-                vocab_size = header
-                continue
-            if vocab_size is None:
-                raise DataError(f"{path}:{lineno}: sequence before V= header")
-            try:
-                seq = tuple(int(tok) for tok in line.split())
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed sequence line")
-            sequences.append(seq)
-    if vocab_size is None:
-        raise DataError(f"{path}: missing V= header")
+    sequences, vocab_size = read_corpus(path, "sequence", _parse_sequence)
     for seq in sequences:
         if any(not 0 <= v < vocab_size for v in seq):
             raise DataError(f"{path}: symbol outside V={vocab_size}")

@@ -331,6 +331,33 @@ class TestExitCodes:
                        "--exact", "--data", str(tmp_path / "x.txt"),
                        "--out", str(tmp_path / "o")) == 2
 
+    def test_training_failure_is_one_line(self, tmp_path, capsys):
+        # the first exact iteration gives cluster 1 no weight, so the NB
+        # fit fails; EM on the same file fails in its M-step
+        data = tmp_path / "docs.txt"
+        data.write_text("V=2\n0:100000 1:3\n0:100000 1:2\n0:90000 1:1\n")
+        for method, extra, error in (
+                ("searn-nb", ["--exact"], "training error: class 1 "
+                 "received zero weight"),
+                ("em", [], "data error: a cluster received zero "
+                 "responsibility")):
+            capsys.readouterr()
+            assert run_cli("train", "--task", "cluster", "--method", method,
+                           "--k", "2", "--iterations", "5", "--seed", "0",
+                           "--data", str(data),
+                           "--out", str(tmp_path / method), *extra) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(error) and err.count("\n") == 1
+
+    def test_overlong_sentence_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "long.conll"
+        data.write_text("".join(f"{i}\t1\t_\n" for i in range(1, 12)))
+        assert run_cli("train", "--task", "depparse", "--method", "searn-lr",
+                       "--iterations", "1", "--data", str(data),
+                       "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err == "data error: sentence exceeds 10 tokens\n"
+
     def test_bad_config_file(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense=1\n")

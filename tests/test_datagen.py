@@ -14,7 +14,8 @@ from searn.datagen import (
 )
 from searn.em import HmmParams, hmm_decode
 from searn.errors import ConfigError
-from searn.task_depparse import load_conll, write_conll
+from searn.task_depparse import (MAX_LENGTH, ParseTask, ParseTaskConfig,
+                                  load_conll, write_conll)
 
 
 class TestHmmParams:
@@ -131,10 +132,14 @@ class TestTreebank:
         cfg = TreebankGenConfig(n_sentences=300, seed=11)
         bank = gen_treebank(cfg)
         assert len(bank) == 300
+        # the generator fills the parse task's length cap, never passes it
+        assert max(s.n_tokens for s in bank) == MAX_LENGTH
+        task = ParseTask(ParseTaskConfig(tagset_size=12))
         for sent in bank:
-            assert 1 <= sent.n_tokens <= 10
+            assert 1 <= sent.n_tokens
             assert sent.gold_tree is not None
             assert all(t < 12 for t in sent.tags)
+            task.initial_state(sent)
 
     def test_average_length_near_seven(self):
         bank = gen_treebank(TreebankGenConfig(n_sentences=2000, seed=12))
@@ -166,8 +171,6 @@ class TestTreebank:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TreebankGenConfig(n_sentences=0, seed=0)
-        with pytest.raises(ConfigError):
-            TreebankGenConfig(n_sentences=1, seed=0, max_length=1)
         with pytest.raises(ConfigError):
             TreebankGenConfig(n_sentences=1, seed=0, tagset_size=1)
 

@@ -65,16 +65,14 @@ class TestSequenceArms:
             run_sequence_searn(TINY_SEQ, "svm")
 
     def test_dispatcher_matches_arm(self):
-        ds = sequence_datasets(TINY_SEQ)
-        assert run_sequence(TINY_SEQ, "em", ds).mean == \
-            run_sequence_em(TINY_SEQ, ds).mean
+        assert run_sequence(TINY_SEQ, "em").mean == \
+            run_sequence_em(TINY_SEQ).mean
         with pytest.raises(ConfigError):
             run_sequence(TINY_SEQ, "viterbi")
 
     def test_reruns_identical(self):
-        ds = sequence_datasets(TINY_SEQ)
-        assert run_sequence_searn(TINY_SEQ, "nb", ds).values == \
-            run_sequence_searn(TINY_SEQ, "nb", ds).values
+        assert run_sequence_searn(TINY_SEQ, "nb").values == \
+            run_sequence_searn(TINY_SEQ, "nb").values
 
 
 class TestParseProtocol:
@@ -130,7 +128,6 @@ class TestEquivalenceSweep:
         assert max(r.max_diff for r in reports) < 1e-8
 
     def test_corpora_distinct(self):
-        reports = equivalence_sweep(n_corpora=4, iterations=3,
-                                    cluster_counts=(2, 3))
-        trajectories = [tuple(r.log_likelihoods) for r in reports]
+        reports = equivalence_sweep(n_corpora=4, iterations=3)
+        trajectories = [tuple(r.theta_diffs) for r in reports]
         assert len(set(trajectories)) == len(trajectories)

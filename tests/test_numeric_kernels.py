@@ -21,6 +21,7 @@ from scipy.sparse import _sparsetools
 import searn
 from searn.classifiers import (LabeledExample, LROptimizerConfig,
                                _sparse_design, lr_train)
+from searn.errors import OptimizerError
 from searn.em import HmmParams, hmm_log_backward, hmm_log_forward, logsumexp
 from searn.features import FeatureVector
 
@@ -216,6 +217,16 @@ def test_lr_train_matches_oracle_bytes(seed, problem, variance, max_epochs,
     assert want_nonfinite == nonfinite
     assert model.trained_epochs == want_epochs
     assert model.weights.tobytes() == want_W.tobytes()
+
+
+def test_lr_train_raises_when_the_gradient_norm_overflows():
+    """Values scaled by 1e155 overflow the squared gradient norm, so no
+    step can pass the Armijo test: the fit must fail, not return its zero
+    starting weights."""
+    examples, K, F = _lr_problem(9, value_scale=1e155)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OptimizerError, match="gradient norm non-finite"):
+        lr_train(examples, K, F, 1.0)
 
 
 @pytest.mark.parametrize("K", [2, 12])

@@ -163,13 +163,8 @@ class OracleSequenceTask(SequenceTask):
                 names += [f"x[-1]={left}", f"x[0]={x[t - 1]}",
                           f"x[+1]={right}"]
             return FeatureVector.from_names(self.interner, names)
-        p = t - T
-        names = [f"emit_label={actions[p - 1]}"]
-        if self.config.wide_emission:
-            left = actions[p - 2] if p > 1 else "S"
-            right = actions[p] if p < T else "E"
-            names += [f"emit_prev={left}", f"emit_next={right}"]
-        return FeatureVector.from_names(self.interner, names)
+        return FeatureVector.from_names(self.interner,
+                                        [f"emit_label={actions[t - T - 1]}"])
 
 
 def _head_in(arcs, dependent):
@@ -283,7 +278,7 @@ def assert_same_examples(new, old):
         assert a.features.values == b.features.values
         assert a.actions == b.actions
         assert a.costs.tobytes() == b.costs.tobytes()
-        assert (a.group, a.weight) == (b.group, b.weight)
+        assert a.group == b.group
     assert new.estimation_records.keys() == old.estimation_records.keys()
     for name, recs in new.estimation_records.items():
         olds = old.estimation_records[name]
@@ -355,15 +350,14 @@ def random_sentences(tagset, n, seed, labeled):
 # Cases
 
 
-@pytest.mark.parametrize("mode,wide,kind,n_samples", [
-    ("nb_hmm", False, "nb", 2),
-    ("lr_window", False, "lr", 1),
-    ("nb_hmm", True, "nb", 1),
-    ("lr_window", True, "lr", 2),
+@pytest.mark.parametrize("mode,kind,n_samples", [
+    ("nb_hmm", "nb", 2),
+    ("lr_window", "lr", 1),
+    ("nb_hmm", "nb", 1),
+    ("lr_window", "lr", 2),
 ])
-def test_sequence_matches_reference(mode, wide, kind, n_samples):
-    config = SequenceTaskConfig(K=3, V=4, feature_mode=mode,
-                                wide_emission=wide)
+def test_sequence_matches_reference(mode, kind, n_samples):
+    config = SequenceTaskConfig(K=3, V=4, feature_mode=mode)
     learner = LearnerConfig(kind=kind, smoothing=0.5)
     learn_side_by_side(SequenceTask(config), OracleSequenceTask(config),
                        random_sequences(4, 6, seed=11), learner, beta=0.5,

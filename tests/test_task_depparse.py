@@ -16,6 +16,7 @@ from searn.errors import ConfigError, DataError, StateError
 from searn.task_depparse import (
     ACTION_NAMES,
     LEFT_ARC,
+    MAX_LENGTH,
     REDUCE,
     RIGHT_ARC,
     SHIFT,
@@ -39,9 +40,8 @@ N_RANDOM_ROLLOUTS = 10_000
 N_ORACLE_TREES = 2_000
 
 
-def make_task(supervision="unsup", tagset=12, max_length=10):
+def make_task(supervision="unsup", tagset=12):
     return ParseTask(ParseTaskConfig(tagset_size=tagset,
-                                     max_length=max_length,
                                      supervision=supervision))
 
 
@@ -310,6 +310,13 @@ class TestDecompose:
         with pytest.raises(DataError):
             task.initial_state(TaggedSentence((1, 2)))
 
+    def test_length_cap(self):
+        task = make_task()
+        assert MAX_LENGTH == 10
+        task.initial_state(TaggedSentence((1,) * MAX_LENGTH))
+        with pytest.raises(DataError, match="exceeds 10 tokens"):
+            task.initial_state(TaggedSentence((1,) * (MAX_LENGTH + 1)))
+
 
 def drive(task, sent, actions):
     state = task.initial_state(sent)
@@ -469,14 +476,6 @@ class TestConllFiles:
         assert loaded[0].tags == (3, 1, 4, 1)
         assert loaded[1].gold_tree is None
 
-    def test_predicted_trees_override_gold(self, tmp_path):
-        path = tmp_path / "pred.conll"
-        gold = DependencyTree((0, 1))
-        pred = DependencyTree((2, 0))
-        write_conll(path, [TaggedSentence((1, 1), gold)], trees=[pred])
-        loaded, _ = load_conll(path)
-        assert loaded[0].gold_tree.heads == (2, 0)
-
     def test_non_projective_rejected_with_count(self, tmp_path):
         path = tmp_path / "mixed.conll"
         path.write_text("1\t3\t0\n2\t1\t4\n3\t4\t1\n4\t1\t1\n"
@@ -505,11 +504,6 @@ class TestConllFiles:
         with pytest.raises(DataError, match="mixes"):
             load_conll(path)
 
-    def test_tree_count_mismatch(self, tmp_path):
-        with pytest.raises(ConfigError):
-            write_conll(tmp_path / "x.conll",
-                        [TaggedSentence((1,))], trees=[])
-
 
 class TestConfig:
     def test_action_names_cover_action_ids(self):
@@ -520,8 +514,6 @@ class TestConfig:
             ParseTaskConfig(tagset_size=1)
         with pytest.raises(ConfigError):
             ParseTaskConfig(tagset_size=5, supervision="full")
-        with pytest.raises(ConfigError):
-            ParseTaskConfig(tagset_size=5, max_length=0)
 
     def test_sup_task_has_no_tag_group(self):
         assert set(make_task(supervision="sup").groups()) == {"parse"}

@@ -28,9 +28,8 @@ from searn.task_sequence import (
 )
 
 
-def make_task(K=2, V=4, mode="nb_hmm", wide=False):
-    return SequenceTask(SequenceTaskConfig(K=K, V=V, feature_mode=mode,
-                                           wide_emission=wide))
+def make_task(K=2, V=4, mode="nb_hmm"):
+    return SequenceTask(SequenceTaskConfig(K=K, V=V, feature_mode=mode))
 
 
 def walk(task, x, actions):
@@ -139,15 +138,6 @@ class TestFeatures:
         assert d_end["x[+1]=E"] == 1.0
         assert d_end["x[0]=2"] == 1.0
 
-    def test_wide_emission_features(self):
-        task = make_task(K=3, wide=True)
-        x = (1, 2, 0)
-        # latent prefix (2, 0, 1) plus the first emission; t=5 is the
-        # emission of position 2, whose latent label was 0
-        fv = task.features(walk(task, x, (2, 0, 1, 1)))
-        d = fv.as_dict(task.interner)
-        assert d == {"emit_label=0": 1.0, "emit_prev=2": 1.0, "emit_next=1": 1.0}
-
 
 class TestLoss:
     @staticmethod
@@ -244,29 +234,6 @@ class TestEmitShortcut:
         task = make_task(K=3, V=4)
         state = task.initial_state((0, 1, 2))
         assert task.shortcut_costs(state) is None
-
-    def test_wide_emission_shortcut_still_exact(self):
-        # neighboring latent labels enter wide emission features, emitted
-        # symbols still never do, so the identity must survive
-        task = make_task(K=2, V=4, mode="lr_window", wide=True)
-        rng = np.random.default_rng(17)
-        data = [tuple(int(v) for v in rng.integers(0, 4, size=5))
-                for _ in range(4)]
-        cfg = RolloutConfig(seed=29, n_samples=2)
-        pol = searn_learn(task, data,
-                          LearnerConfig(kind="lr", l2_variance=1.0),
-                          beta=0.5, cfg=cfg, iterations=2)
-        x = data[1]
-        T = len(x)
-        walk = np.random.default_rng(19)
-        state = task.initial_state(x)
-        for t in range(1, 2 * T + 1):
-            if t > T:
-                rolled = costs_after(task, x, state.actions, pol, cfg)
-                np.testing.assert_array_equal(rolled,
-                                              task.shortcut_costs(state))
-            state = task.apply(state, policy_act(
-                pol, state, task.legal_actions(state), walk))
 
 
 class TestRelabelingInvariance:

@@ -1,9 +1,18 @@
-"""Every module-level function and class in ``src/searn`` has a use there.
+"""Every definition and every setting in ``src/searn`` has a use there.
 
-A definition that only tests reach is code kept for a test: it goes, or it
-is listed in KEPT with the reason it stays.  A use is a name lookup
-(``ast.Name``) anywhere in the package outside the definition itself; an
-import alone is not one.
+A module-level function or class that only tests reach is code kept for a
+test: it goes, or it is listed in KEPT with the reason it stays.  A use is
+a name lookup (``ast.Name``) anywhere in the package outside the
+definition itself; an import alone is not one.
+
+A setting is a parameter with a default, or a field with a default of a
+dataclass or NamedTuple (fields declared ``init=False`` hold state and
+are not settings).  Each must be set by some call in the package, or be
+listed in KEPT as ``Owner.name``.  Calls are matched by name: a call of
+``f`` or ``x.f`` may set a parameter of any function or method named
+``f``, and a call of a class sets its ``__init__`` parameters or its
+fields.  It sets a value by keyword, by position, through ``*`` or
+``**``, or (for a field) as a keyword of ``dataclasses.replace``.
 """
 
 import ast
@@ -12,16 +21,33 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "searn"
 
-# name -> why it stays although nothing in the package uses it
+_PROTOCOL = "experiment-protocol field; tests/test_golden.py pins it"
+
+# name -> why it stays although nothing in the package uses (or sets) it
 KEPT = {
     "run_sequence": "imported by tests/test_golden.py",
     "random_parse_baseline": "imported by tests/test_golden.py",
+    **{f"LROptimizerConfig.{name}": "tests cap epochs; perfbench/tracing.py "
+       "reads max_epochs"
+       for name in ("max_epochs", "grad_tol", "initial_step", "armijo",
+                    "backtrack", "min_step")},
+    "lr_train.config": "tests cap epochs; perfbench/tracing.py reads it",
+    **{f"SequenceExperiment.{name}": _PROTOCOL
+       for name in ("order", "n_datasets", "n_sequences", "mean_length",
+                    "em_iterations", "posterior_decode")},
+    "ParseExperiment.train_limit": _PROTOCOL,
+    "main.argv": "tests and perfbench/harness.py pass the argument list",
+    "as_dict.interner": "tests read feature vectors by name through it",
 }
 
 
+def _trees() -> list:
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))]
+
+
 def unreferenced() -> set:
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))]
+    trees = _trees()
     uses = defaultdict(list)
     for tree in trees:
         for node in ast.walk(tree):
@@ -37,10 +63,111 @@ def unreferenced() -> set:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Settings
+
+
+def _callee(call: ast.Call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple: its annotated fields are settings."""
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+               for b in cls.bases)
+
+
+def _init_false(value) -> bool:
+    return (isinstance(value, ast.Call) and _callee(value) == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in value.keywords))
+
+
+def _params(fn: ast.FunctionDef, bound: bool):
+    """(name, position or None) of each defaulted parameter; positions
+    count from the first argument a caller passes."""
+    positional = fn.args.posonlyargs + fn.args.args
+    skip = 1 if bound else 0
+    first = len(positional) - len(fn.args.defaults)
+    for pos, arg in enumerate(positional):
+        if pos >= first:
+            yield arg.arg, pos - skip
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def settings() -> dict:
+    """``Owner.name`` -> (callee name, position or None, name, is_field)."""
+    out = {}
+    for tree in _trees():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                for name, pos in _params(node, bound=False):
+                    out[f"{node.name}.{name}"] = (node.name, pos, name, False)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _is_record(node):
+                fields = [s for s in node.body
+                          if isinstance(s, ast.AnnAssign)
+                          and isinstance(s.target, ast.Name)
+                          and not _init_false(s.value)]
+                for pos, s in enumerate(fields):
+                    if s.value is not None:
+                        name = s.target.id
+                        out[f"{node.name}.{name}"] = (node.name, pos, name,
+                                                      True)
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name)
+                             and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                callee = node.name if fn.name == "__init__" else fn.name
+                for name, pos in _params(fn, bound=not static):
+                    out[f"{callee}.{name}"] = (callee, pos, name, False)
+    return out
+
+
+def unset_settings() -> set:
+    calls = [node for tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    replaced = {k.arg for c in calls if _callee(c) == "replace"
+                for k in c.keywords}
+    unset = set()
+    for qualname, (callee, pos, name, is_field) in settings().items():
+        if is_field and name in replaced:
+            continue
+        for call in (c for c in calls if _callee(c) == callee):
+            starred = [i for i, a in enumerate(call.args)
+                       if isinstance(a, ast.Starred)]
+            reach = starred[0] if starred else len(call.args)
+            if (any(k.arg in (name, None) for k in call.keywords)
+                    or (pos is not None and (pos < reach or starred))):
+                break
+        else:
+            unset.add(qualname)
+    return unset
+
+
 def test_every_definition_is_used_in_the_package():
     assert sorted(unreferenced() - KEPT.keys()) == []
 
 
+def test_every_setting_is_set_in_the_package():
+    assert sorted(unset_settings() - KEPT.keys()) == []
+
+
 def test_every_kept_name_is_still_unused():
     # an entry whose name gained a use in the package, or is gone, is stale
-    assert sorted(KEPT.keys() - unreferenced()) == []
+    kept_settings = {k for k in KEPT if "." in k}
+    assert sorted(KEPT.keys() - kept_settings - unreferenced()) == []
+    assert sorted(kept_settings - unset_settings()) == []
