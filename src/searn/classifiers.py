@@ -28,34 +28,55 @@ class LabeledExample(NamedTuple):
     weight: float
 
 
-def costs_to_weighted_labels(example, mode: str) -> "list[LabeledExample]":
-    """Convert a cost-sensitive example into weighted labeled examples.
+def costs_to_weighted_labels(examples, mode: str) -> "list[LabeledExample]":
+    """Convert cost-sensitive examples into weighted labeled examples, in
+    example order.
 
     ``argmin_spread`` emits the single cheapest action, weighted by the
     largest regret in the vector (ties broken toward the lowest action id).
     ``softmin`` emits every action with weight proportional to exp(-cost),
     normalized to sum to one.  Costs are assumed to be regrets already
     (minimum subtracted); softmin is invariant to that shift anyway.
+
+    Cost vectors of one length are converted together as the rows of one
+    matrix; a row reduction groups its additions as the reduction of a
+    single vector does, so each weight has the bits of a one-vector
+    conversion.
     """
-    costs = np.asarray(example.costs, dtype=float)
-    actions = list(example.actions)
-    if costs.size != len(actions):
+    if mode not in ("argmin_spread", "softmin"):
+        raise ConfigError(f"unknown cost-to-weight mode: {mode!r}")
+    costs = [np.asarray(ex.costs, dtype=float) for ex in examples]
+    if any(c.size != len(ex.actions) for ex, c in zip(examples, costs)):
         raise ConfigError("cost vector length does not match action list")
-    if np.all(costs == costs[0]):
-        raise TrainingError(
-            "constant cost vector reached the reduction; it should have been "
-            "filtered during example generation"
-        )
-    if mode == "argmin_spread":
-        best = int(np.argmin(costs))
-        spread = float(np.max(costs) - np.min(costs))
-        return [LabeledExample(example.features, actions[best], spread)]
-    if mode == "softmin":
-        w = np.exp(-(costs - costs.min()))
-        w /= w.sum()
-        return [LabeledExample(example.features, a, float(wk))
-                for a, wk in zip(actions, w)]
-    raise ConfigError(f"unknown cost-to-weight mode: {mode!r}")
+    by_length: dict = {}
+    for i, c in enumerate(costs):
+        by_length.setdefault(c.size, []).append(i)
+    rows = [None] * len(costs)
+    for idx in by_length.values():
+        C = np.array([costs[i] for i in idx])
+        if np.any(np.all(C == C[:, :1], axis=1)):
+            raise TrainingError(
+                "constant cost vector reached the reduction; it should have "
+                "been filtered during example generation"
+            )
+        if mode == "argmin_spread":
+            out = zip(np.argmin(C, axis=1).tolist(),
+                      (np.max(C, axis=1) - np.min(C, axis=1)).tolist())
+        else:
+            W = np.exp(-(C - C.min(axis=1, keepdims=True)))
+            W /= W.sum(axis=1, keepdims=True)
+            out = W.tolist()
+        for i, row in zip(idx, out):
+            rows[i] = row
+    labeled = []
+    for ex, row in zip(examples, rows):
+        if mode == "argmin_spread":
+            labeled.append(LabeledExample(ex.features, ex.actions[row[0]],
+                                          row[1]))
+        else:
+            labeled.extend(LabeledExample(ex.features, a, w)
+                           for a, w in zip(ex.actions, row))
+    return labeled
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +111,11 @@ class NBModel:
             self._cache[fv] = cached
         return cached
 
+    def predict_costs_rows(self, fvs) -> np.ndarray:
+        """:meth:`predict_costs` of each vector, one per row, uncached."""
+        return _linear_costs_rows(self.class_log_prior,
+                                  self.feature_log_prob, fvs)
+
     def to_dict(self) -> dict:
         return {
             "type": "nb",
@@ -113,22 +139,23 @@ def nb_train(examples, n_classes: int, n_features: int, smoothing: float) -> NBM
     Class priors are proportional to total weight per class; per-class
     feature probabilities are proportional to weighted feature counts plus
     ``smoothing``.  With zero smoothing a class that received no weight is
-    an error, since its distributions would be undefined.
+    an error, since its distributions would be undefined.  Ids and labels
+    are checked as in :func:`lr_train`.  Counts accumulate with unbuffered
+    adds in example order, so every sum is the one an example loop makes.
     """
     if smoothing < 0:
         raise ConfigError("smoothing must be nonnegative")
+    design = _sparse_design(examples, n_classes, n_features)
+    if np.any(design.weights < 0):
+        raise ConfigError("example weights must be nonnegative")
+    if np.any(design.data < 0):
+        raise ConfigError("naive Bayes requires nonnegative feature values")
     class_weight = np.zeros(n_classes)
+    np.add.at(class_weight, design.labels, design.weights)
+    row_nnz = np.diff(design.indptr)
     counts = np.zeros((n_classes, n_features))
-    for ex in examples:
-        if ex.weight < 0:
-            raise ConfigError("example weights must be nonnegative")
-        if not 0 <= ex.label < n_classes:
-            raise ConfigError(f"label {ex.label} outside [0, {n_classes})")
-        class_weight[ex.label] += ex.weight
-        for fid, v in zip(ex.features.ids, ex.features.values):
-            if v < 0:
-                raise ConfigError("naive Bayes requires nonnegative feature values")
-            counts[ex.label, fid] += ex.weight * v
+    np.add.at(counts, (np.repeat(design.labels, row_nnz), design.indices),
+              np.repeat(design.weights, row_nnz) * design.data)
     if smoothing == 0.0 and np.any(class_weight == 0.0):
         empty = int(np.argmin(class_weight))
         raise TrainingError(
@@ -158,6 +185,28 @@ def _linear_costs(bias: np.ndarray, table: np.ndarray,
         if fid < n_feat:
             scores += v * table[:, fid]
     return scores.max() - scores
+
+
+def _linear_costs_rows(bias: np.ndarray, table: np.ndarray,
+                       fvs) -> np.ndarray:
+    """:func:`_linear_costs` of every vector in ``fvs``, one per row.
+
+    One CSR product adds ``v * table[:, fid]`` into each row, seeded with
+    the bias, in the vector's id order: the additions of the one-vector
+    loop, in its order, so each row has its bits.
+    """
+    n_feat = table.shape[1]
+    ids = np.fromiter((i for fv in fvs for i in fv.ids), dtype=np.int64)
+    data = np.fromiter((v for fv in fvs for v in fv.values), dtype=float)
+    keep = ids < n_feat
+    # row boundaries among all ids, then among the kept ones
+    bounds = np.cumsum([0] + [len(fv) for fv in fvs], dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))[bounds]
+    scores = np.tile(bias, (len(fvs), 1))
+    _sparsetools.csr_matvecs(len(fvs), n_feat, bias.size, indptr, ids[keep],
+                             data[keep], np.ascontiguousarray(table.T).ravel(),
+                             scores.ravel())
+    return scores.max(axis=1, keepdims=True) - scores
 
 
 def nb_predict_costs(model: NBModel, fv: FeatureVector) -> np.ndarray:
@@ -206,6 +255,10 @@ class LRModel:
             self._cache[fv] = cached
         return cached
 
+    def predict_costs_rows(self, fvs) -> np.ndarray:
+        """:meth:`predict_costs` of each vector, one per row, uncached."""
+        return _linear_costs_rows(np.zeros(self.n_classes), self.weights, fvs)
+
     def to_dict(self) -> dict:
         return {
             "type": "lr",
@@ -224,19 +277,22 @@ class LRModel:
 
 
 class _Design(NamedTuple):
-    """The n x F design matrix as CSR arrays, the example weights, and the
-    flat index of each example's gold logit in an n x K array."""
+    """The n x F design matrix as CSR arrays, the example weights and
+    labels, and the flat index of each example's gold logit in an n x K
+    array."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     weights: np.ndarray
+    labels: np.ndarray
     gold: np.ndarray
 
 
 def _sparse_design(examples, n_classes: int, n_features: int) -> _Design:
     """Build the design of one fit.  Ids and labels are checked here: the
-    products below index W and the logits with them unchecked."""
+    products below, and naive Bayes's count table, index with them
+    unchecked."""
     data, indices, indptr = [], [], [0]
     labels, weights = [], []
     for ex in examples:
@@ -255,7 +311,7 @@ def _sparse_design(examples, n_classes: int, n_features: int) -> _Design:
         raise ConfigError(f"label {bad[0]} outside [0, {n_classes})")
     return _Design(np.asarray(indptr, dtype=np.int64), indices,
                    np.asarray(data, dtype=float),
-                   np.asarray(weights, dtype=float),
+                   np.asarray(weights, dtype=float), labels,
                    np.arange(labels.size) * n_classes + labels)
 
 

@@ -54,6 +54,7 @@ import numpy as np
 
 from .core import (LearnerConfig, RolloutConfig, derive_seed, policy_from_dict,
                    policy_to_dict, run_policy, searn_learn)
+from .corpus_files import MAX_VOCAB_SIZE
 from .datagen import (DocGenConfig, HmmGenConfig, TreebankGenConfig,
                       gen_document_corpus, gen_hmm_dataset, gen_hmm_params,
                       gen_treebank)
@@ -231,6 +232,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.exact and (cfg.task, cfg.method) != ("cluster", "searn-nb"):
         raise ConfigError("--exact is the cluster-task equivalence mode "
                           "(searn-nb only)")
+    if cfg.iterations is not None and cfg.iterations < 1:
+        raise ConfigError(f"--iterations {cfg.iterations}: need at least 1")
+    if cfg.v is not None and cfg.v > MAX_VOCAB_SIZE:
+        raise ConfigError(f"--v {cfg.v} exceeds the cap of {MAX_VOCAB_SIZE}")
 
 
 def _resolve_cluster_count(cfg: ExperimentConfig, provided: set) -> None:

@@ -469,9 +469,7 @@ def train_rule(task: Task, generated: GeneratedExamples,
         examples = by_group.get(name)
         if not examples:
             continue
-        labeled = []
-        for ex in examples:
-            labeled.extend(costs_to_weighted_labels(ex, task.weight_mode(name)))
+        labeled = costs_to_weighted_labels(examples, task.weight_mode(name))
         n_features = len(task.interner)
         if learner.kind == "nb":
             models[name] = nb_train(labeled, spec.n_actions, n_features,
@@ -486,14 +484,25 @@ def train_rule(task: Task, generated: GeneratedExamples,
 
 def _classification_loss(rule: LearnedRule, generated: GeneratedExamples) -> float:
     """Mean cost regret of the rule's choices over its own training batch,
-    counting the examples whose group the rule has a model for."""
+    counting the examples whose group the rule has a model for.  Each
+    group's examples are scored in one batch; regrets are summed in
+    example order."""
+    examples = generated.cost_examples
+    by_group: dict = {}
+    for i, ex in enumerate(examples):
+        if rule.models.get(ex.group) is not None:
+            by_group.setdefault(ex.group, []).append(i)
+    predicted = {}
+    for group, idx in by_group.items():
+        rows = rule.models[group].predict_costs_rows(
+            [examples[i].features for i in idx])
+        predicted.update(zip(idx, rows.tolist()))
     regrets = []
-    for ex in generated.cost_examples:
-        model = rule.models.get(ex.group)
-        if model is not None:
-            costs_pred = model.predict_costs(ex.features)
-            predicted = min(ex.actions, key=lambda a: (costs_pred[a], a))
-            regrets.append(float(ex.costs[ex.actions.index(predicted)]
+    for i, ex in enumerate(examples):
+        costs_pred = predicted.get(i)
+        if costs_pred is not None:
+            best = min(ex.actions, key=lambda a: (costs_pred[a], a))
+            regrets.append(float(ex.costs[ex.actions.index(best)]
                                  - ex.costs.min()))
     return sum(regrets) / len(regrets) if regrets else 0.0
 

@@ -1,9 +1,14 @@
 """The text format of document and sequence corpus files: blank and ``#``
-lines are skipped, and a ``V=<int>`` header (the vocabulary size, at least
-1) comes before the first data line; it may repeat only with that value.
+lines are skipped, and a ``V=<int>`` header (the vocabulary size, from 1
+to ``MAX_VOCAB_SIZE``) comes before the first data line; it may repeat
+only with that value.
 """
 
 from .errors import DataError
+
+# Documents are dense count rows of V floats, so the header alone sets
+# the memory a short file asks for: at this cap, 800 kB per document.
+MAX_VOCAB_SIZE = 100_000
 
 
 def write_corpus(path, lines, vocab_size: int, header_comment: str) -> None:
@@ -35,6 +40,9 @@ def read_corpus(path, item: str, parse) -> tuple:
                     header = 0
                 if header < 1 or vocab_size not in (None, header):
                     raise DataError(f"{path}:{lineno}: malformed V= header")
+                if header > MAX_VOCAB_SIZE:
+                    raise DataError(f"{path}:{lineno}: V={header} exceeds "
+                                    f"the cap of {MAX_VOCAB_SIZE}")
                 vocab_size = header
                 continue
             if vocab_size is None:

@@ -9,6 +9,12 @@ In exact mode the expected rollout losses have a closed form, and the
 learning loop configured with a naive Bayes learner, softmin weights,
 zero smoothing, and beta = 1 walks the same parameter trajectory as EM on
 a mixture of multinomials; :func:`run_equivalence` checks this end to end.
+Like EM's E- and M-steps, one exact-mode iteration is a few array
+operations over the whole corpus: :meth:`ClusterTask.exact_examples` turns
+the n x V count matrix into an n x K cost matrix per mixture component
+and a single (responsibilities, counts) record, and the emission table is
+their weighted column sum.  Every number keeps the bits that the same
+computation gives one document at a time.
 """
 
 from __future__ import annotations
@@ -187,14 +193,23 @@ class ClusterTask(Task):
         return "softmin"
 
     def estimation_record(self, state, example):
-        return (state.cluster, state.doc, 1.0)
+        """A one-hot responsibility row and the document's count row."""
+        z = np.zeros((1, self.config.K))
+        z[0, state.cluster] = 1.0
+        return z, state.doc.counts[None, :]
 
     def train_estimator(self, group, records, learner: LearnerConfig):
-        """Weighted maximum-likelihood emission table from (k, doc, w)."""
-        K, V = self.config.K, self.config.V
-        acc = np.zeros((K, V))
-        for cluster, doc, weight in records:
-            acc[cluster] += weight * doc.counts
+        """Weighted maximum-likelihood emission table from (Z, D) records:
+        responsibility rows and count rows, stacked in record order.
+
+        Row k of the table sums Z[:, k] * D over the rows one after another
+        (a reduction along axis 0 adds row by row), as a loop over the
+        records adding into a zeroed table does.
+        """
+        Z = np.concatenate([z for z, _ in records])
+        D = np.concatenate([d for _, d in records])
+        acc = np.array([np.add.reduce(Z[:, k, None] * D, axis=0)
+                        for k in range(self.config.K)])
         acc += learner.smoothing
         row_sums = acc.sum(axis=1, keepdims=True)
         if np.any(row_sums == 0.0):
@@ -205,60 +220,89 @@ class ClusterTask(Task):
     # ----- closed-form expected costs -------------------------------------
 
     def exact_examples(self, dataset, policy: Policy):
-        """Expected-loss cost vectors and posterior-weighted records in
-        exact mode; None otherwise, so costs are rolled out.
+        """Expected-loss cost vectors and the responsibility record of the
+        whole corpus in exact mode; None otherwise, so costs are rolled out.
 
-        For each mixture component, the expected completion loss of
-        choosing cluster k is the negative log joint -log rho_k - sum_v
-        d_v log theta_kv under that component's own tables (the initial
-        rule contributes a k-independent empirical-reconstruction loss
-        with a uniform prior).  Costs average over components by mixture
-        weight; record weights are the mixture-posterior responsibilities.
+        The corpus is checked once into an n x V count matrix D.  For each
+        mixture component, the expected completion loss of choosing cluster
+        k for document i is the negative log joint -log rho_k - sum_v
+        D_iv log theta_kv under that component's own tables: one n x K
+        cost matrix per component.  Costs average over components by
+        mixture weight, and the responsibilities Z (the component
+        posteriors, averaged the same way) go out as one (Z, D) record.
+        Every learned component needs an emission table; the initial rule
+        has no closed form here and is a ConfigError.
         """
         if not self.config.exact_mode:
             return None
-        docs = [self.initial_state(d).doc for d in dataset]
-        K = self.config.K
+        for rule, _ in policy.components:
+            if isinstance(rule, InitialRule):
+                raise ConfigError("exact mode starts from a learned policy "
+                                  "(policy_from_params), not the initial rule")
+            if rule.models.get(DOC) is None:
+                raise TrainingError("exact mode requires an emission table")
+        D = self._count_matrix(dataset)
+        n, K = D.shape[0], self.config.K
+        mix_costs = np.zeros((n, K))
+        z = np.zeros((n, K))
+        for rule, weight in policy.components:
+            comp_costs = self._component_costs(rule, D)
+            mix_costs += weight * comp_costs
+            shifted = comp_costs - comp_costs.min(axis=1, keepdims=True)
+            post = np.exp(-shifted)
+            z += weight * post / post.sum(axis=1, keepdims=True)
+        regrets = mix_costs - mix_costs.min(axis=1, keepdims=True)
         out = []
-        records = []
-        for doc in docs:
-            mix_costs = np.zeros(K)
-            z = np.zeros(K)
-            for rule, weight in policy.components:
-                comp_costs = self._component_costs(rule, doc)
-                mix_costs += weight * comp_costs
-                shifted = comp_costs - comp_costs.min()
-                post = np.exp(-shifted)
-                z += weight * post / post.sum()
-            regrets = mix_costs - mix_costs.min()
-            if K >= 2 and np.any(np.round(regrets, 12) != 0.0):
+        if K >= 2:
+            useful = np.any(np.round(regrets, 12) != 0.0, axis=1)
+            # feature id v is word v (see __init__)
+            kept = D[useful]
+            rows, words = np.nonzero(kept > 0)
+            values = kept[rows, words].tolist()
+            bounds = np.searchsorted(rows, np.arange(len(kept) + 1)).tolist()
+            words = words.tolist()
+            actions = tuple(range(K))
+            for j, i in enumerate(np.flatnonzero(useful).tolist()):
+                lo, hi = bounds[j], bounds[j + 1]
                 out.append(CostSensitiveExample(
-                    features=self.features(ClusterState(self, doc)),
-                    actions=tuple(range(K)),
-                    costs=regrets,
+                    features=FeatureVector(words[lo:hi], values[lo:hi]),
+                    actions=actions,
+                    costs=regrets[i],
                     group=CLUSTER,
                 ))
-            for k in range(K):
-                records.append((k, doc, float(z[k])))
-        return GeneratedExamples(out, {DOC: records})
+        return GeneratedExamples(out, {DOC: [(z, D)]})
 
-    def _component_costs(self, rule, doc: DocumentCounts) -> np.ndarray:
+    def _count_matrix(self, dataset) -> np.ndarray:
+        """The documents as rows of an n x V matrix.  A corpus that fails
+        the checks here is checked again one document at a time, so that
+        the first bad document raises its own ``initial_state`` error."""
+        if len(dataset) == 0:
+            raise DataError("dataset is empty")
+        V = self.config.V
+        rows = [d.counts if isinstance(d, DocumentCounts)
+                else np.asarray(d, dtype=float) for d in dataset]
+        if all(r.ndim == 1 and r.shape[0] == V for r in rows):
+            D = np.array(rows)
+            if not (np.any(D < 0) or np.any(D.sum(axis=1) < 1)):
+                return D
+        for d in dataset:
+            self.initial_state(d)
+        raise DataError("counts must be a nonnegative vector")
+
+    def _component_costs(self, rule, D) -> np.ndarray:
+        """The n x K cost matrix of one learned component."""
         K = self.config.K
-        if isinstance(rule, InitialRule):
-            base = cluster_loss(doc, doc.empirical()) + np.log(K)
-            return np.full(K, base)
         cluster_model = rule.models.get(CLUSTER)
-        doc_model = rule.models.get(DOC)
-        if doc_model is None:
-            raise TrainingError("exact mode requires an emission table")
         # 0 * log 0 = 0: zero-probability words only matter when present
-        theta = doc_model.theta
+        theta = rule.models[DOC].theta
         log_theta = np.zeros_like(theta)
         np.log(theta, out=log_theta, where=theta > 0.0)
-        doc_term = -(log_theta @ doc.counts)
-        blocked = (theta <= 0.0).astype(float) @ (doc.counts > 0.0).astype(float)
+        # a stack of matrix-vector products: each row has the bits of
+        # log_theta @ D[i] (a matrix-matrix product would not)
+        doc_term = -np.matmul(log_theta, D[:, :, None])[..., 0]
+        blocked = (D > 0.0).astype(float) @ (theta <= 0.0).astype(float).T
         doc_term[blocked > 0.0] = np.inf
-        if np.all(np.isinf(doc_term)):
+        if np.any(np.all(np.isinf(doc_term), axis=1)):
             raise DataError("document has zero likelihood under every cluster")
         if cluster_model is None:
             return doc_term + np.log(K)
@@ -319,7 +363,8 @@ class EquivalenceReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_diff < self.tolerance
+        """Every gap is below tolerance, and there is at least one."""
+        return bool(self.rho_diffs) and self.max_diff < self.tolerance
 
 
 def run_equivalence(dataset, K: int, iterations: int, seed: int,

@@ -48,7 +48,7 @@ class TestCostConversion:
         it = Interner()
         ex = FakeCostExample(_fv(it, [("a", 1.0)]), (0, 1, 2),
                              np.array([0.0, 0.5, 2.0]))
-        out = costs_to_weighted_labels(ex, "argmin_spread")
+        out = costs_to_weighted_labels([ex], "argmin_spread")
         assert len(out) == 1
         assert out[0].label == 0
         np.testing.assert_allclose(out[0].weight, 2.0)
@@ -57,7 +57,7 @@ class TestCostConversion:
         it = Interner()
         ex = FakeCostExample(_fv(it, [("a", 1.0)]), (3, 7),
                              np.array([1.0, 0.25]))
-        out = costs_to_weighted_labels(ex, "argmin_spread")
+        out = costs_to_weighted_labels([ex], "argmin_spread")
         assert out[0].label == 7
         np.testing.assert_allclose(out[0].weight, 0.75)
 
@@ -66,7 +66,7 @@ class TestCostConversion:
         it = Interner()
         ex = FakeCostExample(_fv(it, [("a", 1.0)]), (0, 1, 2),
                              np.array([0.0, 0.5, 2.0]))
-        out = costs_to_weighted_labels(ex, "softmin")
+        out = costs_to_weighted_labels([ex], "softmin")
         weights = [e.weight for e in out]
         np.testing.assert_allclose(
             weights, [0.57409699, 0.34820743, 0.07769558], atol=1e-8)
@@ -76,7 +76,7 @@ class TestCostConversion:
         it = Interner()
         ex = FakeCostExample(_fv(it, [("a", 1.0)]), (0, 1),
                              np.array([0.0, np.log(2.0)]))
-        out = costs_to_weighted_labels(ex, "softmin")
+        out = costs_to_weighted_labels([ex], "softmin")
         np.testing.assert_allclose([e.weight for e in out],
                                    [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
@@ -86,14 +86,14 @@ class TestCostConversion:
                              np.array([0.3, 0.3]))
         for mode in ("argmin_spread", "softmin"):
             with pytest.raises(TrainingError):
-                costs_to_weighted_labels(ex, mode)
+                costs_to_weighted_labels([ex], mode)
 
     def test_unknown_mode(self):
         it = Interner()
         ex = FakeCostExample(_fv(it, [("a", 1.0)]), (0, 1),
                              np.array([0.0, 1.0]))
         with pytest.raises(ConfigError):
-            costs_to_weighted_labels(ex, "argmax")
+            costs_to_weighted_labels([ex], "argmax")
 
 
 class TestNaiveBayes:
@@ -163,6 +163,29 @@ class TestNaiveBayes:
         base = nb_predict_costs(model, _fv(it, [("w=0", 1.0)]))
         extra = nb_predict_costs(model, _fv(it, [("w=0", 1.0), ("new", 5.0)]))
         np.testing.assert_allclose(extra, base, atol=0)
+
+    def test_label_outside_classes_rejected(self):
+        it, examples = self._two_class_setup()
+        for label in (-1, 2):
+            bad = examples[:-1] + [examples[-1]._replace(label=label)]
+            with pytest.raises(ConfigError, match=f"label {label} outside"):
+                nb_train(bad, n_classes=2, n_features=2, smoothing=1.0)
+
+    def test_feature_id_outside_features_rejected(self):
+        # -1 used to be counted on the last feature, 5 to raise IndexError
+        for fid in (5, 2, -1):
+            ex = LabeledExample(FeatureVector([0, fid], [1.0, 1.0]), 0, 1.0)
+            with pytest.raises(ConfigError,
+                               match=rf"feature id {fid} outside \[0, 2\)"):
+                nb_train([ex], n_classes=2, n_features=2, smoothing=1.0)
+
+    def test_negative_weight_or_value_rejected(self):
+        it, examples = self._two_class_setup()
+        bad_weight = [examples[0]._replace(weight=-1.0)] + examples[1:]
+        bad_value = [LabeledExample(FeatureVector([0], [-2.0]), 0, 1.0)]
+        for bad in (bad_weight, bad_value):
+            with pytest.raises(ConfigError):
+                nb_train(bad, n_classes=2, n_features=2, smoothing=1.0)
 
     def test_serialization_round_trip(self):
         from searn.classifiers import NBModel

@@ -372,6 +372,56 @@ class TestExitCodes:
                        "--data", str(data), "--out", str(tmp_path / "o")) == 1
 
 
+    @pytest.mark.parametrize("iterations", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["train", "--task", "cluster", "--method", "em"],
+        ["train", "--task", "cluster", "--method", "searn-nb", "--exact"],
+        ["train", "--task", "sequence", "--method", "em"],
+        ["train", "--task", "sequence", "--method", "searn-nb"],
+        ["train", "--task", "sequence", "--method", "searn-lr"],
+        ["train", "--task", "depparse", "--method", "searn-lr"],
+        ["equivalence"],
+    ], ids=["cluster-em", "cluster-exact", "sequence-em", "sequence-nb",
+            "sequence-lr", "depparse-lr", "equivalence"])
+    def test_iterations_below_one_is_config_error(self, tmp_path, capsys,
+                                                  argv, iterations):
+        # rejected before any data is read (the data file does not exist)
+        # or any result is written
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--iterations", iterations, "--data",
+                       str(tmp_path / "missing.txt"), "--out", str(out)) == 2
+        assert "need at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vocab_header_over_cap_is_data_error(self, tmp_path):
+        # 18 bytes asking for two dense rows of five million words
+        import tracemalloc
+        from searn.corpus_files import MAX_VOCAB_SIZE
+        from searn.errors import DataError
+        from searn.task_cluster import read_documents
+        data = tmp_path / "docs.txt"
+        data.write_text("V=5000000\n0:1\n1:1\n")
+        assert data.stat().st_size == 18
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="exceeds the cap"):
+                read_documents(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert run_cli("train", "--task", "cluster", "--method", "em",
+                       "--data", str(data), "--out", str(tmp_path / "o")) == 1
+        data.write_text(f"V={MAX_VOCAB_SIZE}\n0:1\n1:1\n")
+        assert read_documents(data)[0].shape == (2, MAX_VOCAB_SIZE)
+
+    def test_gen_vocab_over_cap_is_config_error(self, tmp_path):
+        from searn.corpus_files import MAX_VOCAB_SIZE
+        for task in ("cluster", "sequence"):
+            assert run_cli("gen", "--task", task, "--v",
+                           str(MAX_VOCAB_SIZE + 1),
+                           "--out", str(tmp_path / task)) == 2
+
     def test_undecodable_files(self, tmp_path):
         data, cfg = tmp_path / "data.txt", tmp_path / "bad.cfg"
         data.write_bytes(b"V=3\n0 1 \xff\n")

@@ -283,9 +283,9 @@ def assert_same_examples(new, old):
     for name, recs in new.estimation_records.items():
         olds = old.estimation_records[name]
         assert len(recs) == len(olds)
-        for (k1, doc1, w1), (k2, doc2, w2) in zip(recs, olds):
-            assert (k1, w1) == (k2, w2)
-            assert doc1.counts.tobytes() == doc2.counts.tobytes()
+        for (z1, d1), (z2, d2) in zip(recs, olds):
+            assert z1.tobytes() == z2.tobytes()
+            assert d1.tobytes() == d2.tobytes()
 
 
 def final_key(state):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from searn.core import (
+    INITIAL_RULE,
     LearnerConfig,
     Policy,
     RolloutConfig,
@@ -22,6 +23,7 @@ from searn.task_cluster import (
     ClusterTask,
     ClusterTaskConfig,
     DocumentCounts,
+    EquivalenceReport,
     cluster_loss,
     read_documents,
     run_equivalence,
@@ -150,10 +152,9 @@ class TestExactCosts:
         pol = task.policy_from_params(params)
         generated = task.exact_examples(list(docs), pol)
         z_oracle = mm_e_step(params, docs)
-        weights = np.zeros((len(docs), K))
-        for i, (k, doc, w) in enumerate(generated.estimation_records[DOC]):
-            weights[i // K, k] = w
+        [(weights, counts)] = generated.estimation_records[DOC]
         np.testing.assert_allclose(weights, z_oracle, atol=1e-12)
+        assert counts.tobytes() == docs.tobytes()
 
     def test_exact_mode_requires_configuration(self):
         # under one default rollout config, the exact-mode task trains by
@@ -179,6 +180,20 @@ class TestExactCosts:
             else:
                 assert task.exact_examples(docs, pol) is None
                 assert task.rollouts > 0
+
+
+    def test_initial_rule_component_is_config_error(self):
+        # the closed form needs every component's emission table; the
+        # initial rule has none
+        V, K = 4, 2
+        docs = list(random_corpus(5, V, 16))
+        task = make_task(K=K, V=V, exact=True)
+        learned = task.policy_from_params(mm_random_init(K, V, 17))
+        mixed = Policy(((INITIAL_RULE, 0.5),
+                        (learned.components[0][0], 0.5)))
+        for pol in (initial_policy(), mixed):
+            with pytest.raises(ConfigError, match="initial rule"):
+                task.exact_examples(docs, pol)
 
 
 class TestSampledMode:
@@ -275,6 +290,13 @@ class TestEquivalence:
                                  tolerance=1e-8)
         assert r1.rho_diffs == r2.rho_diffs
         assert r1.theta_diffs == r2.theta_diffs
+
+
+    def test_no_gaps_is_not_a_pass(self):
+        assert not EquivalenceReport(1e-8).passed
+        report = run_equivalence(random_corpus(6, 4, 18), K=2, iterations=0,
+                                 seed=19, tolerance=1e-8)
+        assert report.max_diff == 0.0 and not report.passed
 
 
 class TestSerialization:
