@@ -94,25 +94,19 @@ class NBModel:
     class_log_prior: np.ndarray
     feature_log_prob: np.ndarray
     smoothing: float
+    # (features, legal actions) -> chosen action, kept by Task.model_action
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
-    # (features, legal actions) -> chosen action, kept by Task.model_action
-    _decisions: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     @property
     def n_classes(self) -> int:
         return self.class_log_prior.shape[0]
 
     def predict_costs(self, fv: FeatureVector) -> np.ndarray:
-        cached = self._cache.get(fv)
-        if cached is None:
-            cached = nb_predict_costs(self, fv)
-            self._cache[fv] = cached
-        return cached
+        return nb_predict_costs(self, fv)
 
     def predict_costs_rows(self, fvs) -> np.ndarray:
-        """:meth:`predict_costs` of each vector, one per row, uncached."""
+        """:meth:`predict_costs` of each vector, one per row."""
         return _linear_costs_rows(self.class_log_prior,
                                   self.feature_log_prob, fvs)
 
@@ -238,25 +232,19 @@ class LRModel:
     weights: np.ndarray
     l2_variance: float
     trained_epochs: int
+    # (features, legal actions) -> chosen action, kept by Task.model_action
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
-    # (features, legal actions) -> chosen action, kept by Task.model_action
-    _decisions: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     @property
     def n_classes(self) -> int:
         return self.weights.shape[0]
 
     def predict_costs(self, fv: FeatureVector) -> np.ndarray:
-        cached = self._cache.get(fv)
-        if cached is None:
-            cached = lr_predict_costs(self, fv)
-            self._cache[fv] = cached
-        return cached
+        return lr_predict_costs(self, fv)
 
     def predict_costs_rows(self, fvs) -> np.ndarray:
-        """:meth:`predict_costs` of each vector, one per row, uncached."""
+        """:meth:`predict_costs` of each vector, one per row."""
         return _linear_costs_rows(np.zeros(self.n_classes), self.weights, fvs)
 
     def to_dict(self) -> dict:

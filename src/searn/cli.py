@@ -417,12 +417,13 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     cfg = _resolved(cfg)
     out = _out_dir(cfg)
     t0 = time.perf_counter()
-    history, per_iter = [], []
     if cfg.method == "em":
         spec, payload, losses = _train_em(cfg)
+        seconds = []
     else:
-        spec, payload = _train_searn(cfg, history, per_iter)
-        losses = [h["classification_loss"] for h in history]
+        spec, payload, log = _train_searn(cfg)
+        losses = [r["classification_loss"] for r in log]
+        seconds = [r["seconds"] for r in log]
     _write_json(out / "model.json", {"format_version": 1,
                                      "method": cfg.method, "task": spec,
                                      **payload})
@@ -431,7 +432,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     _write_csv(out / "train-log.csv", ["iteration", "dev_accuracy", "loss"],
                [(i, "", f"{loss:.12g}")
                 for i, loss in enumerate(losses, start=1)])
-    _write_timings(out / "timings.log", per_iter, time.perf_counter() - t0)
+    _write_timings(out / "timings.log", seconds, time.perf_counter() - t0)
     print(f"wrote {out / 'model.json'}")
     return 0
 
@@ -454,10 +455,10 @@ def _train_em(cfg: ExperimentConfig) -> tuple:
             [-mm_log_likelihood(p, docs) for p in trajectory])
 
 
-def _train_searn(cfg: ExperimentConfig, history, timings) -> tuple:
-    """Mixture training: (task spec, model payload)."""
+def _train_searn(cfg: ExperimentConfig) -> tuple:
+    """Mixture training: (task spec, model payload, searn_learn's log)."""
     if cfg.task == "cluster":
-        return _train_cluster_exact(cfg, history, timings)
+        return _train_cluster_exact(cfg)
     kind = cfg.method.split("-")[1]
     seed = derive_seed(cfg.seed, _TRAIN_KEY)
     if cfg.task == "sequence":
@@ -466,22 +467,21 @@ def _train_searn(cfg: ExperimentConfig, history, timings) -> tuple:
             n_states=cfg.k, vocab_size=vocab, beta=cfg.beta,
             n_samples=cfg.n_samples, iterations=cfg.iterations,
             smoothing=cfg.smoothing, lr_variance=cfg.lr_variance)
-        task, policy = train_sequence_searn(exp, xs, kind, seed, history,
-                                            timings)
+        task, policy, log = train_sequence_searn(exp, xs, kind, seed)
         spec = {"task": "sequence", "k": cfg.k, "v": vocab,
                 "feature_mode": task.config.feature_mode}
     else:
         data = parse_training_data(_read_treebank(cfg.data),
                                    cfg.supervision, cfg.labeled_count)
-        task, policy = train_parser(_parse_experiment(cfg), data,
-                                    cfg.supervision, seed, kind,
-                                    cfg.smoothing, history, timings)
+        task, policy, log = train_parser(_parse_experiment(cfg), data,
+                                         cfg.supervision, seed, kind,
+                                         cfg.smoothing)
         spec = {"task": "depparse", "tagset": cfg.tagset,
                 "supervision": cfg.supervision}
-    return spec, {"policy": policy_to_dict(policy, task.interner)}
+    return spec, {"policy": policy_to_dict(policy, task.interner)}, log
 
 
-def _train_cluster_exact(cfg: ExperimentConfig, history, timings) -> tuple:
+def _train_cluster_exact(cfg: ExperimentConfig) -> tuple:
     if not cfg.exact or cfg.beta != 1.0:
         raise ConfigError("cluster training is the exact-mode equivalence "
                           "path; use --exact (beta stays 1)")
@@ -494,14 +494,13 @@ def _train_cluster_exact(cfg: ExperimentConfig, history, timings) -> tuple:
     # Same random initialization as the EM path with this seed, so the
     # two trainers' trajectories are directly comparable.
     start = task.policy_from_params(mm_random_init(cfg.k, vocab, cfg.seed))
-    policy = searn_learn(
-        task, [np.asarray(d, dtype=float) for d in docs],
-        LearnerConfig(kind="nb", smoothing=cfg.smoothing), beta=1.0,
-        cfg=RolloutConfig(seed=cfg.seed), iterations=cfg.iterations,
-        start=start, history=history, timings=timings)
+    policy, log = searn_learn(
+        task, docs, LearnerConfig(kind="nb", smoothing=cfg.smoothing),
+        beta=1.0, cfg=RolloutConfig(seed=cfg.seed),
+        iterations=cfg.iterations, start=start)
     params = task.params_from_rule(policy.components[-1][0])
     return ({"task": "cluster", "k": cfg.k, "v": vocab},
-            _params_payload("mm", params))
+            _params_payload("mm", params), log)
 
 
 # ---------------------------------------------------------------------------

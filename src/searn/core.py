@@ -81,7 +81,6 @@ class GroupSpec(NamedTuple):
     directly estimated distribution rather than a trained classifier.
     """
 
-    name: str
     n_actions: int
     kind: str = "classify"
 
@@ -174,16 +173,17 @@ class Task(abc.ABC):
 
         ``legal`` is ``legal_actions(state)``, computed once by the caller.
         Ties go to the lowest action id.  The choice depends only on the
-        state's features and ``legal``, so it is memoized per model on that
-        pair, beside (and as long-lived as) the model's prediction cache.
+        state's features and ``legal``, so it is memoized in the model's
+        ``_cache`` on that pair, for the model's life: ``predict_costs``
+        runs once per distinct pair.
         """
         fv = self.features(state)
         key = (fv, legal)
-        action = model._decisions.get(key)
+        action = model._cache.get(key)
         if action is None:
             costs = model.predict_costs(fv)
             action = min(legal, key=lambda a: (costs[a], a))
-            model._decisions[key] = action
+            model._cache[key] = action
         return action
 
     def weight_mode(self, group: str) -> str:
@@ -405,7 +405,7 @@ def generate_examples(dataset, pol: Policy, task: Task,
     out.  Output is deterministic given cfg.seed and does not depend on
     the order in which examples are processed.
     """
-    if not dataset:
+    if len(dataset) == 0:
         raise DataError("dataset is empty")
     exact = task.exact_examples(dataset, pol)
     if exact is not None:
@@ -509,33 +509,30 @@ def _classification_loss(rule: LearnedRule, generated: GeneratedExamples) -> flo
 
 def searn_learn(task: Task, dataset, learner: LearnerConfig, beta: float,
                 cfg: RolloutConfig, iterations: int,
-                start: Policy | None = None, history: list | None = None,
-                timings: list | None = None) -> Policy:
-    """The full learning loop; returns the stripped final mixture.
+                start: Policy | None = None) -> tuple:
+    """The full learning loop; returns (stripped final mixture, log).
 
     Each of ``iterations`` rounds: generate cost-sensitive examples under
     the current policy, train a new rule, interpolate it in with weight
-    beta.  ``history``, when given, receives one record per iteration (no
-    timing fields); ``timings`` receives per-iteration wall seconds, kept
-    apart so that history stays byte-comparable across runs.
+    beta.  The log has one record per iteration: ``iteration``,
+    ``n_cost_examples``, ``classification_loss`` and its wall
+    ``seconds``, the one field that differs between reruns.
     """
     pol = start if start is not None else initial_policy()
+    log = []
     for iteration in range(1, iterations + 1):
         t0 = time.perf_counter()
         it_cfg = replace(cfg, seed=derive_seed(cfg.seed, _ITER, iteration))
         generated = generate_examples(dataset, pol, task, it_cfg)
         rule = train_rule(task, generated, learner)
-        record = {
+        pol = interpolate_policy(pol, rule, beta)
+        log.append({
             "iteration": iteration,
             "n_cost_examples": len(generated.cost_examples),
             "classification_loss": _classification_loss(rule, generated),
-        }
-        pol = interpolate_policy(pol, rule, beta)
-        if history is not None:
-            history.append(record)
-        if timings is not None:
-            timings.append(time.perf_counter() - t0)
-    return strip_initial_policy(pol)
+            "seconds": time.perf_counter() - t0,
+        })
+    return strip_initial_policy(pol), log
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,13 @@ def logsumexp(a, axis=None):
 
 
 def _check_distribution(name, arr):
-    sums = np.sum(arr, axis=-1)
-    if not np.allclose(sums, 1.0, atol=_SUM_TOL, rtol=0.0):
+    """Every entry finite and nonnegative, every row summing to 1."""
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ConfigError(f"{name} entries must be finite and nonnegative")
+    error = np.max(np.abs(np.sum(arr, axis=-1) - 1.0), initial=0.0)
+    if error > _SUM_TOL:
         raise ConfigError(f"{name} rows must sum to 1 (got max error "
-                          f"{np.max(np.abs(sums - 1.0)):.3e})")
+                          f"{error:.3e})")
 
 
 @dataclass

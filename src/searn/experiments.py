@@ -124,22 +124,22 @@ def decode_labels(task, policy, xs, seed: int, *key: int,
                                   runner=runner)])
 
 
-def train_sequence_searn(exp: SequenceExperiment, xs, kind: str, seed: int,
-                         history=None, timings=None):
+def train_sequence_searn(exp: SequenceExperiment, xs, kind: str, seed: int):
     """Mixture-train a sequence labeller ("nb" or "lr" learner) with the
-    method settings of ``exp``; returns (task, policy)."""
+    method settings of ``exp``; returns (task, policy, searn_learn's
+    log)."""
     if kind not in ("nb", "lr"):
         raise ConfigError("kind must be 'nb' or 'lr'")
     task = SequenceTask(SequenceTaskConfig(
         K=exp.n_states, V=exp.vocab_size,
         feature_mode="nb_hmm" if kind == "nb" else "lr_window"))
-    policy = searn_learn(
+    policy, log = searn_learn(
         task, xs, LearnerConfig(kind=kind, smoothing=exp.smoothing,
                                 l2_variance=exp.lr_variance),
         beta=exp.beta,
         cfg=RolloutConfig(seed=seed, n_samples=exp.n_samples),
-        iterations=exp.iterations, history=history, timings=timings)
-    return task, policy
+        iterations=exp.iterations)
+    return task, policy, log
 
 
 def run_sequence_searn(exp: SequenceExperiment, kind: str) -> RunSummary:
@@ -148,7 +148,7 @@ def run_sequence_searn(exp: SequenceExperiment, kind: str) -> RunSummary:
     method_key = base + (_SEQ_NB if kind == "nb" else _SEQ_LR)
     errors = []
     for ds, (xs, gold) in enumerate(sequence_datasets(exp)):
-        task, policy = train_sequence_searn(
+        task, policy, _ = train_sequence_searn(
             exp, xs, kind, derive_seed(exp.master_seed, method_key, ds))
         pred = decode_labels(task, policy, xs, exp.master_seed,
                              base + _SEQ_DECODE, ds)
@@ -231,21 +231,20 @@ def parse_training_data(sentences, supervision: str,
 
 
 def train_parser(exp: ParseExperiment, data, supervision: str, seed: int,
-                 kind: str = "lr", smoothing: float = 0.0, history=None,
-                 timings=None):
+                 kind: str = "lr", smoothing: float = 0.0):
     """Mixture-train a parser on prepared inputs (see
     ``parse_training_data``) with the settings of ``exp``; returns
-    (task, policy)."""
+    (task, policy, searn_learn's log)."""
     task = ParseTask(ParseTaskConfig(tagset_size=exp.tagset_size,
                                      supervision=supervision))
     learner = LearnerConfig(kind=kind, smoothing=smoothing,
                             l2_variance={"parse": exp.tree_variance,
                                          "tag": exp.tag_variance})
-    policy = searn_learn(
+    policy, log = searn_learn(
         task, data, learner, beta=exp.beta,
         cfg=RolloutConfig(seed=seed, n_samples=exp.n_samples),
-        iterations=exp.iterations, history=history, timings=timings)
-    return task, policy
+        iterations=exp.iterations)
+    return task, policy, log
 
 
 def decode_trees(task: ParseTask, policy, sentences, seed: int, *key: int,
@@ -268,9 +267,9 @@ def run_parse(exp: ParseExperiment, supervision: str,
     """
     train, _, test = corpus or parse_corpus(exp)
     data = parse_training_data(train, supervision, labeled_count)
-    task, policy = train_parser(exp, data, supervision,
-                                derive_seed(exp.master_seed,
-                                            _PARSE_TRAIN_KEY))
+    task, policy, _ = train_parser(exp, data, supervision,
+                                   derive_seed(exp.master_seed,
+                                               _PARSE_TRAIN_KEY))
     preds = decode_trees(task, policy, test,
                          derive_seed(exp.master_seed, _PARSE_DECODE_KEY),
                          _PARSE_ITEM_KEY)

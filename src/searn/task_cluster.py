@@ -136,8 +136,8 @@ class ClusterTask(Task):
 
     def groups(self):
         return {
-            CLUSTER: GroupSpec(CLUSTER, self.config.K),
-            DOC: GroupSpec(DOC, 1, kind="estimate"),
+            CLUSTER: GroupSpec(self.config.K),
+            DOC: GroupSpec(1, kind="estimate"),
         }
 
     def initial_state(self, example):
@@ -387,7 +387,7 @@ def run_equivalence(dataset, K: int, iterations: int, seed: int,
     _, em_trajectory = mm_em_train(docs, params0, iterations)
     pol = task.policy_from_params(params0)
     for em_params in em_trajectory:
-        generated = task.exact_examples(dataset, pol)
+        generated = task.exact_examples(docs, pol)
         rule = train_rule(task, generated, learner)
         pol = interpolate_policy(pol, rule, 1.0)
 
@@ -414,7 +414,10 @@ def write_documents(path, docs, vocab_size: int, header_comment: str = ""):
 
 
 def _parse_document(line: str, where: str, vocab_size: int) -> np.ndarray:
+    """The count row of one ``word:count`` line: every count nonnegative,
+    and at least one word."""
     counts = np.zeros(vocab_size)
+    total = 0
     for token in line.split():
         try:
             word, count = token.split(":")
@@ -422,9 +425,14 @@ def _parse_document(line: str, where: str, vocab_size: int) -> np.ndarray:
             if not 0 <= word < vocab_size:
                 raise DataError(f"{where}: word id {word} "
                                 f"outside V={vocab_size}")
+            if count < 0:
+                raise DataError(f"{where}: negative count in {token!r}")
             counts[word] += count
         except (ValueError, OverflowError):
             raise DataError(f"{where}: malformed pair {token!r}")
+        total += count
+    if total == 0:
+        raise DataError(f"{where}: document has no words")
     return counts
 
 

@@ -252,9 +252,9 @@ class ParseTask(Task):
     def __init__(self, config: ParseTaskConfig):
         self.config = config
         self.interner = Interner()
-        specs = {PARSE: GroupSpec(PARSE, 4, "classify")}
+        specs = {PARSE: GroupSpec(4)}
         if config.supervision != "sup":
-            specs[TAG] = GroupSpec(TAG, config.tagset_size, "classify")
+            specs[TAG] = GroupSpec(config.tagset_size)
         self._groups = specs
         self._tag_legal = tuple(range(config.tagset_size))
 

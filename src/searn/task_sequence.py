@@ -67,8 +67,8 @@ class SequenceTask(Task):
 
     def groups(self):
         return {
-            LATENT: GroupSpec(LATENT, self.config.K),
-            EMIT: GroupSpec(EMIT, self.config.V),
+            LATENT: GroupSpec(self.config.K),
+            EMIT: GroupSpec(self.config.V),
         }
 
     def initial_state(self, example):

@@ -349,6 +349,44 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith(error) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("line, error", [
+        ("0:2 1:-3", "negative count in '1:-3'"),
+        ("2:0", "document has no words"),
+    ], ids=["negative", "empty"])
+    @pytest.mark.parametrize("method, extra", [
+        ("em", []), ("searn-nb", ["--exact"])], ids=["em", "exact"])
+    def test_bad_document_names_its_line(self, tmp_path, capsys, method,
+                                         extra, line, error):
+        data = tmp_path / "docs.txt"
+        data.write_text(f"V=3\n0:2 1:1\n{line}\n1:1 2:4\n")
+        capsys.readouterr()
+        assert run_cli("train", "--task", "cluster", "--method", method,
+                       "--k", "2", "--iterations", "2", "--data", str(data),
+                       "--out", str(tmp_path / "o"), *extra) == 1
+        assert capsys.readouterr().err == f"data error: {data}:3: {error}\n"
+        assert not (tmp_path / "o" / "model.json").exists()
+
+    def test_model_table_not_a_distribution(self, tmp_path, capsys):
+        # a hand-edited theta row that sums to 1 with a negative entry
+        data = tmp_path / "docs.txt"
+        data.write_text("V=3\n0:2 1:1\n2:4\n")
+        gold = tmp_path / "gold.txt"
+        gold.write_text("0\n0\n")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format_version": 1, "method": "em",
+            "task": {"task": "cluster", "k": 1, "v": 3},
+            "params": {"kind": "mm", "rho": [1.0],
+                       "theta": [[1.5, -0.5, 0.0]]}}))
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(model), "--data", str(data),
+                       "--gold", str(gold),
+                       "--out", str(tmp_path / "eval")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {model}: malformed model")
+        assert "finite and nonnegative" in err
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
     def test_overlong_sentence_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "long.conll"
         data.write_text("".join(f"{i}\t1\t_\n" for i in range(1, 12)))

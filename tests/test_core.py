@@ -44,7 +44,7 @@ class ToyTask(Task):
         self.interner = Interner()
 
     def groups(self):
-        return {"g": GroupSpec("g", 2)}
+        return {"g": GroupSpec(2)}
 
     def initial_state(self, example):
         return ToyState(self, example)
@@ -238,14 +238,49 @@ class TestGenerateExamples:
                               RolloutConfig(seed=0))
 
 
+class TestModelAction:
+    def test_predicts_once_per_features_and_legal_set(self, monkeypatch):
+        from searn.classifiers import NBModel
+        task = ToyTask()
+        pol, _ = searn_learn(task, toy_dataset(),
+                             LearnerConfig(kind="nb", smoothing=0.1),
+                             beta=1.0, cfg=RolloutConfig(seed=8),
+                             iterations=1)
+        model = pol.components[0][0].models["g"]
+        predicted = []
+        predict_costs = NBModel.predict_costs
+
+        def counted(self, fv):
+            predicted.append(fv)
+            return predict_costs(self, fv)
+
+        monkeypatch.setattr(NBModel, "predict_costs", counted)
+        keys = set()
+        for _ in range(3):
+            for example in toy_dataset():
+                state = task.initial_state(example)
+                for legal in ((0, 1), (0,), (1,)):
+                    action = task.model_action(model, state, legal)
+                    assert action in legal
+                    if legal == (0, 1):
+                        assert action == example[1]
+                    keys.add((task.features(state), legal))
+        # two feature vectors, three legal sets
+        assert len(keys) == 6
+        assert len(predicted) == len(model._cache) == len(keys)
+        assert set(model._cache) == keys
+        assert all(isinstance(action, int)
+                   for action in model._cache.values())
+
+
 class TestSearnLearn:
     def test_beta_one_single_iteration_is_plain_classifier(self):
         task = ToyTask()
         dataset = toy_dataset()
         cfg = RolloutConfig(seed=8)
-        pol = searn_learn(task, dataset, LearnerConfig(kind="nb",
-                                                       smoothing=0.1),
-                          beta=1.0, cfg=cfg, iterations=1)
+        pol, _ = searn_learn(task, dataset, LearnerConfig(kind="nb",
+                                                          smoothing=0.1),
+                             beta=1.0, cfg=cfg, iterations=1)
         assert len(pol.components) == 1
         rule = pol.components[0][0]
         assert isinstance(rule, LearnedRule)
@@ -255,24 +290,25 @@ class TestSearnLearn:
             assert final.action == example[1]
 
     def test_history_records(self):
-        task = ToyTask()
-        history = []
-        searn_learn(task, toy_dataset(), LearnerConfig(kind="nb",
-                                                       smoothing=0.1),
-                    beta=0.5, cfg=RolloutConfig(seed=9), iterations=3,
-                    history=history)
-        assert [h["iteration"] for h in history] == [1, 2, 3]
-        assert all("n_cost_examples" in h for h in history)
+        _, log = searn_learn(ToyTask(), toy_dataset(),
+                             LearnerConfig(kind="nb", smoothing=0.1),
+                             beta=0.5, cfg=RolloutConfig(seed=9),
+                             iterations=3)
+        assert [r["iteration"] for r in log] == [1, 2, 3]
+        for record in log:
+            assert set(record) == {"iteration", "n_cost_examples",
+                                   "classification_loss", "seconds"}
+            assert record["seconds"] >= 0.0
 
 
 class TestPolicySerialization:
     def test_round_trip(self):
         task = ToyTask()
         dataset = toy_dataset()
-        pol = searn_learn(task, dataset, LearnerConfig(kind="nb",
-                                                       smoothing=0.1),
-                          beta=0.5, cfg=RolloutConfig(seed=12),
-                          iterations=2)
+        pol, _ = searn_learn(task, dataset, LearnerConfig(kind="nb",
+                                                          smoothing=0.1),
+                             beta=0.5, cfg=RolloutConfig(seed=12),
+                             iterations=2)
         blob = policy_to_dict(pol, task.interner)
         clone, interner = policy_from_dict(blob)
         np.testing.assert_allclose(clone.weights, pol.weights, atol=0)

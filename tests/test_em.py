@@ -123,6 +123,22 @@ class TestMixtureOfMultinomials:
         with pytest.raises(ConfigError):
             MultinomialMixtureParams(rho=[0.5, 0.6], theta=[[1.0], [1.0]])
 
+    @pytest.mark.parametrize("theta", [[[1.5, -0.5, 0.0]],
+                                       [[np.nan, 0.5, 0.5]],
+                                       [[np.inf, 0.0, 0.0]]],
+                             ids=["negative", "nan", "inf"])
+    def test_negative_or_nonfinite_entry_rejected(self, theta):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            MultinomialMixtureParams(rho=[1.0], theta=theta)
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            HmmParams(initial=[1.0], transition=[[1.0]], emission=theta)
+
+    def test_row_sums_within_tolerance(self):
+        # a row passes when |sum - 1| <= 1e-12
+        MultinomialMixtureParams(rho=[1.0], theta=[[0.5, 0.5 + 5e-13]])
+        with pytest.raises(ConfigError, match="sum to 1"):
+            MultinomialMixtureParams(rho=[1.0], theta=[[0.5, 0.5 + 5e-12]])
+
 
 class TestHmmForwardBackward:
     def test_forward_matches_brute_force(self):

@@ -507,10 +507,9 @@ def test_python_calls_do_not_grow_with_documents(monkeypatch, K):
         docs = list(corpus(n, V, seed=n + K))
         start = task.policy_from_params(mm_random_init(K, V, 22))
         calls.update(from_pairs=0, predict_costs=0)
-        history = []
-        searn_learn(task, docs, LearnerConfig(kind="nb"), beta=1.0,
-                    cfg=RolloutConfig(), iterations=1, start=start,
-                    history=history)
-        assert history[0]["n_cost_examples"] > n // 2
+        _, log = searn_learn(task, docs, LearnerConfig(kind="nb"),
+                             beta=1.0, cfg=RolloutConfig(), iterations=1,
+                             start=start)
+        assert log[0]["n_cost_examples"] > n // 2
         counts.append(dict(calls))
     assert counts[0] == counts[1]

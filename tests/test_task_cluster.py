@@ -156,6 +156,24 @@ class TestExactCosts:
         np.testing.assert_allclose(weights, z_oracle, atol=1e-12)
         assert counts.tobytes() == docs.tobytes()
 
+    def test_count_matrix_trains_like_a_list_of_rows(self):
+        # the n x V matrix read_documents returns is a corpus as it stands
+        V, K = 4, 2
+        docs = random_corpus(6, V, 26)
+        params0 = mm_random_init(K, V, 27)
+        learned = []
+        for corpus in (docs, list(docs)):
+            task = make_task(K=K, V=V, exact=True)
+            pol, _ = searn_learn(task, corpus, LearnerConfig(kind="nb"),
+                                 beta=1.0, cfg=RolloutConfig(), iterations=2,
+                                 start=task.policy_from_params(params0))
+            learned.append(task.params_from_rule(pol.components[-1][0]))
+        assert learned[0].rho.tobytes() == learned[1].rho.tobytes()
+        assert learned[0].theta.tobytes() == learned[1].theta.tobytes()
+        with pytest.raises(DataError, match="empty"):
+            generate_examples(docs[:0], task.policy_from_params(params0),
+                              task, RolloutConfig())
+
     def test_exact_mode_requires_configuration(self):
         # under one default rollout config, the exact-mode task trains by
         # the closed form (no rollouts, EM's trajectory) and the sampled
@@ -167,9 +185,10 @@ class TestExactCosts:
         for exact in (True, False):
             task = CountingClusterTask(ClusterTaskConfig(K=K, V=V,
                                                          exact_mode=exact))
-            pol = searn_learn(task, docs, LearnerConfig(kind="nb"), beta=1.0,
-                              cfg=RolloutConfig(), iterations=iterations,
-                              start=task.policy_from_params(params0))
+            pol, _ = searn_learn(task, docs, LearnerConfig(kind="nb"),
+                                 beta=1.0, cfg=RolloutConfig(),
+                                 iterations=iterations,
+                                 start=task.policy_from_params(params0))
             if exact:
                 assert task.rollouts == 0
                 got = task.params_from_rule(pol.components[-1][0])
@@ -223,12 +242,12 @@ class TestSampledMode:
         # which only ClusterTask.model_action knows how to act with
         task = make_task(K=2, V=5)
         docs = list(random_corpus(8, 5, 12))
-        history = []
-        pol = searn_learn(task, docs, LearnerConfig(kind="nb", smoothing=0.5),
-                          beta=0.5, cfg=RolloutConfig(seed=13),
-                          iterations=2, history=history)
-        assert history[0]["n_cost_examples"] == 0
-        assert history[1]["n_cost_examples"] > 0
+        pol, log = searn_learn(task, docs,
+                               LearnerConfig(kind="nb", smoothing=0.5),
+                               beta=0.5, cfg=RolloutConfig(seed=13),
+                               iterations=2)
+        assert log[0]["n_cost_examples"] == 0
+        assert log[1]["n_cost_examples"] > 0
         rule = pol.components[-1][0]
         assert set(rule.models) == {CLUSTER, DOC}
         for i, doc in enumerate(docs):
@@ -334,6 +353,17 @@ class TestCorpusFiles:
         path.write_text("V=3\n7:1\n")
         with pytest.raises(DataError):
             read_documents(path)
+
+    @pytest.mark.parametrize("line, error", [
+        ("0:2 1:-3", "negative count in '1:-3'"),
+        ("2:0", "document has no words"),
+    ], ids=["negative", "empty"])
+    def test_bad_counts_name_their_line(self, tmp_path, line, error):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"V=3\n0:1\n{line}\n")
+        with pytest.raises(DataError) as info:
+            read_documents(path)
+        assert str(info.value) == f"{path}:3: {error}"
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad3.txt"

@@ -425,9 +425,10 @@ class TestRolloutIntegration:
             tags = tuple(int(x) for x in rng.integers(0, 6, size=T))
             sents.append(TaggedSentence(tags, gold))
         task = make_task(supervision="sup", tagset=6)
-        pol = searn_learn(task, sents, LearnerConfig(kind="nb",
-                                                     smoothing=0.1),
-                          beta=0.1, cfg=RolloutConfig(seed=4), iterations=2)
+        pol, _ = searn_learn(task, sents, LearnerConfig(kind="nb",
+                                                        smoothing=0.1),
+                             beta=0.1, cfg=RolloutConfig(seed=4),
+                             iterations=2)
         state = run_policy(task, sents[0], pol, np.random.default_rng(0))
         assert state.tree is not None
 
@@ -440,9 +441,9 @@ class TestRolloutIntegration:
                  for _ in range(5)]
         task = make_task(tagset=5)
         cfg = RolloutConfig(seed=31, n_samples=2)
-        pol = searn_learn(task, sents,
-                          LearnerConfig(kind="nb", smoothing=0.5),
-                          beta=0.3, cfg=cfg, iterations=2)
+        pol, _ = searn_learn(task, sents,
+                             LearnerConfig(kind="nb", smoothing=0.5),
+                             beta=0.3, cfg=cfg, iterations=2)
         sent = sents[0]
         walk = np.random.default_rng(37)
         state = task.initial_state(sent)

@@ -212,8 +212,9 @@ class TestEmitShortcut:
         data = [tuple(int(v) for v in rng.integers(0, 5, size=6))
                 for _ in range(5)]
         cfg = RolloutConfig(seed=21, n_samples=2)
-        pol = searn_learn(task, data, LearnerConfig(kind="nb", smoothing=0.5),
-                          beta=0.4, cfg=cfg, iterations=2)
+        pol, _ = searn_learn(task, data,
+                             LearnerConfig(kind="nb", smoothing=0.5),
+                             beta=0.4, cfg=cfg, iterations=2)
         assert len(pol.components) > 1
         x = data[0]
         T = len(x)
@@ -247,9 +248,11 @@ class TestRelabelingInvariance:
         rng = np.random.default_rng(1)
         data = [tuple(int(v) for v in rng.integers(0, 4, size=8))
                 for _ in range(6)]
-        pol = searn_learn(task, data, LearnerConfig(kind="nb", smoothing=0.5),
-                          beta=1.0, cfg=RolloutConfig(seed=101, n_samples=2),
-                          iterations=3)
+        pol, _ = searn_learn(task, data,
+                             LearnerConfig(kind="nb", smoothing=0.5),
+                             beta=1.0,
+                             cfg=RolloutConfig(seed=101, n_samples=2),
+                             iterations=3)
         rule = pol.components[0][0]
         perm = {0: 1, 1: 0}
         swapped = LearnedRule({
