@@ -120,11 +120,13 @@ class NBModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NBModel":
-        return cls(
-            class_log_prior=np.asarray(d["class_log_prior"], dtype=float),
-            feature_log_prob=np.asarray(d["feature_log_prob"], dtype=float),
-            smoothing=float(d["smoothing"]),
-        )
+        prior = np.asarray(d["class_log_prior"], dtype=float)
+        table = np.asarray(d["feature_log_prob"], dtype=float)
+        if table.ndim != 2 or prior.shape != table.shape[:1]:
+            raise ConfigError("an NB model needs a 2-D table and one "
+                              "prior entry per table row")
+        return cls(class_log_prior=prior, feature_log_prob=table,
+                   smoothing=float(d["smoothing"]))
 
 
 def nb_train(examples, n_classes: int, n_features: int, smoothing: float) -> NBModel:
@@ -257,11 +259,11 @@ class LRModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LRModel":
-        return cls(
-            weights=np.asarray(d["weights"], dtype=float),
-            l2_variance=float(d["l2_variance"]),
-            trained_epochs=int(d["trained_epochs"]),
-        )
+        weights = np.asarray(d["weights"], dtype=float)
+        if weights.ndim != 2:
+            raise ConfigError("an LR model needs a 2-D weight table")
+        return cls(weights=weights, l2_variance=float(d["l2_variance"]),
+                   trained_epochs=int(d["trained_epochs"]))
 
 
 class _Design(NamedTuple):

@@ -52,8 +52,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (LearnerConfig, RolloutConfig, derive_seed, policy_from_dict,
-                   policy_to_dict, run_policy, searn_learn)
+from .core import (LearnedRule, LearnerConfig, RolloutConfig, derive_seed,
+                   policy_from_dict, policy_to_dict, run_policy, searn_learn)
 from .corpus_files import MAX_VOCAB_SIZE
 from .datagen import (DocGenConfig, HmmGenConfig, TreebankGenConfig,
                       gen_document_corpus, gen_hmm_dataset, gen_hmm_params,
@@ -234,6 +234,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                           "(searn-nb only)")
     if cfg.iterations is not None and cfg.iterations < 1:
         raise ConfigError(f"--iterations {cfg.iterations}: need at least 1")
+    if cfg.runs is not None and cfg.runs < 1:
+        raise ConfigError(f"--runs {cfg.runs}: need at least 1")
     if cfg.v is not None and cfg.v > MAX_VOCAB_SIZE:
         raise ConfigError(f"--v {cfg.v} exceeds the cap of {MAX_VOCAB_SIZE}")
 
@@ -490,7 +492,7 @@ def _train_cluster_exact(cfg: ExperimentConfig) -> tuple:
                           "it would smooth the cluster and total features "
                           "too, so the model has no EM counterpart")
     docs, vocab = read_documents(cfg.data)
-    task = ClusterTask(ClusterTaskConfig(K=cfg.k, V=vocab, exact_mode=True))
+    task = ClusterTask(ClusterTaskConfig(K=cfg.k, V=vocab))
     # Same random initialization as the EM path with this seed, so the
     # two trainers' trajectories are directly comparable.
     start = task.policy_from_params(mm_random_init(cfg.k, vocab, cfg.seed))
@@ -541,6 +543,17 @@ def _load_model(path) -> tuple:
             task = ParseTask(ParseTaskConfig(
                 tagset_size=spec["tagset"], supervision=spec["supervision"]))
         policy, task.interner = policy_from_dict(blob["policy"])
+        groups = task.groups()
+        for rule, _ in policy.components:
+            if not isinstance(rule, LearnedRule):
+                # the initial rule reads the gold output it is scored on
+                raise DataError(f"{path}: a saved policy holds learned "
+                                "rules only")
+            for group, model in rule.models.items():
+                if groups.get(group) != model.n_classes:
+                    raise DataError(f"{path}: group {group!r} has a "
+                                    f"{model.n_classes}-class model; the "
+                                    f"task's groups are {groups}")
         return name, (task, policy)
     except (KeyError, TypeError, ValueError, AttributeError,
             ConfigError) as exc:

@@ -73,18 +73,6 @@ class CostSensitiveExample:
     group: str
 
 
-class GroupSpec(NamedTuple):
-    """A family of decisions sharing one classifier.
-
-    ``kind`` is "classify" for ordinary cost-sensitive decisions or
-    "estimate" for degenerate single-action decisions whose rule is a
-    directly estimated distribution rather than a trained classifier.
-    """
-
-    n_actions: int
-    kind: str = "classify"
-
-
 @dataclass
 class RolloutConfig:
     """Cost-estimation settings for one learning run."""
@@ -129,7 +117,8 @@ class Task(abc.ABC):
 
     @abc.abstractmethod
     def groups(self) -> dict:
-        """Decision-group name -> GroupSpec."""
+        """Decision-group name -> number of actions; each group shares
+        one model."""
 
     @abc.abstractmethod
     def initial_state(self, example):
@@ -193,12 +182,10 @@ class Task(abc.ABC):
     def validate_final(self, state, example) -> None:
         """Optional structural check on a completed rollout."""
 
-    # hooks for "estimate" groups; tasks without such groups ignore these
-    def estimation_record(self, state, example):
-        raise TaskContractError("task has no estimation decisions")
-
-    def train_estimator(self, group: str, records, learner: LearnerConfig):
-        raise TaskContractError("task has no estimation decisions")
+    def train_estimator(self, group: str, record, learner: LearnerConfig):
+        """The model of ``group`` estimated directly from the one record
+        that :meth:`exact_examples` gave for it, in place of a classifier."""
+        raise TaskContractError("task has no estimated groups")
 
     def exact_examples(self, dataset, policy):
         """Closed-form expected-cost examples of the whole dataset (the
@@ -389,7 +376,8 @@ def _constant_costs(costs: np.ndarray) -> bool:
 
 
 class GeneratedExamples(NamedTuple):
-    """Cost-sensitive examples plus raw records for estimation groups."""
+    """Cost-sensitive examples, plus group name -> the one record a
+    closed-form task gives for a group it estimates directly."""
 
     cost_examples: list
     estimation_records: dict
@@ -399,20 +387,18 @@ def generate_examples(dataset, pol: Policy, task: Task,
                       cfg: RolloutConfig) -> GeneratedExamples:
     """Roll the policy over the dataset, costing every decision.
 
-    One cost-sensitive example per classify decision whose cost vector is
-    not constant; estimation decisions contribute raw records instead.
-    A task with closed-form costs (see Task.exact_examples) rolls nothing
-    out.  Output is deterministic given cfg.seed and does not depend on
-    the order in which examples are processed.
+    One cost-sensitive example per decision with two or more legal actions
+    whose cost vector is not constant.  A task with closed-form costs (see
+    Task.exact_examples) rolls nothing out.  Output is deterministic given
+    cfg.seed and does not depend on the order in which examples are
+    processed.
     """
     if len(dataset) == 0:
         raise DataError("dataset is empty")
     exact = task.exact_examples(dataset, pol)
     if exact is not None:
         return exact
-    specs = task.groups()
     out = []
-    records: dict = {name: [] for name, g in specs.items() if g.kind == "estimate"}
     for example_id, example in enumerate(dataset):
         path_rng = _rng(cfg.seed, _PATH, example_id)
         state = task.initial_state(example)
@@ -425,9 +411,7 @@ def generate_examples(dataset, pol: Policy, task: Task,
                     f"roll-in exceeded the task's {limit}-decision bound")
             group = task.group_of(state)
             legal = task.legal_actions(state)
-            if specs[group].kind == "estimate":
-                records[group].append(task.estimation_record(state, example))
-            elif len(legal) >= 2:
+            if len(legal) >= 2:
                 costs = _costs_at_state(task, example, example_id, t, state,
                                         legal, pol, cfg, allow_shortcut=True)
                 if not _constant_costs(costs):
@@ -440,7 +424,7 @@ def generate_examples(dataset, pol: Policy, task: Task,
             state = task.apply(state, policy_act(pol, state, legal,
                                                  path_rng))
         task.validate_final(state, example)
-    return GeneratedExamples(out, records)
+    return GeneratedExamples(out, {})
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +435,19 @@ def train_rule(task: Task, generated: GeneratedExamples,
                learner: LearnerConfig) -> LearnedRule:
     """Fit one model per decision group from generated examples.
 
-    Classify groups train the configured cost-sensitive learner; estimate
-    groups delegate to the task's estimator.  Groups with no examples are
-    left out of the rule (they fall back to the initial behavior).
+    A group the batch carries an estimation record for is fitted by the
+    task's estimator; every other group trains the configured
+    cost-sensitive learner.  Groups with no examples are left out of the
+    rule (they fall back to the initial behavior).
     """
-    specs = task.groups()
     by_group: dict = {}
     for ex in generated.cost_examples:
         by_group.setdefault(ex.group, []).append(ex)
     models = {}
-    for name, spec in specs.items():
-        if spec.kind == "estimate":
-            recs = generated.estimation_records.get(name, [])
-            if recs:
-                models[name] = task.train_estimator(name, recs, learner)
+    for name, n_actions in task.groups().items():
+        record = generated.estimation_records.get(name)
+        if record is not None:
+            models[name] = task.train_estimator(name, record, learner)
             continue
         examples = by_group.get(name)
         if not examples:
@@ -472,10 +455,10 @@ def train_rule(task: Task, generated: GeneratedExamples,
         labeled = costs_to_weighted_labels(examples, task.weight_mode(name))
         n_features = len(task.interner)
         if learner.kind == "nb":
-            models[name] = nb_train(labeled, spec.n_actions, n_features,
+            models[name] = nb_train(labeled, n_actions, n_features,
                                     smoothing=learner.smoothing)
         elif learner.kind == "lr":
-            models[name] = lr_train(labeled, spec.n_actions, n_features,
+            models[name] = lr_train(labeled, n_actions, n_features,
                                     learner.variance_for(name))
         else:
             raise ConfigError(f"unknown learner kind: {learner.kind!r}")

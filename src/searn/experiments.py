@@ -309,6 +309,8 @@ def learning_curve(exp: ParseExperiment, labeled_counts,
     counts = sorted(set(int(c) for c in labeled_counts))
     if not counts:
         raise ConfigError("labeled_counts must be non-empty")
+    if not master_seeds:
+        raise ConfigError("master_seeds must be non-empty")
     exps = [replace(exp, master_seed=m) for m in master_seeds]
     corpora = {e.master_seed: parse_corpus(e) for e in exps}
     for c in counts:

@@ -5,16 +5,18 @@ document as a distribution over the vocabulary.  The loss is the log loss
 of the true counts under the emitted distribution, so cluster ids matter
 only through the emission table attached to them.
 
-In exact mode the expected rollout losses have a closed form, and the
-learning loop configured with a naive Bayes learner, softmin weights,
-zero smoothing, and beta = 1 walks the same parameter trajectory as EM on
-a mixture of multinomials; :func:`run_equivalence` checks this end to end.
-Like EM's E- and M-steps, one exact-mode iteration is a few array
-operations over the whole corpus: :meth:`ClusterTask.exact_examples` turns
-the n x V count matrix into an n x K cost matrix per mixture component
-and a single (responsibilities, counts) record, and the emission table is
-their weighted column sum.  Every number keeps the bits that the same
-computation gives one document at a time.
+The expected rollout losses have a closed form, and the task learns only
+by it: no decision is rolled out.  The learning loop configured with a
+naive Bayes learner, softmin weights, zero smoothing, and beta = 1 then
+walks the same parameter trajectory as EM on a mixture of multinomials;
+:func:`run_equivalence` checks this end to end.  Like EM's E- and
+M-steps, one iteration is a few array operations over the whole corpus:
+:meth:`ClusterTask.exact_examples` turns the n x V count matrix into an
+n x K cost matrix per mixture component and a single (responsibilities,
+counts) record, and the emission table is their weighted column sum.
+Every number keeps the bits that the same computation gives one document
+at a time.  The decision process itself (``initial_state`` through
+``rollout_loss``) is what :func:`searn.core.run_policy` runs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .classifiers import NBModel
 from .core import (
     CostSensitiveExample,
     GeneratedExamples,
-    GroupSpec,
     LearnedRule,
     LearnerConfig,
     Policy,
@@ -72,17 +73,16 @@ class DocumentCounts:
 class ClusterTaskConfig:
     """K clusters over V words.
 
-    K = 1 leaves no cluster choice to learn; it is accepted only in exact
-    mode, where the equivalence check uses it as a boundary case.
+    K = 1 leaves no cluster choice to learn; the equivalence check uses it
+    as a boundary case.
     """
 
     K: int
     V: int
-    exact_mode: bool = False
 
     def __post_init__(self):
-        if self.V < 2 or self.K < (1 if self.exact_mode else 2):
-            raise ConfigError("need K >= 2 (K >= 1 in exact mode) and V >= 2")
+        if self.V < 2 or self.K < 1:
+            raise ConfigError("need K >= 1 and V >= 2")
 
 
 class ClusterState:
@@ -135,10 +135,7 @@ class ClusterTask(Task):
         self.interner.intern("total")
 
     def groups(self):
-        return {
-            CLUSTER: GroupSpec(self.config.K),
-            DOC: GroupSpec(1, kind="estimate"),
-        }
+        return {CLUSTER: self.config.K, DOC: 1}
 
     def initial_state(self, example):
         if not isinstance(example, DocumentCounts):
@@ -192,22 +189,15 @@ class ClusterTask(Task):
     def weight_mode(self, group):
         return "softmin"
 
-    def estimation_record(self, state, example):
-        """A one-hot responsibility row and the document's count row."""
-        z = np.zeros((1, self.config.K))
-        z[0, state.cluster] = 1.0
-        return z, state.doc.counts[None, :]
-
-    def train_estimator(self, group, records, learner: LearnerConfig):
-        """Weighted maximum-likelihood emission table from (Z, D) records:
-        responsibility rows and count rows, stacked in record order.
+    def train_estimator(self, group, record, learner: LearnerConfig):
+        """Weighted maximum-likelihood emission table from the corpus
+        record (Z, D): the n x K responsibilities and the n x V counts.
 
         Row k of the table sums Z[:, k] * D over the rows one after another
         (a reduction along axis 0 adds row by row), as a loop over the
-        records adding into a zeroed table does.
+        documents adding into a zeroed table does.
         """
-        Z = np.concatenate([z for z, _ in records])
-        D = np.concatenate([d for _, d in records])
+        Z, D = record
         acc = np.array([np.add.reduce(Z[:, k, None] * D, axis=0)
                         for k in range(self.config.K)])
         acc += learner.smoothing
@@ -221,7 +211,7 @@ class ClusterTask(Task):
 
     def exact_examples(self, dataset, policy: Policy):
         """Expected-loss cost vectors and the responsibility record of the
-        whole corpus in exact mode; None otherwise, so costs are rolled out.
+        whole corpus.
 
         The corpus is checked once into an n x V count matrix D.  For each
         mixture component, the expected completion loss of choosing cluster
@@ -233,8 +223,6 @@ class ClusterTask(Task):
         Every learned component needs an emission table; the initial rule
         has no closed form here and is a ConfigError.
         """
-        if not self.config.exact_mode:
-            return None
         for rule, _ in policy.components:
             if isinstance(rule, InitialRule):
                 raise ConfigError("exact mode starts from a learned policy "
@@ -270,7 +258,7 @@ class ClusterTask(Task):
                     costs=regrets[i],
                     group=CLUSTER,
                 ))
-        return GeneratedExamples(out, {DOC: [(z, D)]})
+        return GeneratedExamples(out, {DOC: (z, D)})
 
     def _count_matrix(self, dataset) -> np.ndarray:
         """The documents as rows of an n x V matrix.  A corpus that fails
@@ -369,7 +357,7 @@ class EquivalenceReport:
 
 def run_equivalence(dataset, K: int, iterations: int, seed: int,
                     tolerance: float) -> EquivalenceReport:
-    """Walk EM and the exact-mode learning loop from one initialization.
+    """Walk EM and the closed-form learning loop from one initialization.
 
     Both trainers start from the identical (rho, theta), drawn by
     ``mm_random_init`` from ``seed``.  The report lists, per iteration,
@@ -380,7 +368,7 @@ def run_equivalence(dataset, K: int, iterations: int, seed: int,
                        for d in dataset])
     V = docs.shape[1]
     params0 = mm_random_init(K, V, seed)
-    task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
+    task = ClusterTask(ClusterTaskConfig(K=K, V=V))
     learner = LearnerConfig(kind="nb", smoothing=0.0)
 
     report = EquivalenceReport(tolerance)

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import GroupSpec, Task
+from .core import Task
 from .errors import ConfigError, DataError, StateError
 from .features import FeatureVector, Interner
 
@@ -252,10 +252,9 @@ class ParseTask(Task):
     def __init__(self, config: ParseTaskConfig):
         self.config = config
         self.interner = Interner()
-        specs = {PARSE: GroupSpec(4)}
+        self._groups = {PARSE: 4}
         if config.supervision != "sup":
-            specs[TAG] = GroupSpec(config.tagset_size)
-        self._groups = specs
+            self._groups[TAG] = config.tagset_size
         self._tag_legal = tuple(range(config.tagset_size))
 
     def groups(self):

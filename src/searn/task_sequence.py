@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GroupSpec, Task
+from .core import Task
 from .corpus_files import read_corpus, write_corpus
 from .errors import ConfigError, DataError, TaskContractError
 from .features import FeatureVector, Interner
@@ -66,10 +66,7 @@ class SequenceTask(Task):
         self._features = {}
 
     def groups(self):
-        return {
-            LATENT: GroupSpec(self.config.K),
-            EMIT: GroupSpec(self.config.V),
-        }
+        return {LATENT: self.config.K, EMIT: self.config.V}
 
     def initial_state(self, example):
         x = tuple(int(v) for v in example)

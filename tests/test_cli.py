@@ -453,6 +453,15 @@ class TestExitCodes:
         data.write_text(f"V={MAX_VOCAB_SIZE}\n0:1\n1:1\n")
         assert read_documents(data)[0].shape == (2, MAX_VOCAB_SIZE)
 
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_gen_runs_below_one_is_config_error(self, tmp_path, capsys,
+                                                runs):
+        out = tmp_path / "o"
+        assert run_cli("gen", "--task", "sequence", "--runs", runs,
+                       "--out", str(out)) == 2
+        assert "need at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_vocab_over_cap_is_config_error(self, tmp_path):
         from searn.corpus_files import MAX_VOCAB_SIZE
         for task in ("cluster", "sequence"):
@@ -502,6 +511,66 @@ def test_malformed_model_is_data_error(seq_run, tmp_path, blob):
                    "--data", str(data / "sequences-run00.txt"),
                    "--gold", str(data / "sequences-run00.gold.txt"),
                    "--out", str(tmp_path / "eval")) == 1
+
+
+@pytest.fixture(scope="module")
+def parse_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("parserun")
+    data, run = root / "data", root / "run"
+    assert run_cli("gen", "--task", "depparse", "--sentences", "6",
+                   "--seed", "3", "--out", str(data)) == 0
+    assert run_cli("train", "--task", "depparse", "--method", "searn-lr",
+                   "--supervision", "sup", "--iterations", "1",
+                   "--data", str(data / "treebank.conll"),
+                   "--out", str(run)) == 0
+    return data / "treebank.conll", run / "model.json"
+
+
+def _parse_three_rows(policy):
+    model = policy["components"][0]["models"]["parse"]
+    model["weights"] = model["weights"][:3]
+
+
+def _parse_scalar_weights(policy):
+    policy["components"][0]["models"]["parse"]["weights"] = 3.0
+
+
+def _parse_initial_rule(policy):
+    policy["components"] = [{"kind": "initial", "weight": 1.0}]
+
+
+def _nb_short_prior(policy):
+    model = policy["components"][0]["models"]["emit"]
+    model["class_log_prior"] = model["class_log_prior"][:1]
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_parse_three_rows, "group 'parse' has a 3-class model"),
+    (_parse_scalar_weights, "2-D weight table"),
+    (_parse_initial_rule, "learned rules only"),
+    (_nb_short_prior, "one prior entry per table row"),
+], ids=["parse-three-rows", "parse-scalar-weights", "parse-initial-rule",
+        "nb-short-prior"])
+def test_malformed_policy_is_data_error(seq_run, parse_run, tmp_path,
+                                        capsys, edit, error):
+    # hand edits of a trained model that once ended in a traceback, or (the
+    # initial rule) in a perfect score read off the gold trees
+    if edit is _nb_short_prior:
+        data, run = seq_run
+        trained, data = run / "model.json", data / "sequences-run00.txt"
+        gold = ["--gold", str(data).replace(".txt", ".gold.txt")]
+    else:
+        data, trained = parse_run
+        gold = []
+    blob = json.loads(trained.read_text())
+    edit(blob["policy"])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert run_cli("eval", "--model", str(model), "--data", str(data),
+                   *gold, "--out", str(tmp_path / "eval")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {model}") and error in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from searn.core import (
     CostSensitiveExample,
-    GroupSpec,
     INITIAL_RULE,
     LearnedRule,
     LearnerConfig,
@@ -44,7 +43,7 @@ class ToyTask(Task):
         self.interner = Interner()
 
     def groups(self):
-        return {"g": GroupSpec(2)}
+        return {"g": 2}
 
     def initial_state(self, example):
         return ToyState(self, example)

@@ -28,8 +28,6 @@ from searn.core import (
     Policy,
     RolloutConfig,
     _classification_loss,
-    generate_examples,
-    initial_policy,
     interpolate_policy,
     searn_learn,
     train_rule,
@@ -237,7 +235,7 @@ def learn_both(task, dataset, pol, iterations, beta=1.0, smoothing=0.0):
 @pytest.mark.parametrize("K", [1, 2, 3])
 @pytest.mark.parametrize("V", [9, 14])
 def test_exact_iterations_match_reference(K, V):
-    task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
+    task = ClusterTask(ClusterTaskConfig(K=K, V=V))
     docs = corpus(30, V, seed=K * 100 + V)
     pol = task.policy_from_params(mm_random_init(K, V, K + V))
     learn_both(task, list(docs), pol, iterations=4)
@@ -245,7 +243,7 @@ def test_exact_iterations_match_reference(K, V):
 
 def test_zero_probability_words_block_a_cluster():
     K, V = 3, 10
-    task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
+    task = ClusterTask(ClusterTaskConfig(K=K, V=V))
     docs = corpus(24, V, seed=5, block=True)
     pol = task.policy_from_params(blocking_params(K, V, 6))
     generated = task.exact_examples(list(docs), pol)
@@ -256,7 +254,7 @@ def test_zero_probability_words_block_a_cluster():
 
 def test_two_component_mixture_with_beta_half():
     K, V = 2, 12
-    task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
+    task = ClusterTask(ClusterTaskConfig(K=K, V=V))
     docs = corpus(25, V, seed=7)
     pol = task.policy_from_params(mm_random_init(K, V, 8))
     final = learn_both(task, list(docs), pol, iterations=3, beta=0.5)
@@ -268,13 +266,13 @@ def test_two_component_mixture_with_beta_half():
     generated = task.exact_examples(list(docs), two)
     old_examples, old_records = oracle_exact_examples(task, list(docs), two)
     assert_same_cost_examples(generated.cost_examples, old_examples)
-    [(z, counts)] = generated.estimation_records[DOC]
+    z, counts = generated.estimation_records[DOC]
     assert z.ravel().tolist() == [w for _, _, w in old_records]
 
 
 def test_smoothed_estimator_matches_reference():
     K, V = 3, 9
-    task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
+    task = ClusterTask(ClusterTaskConfig(K=K, V=V))
     docs = corpus(20, V, seed=10)
     pol = task.policy_from_params(mm_random_init(K, V, 11))
     learn_both(task, list(docs), pol, iterations=2, smoothing=0.25)
@@ -282,7 +280,7 @@ def test_smoothed_estimator_matches_reference():
 
 def test_documents_as_arrays_and_document_counts():
     K, V = 2, 9
-    task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
+    task = ClusterTask(ClusterTaskConfig(K=K, V=V))
     docs = corpus(12, V, seed=12)
     pol = task.policy_from_params(mm_random_init(K, V, 13))
     as_counts = [DocumentCounts(d) for d in docs]
@@ -292,8 +290,8 @@ def test_documents_as_arrays_and_document_counts():
         generated = task.exact_examples(dataset, pol)
         assert_same_cost_examples(generated.cost_examples,
                                   reference.cost_examples)
-        [(z, counts)] = generated.estimation_records[DOC]
-        [(z_ref, counts_ref)] = reference.estimation_records[DOC]
+        z, counts = generated.estimation_records[DOC]
+        z_ref, counts_ref = reference.estimation_records[DOC]
         assert z.tobytes() == z_ref.tobytes()
         assert counts.tobytes() == counts_ref.tobytes()
     learn_both(task, as_counts, pol, iterations=2)
@@ -301,7 +299,7 @@ def test_documents_as_arrays_and_document_counts():
 
 def test_first_bad_document_raises_its_own_error():
     K, V = 2, 4
-    task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
+    task = ClusterTask(ClusterTaskConfig(K=K, V=V))
     pol = task.policy_from_params(mm_random_init(K, V, 14))
     good = [1.0, 0.0, 2.0, 0.0]
     cases = [
@@ -321,7 +319,7 @@ def test_first_bad_document_raises_its_own_error():
 
 def test_document_blocked_everywhere_is_data_error():
     K, V = 2, 4
-    task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
+    task = ClusterTask(ClusterTaskConfig(K=K, V=V))
     params = mm_random_init(K, V, 15)
     params.theta[:, 3] = 0.0
     params.theta /= params.theta.sum(axis=1, keepdims=True)
@@ -332,31 +330,10 @@ def test_document_blocked_everywhere_is_data_error():
 
 
 def test_missing_emission_table_is_training_error():
-    task = ClusterTask(ClusterTaskConfig(K=2, V=4, exact_mode=True))
+    task = ClusterTask(ClusterTaskConfig(K=2, V=4))
     pol = Policy(((LearnedRule({}), 1.0),))
     with pytest.raises(TrainingError, match="emission table"):
         task.exact_examples([[1.0, 0.0, 2.0, 0.0]], pol)
-
-
-def test_sampled_records_train_the_reference_table():
-    # sampled mode sends one one-hot row per document through the same
-    # estimator as exact mode's corpus record
-    K, V = 3, 9
-    task = ClusterTask(ClusterTaskConfig(K=K, V=V))
-    docs = list(corpus(15, V, seed=16))
-    generated = generate_examples(docs, initial_policy(), task,
-                                  RolloutConfig(seed=17))
-    records = generated.estimation_records[DOC]
-    assert len(records) == len(docs)
-    old_records = []
-    for z, d in records:
-        assert z.shape == (1, K) and z.sum() == 1.0
-        old_records.append((int(np.argmax(z)), DocumentCounts(d[0]), 1.0))
-    for smoothing in (0.5, 1.0):
-        new = task.train_estimator(DOC, records,
-                                   LearnerConfig(smoothing=smoothing))
-        old = oracle_train_estimator(task, old_records, smoothing)
-        assert new.theta.tobytes() == old.theta.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +480,7 @@ def test_python_calls_do_not_grow_with_documents(monkeypatch, K):
     V = 10
     counts = []
     for n in (40, 400):
-        task = ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=True))
+        task = ClusterTask(ClusterTaskConfig(K=K, V=V))
         docs = list(corpus(n, V, seed=n + K))
         start = task.policy_from_params(mm_random_init(K, V, 22))
         calls.update(from_pairs=0, predict_costs=0)

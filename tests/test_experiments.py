@@ -119,6 +119,10 @@ class TestLearningCurve:
         with pytest.raises(ConfigError):
             learning_curve(TINY_PARSE, [])
 
+    def test_empty_seeds_rejected(self):
+        with pytest.raises(ConfigError, match="master_seeds"):
+            learning_curve(TINY_PARSE, [5], master_seeds=())
+
 
 class TestEquivalenceSweep:
     def test_trainers_coincide(self):

@@ -32,7 +32,6 @@ from searn.core import (
 )
 from searn.errors import StateError
 from searn.features import FeatureVector
-from searn.task_cluster import ClusterState, ClusterTask, ClusterTaskConfig
 from searn.task_depparse import (
     LEFT_ARC,
     REDUCE,
@@ -55,8 +54,6 @@ from searn.task_sequence import EMIT, LATENT, SequenceTask, SequenceTaskConfig
 
 
 def oracle_model_action(task, model, state):
-    if isinstance(task, ClusterTask) and state.cluster is not None:
-        return model.distribution_for(state.cluster)
     legal = task.legal_actions(state)
     if not legal:
         raise StateError("no legal action available")
@@ -117,30 +114,24 @@ def oracle_costs_at_state(task, example, example_id, t, state, pol, cfg):
 
 
 def oracle_generate_examples(dataset, pol, task, cfg):
-    specs = task.groups()
     out = []
-    records = {name: [] for name, g in specs.items() if g.kind == "estimate"}
     for example_id, example in enumerate(dataset):
         path_rng = _rng(cfg.seed, _PATH, example_id)
         state = task.initial_state(example)
         t = 0
         while not task.is_final(state):
             t += 1
-            group = task.group_of(state)
-            if specs[group].kind == "estimate":
-                records[group].append(task.estimation_record(state, example))
-            else:
-                legal = task.legal_actions(state)
-                if len(legal) >= 2:
-                    costs = oracle_costs_at_state(task, example, example_id,
-                                                  t, state, pol, cfg)
-                    if not _constant_costs(costs):
-                        out.append(CostSensitiveExample(
-                            features=task.features(state),
-                            actions=tuple(legal), costs=costs, group=group))
+            legal = task.legal_actions(state)
+            if len(legal) >= 2:
+                costs = oracle_costs_at_state(task, example, example_id, t,
+                                              state, pol, cfg)
+                if not _constant_costs(costs):
+                    out.append(CostSensitiveExample(
+                        features=task.features(state), actions=tuple(legal),
+                        costs=costs, group=task.group_of(state)))
             state = task.apply(state, oracle_policy_act(pol, state, path_rng))
         task.validate_final(state, example)
-    return GeneratedExamples(out, records)
+    return GeneratedExamples(out, {})
 
 
 class OracleSequenceTask(SequenceTask):
@@ -279,20 +270,12 @@ def assert_same_examples(new, old):
         assert a.actions == b.actions
         assert a.costs.tobytes() == b.costs.tobytes()
         assert a.group == b.group
-    assert new.estimation_records.keys() == old.estimation_records.keys()
-    for name, recs in new.estimation_records.items():
-        olds = old.estimation_records[name]
-        assert len(recs) == len(olds)
-        for (z1, d1), (z2, d2) in zip(recs, olds):
-            assert z1.tobytes() == z2.tobytes()
-            assert d1.tobytes() == d2.tobytes()
+    assert new.estimation_records == old.estimation_records == {}
 
 
 def final_key(state):
     if isinstance(state, ParseState):
         return state.ps, state.produced, state.tree.heads
-    if isinstance(state, ClusterState):
-        return state.cluster, np.asarray(state.emitted).tobytes()
     return state.actions
 
 
@@ -376,16 +359,6 @@ def test_depparse_matches_reference(supervision, kind):
     learn_side_by_side(ParseTask(config), OracleParseTask(config), data,
                        learner, beta=0.5,
                        cfg=RolloutConfig(n_samples=2, seed=9))
-
-
-def test_cluster_sampled_matches_reference():
-    # the emission decision goes through ClusterTask.model_action
-    config = ClusterTaskConfig(K=2, V=5)
-    rng = np.random.default_rng(31)
-    docs = list(rng.integers(0, 6, size=(8, 5)).astype(float) + 1.0)
-    learn_side_by_side(ClusterTask(config), ClusterTask(config), docs,
-                       LearnerConfig(kind="nb", smoothing=0.5), beta=0.5,
-                       cfg=RolloutConfig(n_samples=1, seed=3), iterations=3)
 
 
 def _uniform_nb(n_classes, n_features):

@@ -1,4 +1,4 @@
-"""Cluster task tests: exact-mode costs, EM trajectory match, corpus IO."""
+"""Cluster task tests: closed-form costs, EM trajectory match, corpus IO."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from searn.em import (MultinomialMixtureParams, mm_e_step, mm_em_train,
                       mm_log_likelihood, mm_random_init)
 from searn.errors import ConfigError, DataError
 from searn.task_cluster import (
-    CLUSTER,
     DOC,
     ClusterTask,
     ClusterTaskConfig,
@@ -38,8 +37,8 @@ def random_corpus(n, V, seed):
     return docs
 
 
-def make_task(K=2, V=5, exact=False):
-    return ClusterTask(ClusterTaskConfig(K=K, V=V, exact_mode=exact))
+def make_task(K=2, V=5):
+    return ClusterTask(ClusterTaskConfig(K=K, V=V))
 
 
 class CountingClusterTask(ClusterTask):
@@ -80,15 +79,35 @@ class TestDecompose:
 
     def test_config_rejects_degenerate(self):
         with pytest.raises(ConfigError):
-            ClusterTaskConfig(K=1, V=4)
-        with pytest.raises(ConfigError):
             ClusterTaskConfig(K=2, V=1)
 
     def test_single_cluster_only_in_exact_mode(self):
-        task = make_task(K=1, V=4, exact=True)
+        # every cluster task learns in exact mode now, so one cluster (the
+        # equivalence check's boundary case) is always accepted; zero is not
+        task = make_task(K=1, V=4)
         assert task.legal_actions(task.initial_state([1, 0, 2, 0])) == (0,)
         with pytest.raises(ConfigError):
-            ClusterTaskConfig(K=0, V=4, exact_mode=True)
+            ClusterTaskConfig(K=0, V=4)
+
+    def test_rollout_terminates_and_validates(self):
+        task = make_task(K=3, V=4)
+        rng = np.random.default_rng(10)
+        final = run_policy(task, np.array([1.0, 2.0, 0.0, 1.0]),
+                           initial_policy(), rng)
+        assert final.emitted is not None
+        assert task.rollout_loss(final, None) >= 0.0
+
+    def test_learned_policy_emits_its_cluster_table(self):
+        # the emit decision acts through ClusterEmissionModel, which only
+        # ClusterTask.model_action knows how to act with
+        V, K = 5, 2
+        task = make_task(K=K, V=V)
+        params = mm_random_init(K, V, 12)
+        pol = task.policy_from_params(params)
+        for i, doc in enumerate(random_corpus(8, V, 13)):
+            final = run_policy(task, doc, pol, np.random.default_rng(i))
+            assert np.array_equal(final.emitted, params.theta[final.cluster])
+            assert np.isfinite(task.rollout_loss(final, doc))
 
     def test_document_validation(self):
         with pytest.raises(DataError):
@@ -129,12 +148,12 @@ class TestClusterLoss:
 
 class TestExactCosts:
     def test_softmin_of_costs_matches_e_step(self):
-        # the exact-mode cost vector, min-subtracted and softmin-
+        # the closed-form cost vector, min-subtracted and softmin-
         # normalized, is the posterior responsibility row
         V, K = 5, 3
         docs = random_corpus(8, V, 2)
         params = mm_random_init(K, V, 3)
-        task = make_task(K=K, V=V, exact=True)
+        task = make_task(K=K, V=V)
         pol = task.policy_from_params(params)
         generated = task.exact_examples(list(docs), pol)
         z_oracle = mm_e_step(params, docs)
@@ -148,11 +167,11 @@ class TestExactCosts:
         V, K = 4, 2
         docs = random_corpus(6, V, 4)
         params = mm_random_init(K, V, 5)
-        task = make_task(K=K, V=V, exact=True)
+        task = make_task(K=K, V=V)
         pol = task.policy_from_params(params)
         generated = task.exact_examples(list(docs), pol)
         z_oracle = mm_e_step(params, docs)
-        [(weights, counts)] = generated.estimation_records[DOC]
+        weights, counts = generated.estimation_records[DOC]
         np.testing.assert_allclose(weights, z_oracle, atol=1e-12)
         assert counts.tobytes() == docs.tobytes()
 
@@ -163,7 +182,7 @@ class TestExactCosts:
         params0 = mm_random_init(K, V, 27)
         learned = []
         for corpus in (docs, list(docs)):
-            task = make_task(K=K, V=V, exact=True)
+            task = make_task(K=K, V=V)
             pol, _ = searn_learn(task, corpus, LearnerConfig(kind="nb"),
                                  beta=1.0, cfg=RolloutConfig(), iterations=2,
                                  start=task.policy_from_params(params0))
@@ -175,95 +194,34 @@ class TestExactCosts:
                               task, RolloutConfig())
 
     def test_exact_mode_requires_configuration(self):
-        # under one default rollout config, the exact-mode task trains by
-        # the closed form (no rollouts, EM's trajectory) and the sampled
-        # task rolls out
+        # under the default rollout config the task trains by the closed
+        # form: no rollouts, and EM's trajectory
         V, K, iterations = 5, 2, 3
         docs = list(random_corpus(8, V, 14))
         params0 = mm_random_init(K, V, 15)
         em_params, _ = mm_em_train(np.asarray(docs), params0, iterations)
-        for exact in (True, False):
-            task = CountingClusterTask(ClusterTaskConfig(K=K, V=V,
-                                                         exact_mode=exact))
-            pol, _ = searn_learn(task, docs, LearnerConfig(kind="nb"),
-                                 beta=1.0, cfg=RolloutConfig(),
-                                 iterations=iterations,
-                                 start=task.policy_from_params(params0))
-            if exact:
-                assert task.rollouts == 0
-                got = task.params_from_rule(pol.components[-1][0])
-                np.testing.assert_allclose(got.rho, em_params.rho,
-                                           rtol=0, atol=1e-8)
-                np.testing.assert_allclose(got.theta, em_params.theta,
-                                           rtol=0, atol=1e-8)
-            else:
-                assert task.exact_examples(docs, pol) is None
-                assert task.rollouts > 0
-
+        task = CountingClusterTask(ClusterTaskConfig(K=K, V=V))
+        pol, _ = searn_learn(task, docs, LearnerConfig(kind="nb"), beta=1.0,
+                             cfg=RolloutConfig(), iterations=iterations,
+                             start=task.policy_from_params(params0))
+        assert task.rollouts == 0
+        got = task.params_from_rule(pol.components[-1][0])
+        np.testing.assert_allclose(got.rho, em_params.rho, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(got.theta, em_params.theta,
+                                   rtol=0, atol=1e-8)
 
     def test_initial_rule_component_is_config_error(self):
         # the closed form needs every component's emission table; the
         # initial rule has none
         V, K = 4, 2
         docs = list(random_corpus(5, V, 16))
-        task = make_task(K=K, V=V, exact=True)
+        task = make_task(K=K, V=V)
         learned = task.policy_from_params(mm_random_init(K, V, 17))
         mixed = Policy(((INITIAL_RULE, 0.5),
                         (learned.components[0][0], 0.5)))
         for pol in (initial_policy(), mixed):
             with pytest.raises(ConfigError, match="initial rule"):
                 task.exact_examples(docs, pol)
-
-
-class TestSampledMode:
-    def test_iteration_one_induces_no_cluster_examples(self):
-        # under the initial policy the emitted distribution never depends
-        # on the chosen cluster, so every cluster cost vector is constant
-        task = make_task(K=2, V=5)
-        docs = list(random_corpus(6, 5, 6))
-        generated = generate_examples(docs, initial_policy(), task,
-                                      RolloutConfig(seed=7, n_samples=2))
-        assert generated.cost_examples == []
-        assert len(generated.estimation_records[DOC]) == len(docs)
-
-    def test_sampled_records_train_an_emission_table(self):
-        task = make_task(K=2, V=5)
-        docs = list(random_corpus(6, 5, 8))
-        generated = generate_examples(docs, initial_policy(), task,
-                                      RolloutConfig(seed=9))
-        rule = train_rule(task, generated, LearnerConfig(kind="nb",
-                                                         smoothing=0.5))
-        assert DOC in rule.models
-        theta = rule.models[DOC].theta
-        np.testing.assert_allclose(theta.sum(axis=1), np.ones(2), atol=1e-12)
-
-    def test_second_iteration_acts_through_learned_emission_model(self):
-        # iteration 2 rolls out with iteration 1's ClusterEmissionModel,
-        # which only ClusterTask.model_action knows how to act with
-        task = make_task(K=2, V=5)
-        docs = list(random_corpus(8, 5, 12))
-        pol, log = searn_learn(task, docs,
-                               LearnerConfig(kind="nb", smoothing=0.5),
-                               beta=0.5, cfg=RolloutConfig(seed=13),
-                               iterations=2)
-        assert log[0]["n_cost_examples"] == 0
-        assert log[1]["n_cost_examples"] > 0
-        rule = pol.components[-1][0]
-        assert set(rule.models) == {CLUSTER, DOC}
-        for i, doc in enumerate(docs):
-            final = run_policy(task, doc, pol, np.random.default_rng(i))
-            emitted = [r.models[DOC].distribution_for(final.cluster)
-                       for r, _ in pol.components]
-            assert any(np.array_equal(final.emitted, e) for e in emitted)
-            assert np.isfinite(task.rollout_loss(final, doc))
-
-    def test_rollout_terminates_and_validates(self):
-        task = make_task(K=3, V=4)
-        rng = np.random.default_rng(10)
-        final = run_policy(task, np.array([1.0, 2.0, 0.0, 1.0]),
-                           initial_policy(), rng)
-        assert final.emitted is not None
-        assert task.rollout_loss(final, None) >= 0.0
 
 
 class TestEquivalence:
@@ -282,10 +240,10 @@ class TestEquivalence:
         assert report.passed
 
     def test_log_likelihood_non_decreasing(self):
-        # the exact-mode learning loop walks EM's path, so no iteration's
+        # the learning loop walks EM's path, so no iteration's
         # tables lower the likelihood
         docs = random_corpus(10, 5, 15)
-        task = make_task(K=2, V=5, exact=True)
+        task = make_task(K=2, V=5)
         pol = task.policy_from_params(mm_random_init(2, 5, 16))
         learner = LearnerConfig(kind="nb", smoothing=0.0)
         lls = []
@@ -323,7 +281,7 @@ class TestSerialization:
         # a cluster policy is stored as its mixture parameters (the model
         # file the CLI writes), so params_from_rule inverts
         # policy_from_params
-        task = make_task(K=2, V=4, exact=True)
+        task = make_task(K=2, V=4)
         params = mm_random_init(2, 4, 24)
         rule = task.policy_from_params(params).components[0][0]
         np.testing.assert_allclose(rule.models[DOC].theta, params.theta,

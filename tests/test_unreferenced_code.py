@@ -1,9 +1,13 @@
 """Every definition and every setting in ``src/searn`` has a use there.
 
-A module-level function or class that only tests reach is code kept for a
-test: it goes, or it is listed in KEPT with the reason it stays.  A use is
-a name lookup (``ast.Name``) anywhere in the package outside the
-definition itself; an import alone is not one.
+A module-level function or class, or a method of a module-level class,
+that only tests reach is code kept for a test: it goes, or it is listed in
+KEPT (a method as ``Class.method``) with the reason it stays.  A use of a
+module-level name is a name lookup (``ast.Name``) anywhere in the package
+outside the definition itself; an import alone is not one.  A method is
+used when its name appears as an attribute (``x.method``) or a name
+anywhere in the package outside the method itself.  Dunder methods are
+not checked.
 
 A setting is a parameter with a default, or a field with a default of a
 dataclass or NamedTuple (fields declared ``init=False`` hold state and
@@ -38,6 +42,7 @@ KEPT = {
     "ParseExperiment.train_limit": _PROTOCOL,
     "main.argv": "tests and perfbench/harness.py pass the argument list",
     "as_dict.interner": "tests read feature vectors by name through it",
+    "FeatureVector.as_dict": "tests read feature vectors by name through it",
 }
 
 
@@ -46,20 +51,36 @@ def _trees() -> list:
             for path in sorted(SRC.glob("*.py"))]
 
 
+def _used_outside(definition, uses) -> bool:
+    own = {id(n) for n in ast.walk(definition)}
+    return any(id(use) not in own for use in uses)
+
+
 def unreferenced() -> set:
     trees = _trees()
-    uses = defaultdict(list)
+    names, attrs = defaultdict(list), defaultdict(list)
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses[node.id].append(node)
+                names[node.id].append(node)
+            elif isinstance(node, ast.Attribute):
+                attrs[node.attr].append(node)
     out = set()
     for tree in trees:
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = {id(n) for n in ast.walk(node)}
-                if all(id(use) in own for use in uses[node.name]):
-                    out.add(node.name)
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not _used_outside(node, names[node.name]):
+                out.add(node.name)
+            if isinstance(node, ast.FunctionDef):
+                continue
+            for fn in node.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and not (fn.name.startswith("__")
+                                 and fn.name.endswith("__"))
+                        and not _used_outside(
+                            fn, names[fn.name] + attrs[fn.name])):
+                    out.add(f"{node.name}.{fn.name}")
     return out
 
 
@@ -168,6 +189,6 @@ def test_every_setting_is_set_in_the_package():
 
 def test_every_kept_name_is_still_unused():
     # an entry whose name gained a use in the package, or is gone, is stale
-    kept_settings = {k for k in KEPT if "." in k}
+    kept_settings = KEPT.keys() & settings().keys()
     assert sorted(KEPT.keys() - kept_settings - unreferenced()) == []
     assert sorted(kept_settings - unset_settings()) == []
