@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+# eager: train and eval need it, and numpy ports of its kernels are slower
 from scipy.sparse import _sparsetools
 
 from .em import logsumexp

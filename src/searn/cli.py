@@ -18,9 +18,12 @@ Output files:
   ``--clusters``, or ``--k`` when only that is given; two different
   values are a configuration error.
 - ``gen --task sequence``: ``sequences-runNN.txt`` and
-  ``sequences-runNN.gold.txt``; ``gen --task depparse``:
-  ``treebank.conll``.
-- ``train``: ``model.json``, ``train-log.csv`` and ``timings.log``.
+  ``sequences-runNN.gold.txt``, one pair per ``--runs``; ``gen --task
+  depparse``: ``treebank.conll``.  Only the sequence task takes
+  ``--runs``.
+- ``train``: ``model.json``, ``train-log.csv`` and ``timings.log``.  When
+  some LR fits stop at the optimizer's epoch cap, ``train`` says how many
+  on stderr.
   ``train --task depparse`` keeps gold trees per ``--supervision``:
   ``unsup`` strips them all; ``sup`` trains on the first
   ``--labeled-count`` sentences (all when not given), each with its
@@ -52,8 +55,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (LearnedRule, LearnerConfig, RolloutConfig, derive_seed,
-                   policy_from_dict, policy_to_dict, run_policy, searn_learn)
+from .core import (LR_OPTIMIZER, LearnedRule, LearnerConfig, RolloutConfig,
+                   derive_seed, policy_from_dict, policy_to_dict, run_policy,
+                   searn_learn)
 from .corpus_files import MAX_VOCAB_SIZE
 from .datagen import (DocGenConfig, HmmGenConfig, TreebankGenConfig,
                       gen_document_corpus, gen_hmm_dataset, gen_hmm_params,
@@ -292,6 +296,9 @@ def _out_dir(cfg) -> Path:
 def cmd_gen(cfg: ExperimentConfig) -> int:
     if cfg.task is None:
         raise ConfigError("gen needs --task")
+    if cfg.runs is not None and cfg.task != "sequence":
+        raise ConfigError(f"gen --runs writes sequence datasets only; the "
+                          f"{cfg.task} task writes one dataset")
     cfg = _resolved(cfg)
     out = _out_dir(cfg)
     if cfg.task == "sequence":
@@ -426,6 +433,11 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         spec, payload, log = _train_searn(cfg)
         losses = [r["classification_loss"] for r in log]
         seconds = [r["seconds"] for r in log]
+        capped = sum(r["capped_fits"] for r in log)
+        if capped:
+            print(f"{capped} of {sum(r['lr_fits'] for r in log)} LR fits "
+                  f"stopped at the {LR_OPTIMIZER.max_epochs}-epoch cap",
+                  file=sys.stderr)
     _write_json(out / "model.json", {"format_version": 1,
                                      "method": cfg.method, "task": spec,
                                      **payload})

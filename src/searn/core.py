@@ -25,6 +25,7 @@ import numpy as np
 from .classifiers import (
     NBModel,
     LRModel,
+    LROptimizerConfig,
     costs_to_weighted_labels,
     lr_train,
     nb_train,
@@ -43,6 +44,10 @@ _PATH, _ROLLOUT, _ITER = 0, 1, 2
 
 # costs are rounded to this many decimals before the constant-vector test
 _COST_DECIMALS = 12
+
+# the optimizer of every LR fit; searn_learn counts the fits that stop at
+# its epoch cap
+LR_OPTIMIZER = LROptimizerConfig()
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -459,7 +464,8 @@ def train_rule(task: Task, generated: GeneratedExamples,
                                     smoothing=learner.smoothing)
         elif learner.kind == "lr":
             models[name] = lr_train(labeled, n_actions, n_features,
-                                    learner.variance_for(name))
+                                    learner.variance_for(name),
+                                    config=LR_OPTIMIZER)
         else:
             raise ConfigError(f"unknown learner kind: {learner.kind!r}")
     return LearnedRule(models)
@@ -498,8 +504,10 @@ def searn_learn(task: Task, dataset, learner: LearnerConfig, beta: float,
     Each of ``iterations`` rounds: generate cost-sensitive examples under
     the current policy, train a new rule, interpolate it in with weight
     beta.  The log has one record per iteration: ``iteration``,
-    ``n_cost_examples``, ``classification_loss`` and its wall
-    ``seconds``, the one field that differs between reruns.
+    ``n_cost_examples``, ``classification_loss``, ``lr_fits`` (LR models
+    fitted), ``capped_fits`` (those of them that stopped at
+    ``LR_OPTIMIZER``'s epoch cap) and its wall ``seconds``, the one field
+    that differs between reruns.
     """
     pol = start if start is not None else initial_policy()
     log = []
@@ -509,10 +517,14 @@ def searn_learn(task: Task, dataset, learner: LearnerConfig, beta: float,
         generated = generate_examples(dataset, pol, task, it_cfg)
         rule = train_rule(task, generated, learner)
         pol = interpolate_policy(pol, rule, beta)
+        epochs = [m.trained_epochs for m in rule.models.values()
+                  if isinstance(m, LRModel)]
         log.append({
             "iteration": iteration,
             "n_cost_examples": len(generated.cost_examples),
             "classification_loss": _classification_loss(rule, generated),
+            "lr_fits": len(epochs),
+            "capped_fits": sum(e >= LR_OPTIMIZER.max_epochs for e in epochs),
             "seconds": time.perf_counter() - t0,
         })
     return strip_initial_policy(pol), log

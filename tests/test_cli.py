@@ -294,6 +294,28 @@ class TestParseTrain:
         assert models["first5"] == models["head"]
         assert models["first5"] != models["all"]
 
+    def test_capped_lr_fits_reported(self, tmp_path, capsys, monkeypatch):
+        from searn import cli, core
+        from searn.classifiers import LROptimizerConfig
+        data, out = tmp_path / "data", tmp_path / "o"
+        assert run_cli("gen", "--task", "depparse", "--sentences", "6",
+                       "--seed", "2", "--out", str(data)) == 0
+        train = ["train", "--task", "depparse", "--method", "searn-lr",
+                 "--supervision", "sup", "--iterations", "2",
+                 "--data", str(data / "treebank.conll"), "--out", str(out)]
+        capsys.readouterr()
+        cap = LROptimizerConfig(max_epochs=3)
+        monkeypatch.setattr(core, "LR_OPTIMIZER", cap)
+        monkeypatch.setattr(cli, "LR_OPTIMIZER", cap)
+        assert run_cli(*train) == 0
+        # one LR fit per iteration, each stopped by the cap
+        assert capsys.readouterr().err == (
+            "2 of 2 LR fits stopped at the 3-epoch cap\n")
+        model = json.loads((out / "model.json").read_text())
+        assert {m["trained_epochs"]
+                for c in model["policy"]["components"]
+                for m in c["models"].values()} == {3}
+
     def test_labeled_count_beyond_data_rejected(self, tmp_path):
         data = tmp_path / "data"
         assert run_cli("gen", "--task", "depparse", "--sentences", "4",
@@ -460,6 +482,16 @@ class TestExitCodes:
         assert run_cli("gen", "--task", "sequence", "--runs", runs,
                        "--out", str(out)) == 2
         assert "need at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", ["depparse", "cluster"])
+    def test_gen_runs_needs_sequence_task(self, tmp_path, capsys, task):
+        # each of these tasks writes one dataset, so a run count would be
+        # ignored; equivalence --runs (TestEquivalenceCommand) still works
+        out = tmp_path / "o"
+        assert run_cli("gen", "--task", task, "--runs", "3",
+                       "--out", str(out)) == 2
+        assert "sequence datasets only" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gen_vocab_over_cap_is_config_error(self, tmp_path):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from searn import core
+from searn.classifiers import LROptimizerConfig
 from searn.core import (
     CostSensitiveExample,
     INITIAL_RULE,
@@ -296,8 +298,25 @@ class TestSearnLearn:
         assert [r["iteration"] for r in log] == [1, 2, 3]
         for record in log:
             assert set(record) == {"iteration", "n_cost_examples",
-                                   "classification_loss", "seconds"}
+                                   "classification_loss", "lr_fits",
+                                   "capped_fits", "seconds"}
             assert record["seconds"] >= 0.0
+            assert record["lr_fits"] == record["capped_fits"] == 0
+
+    def test_capped_fits_counted(self, monkeypatch):
+        def log():
+            return searn_learn(ToyTask(), toy_dataset(),
+                               LearnerConfig(kind="lr"), beta=0.5,
+                               cfg=RolloutConfig(seed=9), iterations=2)[1]
+
+        converged = log()
+        assert [r["lr_fits"] for r in converged] == [1, 1]
+        assert [r["capped_fits"] for r in converged] == [0, 0]
+        monkeypatch.setattr(core, "LR_OPTIMIZER",
+                            LROptimizerConfig(max_epochs=2))
+        capped = log()
+        assert [r["lr_fits"] for r in capped] == [1, 1]
+        assert [r["capped_fits"] for r in capped] == [1, 1]
 
 
 class TestPolicySerialization:

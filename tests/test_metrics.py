@@ -1,12 +1,19 @@
 """Metric oracles: factorial matching brute force, frozen arithmetic."""
 
+import ast
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+import searn
 from searn.errors import DataError
 from searn.metrics import (
+    _max_agreement,
     corpus_arc_accuracy,
     matched_hamming,
     summarize,
@@ -106,6 +113,112 @@ class TestMatchedHamming:
             matched_hamming([], [], 2, 2)
         with pytest.raises(DataError):
             matched_hamming([0, 5], [0, 1], 2, 2)
+
+
+def brute_force_agreement(counts):
+    """Best total over every injective map of the shorter side into the
+    longer one."""
+    m = np.asarray(counts)
+    if m.shape[0] > m.shape[1]:
+        m = m.T
+    rows = range(m.shape[0])
+    return max(int(sum(m[i, j] for i, j in zip(rows, perm)))
+               for perm in itertools.permutations(range(m.shape[1]),
+                                                  m.shape[0]))
+
+
+def scipy_agreement(counts):
+    m = np.asarray(counts)
+    rows, cols = linear_sum_assignment(m, maximize=True)
+    return int(m[rows, cols].sum())
+
+
+def parent_matched_hamming(pred, gold):
+    """matched_hamming's score as computed through scipy's solver."""
+    pred_labels, pred = np.unique(pred, return_inverse=True)
+    gold_labels, gold = np.unique(gold, return_inverse=True)
+    confusion = np.zeros((len(pred_labels), len(gold_labels)), dtype=np.int64)
+    np.add.at(confusion, (pred, gold), 1)
+    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    agreement = confusion[rows, cols].sum()
+    return float(1.0 - agreement / len(pred))
+
+
+class TestMaxAgreement:
+    @pytest.mark.parametrize("n_rows", range(1, 7))
+    @pytest.mark.parametrize("n_cols", range(1, 7))
+    def test_matches_brute_force_every_shape(self, n_rows, n_cols):
+        rng = np.random.default_rng(100 * n_rows + n_cols)
+        cases = [np.zeros((n_rows, n_cols), dtype=np.int64),
+                 np.full((n_rows, n_cols), 3)]
+        for high in (2, 3, 50):  # small ranges give heavy ties
+            for _ in range(8):
+                cases.append(rng.integers(0, high, size=(n_rows, n_cols)))
+        for _ in range(8):
+            m = rng.integers(0, 10, size=(n_rows, n_cols))
+            m[rng.integers(0, n_rows)] = 0
+            m[:, rng.integers(0, n_cols)] = 0
+            cases.append(m)
+        for m in cases:
+            assert _max_agreement(m.tolist()) == brute_force_agreement(m)
+
+    def test_matches_scipy_up_to_40(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n_rows, n_cols = rng.integers(1, 41, size=2)
+            m = rng.integers(0, rng.integers(1, 100),
+                             size=(n_rows, n_cols))
+            assert _max_agreement(m.tolist()) == scipy_agreement(m)
+
+    def test_matches_scipy_on_counts_near_1e9(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 5, 12, 40):
+            for _ in range(5):
+                m = 10**9 - rng.integers(0, 1000, size=(n, n + 1))
+                assert _max_agreement(m.tolist()) == scipy_agreement(m)
+                assert _max_agreement(m.T.tolist()) == scipy_agreement(m.T)
+
+    def test_returns_a_python_int(self):
+        assert type(_max_agreement([[2, 5], [7, 1]])) is int
+        assert _max_agreement([[2, 5], [7, 1]]) == 12
+
+    def test_matched_hamming_equals_scipy_formula(self):
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            k_pred, k_gold = rng.integers(1, 13, size=2)
+            n = int(rng.integers(1, 500))
+            pred = rng.integers(0, k_pred, size=n)
+            gold = rng.integers(0, k_gold, size=n)
+            assert (matched_hamming(pred, gold, k_pred, k_gold)
+                    == parent_matched_hamming(pred, gold))
+
+
+def test_no_module_imports_scipy_optimize():
+    """scipy.optimize costs every CLI process ~0.19 s and ~27 MB to import;
+    the matching that needed it is solved in searn.metrics."""
+    offenders = []
+    for path in sorted(Path(searn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                names += [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.optimize" or n.startswith("scipy.optimize.")
+                   for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    code = ("import sys, searn.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          cwd=Path(searn.__file__).parent.parent)
+    assert done.stdout.strip() == "False"
 
 
 class TestArcAccuracy:

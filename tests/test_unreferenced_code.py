@@ -35,7 +35,6 @@ KEPT = {
        "reads max_epochs"
        for name in ("max_epochs", "grad_tol", "initial_step", "armijo",
                     "backtrack", "min_step")},
-    "lr_train.config": "tests cap epochs; perfbench/tracing.py reads it",
     **{f"SequenceExperiment.{name}": _PROTOCOL
        for name in ("order", "n_datasets", "n_sequences", "mean_length",
                     "em_iterations", "posterior_decode")},
