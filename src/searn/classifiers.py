@@ -126,6 +126,9 @@ class NBModel:
         if table.ndim != 2 or prior.shape != table.shape[:1]:
             raise ConfigError("an NB model needs a 2-D table and one "
                               "prior entry per table row")
+        # -inf is log 0; NaN and +inf are no log probability
+        if not (np.all(prior < np.inf) and np.all(table < np.inf)):
+            raise ConfigError("NB log probabilities must not be NaN or +inf")
         return cls(class_log_prior=prior, feature_log_prob=table,
                    smoothing=float(d["smoothing"]))
 
@@ -140,8 +143,8 @@ def nb_train(examples, n_classes: int, n_features: int, smoothing: float) -> NBM
     are checked as in :func:`lr_train`.  Counts accumulate with unbuffered
     adds in example order, so every sum is the one an example loop makes.
     """
-    if smoothing < 0:
-        raise ConfigError("smoothing must be nonnegative")
+    if not 0 <= smoothing < np.inf:
+        raise ConfigError("smoothing must be finite and nonnegative")
     design = _sparse_design(examples, n_classes, n_features)
     if np.any(design.weights < 0):
         raise ConfigError("example weights must be nonnegative")
@@ -263,6 +266,8 @@ class LRModel:
         weights = np.asarray(d["weights"], dtype=float)
         if weights.ndim != 2:
             raise ConfigError("an LR model needs a 2-D weight table")
+        if not np.all(np.isfinite(weights)):
+            raise ConfigError("LR weights must be finite")
         return cls(weights=weights, l2_variance=float(d["l2_variance"]),
                    trained_epochs=int(d["trained_epochs"]))
 

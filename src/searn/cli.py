@@ -499,7 +499,7 @@ def _train_cluster_exact(cfg: ExperimentConfig) -> tuple:
     if not cfg.exact or cfg.beta != 1.0:
         raise ConfigError("cluster training is the exact-mode equivalence "
                           "path; use --exact (beta stays 1)")
-    if cfg.smoothing > 0:
+    if cfg.smoothing != 0:
         raise ConfigError("exact-mode cluster training takes no smoothing: "
                           "it would smooth the cluster and total features "
                           "too, so the model has no EM counterpart")

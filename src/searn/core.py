@@ -113,12 +113,14 @@ class LearnerConfig:
 class Task(abc.ABC):
     """A structured prediction problem decomposed into atomic decisions.
 
-    States returned by :meth:`initial_state` and :meth:`apply` must expose
-    a ``task`` attribute pointing back at this object, so that policies
-    can act on a bare state.
+    Each hook takes only what it reads.  A state holds no pointer back to
+    the task: the engine passes the task to whatever acts on a state, and
+    a completed state alone gives its loss.
     """
 
     interner: Interner
+    # costs_to_weighted_labels mode of every group trained as a classifier
+    weight_mode = "argmin_spread"
 
     @abc.abstractmethod
     def groups(self) -> dict:
@@ -159,7 +161,7 @@ class Task(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def rollout_loss(self, state, example) -> float:
+    def rollout_loss(self, state) -> float:
         """Task loss of a completed structure (un-normalized counts)."""
 
     def model_action(self, model, state, legal: tuple):
@@ -180,15 +182,11 @@ class Task(abc.ABC):
             model._cache[key] = action
         return action
 
-    def weight_mode(self, group: str) -> str:
-        """Cost-to-weight conversion used when training this group."""
-        return "argmin_spread"
-
-    def validate_final(self, state, example) -> None:
+    def validate_final(self, state) -> None:
         """Optional structural check on a completed rollout."""
 
-    def train_estimator(self, group: str, record, learner: LearnerConfig):
-        """The model of ``group`` estimated directly from the one record
+    def train_estimator(self, record, learner: LearnerConfig):
+        """The model of a group estimated directly from the one record
         that :meth:`exact_examples` gave for it, in place of a classifier."""
         raise TaskContractError("task has no estimated groups")
 
@@ -199,12 +197,14 @@ class Task(abc.ABC):
         return None
 
     def shortcut_costs(self, state):
-        """Exact cost vector when derivable without rollouts, else None.
+        """Exact cost vector, minimum subtracted, when derivable without
+        rollouts, else None.
 
-        Only consulted during example generation.  A task may implement it
-        for decisions whose action provably never alters the tied
-        continuation (so the returned vector must equal what rollouts
-        would compute).
+        :func:`generate_examples` consults it at every decision with two
+        or more legal actions and rolls out only where it gives None.  A
+        task may implement it for decisions whose action provably never
+        alters the tied continuation (so the returned vector must equal
+        what rollouts would compute).
         """
         return None
 
@@ -250,9 +250,10 @@ class Policy:
     def __post_init__(self):
         self.components = tuple(self.components)
         total = sum(w for _, w in self.components)
-        if abs(total - 1.0) > 1e-12:
+        # written so that a NaN weight fails both tests
+        if not abs(total - 1.0) <= 1e-12:
             raise ConfigError(f"policy weights sum to {total!r}, not 1")
-        if any(w < 0 for _, w in self.components):
+        if not all(w >= 0 for _, w in self.components):
             raise ConfigError("policy weights must be nonnegative")
         n_initial = sum(1 for r, _ in self.components if isinstance(r, InitialRule))
         if n_initial > 1:
@@ -298,13 +299,13 @@ def strip_initial_policy(pol: Policy) -> Policy:
     return Policy(tuple((r, w / total) for r, w in learned))
 
 
-def policy_act(pol: Policy, state, legal: tuple, rng: np.random.Generator):
-    """Sample a mixture component by weight, then act by its rule.
+def policy_act(task: Task, pol: Policy, state, legal: tuple,
+               rng: np.random.Generator):
+    """Sample a mixture component by weight; act in ``task`` by its rule.
 
-    ``legal`` is ``state.task.legal_actions(state)``, computed once per
-    step by the caller and handed to whichever rule acts.
+    ``legal`` is ``task.legal_actions(state)``, computed once per step by
+    the caller and handed to whichever rule acts.
     """
-    task = state.task
     if not legal:
         raise StateError("no legal action at this state")
     rule = pol.components[0][0]
@@ -323,33 +324,35 @@ def policy_act(pol: Policy, state, legal: tuple, rng: np.random.Generator):
 # Rollouts and example generation
 
 
-def _run_to_completion(task: Task, state, example, pol: Policy,
-                       rng: np.random.Generator, steps_taken: int):
-    """Continue a partial structure to a final state under pol."""
-    limit = task.max_decisions(example)
+def _run_to_completion(task: Task, state, pol: Policy,
+                       rng: np.random.Generator, steps_taken: int,
+                       limit: int):
+    """Continue a partial structure to a final state under pol; ``limit``
+    is the example's ``max_decisions``."""
     steps = steps_taken
     while not task.is_final(state):
         if steps >= limit:
             raise TaskContractError(
                 f"rollout exceeded the task's {limit}-decision bound")
         legal = task.legal_actions(state)
-        state = task.apply(state, policy_act(pol, state, legal, rng))
+        state = task.apply(state, policy_act(task, pol, state, legal, rng))
         steps += 1
     return state
 
 
 def run_policy(task: Task, example, pol: Policy, rng: np.random.Generator):
     """Roll a policy from scratch; validate and return the final state."""
-    final = _run_to_completion(task, task.initial_state(example), example,
-                               pol, rng, 0)
-    task.validate_final(final, example)
+    final = _run_to_completion(task, task.initial_state(example), pol, rng,
+                               0, task.max_decisions(example))
+    task.validate_final(final)
     return final
 
 
-def _costs_at_state(task: Task, example, example_id: int, t: int, state,
-                    legal: tuple, pol: Policy, cfg: RolloutConfig,
-                    allow_shortcut: bool = False) -> np.ndarray:
-    """Mean completion loss per ``legal`` action, minimum subtracted.
+def _costs_at_state(task: Task, limit: int, example_id: int, t: int, state,
+                    legal: tuple, pol: Policy,
+                    cfg: RolloutConfig) -> np.ndarray:
+    """Mean completion loss per ``legal`` action, minimum subtracted;
+    ``limit`` is the example's ``max_decisions``.
 
     Sample s of every action's rollout runs on the stream seeded by
     (example_id, t, s), so all candidates see identical continuation
@@ -357,20 +360,14 @@ def _costs_at_state(task: Task, example, example_id: int, t: int, state,
     generator built from it draws the same stream each time, since
     seeding reads the sequence's state without changing it.
     """
-    if allow_shortcut:
-        shortcut = task.shortcut_costs(state)
-        if shortcut is not None:
-            costs = np.asarray(shortcut, dtype=float)
-            return costs - costs.min()
     costs = np.zeros(len(legal))
     for s in range(cfg.n_samples):
         seq = np.random.SeedSequence(cfg.seed,
                                      spawn_key=(_ROLLOUT, example_id, t, s))
         for k, action in enumerate(legal):
-            final = _run_to_completion(task, task.apply(state, action),
-                                       example, pol,
-                                       np.random.default_rng(seq), t)
-            costs[k] += task.rollout_loss(final, example)
+            final = _run_to_completion(task, task.apply(state, action), pol,
+                                       np.random.default_rng(seq), t, limit)
+            costs[k] += task.rollout_loss(final)
     costs /= cfg.n_samples
     return costs - costs.min()
 
@@ -393,10 +390,11 @@ def generate_examples(dataset, pol: Policy, task: Task,
     """Roll the policy over the dataset, costing every decision.
 
     One cost-sensitive example per decision with two or more legal actions
-    whose cost vector is not constant.  A task with closed-form costs (see
-    Task.exact_examples) rolls nothing out.  Output is deterministic given
-    cfg.seed and does not depend on the order in which examples are
-    processed.
+    whose cost vector is not constant.  Such a decision is costed by
+    Task.shortcut_costs where it answers, else by rollouts; a task with
+    closed-form costs (see Task.exact_examples) rolls nothing out.  Output
+    is deterministic given cfg.seed and does not depend on the order in
+    which examples are processed.
     """
     if len(dataset) == 0:
         raise DataError("dataset is empty")
@@ -414,21 +412,19 @@ def generate_examples(dataset, pol: Policy, task: Task,
             if t > limit:
                 raise TaskContractError(
                     f"roll-in exceeded the task's {limit}-decision bound")
-            group = task.group_of(state)
             legal = task.legal_actions(state)
             if len(legal) >= 2:
-                costs = _costs_at_state(task, example, example_id, t, state,
-                                        legal, pol, cfg, allow_shortcut=True)
+                costs = task.shortcut_costs(state)
+                if costs is None:
+                    costs = _costs_at_state(task, limit, example_id, t,
+                                            state, legal, pol, cfg)
                 if not _constant_costs(costs):
                     out.append(CostSensitiveExample(
-                        features=task.features(state),
-                        actions=tuple(legal),
-                        costs=costs,
-                        group=group,
-                    ))
-            state = task.apply(state, policy_act(pol, state, legal,
+                        features=task.features(state), actions=tuple(legal),
+                        costs=costs, group=task.group_of(state)))
+            state = task.apply(state, policy_act(task, pol, state, legal,
                                                  path_rng))
-        task.validate_final(state, example)
+        task.validate_final(state)
     return GeneratedExamples(out, {})
 
 
@@ -452,12 +448,12 @@ def train_rule(task: Task, generated: GeneratedExamples,
     for name, n_actions in task.groups().items():
         record = generated.estimation_records.get(name)
         if record is not None:
-            models[name] = task.train_estimator(name, record, learner)
+            models[name] = task.train_estimator(record, learner)
             continue
         examples = by_group.get(name)
         if not examples:
             continue
-        labeled = costs_to_weighted_labels(examples, task.weight_mode(name))
+        labeled = costs_to_weighted_labels(examples, task.weight_mode)
         n_features = len(task.interner)
         if learner.kind == "nb":
             models[name] = nb_train(labeled, n_actions, n_features,

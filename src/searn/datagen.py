@@ -49,8 +49,8 @@ class HmmGenConfig:
             raise ConfigError("K and V must be at least 2")
         if self.n_sequences < 1:
             raise ConfigError("n_sequences must be at least 1")
-        if self.mean_length <= 0:
-            raise ConfigError("mean_length must be positive")
+        if not 0 < self.mean_length < np.inf:
+            raise ConfigError("mean_length must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,8 @@ class DocGenConfig:
             raise ConfigError("vocab_size must be at least 2")
         if self.n_clusters < 1:
             raise ConfigError("n_clusters must be at least 1")
-        if self.mean_length <= 0:
-            raise ConfigError("mean_length must be positive")
+        if not 0 < self.mean_length < np.inf:
+            raise ConfigError("mean_length must be finite and positive")
 
 
 def gen_document_corpus(cfg: DocGenConfig) -> list:

@@ -18,7 +18,7 @@ from .datagen import (DocGenConfig, HmmGenConfig, TreebankGenConfig,
                       gen_document_corpus, gen_hmm_dataset, gen_hmm_params,
                       gen_treebank, split_dataset)
 from .em import hmm_decode, hmm_em_train, hmm_posterior_decode
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .metrics import RunSummary, corpus_arc_accuracy, matched_hamming, summarize
 from .task_cluster import EquivalenceReport, run_equivalence
 from .task_depparse import ParseTask, ParseTaskConfig, TaggedSentence
@@ -209,9 +209,9 @@ def parse_training_data(sentences, supervision: str,
     """Training inputs for one supervision mode.
 
     "unsup" strips every gold tree; "sup" keeps the first
-    ``labeled_count`` sentences (all when None), each with its gold tree;
-    "semi" keeps the gold trees of the first ``labeled_count`` sentences
-    and strips the rest.
+    ``labeled_count`` sentences (all when None), each of which must have
+    its gold tree; "semi" keeps the gold trees of the first
+    ``labeled_count`` sentences and strips the rest.
     """
     if supervision == "unsup":
         return _strip_gold(sentences)
@@ -227,6 +227,8 @@ def parse_training_data(sentences, supervision: str,
     labeled = list(sentences[:labeled_count])
     if supervision == "semi":
         return labeled + _strip_gold(sentences[labeled_count:])
+    if any(s.gold_tree is None for s in labeled):
+        raise DataError("supervised mode requires a gold tree")
     return labeled
 
 
@@ -249,11 +251,11 @@ def train_parser(exp: ParseExperiment, data, supervision: str, seed: int,
 
 def decode_trees(task: ParseTask, policy, sentences, seed: int, *key: int,
                  runner=None) -> list:
-    """Predicted trees; gold stays attached only where the task requires a
-    gold tree to build states (the stripped policy never consults it)."""
-    if task.config.supervision != "sup":
-        sentences = _strip_gold(sentences)
-    return [state.tree for state in decode(task, policy, sentences, seed,
+    """Predicted trees of the sentences with their gold trees stripped, so
+    that no decode can read one: a group the policy has no model for
+    falls back to random legal actions, never to the gold-tree oracle."""
+    return [state.tree for state in decode(task, policy,
+                                           _strip_gold(sentences), seed,
                                            *key, runner=runner)]
 
 
@@ -313,10 +315,12 @@ def learning_curve(exp: ParseExperiment, labeled_counts,
         raise ConfigError("master_seeds must be non-empty")
     exps = [replace(exp, master_seed=m) for m in master_seeds]
     corpora = {e.master_seed: parse_corpus(e) for e in exps}
-    for c in counts:
-        for e in exps:
-            if c > len(corpora[e.master_seed][0]):
-                raise ConfigError("labeled_count exceeds the training set")
+    for train, _, test in corpora.values():
+        if not test:
+            raise ConfigError(f"the test split of {exp.n_sentences} "
+                              "sentences is empty: no arm could be scored")
+        if counts[-1] > len(train):
+            raise ConfigError("labeled_count exceeds the training set")
 
     def point(arm, count, values):
         s = summarize(values, metric="arc_accuracy")

@@ -86,10 +86,9 @@ class ClusterTaskConfig:
 
 
 class ClusterState:
-    __slots__ = ("task", "doc", "cluster", "emitted")
+    __slots__ = ("doc", "cluster", "emitted")
 
-    def __init__(self, task, doc, cluster=None, emitted=None):
-        self.task = task
+    def __init__(self, doc, cluster=None, emitted=None):
         self.doc = doc
         self.cluster = cluster
         self.emitted = emitted
@@ -122,6 +121,8 @@ def cluster_loss(true_doc: DocumentCounts, probs) -> float:
 
 
 class ClusterTask(Task):
+    weight_mode = "softmin"  # as EM's E-step weighs the clusters
+
     def __init__(self, config: ClusterTaskConfig):
         self.config = config
         self.interner = Interner()
@@ -142,7 +143,7 @@ class ClusterTask(Task):
             example = DocumentCounts(np.asarray(example, dtype=float))
         if example.counts.shape[0] != self.config.V:
             raise DataError("document width does not match the vocabulary")
-        return ClusterState(self, example)
+        return ClusterState(example)
 
     def max_decisions(self, example):
         return 2
@@ -179,17 +180,14 @@ class ClusterTask(Task):
 
     def apply(self, state, action):
         if state.cluster is None:
-            return ClusterState(self, state.doc, int(action))
-        return ClusterState(self, state.doc, state.cluster,
+            return ClusterState(state.doc, int(action))
+        return ClusterState(state.doc, state.cluster,
                             np.asarray(action, dtype=float))
 
-    def rollout_loss(self, state, example):
+    def rollout_loss(self, state):
         return cluster_loss(state.doc, state.emitted)
 
-    def weight_mode(self, group):
-        return "softmin"
-
-    def train_estimator(self, group, record, learner: LearnerConfig):
+    def train_estimator(self, record, learner: LearnerConfig):
         """Weighted maximum-likelihood emission table from the corpus
         record (Z, D): the n x K responsibilities and the n x V counts.
 

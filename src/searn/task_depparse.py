@@ -230,18 +230,19 @@ class ParseTaskConfig:
 
 
 class ParseState:
-    """Rollout state: sentence, parser state, produced tags, cached tree.
+    """Rollout state: sentence, its labeling gold tree (see
+    ParseTask._gold), parser state, produced tags, cached tree.
 
     ``windows`` memoizes the sentence's tag-window pairs (see _window);
     one dict is shared by every state reached from an initial state.
     Once parsing ends, it is None and ``tree`` is set.
     """
 
-    __slots__ = ("task", "sent", "ps", "produced", "tree", "windows")
+    __slots__ = ("sent", "gold", "ps", "produced", "tree", "windows")
 
-    def __init__(self, task, sent, ps, produced, tree, windows):
-        self.task = task
+    def __init__(self, sent, gold, ps, produced, tree, windows):
         self.sent = sent
+        self.gold = gold
         self.ps = ps
         self.produced = produced
         self.tree = tree
@@ -253,45 +254,43 @@ class ParseTask(Task):
         self.config = config
         self.interner = Interner()
         self._groups = {PARSE: 4}
-        if config.supervision != "sup":
+        self._tags_unlabeled = config.supervision != "sup"
+        if self._tags_unlabeled:
             self._groups[TAG] = config.tagset_size
         self._tag_legal = tuple(range(config.tagset_size))
 
     def groups(self):
         return self._groups
 
-    def _has_tagging_phase(self, sent: TaggedSentence) -> bool:
-        if self.config.supervision == "unsup":
-            return True
-        if self.config.supervision == "semi":
-            return sent.gold_tree is None
-        return False
+    def _gold(self, sent: TaggedSentence):
+        """The tree that labels ``sent``, decided once per sentence: its
+        gold tree, or None if it has none or the mode is unsup.  A labeled
+        sentence gets the arc loss and the gold-tree oracle; an unlabeled
+        one gets random parse actions and, unless the mode is sup (which
+        then only decodes), a tag phase scored by tag mismatches."""
+        return None if self.config.supervision == "unsup" else sent.gold_tree
+
+    def _tagged(self, gold) -> bool:
+        """Whether a sentence labeled by ``gold`` has a tag phase."""
+        return gold is None and self._tags_unlabeled
 
     def initial_state(self, example: TaggedSentence) -> ParseState:
-        if not isinstance(example, TaggedSentence):
-            example = TaggedSentence(tuple(example))
         if example.n_tokens > MAX_LENGTH:
             raise DataError(f"sentence exceeds {MAX_LENGTH} tokens")
         if any(t >= self.config.tagset_size for t in example.tags):
             raise DataError("tag id outside the configured tagset")
-        if self.config.supervision == "sup" and example.gold_tree is None:
-            raise DataError("supervised mode requires a gold tree")
-        return ParseState(self, example,
+        return ParseState(example, self._gold(example),
                           initial_parser_state(example.n_tokens), (), None,
                           {})
 
     def max_decisions(self, example) -> int:
-        T = example.n_tokens
-        extra = T if self._has_tagging_phase(example) else 0
-        return 2 * T + extra
+        phases = 3 if self._tagged(self._gold(example)) else 2
+        return phases * example.n_tokens
 
     def is_final(self, state: ParseState) -> bool:
         T = state.sent.n_tokens
-        if state.ps.i <= T:
-            return False
-        if not self._has_tagging_phase(state.sent):
-            return True
-        return len(state.produced) == T
+        return state.ps.i > T and (not self._tagged(state.gold)
+                                   or len(state.produced) == T)
 
     def group_of(self, state: ParseState) -> str:
         return PARSE if state.ps.i <= state.sent.n_tokens else TAG
@@ -311,9 +310,8 @@ class ParseTask(Task):
 
     def initial_action(self, state: ParseState, legal: tuple, rng) -> int:
         if state.ps.i <= state.sent.n_tokens:
-            gold = state.sent.gold_tree
-            if self.config.supervision != "unsup" and gold is not None:
-                return supervised_oracle(state.ps, gold, legal)
+            if state.gold is not None:
+                return supervised_oracle(state.ps, state.gold, legal)
             return legal[int(rng.integers(len(legal)))]
         return state.sent.tags[len(state.produced)]
 
@@ -325,20 +323,19 @@ class ParseTask(Task):
                 # the full tree check runs on every completed parse; the
                 # tree is all that later steps read, and dropping the
                 # windows frees them with the sentence's last parse
-                return ParseState(self, state.sent, ps, (), finalize(ps, T),
-                                  None)
-            return ParseState(self, state.sent, ps, (), None, state.windows)
+                return ParseState(state.sent, state.gold, ps, (),
+                                  finalize(ps, T), None)
+            return ParseState(state.sent, state.gold, ps, (), None,
+                              state.windows)
         if not 0 <= action < self.config.tagset_size:
             raise StateError(f"tag {action} outside the tagset")
-        return ParseState(self, state.sent, state.ps,
+        return ParseState(state.sent, state.gold, state.ps,
                           state.produced + (action,), state.tree,
                           state.windows)
 
-    def rollout_loss(self, state: ParseState, example) -> float:
-        sent = state.sent
-        gold = sent.gold_tree
-        mode = self.config.supervision
-        if mode == "sup" or (mode == "semi" and gold is not None):
+    def rollout_loss(self, state: ParseState) -> float:
+        sent, gold = state.sent, state.gold
+        if gold is not None:
             wrong = sum(1 for d in range(1, sent.n_tokens + 1)
                         if state.tree.head_of(d) != gold.head_of(d))
             return wrong / sent.n_tokens
@@ -355,14 +352,13 @@ class ParseTask(Task):
         return np.array([float(a != truth)
                          for a in range(self.config.tagset_size)])
 
-    def validate_final(self, state: ParseState, example) -> None:
+    def validate_final(self, state: ParseState) -> None:
         T = state.sent.n_tokens
         if state.ps.i != T + 1:
             raise StateError("rollout ended with unconsumed input")
         if state.tree is None:
             raise StateError("final state has no tree")
-        if self._has_tagging_phase(state.sent) \
-                and len(state.produced) != T:
+        if self._tagged(state.gold) and len(state.produced) != T:
             raise StateError("rollout ended with missing tag productions")
 
     def _tag_features(self, state: ParseState) -> FeatureVector:

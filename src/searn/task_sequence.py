@@ -43,7 +43,6 @@ class SequenceTaskConfig:
 
 
 class SeqState(NamedTuple):
-    task: "SequenceTask"
     x: tuple
     actions: tuple
 
@@ -74,7 +73,7 @@ class SequenceTask(Task):
             raise DataError("empty sequence")
         if any(not 0 <= v < self.config.V for v in x):
             raise DataError("symbol outside the configured vocabulary")
-        return SeqState(self, x, ())
+        return SeqState(x, ())
 
     def max_decisions(self, example):
         return 2 * len(example)
@@ -122,9 +121,9 @@ class SequenceTask(Task):
         return state.x[p]
 
     def apply(self, state, action):
-        return SeqState(state.task, state.x, state.actions + (int(action),))
+        return SeqState(state.x, state.actions + (int(action),))
 
-    def rollout_loss(self, state, example):
+    def rollout_loss(self, state):
         """Emission mistakes, counted (not normalized)."""
         T = len(state.x)
         emitted = state.actions[T:]
@@ -141,7 +140,7 @@ class SequenceTask(Task):
         return np.array([float(a != truth)
                          for a in range(self.config.V)])
 
-    def validate_final(self, state, example):
+    def validate_final(self, state):
         T = len(state.x)
         if len(state.actions) != 2 * T:
             raise TaskContractError("structure must have exactly 2T decisions")
@@ -173,16 +172,16 @@ def write_sequences(path, data, vocab_size: int, header_comment: str = ""):
 
 
 def _parse_sequence(line: str, where: str, vocab_size: int) -> tuple:
+    """The symbols of one line, each in [0, vocab_size)."""
     try:
-        return tuple(int(tok) for tok in line.split())
+        seq = tuple(int(tok) for tok in line.split())
     except ValueError:
         raise DataError(f"{where}: malformed sequence line")
+    if any(not 0 <= v < vocab_size for v in seq):
+        raise DataError(f"{where}: symbol outside V={vocab_size}")
+    return seq
 
 
 def read_sequences(path):
     """Returns (sequences, vocab_size)."""
-    sequences, vocab_size = read_corpus(path, "sequence", _parse_sequence)
-    for seq in sequences:
-        if any(not 0 <= v < vocab_size for v in seq):
-            raise DataError(f"{path}: symbol outside V={vocab_size}")
-    return sequences, vocab_size
+    return read_corpus(path, "sequence", _parse_sequence)

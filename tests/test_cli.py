@@ -494,6 +494,59 @@ class TestExitCodes:
         assert "sequence datasets only" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--task", "sequence", "--mean-length", "nan"],
+        ["--task", "sequence", "--mean-length", "inf"],
+        ["--task", "cluster", "--doc-mean-length", "nan"],
+    ], ids=["sequence-nan", "sequence-inf", "cluster-nan"])
+    def test_gen_nonfinite_mean_length_is_config_error(self, tmp_path,
+                                                       capsys, argv):
+        # each once ended in numpy's Poisson sampler with a traceback
+        assert run_cli("gen", *argv, "--out", str(tmp_path / "o")) == 2
+        assert "mean_length must be finite and positive" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, value, extra, error", [
+        ("sequence", "nan", [], "smoothing must be finite and nonnegative"),
+        ("sequence", "inf", [], "smoothing must be finite and nonnegative"),
+        ("depparse", "nan", [], "smoothing must be finite and nonnegative"),
+        ("cluster", "nan", ["--exact"], "takes no smoothing"),
+        ("cluster", "-1", ["--exact", "--k", "1"], "takes no smoothing"),
+    ], ids=["sequence-nan", "sequence-inf", "depparse-nan", "cluster-nan",
+            "cluster-negative"])
+    def test_bad_smoothing_is_config_error(self, tmp_path, capsys,
+                                           task, value, extra, error):
+        # a NaN smoothing once trained a NaN model that eval then scored;
+        # a negative one trained a one-cluster exact model
+        data = tmp_path / "data"
+        assert run_cli("gen", "--task", task, "--sentences", "6",
+                       "--documents", "6", "--out", str(data)) == 0
+        path = next(p for p in sorted(data.iterdir())
+                    if "gold" not in p.name)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run_cli("train", "--task", task, "--method", "searn-nb",
+                       "--smoothing", value, "--iterations", "1",
+                       "--data", str(path), "--out", str(out), *extra) == 2
+        assert error in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_learning_curve_empty_test_split_is_config_error(
+            self, tmp_path, capsys, monkeypatch):
+        # 11 sentences leave the test split empty, whatever the seed; the
+        # curve says so before it trains any arm
+        import searn.experiments
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("an arm was trained")
+
+        monkeypatch.setattr(searn.experiments, "searn_learn", no_training)
+        assert run_cli("learning-curve", "--sentences", "11",
+                       "--labeled-counts", "1",
+                       "--out", str(tmp_path / "o")) == 2
+        assert "test split of 11 sentences is empty" in \
+            capsys.readouterr().err
+
     def test_gen_vocab_over_cap_is_config_error(self, tmp_path):
         from searn.corpus_files import MAX_VOCAB_SIZE
         for task in ("cluster", "sequence"):
@@ -571,23 +624,44 @@ def _parse_initial_rule(policy):
     policy["components"] = [{"kind": "initial", "weight": 1.0}]
 
 
+def _parse_nan_mixture_weights(policy):
+    rule = policy["components"][0]
+    policy["components"] = [dict(rule, weight=float("nan")),
+                            dict(rule, weight=float("nan"))]
+
+
+def _parse_nan_weight(policy):
+    policy["components"][0]["models"]["parse"]["weights"][1][0] = \
+        float("nan")
+
+
 def _nb_short_prior(policy):
     model = policy["components"][0]["models"]["emit"]
     model["class_log_prior"] = model["class_log_prior"][:1]
+
+
+def _nb_nan_table(policy):
+    policy["components"][0]["models"]["emit"]["feature_log_prob"][0][0] = \
+        float("nan")
 
 
 @pytest.mark.parametrize("edit, error", [
     (_parse_three_rows, "group 'parse' has a 3-class model"),
     (_parse_scalar_weights, "2-D weight table"),
     (_parse_initial_rule, "learned rules only"),
+    (_parse_nan_mixture_weights, "policy weights sum to nan"),
+    (_parse_nan_weight, "LR weights must be finite"),
     (_nb_short_prior, "one prior entry per table row"),
+    (_nb_nan_table, "must not be NaN"),
 ], ids=["parse-three-rows", "parse-scalar-weights", "parse-initial-rule",
-        "nb-short-prior"])
+        "parse-nan-mixture-weights", "parse-nan-weight", "nb-short-prior",
+        "nb-nan-table"])
 def test_malformed_policy_is_data_error(seq_run, parse_run, tmp_path,
                                         capsys, edit, error):
-    # hand edits of a trained model that once ended in a traceback, or (the
-    # initial rule) in a perfect score read off the gold trees
-    if edit is _nb_short_prior:
+    # hand edits of a trained model that once ended in a traceback, in a
+    # score of NaN numbers, or (the initial rule) in a perfect score read
+    # off the gold trees
+    if edit in (_nb_short_prior, _nb_nan_table):
         data, run = seq_run
         trained, data = run / "model.json", data / "sequences-run00.txt"
         gold = ["--gold", str(data).replace(".txt", ".gold.txt")]
@@ -603,6 +677,40 @@ def test_malformed_policy_is_data_error(seq_run, parse_run, tmp_path,
                    *gold, "--out", str(tmp_path / "eval")) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {model}") and error in err
+
+
+def test_nb_log_zero_still_loads(seq_run, tmp_path):
+    # -inf is log 0, which an unsmoothed NB fit writes
+    data, run = seq_run
+    blob = json.loads((run / "model.json").read_text())
+    blob["policy"]["components"][0]["models"]["emit"][
+        "feature_log_prob"][0][0] = float("-inf")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(blob))
+    assert run_cli("eval", "--model", str(model),
+                   "--data", str(data / "sequences-run00.txt"),
+                   "--gold", str(data / "sequences-run00.gold.txt"),
+                   "--out", str(tmp_path / "eval")) == 0
+
+
+def test_decode_reads_no_gold_tree(parse_run, tmp_path, monkeypatch):
+    # a sup policy with no parse model acts by the initial rule at every
+    # parse decision; that rule once followed the gold trees eval scores
+    # against (arc accuracy 1.0), and now acts at random
+    import searn.task_depparse
+
+    def oracle(*args):
+        raise AssertionError("decoding reached supervised_oracle")
+
+    monkeypatch.setattr(searn.task_depparse, "supervised_oracle", oracle)
+    data, trained = parse_run
+    blob = json.loads(trained.read_text())
+    del blob["policy"]["components"][0]["models"]["parse"]
+    model, out = tmp_path / "model.json", tmp_path / "eval"
+    model.write_text(json.dumps(blob))
+    assert run_cli("eval", "--model", str(model), "--data", str(data),
+                   "--out", str(out)) == 0
+    assert json.loads((out / "summary.json").read_text())["mean"] < 1.0
 
 
 # ---------------------------------------------------------------------------

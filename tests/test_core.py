@@ -32,8 +32,7 @@ from searn.features import FeatureVector, Interner
 class ToyState:
     """One-decision state: predict the example's label from its feature."""
 
-    def __init__(self, task, example, action=None):
-        self.task = task
+    def __init__(self, example, action=None):
         self.example = example
         self.action = action
 
@@ -48,7 +47,7 @@ class ToyTask(Task):
         return {"g": 2}
 
     def initial_state(self, example):
-        return ToyState(self, example)
+        return ToyState(example)
 
     def max_decisions(self, example):
         return 1
@@ -70,13 +69,10 @@ class ToyTask(Task):
         return state.example[1]
 
     def apply(self, state, action):
-        return ToyState(self.task_of(state), state.example, int(action))
+        return ToyState(state.example, int(action))
 
-    def task_of(self, state):
-        return state.task
-
-    def rollout_loss(self, state, example):
-        return 0.0 if state.action == example[1] else 1.0
+    def rollout_loss(self, state):
+        return 0.0 if state.action == state.example[1] else 1.0
 
 
 def toy_dataset():
@@ -154,7 +150,7 @@ class TestPolicyAct:
         rng = np.random.default_rng(0)
         for example in dataset:
             state = task.initial_state(example)
-            assert policy_act(pol, state, task.legal_actions(state),
+            assert policy_act(task, pol, state, task.legal_actions(state),
                               rng) == example[1]
 
     def test_component_selection_frequencies(self):
@@ -174,7 +170,8 @@ class TestPolicyAct:
         draws = 10_000
         legal = task.legal_actions(state)
         picked_initial = sum(
-            1 for _ in range(draws) if policy_act(pol, state, legal, rng) == 1)
+            1 for _ in range(draws)
+            if policy_act(task, pol, state, legal, rng) == 1)
         sigma = np.sqrt(draws * 0.25 * 0.75)
         assert abs(picked_initial - draws * 0.25) < 3 * sigma
 
@@ -186,13 +183,13 @@ class TestPolicyAct:
         task = DeadTask()
         state = task.initial_state(("a", 0))
         with pytest.raises(StateError):
-            policy_act(initial_policy(), state, task.legal_actions(state),
-                       np.random.default_rng(0))
+            policy_act(task, initial_policy(), state,
+                       task.legal_actions(state), np.random.default_rng(0))
 
 
 def first_decision_costs(task, example, cfg):
     state = task.initial_state(example)
-    return _costs_at_state(task, example, 0, 1, state,
+    return _costs_at_state(task, task.max_decisions(example), 0, 1, state,
                            task.legal_actions(state), initial_policy(), cfg)
 
 

@@ -61,8 +61,7 @@ def oracle_model_action(task, model, state):
     return min(legal, key=lambda a: (costs[a], a))
 
 
-def oracle_policy_act(pol, state, rng):
-    task = state.task
+def oracle_policy_act(task, pol, state, rng):
     legal = task.legal_actions(state)
     if not legal:
         raise StateError("no legal action at this state")
@@ -85,14 +84,14 @@ def oracle_policy_act(pol, state, rng):
 
 def oracle_run_to_completion(task, state, pol, rng):
     while not task.is_final(state):
-        state = task.apply(state, oracle_policy_act(pol, state, rng))
+        state = task.apply(state, oracle_policy_act(task, pol, state, rng))
     return state
 
 
 def oracle_run_policy(task, example, pol, rng):
     final = oracle_run_to_completion(task, task.initial_state(example), pol,
                                      rng)
-    task.validate_final(final, example)
+    task.validate_final(final)
     return final
 
 
@@ -108,7 +107,7 @@ def oracle_costs_at_state(task, example, example_id, t, state, pol, cfg):
             rng = _rng(cfg.seed, _ROLLOUT, example_id, t, s)
             final = oracle_run_to_completion(task, task.apply(state, action),
                                              pol, rng)
-            costs[k] += task.rollout_loss(final, example)
+            costs[k] += task.rollout_loss(final)
     costs /= cfg.n_samples
     return costs - costs.min()
 
@@ -129,8 +128,9 @@ def oracle_generate_examples(dataset, pol, task, cfg):
                     out.append(CostSensitiveExample(
                         features=task.features(state), actions=tuple(legal),
                         costs=costs, group=task.group_of(state)))
-            state = task.apply(state, oracle_policy_act(pol, state, path_rng))
-        task.validate_final(state, example)
+            state = task.apply(state, oracle_policy_act(task, pol, state,
+                                                        path_rng))
+        task.validate_final(state)
     return GeneratedExamples(out, {})
 
 
@@ -225,7 +225,7 @@ class OracleParseTask(ParseTask):
 
     def initial_state(self, example):
         state = super().initial_state(example)
-        return ParseState(self, state.sent, state.ps, (), None, None)
+        return ParseState(state.sent, state.gold, state.ps, (), None, None)
 
     def legal_actions(self, state):
         if state.ps.i <= state.sent.n_tokens:
@@ -251,10 +251,10 @@ class OracleParseTask(ParseTask):
         if state.ps.i <= T:
             ps = oracle_apply_action(state.ps, action, T)
             tree = finalize(ps, T) if ps.i == T + 1 else None
-            return ParseState(self, state.sent, ps, (), tree, None)
+            return ParseState(state.sent, state.gold, ps, (), tree, None)
         if not 0 <= action < self.config.tagset_size:
             raise StateError(f"tag {action} outside the tagset")
-        return ParseState(self, state.sent, state.ps,
+        return ParseState(state.sent, state.gold, state.ps,
                           state.produced + (action,), state.tree, None)
 
 

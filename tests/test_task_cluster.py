@@ -46,9 +46,9 @@ class CountingClusterTask(ClusterTask):
 
     rollouts = 0
 
-    def rollout_loss(self, state, example):
+    def rollout_loss(self, state):
         self.rollouts += 1
-        return super().rollout_loss(state, example)
+        return super().rollout_loss(state)
 
 
 class TestDecompose:
@@ -95,7 +95,7 @@ class TestDecompose:
         final = run_policy(task, np.array([1.0, 2.0, 0.0, 1.0]),
                            initial_policy(), rng)
         assert final.emitted is not None
-        assert task.rollout_loss(final, None) >= 0.0
+        assert task.rollout_loss(final) >= 0.0
 
     def test_learned_policy_emits_its_cluster_table(self):
         # the emit decision acts through ClusterEmissionModel, which only
@@ -107,7 +107,7 @@ class TestDecompose:
         for i, doc in enumerate(random_corpus(8, V, 13)):
             final = run_policy(task, doc, pol, np.random.default_rng(i))
             assert np.array_equal(final.emitted, params.theta[final.cluster])
-            assert np.isfinite(task.rollout_loss(final, doc))
+            assert np.isfinite(task.rollout_loss(final))
 
     def test_document_validation(self):
         with pytest.raises(DataError):

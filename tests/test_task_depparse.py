@@ -13,6 +13,7 @@ from searn.core import (
     searn_learn,
 )
 from searn.errors import ConfigError, DataError, StateError
+from searn.experiments import parse_training_data
 from searn.task_depparse import (
     ACTION_NAMES,
     LEFT_ARC,
@@ -220,7 +221,7 @@ class TestOracle:
 
 class TestTreeFeatures:
     def names(self, task, ps, tags):
-        state = ParseState(task, TaggedSentence(tags), ps, (), None, {})
+        state = ParseState(TaggedSentence(tags), None, ps, (), None, {})
         return task.features(state).as_dict(task.interner)
 
     def test_initial_state_has_null_stack_marker(self):
@@ -306,9 +307,14 @@ class TestDecompose:
         assert len(spaces) <= 2 * 7 + 7
 
     def test_sup_without_gold_rejected(self):
+        # training data is checked where it is prepared; the task itself
+        # builds gold-free sup states, which is how every decode runs
+        with pytest.raises(DataError, match="requires a gold tree"):
+            parse_training_data([TaggedSentence((1, 2))], "sup")
         task = make_task(supervision="sup")
-        with pytest.raises(DataError):
-            task.initial_state(TaggedSentence((1, 2)))
+        state = task.initial_state(TaggedSentence((1, 2)))
+        assert state.gold is None
+        assert task.max_decisions(state.sent) == 4
 
     def test_length_cap(self):
         task = make_task()
@@ -366,13 +372,13 @@ class TestLosses:
         task = make_task()
         sent = TaggedSentence((3, 1, 4))
         state = drive(task, sent, [SHIFT, SHIFT, SHIFT, 3, 1, 4])
-        assert task.rollout_loss(state, sent) == 0.0
+        assert task.rollout_loss(state) == 0.0
 
     def test_unsup_counts_mismatches(self):
         task = make_task()
         sent = TaggedSentence((3, 1, 4))
         state = drive(task, sent, [SHIFT, SHIFT, SHIFT, 3, 0, 0])
-        assert task.rollout_loss(state, sent) == 2.0
+        assert task.rollout_loss(state) == 2.0
 
     def test_unsup_ignores_gold(self):
         task = make_task()
@@ -380,8 +386,8 @@ class TestLosses:
         bare = TaggedSentence((3, 1, 4))
         rich = TaggedSentence((3, 1, 4), gold)
         actions = [SHIFT, SHIFT, SHIFT, 3, 1, 0]
-        loss_bare = task.rollout_loss(drive(task, bare, actions), bare)
-        loss_rich = task.rollout_loss(drive(task, rich, actions), rich)
+        loss_bare = task.rollout_loss(drive(task, bare, actions))
+        loss_rich = task.rollout_loss(drive(task, rich, actions))
         assert loss_bare == loss_rich == 1.0
 
     def test_sup_loss_is_wrong_head_fraction(self):
@@ -390,7 +396,7 @@ class TestLosses:
         sent = TaggedSentence((3, 1, 4, 1), gold)
         state = drive(task, sent, [SHIFT, SHIFT, SHIFT, SHIFT])
         assert state.tree.heads == (0, 0, 0, 0)
-        assert task.rollout_loss(state, sent) == pytest.approx(0.75)
+        assert task.rollout_loss(state) == pytest.approx(0.75)
 
     def test_semi_dispatches_on_gold_presence(self):
         task = make_task(supervision="semi")
@@ -398,11 +404,11 @@ class TestLosses:
         labeled = TaggedSentence((3, 1), gold)
         state = drive(task, labeled, [SHIFT, SHIFT])
         assert task.is_final(state)
-        assert task.rollout_loss(state, labeled) == pytest.approx(0.5)
+        assert task.rollout_loss(state) == pytest.approx(0.5)
         bare = TaggedSentence((3, 1))
         state = drive(task, bare, [SHIFT, SHIFT, 0, 1])
         assert task.is_final(state)
-        assert task.rollout_loss(state, bare) == 1.0
+        assert task.rollout_loss(state) == 1.0
 
 
 class TestRolloutIntegration:
@@ -454,13 +460,14 @@ class TestRolloutIntegration:
             legal = task.legal_actions(state)
             shortcut = task.shortcut_costs(state)
             if shortcut is not None:
-                rolled = _costs_at_state(task, sent, 0, t, state, legal, pol,
-                                         cfg)
+                rolled = _costs_at_state(task, task.max_decisions(sent), 0, t,
+                                         state, legal, pol, cfg)
                 np.testing.assert_array_equal(rolled, shortcut)
                 checked += 1
             else:
                 assert task.group_of(state) == "parse"
-            state = task.apply(state, policy_act(pol, state, legal, walk))
+            state = task.apply(state, policy_act(task, pol, state, legal,
+                                                 walk))
         assert checked == sent.n_tokens
 
 

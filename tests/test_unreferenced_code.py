@@ -17,6 +17,13 @@ listed in KEPT as ``Owner.name``.  Calls are matched by name: a call of
 ``f``, and a call of a class sets its ``__init__`` parameters or its
 fields.  It sets a value by keyword, by position, through ``*`` or
 ``**``, or (for a field) as a keyword of ``dataclasses.replace``.
+
+Every parameter is read: for each function or method name, a parameter
+(other than ``self`` and ``cls``) of some definition of that name must be
+read by at least one definition of that name that is not abstract.  An
+override may ignore what another override reads, so a hook still takes
+only what some task reads.  Dunder methods are not checked; KEPT lists
+no parameter.
 """
 
 import ast
@@ -178,12 +185,51 @@ def unset_settings() -> set:
     return unset
 
 
+# ---------------------------------------------------------------------------
+# Parameters
+
+
+def _abstract(fn: ast.FunctionDef) -> bool:
+    return any((isinstance(d, ast.Attribute) and d.attr == "abstractmethod")
+               or (isinstance(d, ast.Name) and d.id == "abstractmethod")
+               for d in fn.decorator_list)
+
+
+def unread_parameters() -> set:
+    """``name.parameter`` for each parameter that no non-abstract
+    definition of the function or method ``name`` reads."""
+    definitions = defaultdict(list)
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef) and not _abstract(node)
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))):
+                definitions[node.name].append(node)
+    out = set()
+    for name, fns in definitions.items():
+        params, reads = set(), set()
+        for fn in fns:
+            args = fn.args
+            params.update(a.arg for a in (
+                args.posonlyargs + args.args + args.kwonlyargs
+                + [a for a in (args.vararg, args.kwarg) if a is not None]))
+            reads.update(n.id for n in ast.walk(fn)
+                         if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Load))
+        out.update(f"{name}.{p}" for p in params - reads - {"self", "cls"})
+    return out
+
+
 def test_every_definition_is_used_in_the_package():
     assert sorted(unreferenced() - KEPT.keys()) == []
 
 
 def test_every_setting_is_set_in_the_package():
     assert sorted(unset_settings() - KEPT.keys()) == []
+
+
+def test_every_parameter_is_read_in_the_package():
+    assert sorted(unread_parameters()) == []
 
 
 def test_every_kept_name_is_still_unused():
