@@ -236,6 +236,13 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.exact and (cfg.task, cfg.method) != ("cluster", "searn-nb"):
         raise ConfigError("--exact is the cluster-task equivalence mode "
                           "(searn-nb only)")
+    if cfg.smoothing is not None and cfg.method in ("em", "searn-lr"):
+        raise ConfigError(f"--method {cfg.method} reads no smoothing; "
+                          "only searn-nb smooths its model")
+    if cfg.em_tol != cfg.em_tol:
+        raise ConfigError("--em-tol nan: no gain is below NaN, so it would "
+                          "never stop early; give a number (-inf runs every "
+                          "iteration)")
     if cfg.iterations is not None and cfg.iterations < 1:
         raise ConfigError(f"--iterations {cfg.iterations}: need at least 1")
     if cfg.runs is not None and cfg.runs < 1:

@@ -168,19 +168,20 @@ class Task(abc.ABC):
         """A trained model's action: cheapest predicted legal action.
 
         ``legal`` is ``legal_actions(state)``, computed once by the caller.
-        Ties go to the lowest action id.  The choice depends only on the
-        state's features and ``legal``, so it is memoized in the model's
-        ``_cache`` on that pair, for the model's life: ``predict_costs``
-        runs once per distinct pair.
+        Ties go to the lowest action id (see :func:`vector_action`).
         """
-        fv = self.features(state)
-        key = (fv, legal)
-        action = model._cache.get(key)
-        if action is None:
-            costs = model.predict_costs(fv)
-            action = min(legal, key=lambda a: (costs[a], a))
-            model._cache[key] = action
-        return action
+        return vector_action(model, self.features(state), legal)
+
+    def rollout_finals(self, state, legal: tuple, pol, seq,
+                       steps: int, limit: int) -> list:
+        """The final state of each ``legal`` action's rollout from
+        ``state`` under ``pol``, each on a generator seeded by ``seq``;
+        ``steps`` decisions precede the rollouts and ``limit`` is the
+        example's ``max_decisions``.  A task may override it where it can
+        give the same finals with less work."""
+        return [_run_to_completion(self, self.apply(state, action), pol,
+                                   np.random.default_rng(seq), steps, limit)
+                for action in legal]
 
     def validate_final(self, state) -> None:
         """Optional structural check on a completed rollout."""
@@ -207,6 +208,23 @@ class Task(abc.ABC):
         what rollouts would compute).
         """
         return None
+
+
+def vector_action(model, fv: FeatureVector, legal: tuple):
+    """A trained model's cheapest predicted action among ``legal`` for the
+    feature vector ``fv``; ties go to the lowest action id.
+
+    The choice depends only on ``fv`` and ``legal``, so it is memoized in
+    the model's ``_cache`` on that pair, for the model's life:
+    ``predict_costs`` runs once per distinct pair.
+    """
+    key = (fv, legal)
+    action = model._cache.get(key)
+    if action is None:
+        costs = model.predict_costs(fv)
+        action = min(legal, key=lambda a: (costs[a], a))
+        model._cache[key] = action
+    return action
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +281,11 @@ class Policy:
         # the last component
         self._cumulative = tuple(accumulate(self.weights))[:-1] + (np.inf,)
 
+    def index_at(self, u: float) -> int:
+        """The component a mixture draw u in [0, 1) picks: the first whose
+        running total exceeds u."""
+        return bisect_right(self._cumulative, u)
+
     @property
     def weights(self) -> tuple:
         return tuple(w for _, w in self.components)
@@ -310,8 +333,7 @@ def policy_act(task: Task, pol: Policy, state, legal: tuple,
         raise StateError("no legal action at this state")
     rule = pol.components[0][0]
     if len(pol.components) > 1:
-        # the first component whose running total exceeds the draw
-        rule = pol.components[bisect_right(pol._cumulative, rng.random())][0]
+        rule = pol.components[pol.index_at(rng.random())][0]
     if isinstance(rule, InitialRule):
         return task.initial_action(state, legal, rng)
     model = rule.models.get(task.group_of(state))
@@ -358,15 +380,16 @@ def _costs_at_state(task: Task, limit: int, example_id: int, t: int, state,
     (example_id, t, s), so all candidates see identical continuation
     randomness.  One SeedSequence per sample serves every candidate: a
     generator built from it draws the same stream each time, since
-    seeding reads the sequence's state without changing it.
+    seeding reads the sequence's state without changing it.  The task
+    gives the finals (:meth:`Task.rollout_finals`); every one is scored
+    by ``rollout_loss``.
     """
     costs = np.zeros(len(legal))
     for s in range(cfg.n_samples):
         seq = np.random.SeedSequence(cfg.seed,
                                      spawn_key=(_ROLLOUT, example_id, t, s))
-        for k, action in enumerate(legal):
-            final = _run_to_completion(task, task.apply(state, action), pol,
-                                       np.random.default_rng(seq), t, limit)
+        finals = task.rollout_finals(state, legal, pol, seq, t, limit)
+        for k, final in enumerate(finals):
             costs[k] += task.rollout_loss(final)
     costs /= cfg.n_samples
     return costs - costs.min()

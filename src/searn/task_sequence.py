@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Task
+from .core import InitialRule, Task, vector_action
 from .corpus_files import read_corpus, write_corpus
 from .errors import ConfigError, DataError, TaskContractError
 from .features import FeatureVector, Interner
@@ -102,12 +102,22 @@ class SequenceTask(Task):
         T = len(x)
         t = len(actions) + 1
         if t <= T:
-            key = (LATENT, actions[t - 2] if t > 1 else "START")
-            if self.config.feature_mode == "lr_window":
-                key += (x[t - 2] if t > 1 else "S", x[t - 1],
-                        x[t] if t < T else "E")
+            key = ((LATENT, actions[t - 2] if t > 1 else "START")
+                   + self._window(x, t - 1))
         else:
             key = (EMIT, actions[t - T - 1])
+        return self._vector(key)
+
+    def _window(self, x: tuple, j: int) -> tuple:
+        """The input part of the latent key at 0-based position j: empty
+        in nb_hmm mode."""
+        if self.config.feature_mode != "lr_window":
+            return ()
+        return (x[j - 1] if j > 0 else "S", x[j],
+                x[j + 1] if j + 1 < len(x) else "E")
+
+    def _vector(self, key: tuple) -> FeatureVector:
+        """The feature vector of a ``features`` memo key, memoized."""
         fv = self._features.get(key)
         if fv is None:
             fv = FeatureVector.from_names(self.interner, _feature_names(key))
@@ -122,6 +132,82 @@ class SequenceTask(Task):
 
     def apply(self, state, action):
         return SeqState(state.x, state.actions + (int(action),))
+
+    def rollout_finals(self, state, legal, pol, seq, steps, limit):
+        """The default's finals, from one pass over the shared draws.
+
+        A step draws the same whatever the state: ``policy_act`` draws
+        ``rng.random()`` when the mixture has more than one component; a
+        latent step then draws ``rng.integers(K)`` when that component is
+        the initial rule or has no latent model; an emission draws nothing
+        more.  So the draws are taken once per call, the emission half's
+        by one ``rng.random(T)`` (the doubles of T scalar calls).  A
+        latent label reads only the previous label, the input and the
+        draws, so a candidate whose label equals the first candidate's at
+        some position follows the first candidate's path from there; an
+        emission reads only its own label and draw, so it is reused where
+        the two candidates' labels agree.  Candidates are followed one
+        after another, positions in order, and a vector is looked up only
+        where a learned model acts, so names are interned in the
+        default's order.
+        """
+        x, prefix = state.x, state.actions
+        T, p = len(x), len(prefix)
+        if p >= T:
+            return super().rollout_finals(state, legal, pol, seq, steps,
+                                          limit)
+        rng = np.random.default_rng(seq)
+        rules = [r for r, _ in pol.components]
+        latent_models = [None if isinstance(r, InitialRule)
+                         else r.models.get(LATENT) for r in rules]
+        emit_models = [None if isinstance(r, InitialRule)
+                       else r.models.get(EMIT) for r in rules]
+        multi = len(rules) > 1
+        # per tail position: the acting latent model and the key's input
+        # part, or no model and the initial rule's label
+        tail = []
+        for j in range(p + 1, T):
+            model = latent_models[pol.index_at(rng.random()) if multi else 0]
+            tail.append((model, None, self._window(x, j)) if model is not None
+                        else (None, int(rng.integers(self.config.K)), None))
+        emitters = ([emit_models[pol.index_at(u)]
+                     for u in rng.random(T).tolist()] if multi
+                    else emit_models[:1] * T)
+
+        def emit(q, label):
+            if emitters[q] is None:
+                return x[q]
+            return vector_action(emitters[q], self._vector((EMIT, label)),
+                                 self._emit_legal)
+
+        finals = []
+        first = first_emitted = None
+        for action in legal:
+            # labels from position p on, until they meet the first
+            # candidate's
+            labels = [action]
+            for model, label, window in tail:
+                if first is not None and labels[-1] == first[len(labels) - 1]:
+                    break
+                if model is not None:
+                    label = vector_action(
+                        model, self._vector((LATENT, labels[-1]) + window),
+                        self._latent_legal)
+                labels.append(label)
+            if first is None:
+                first = labels
+                first_emitted = [emit(q, label) for q, label
+                                 in enumerate(prefix + tuple(labels))]
+                emitted = first_emitted
+            else:
+                emitted = list(first_emitted)
+                for q, label in enumerate(labels, start=p):
+                    if label != first[q - p]:
+                        emitted[q] = emit(q, label)
+                labels += first[len(labels):]
+            finals.append(SeqState(x, prefix + tuple(labels)
+                                   + tuple(emitted)))
+        return finals
 
     def rollout_loss(self, state):
         """Emission mistakes, counted (not normalized)."""

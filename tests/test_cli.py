@@ -267,10 +267,6 @@ class TestClusterExactTrain:
         err = capsys.readouterr().err
         assert "no smoothing" in err and "no EM counterpart" in err
         assert not (tmp_path / "exact" / "model.json").exists()
-        # the EM baseline keeps its smoothing option
-        assert run_cli("train", "--task", "cluster", "--method", "em",
-                       "--k", "3", "--smoothing", "0.5", "--iterations", "2",
-                       "--data", docs, "--out", str(tmp_path / "em")) == 0
 
 
 class TestParseTrain:
@@ -530,6 +526,46 @@ class TestExitCodes:
                        "--data", str(path), "--out", str(out), *extra) == 2
         assert error in capsys.readouterr().err
         assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("task, method", [
+        ("cluster", "em"), ("cluster", "searn-lr"), ("sequence", "em"),
+        ("sequence", "searn-lr"), ("depparse", "searn-lr"),
+    ])
+    def test_unread_smoothing_is_config_error(self, tmp_path, capsys,
+                                              task, method):
+        # the flag was accepted and silently ignored: the model file was
+        # byte-identical to the run without it
+        data = tmp_path / "data"
+        assert run_cli("gen", "--task", task, "--sentences", "6",
+                       "--documents", "6", "--out", str(data)) == 0
+        path = next(p for p in sorted(data.iterdir())
+                    if "gold" not in p.name)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run_cli("train", "--task", task, "--method", method,
+                       "--smoothing", "0.5", "--iterations", "1",
+                       "--data", str(path), "--out", str(out)) == 2
+        assert f"--method {method} reads no smoothing" in \
+            capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    def test_nan_em_tol_is_config_error(self, tmp_path, capsys):
+        # a NaN tolerance never stopped early and exited 0; -inf, which
+        # runs every iteration, stays legal
+        data = tmp_path / "data"
+        assert run_cli("gen", "--task", "sequence", "--runs", "1",
+                       "--sequences", "2", "--mean-length", "5",
+                       "--out", str(data)) == 0
+        train = ["train", "--task", "sequence", "--method", "em",
+                 "--iterations", "2", "--data",
+                 str(data / "sequences-run00.txt")]
+        capsys.readouterr()
+        assert run_cli(*train, "--em-tol", "nan",
+                       "--out", str(tmp_path / "nan")) == 2
+        assert "--em-tol nan" in capsys.readouterr().err
+        assert not (tmp_path / "nan" / "model.json").exists()
+        assert run_cli(*train, "--em-tol=-inf",
+                       "--out", str(tmp_path / "inf")) == 0
 
     def test_learning_curve_empty_test_split_is_config_error(
             self, tmp_path, capsys, monkeypatch):

@@ -22,16 +22,18 @@ from searn.core import (
     LearnerConfig,
     Policy,
     RolloutConfig,
+    Task,
     _constant_costs,
     _rng,
     generate_examples,
     initial_policy,
     interpolate_policy,
+    policy_act,
     run_policy,
     train_rule,
 )
 from searn.errors import StateError
-from searn.features import FeatureVector
+from searn.features import FeatureVector, Interner
 from searn.task_depparse import (
     LEFT_ARC,
     REDUCE,
@@ -279,9 +281,12 @@ def final_key(state):
     return state.actions
 
 
-def learn_side_by_side(new, old, data, learner, beta, cfg, iterations=2):
+def learn_side_by_side(new, old, data, learner, beta, cfg, iterations=2,
+                       drop=None):
     """Generate, train and interpolate with both engines; compare the
-    examples of every iteration, then decode with both mixtures."""
+    examples of every iteration, then decode with both mixtures.  Each
+    learned rule loses its model of group ``drop``, if given, so that the
+    group falls back to the initial rule."""
     pol_new = pol_old = initial_policy()
     n_examples = 0
     for it in range(iterations):
@@ -290,10 +295,12 @@ def learn_side_by_side(new, old, data, learner, beta, cfg, iterations=2):
         gen_old = oracle_generate_examples(data, pol_old, old, it_cfg)
         assert_same_examples(gen_new, gen_old)
         n_examples += len(gen_new.cost_examples)
-        pol_new = interpolate_policy(pol_new, train_rule(new, gen_new,
-                                                         learner), beta)
-        pol_old = interpolate_policy(pol_old, train_rule(old, gen_old,
-                                                         learner), beta)
+        rule_new = train_rule(new, gen_new, learner)
+        rule_old = train_rule(old, gen_old, learner)
+        for rule in (rule_new, rule_old):
+            rule.models.pop(drop, None)
+        pol_new = interpolate_policy(pol_new, rule_new, beta)
+        pol_old = interpolate_policy(pol_old, rule_old, beta)
     for i, x in enumerate(data):
         f_new = run_policy(new, x, pol_new, np.random.default_rng(i))
         f_old = oracle_run_policy(old, x, pol_old, np.random.default_rng(i))
@@ -333,18 +340,84 @@ def random_sentences(tagset, n, seed, labeled):
 # Cases
 
 
-@pytest.mark.parametrize("mode,kind,n_samples", [
-    ("nb_hmm", "nb", 2),
-    ("lr_window", "lr", 1),
-    ("nb_hmm", "nb", 1),
-    ("lr_window", "lr", 2),
+def _sequence_case(mode, kind, n_samples, K=3, iterations=2, beta=0.5,
+                   drop=None):
+    name = f"{mode}-{kind}-{n_samples}"
+    if (K, iterations, beta, drop) != (3, 2, 0.5, None):
+        name += f"-K{K}-{iterations}it-beta{beta}"
+        if drop is not None:
+            name += f"-no-{drop}"
+    return pytest.param(mode, kind, n_samples, K, iterations, beta, drop,
+                        id=name)
+
+
+# Four iterations at beta 0.4 reach a four-component mixture in which the
+# initial rule keeps weight; a dropped group makes every learned rule fall
+# back to the initial rule's draws there.
+@pytest.mark.parametrize("mode,kind,n_samples,K,iterations,beta,drop", [
+    _sequence_case("nb_hmm", "nb", 2),
+    _sequence_case("lr_window", "lr", 1),
+    _sequence_case("nb_hmm", "nb", 1),
+    _sequence_case("lr_window", "lr", 2),
+    *(_sequence_case(mode, kind, 2, K, 4, 0.4)
+      for mode, kind in (("nb_hmm", "nb"), ("lr_window", "lr"))
+      for K in (2, 3, 4)),
+    *(_sequence_case(mode, kind, 1, K, 4, 0.4, drop)
+      for mode, kind, K in (("nb_hmm", "nb", 2), ("lr_window", "lr", 3))
+      for drop in (LATENT, EMIT)),
 ])
-def test_sequence_matches_reference(mode, kind, n_samples):
-    config = SequenceTaskConfig(K=3, V=4, feature_mode=mode)
+def test_sequence_matches_reference(mode, kind, n_samples, K, iterations,
+                                    beta, drop):
+    config = SequenceTaskConfig(K=K, V=4, feature_mode=mode)
     learner = LearnerConfig(kind=kind, smoothing=0.5)
     learn_side_by_side(SequenceTask(config), OracleSequenceTask(config),
-                       random_sequences(4, 6, seed=11), learner, beta=0.5,
-                       cfg=RolloutConfig(n_samples=n_samples, seed=5))
+                       random_sequences(4, 6, seed=11), learner, beta=beta,
+                       cfg=RolloutConfig(n_samples=n_samples, seed=5),
+                       iterations=iterations, drop=drop)
+
+
+@pytest.mark.parametrize("mode", ["nb_hmm", "lr_window"])
+def test_sequence_rollout_finals_match_default_per_state(mode):
+    # at every deviation state, each side on a copy of the interner with
+    # an empty memo, so that every name's first lookup is visible
+    config = SequenceTaskConfig(K=3, V=4, feature_mode=mode)
+    task = SequenceTask(config)
+    data = random_sequences(4, 6, seed=61)
+    learner = LearnerConfig(kind="nb" if mode == "nb_hmm" else "lr",
+                            smoothing=0.5)
+    pol = initial_policy()
+    policies = [pol]
+    for it, drop in enumerate((None, EMIT, LATENT)):
+        rule = train_rule(task, generate_examples(
+            data, pol, task, RolloutConfig(seed=it)), learner)
+        rule.models.pop(drop, None)
+        if drop is None:
+            policies.append(Policy(((rule, 1.0),)))
+        pol = interpolate_policy(pol, rule, 0.4)
+        policies.append(pol)
+    fast, default = SequenceTask(config), SequenceTask(config)
+    n_states = 0
+    for pol in policies:
+        for i, x in enumerate(data):
+            state = task.initial_state(x)
+            path = np.random.default_rng(i)
+            t = 0
+            while not task.is_final(state):
+                t += 1
+                legal = task.legal_actions(state)
+                seq = np.random.SeedSequence(7, spawn_key=(_ROLLOUT, i, t, 0))
+                for side in (fast, default):
+                    side.interner = Interner(task.interner.names())
+                limit = task.max_decisions(x)
+                got = fast.rollout_finals(state, legal, pol, seq, t, limit)
+                want = Task.rollout_finals(default, state, legal, pol, seq, t,
+                                           limit)
+                assert got == want
+                assert fast.interner.names() == default.interner.names()
+                n_states += 1
+                state = task.apply(state, policy_act(task, pol, state, legal,
+                                                     path))
+    assert n_states > 0
 
 
 @pytest.mark.parametrize("supervision,kind", [
