@@ -5,8 +5,9 @@ training), ``eval`` (metrics over one or more runs), ``learning-curve``
 (annotation-budget sweep on the treebank task), and ``equivalence``
 (exact-mode mixture training vs. EM on random corpora).
 
-Every option can also come from a flat ``key=value`` config file passed
-with ``--config``; command-line flags take precedence over the file.
+Each run reads only its own settings (``_RUNS``), from flags or from a
+flat ``key=value`` config file passed with ``--config`` (flags take
+precedence); a setting the run would not read is a configuration error.
 Result files are byte-identical across reruns with the same settings;
 wall-clock measurements go to a separate ``timings.log``.
 
@@ -19,8 +20,7 @@ Output files:
   values are a configuration error.
 - ``gen --task sequence``: ``sequences-runNN.txt`` and
   ``sequences-runNN.gold.txt``, one pair per ``--runs``; ``gen --task
-  depparse``: ``treebank.conll``.  Only the sequence task takes
-  ``--runs``.
+  depparse``: ``treebank.conll``.
 - ``train``: ``model.json``, ``train-log.csv`` and ``timings.log``.  When
   some LR fits stop at the optimizer's epoch cap, ``train`` says how many
   on stderr.
@@ -82,8 +82,6 @@ _GEN_KEY = 701
 _TRAIN_KEY = 702
 _EVAL_KEY = 703
 
-_TASKS = ("cluster", "sequence", "depparse")
-_METHODS = ("em", "searn-nb", "searn-lr")
 _SUPERVISION = ("unsup", "sup", "semi")
 
 
@@ -199,46 +197,76 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def merge_config(args: argparse.Namespace) -> tuple:
-    """defaults < config file < explicit flags; returns (config, provided)."""
-    values = {}
-    provided = set()
-    if args.config:
-        file_values = read_config_file(args.config)
-        values.update(file_values)
-        provided.update(file_values)
+    """defaults < config file < explicit flags; returns (config, provided).
+    The run (see ``_RUNS``) must read every setting given to it."""
+    values = read_config_file(args.config) if args.config else {}
     for name in _KINDS:
         flag_value = getattr(args, name)
         if flag_value is not None:
             values[name] = _coerce(name, flag_value)
-            provided.add(name)
-    cfg = ExperimentConfig(**values)
+    cfg, provided = ExperimentConfig(**values), set(values)
+    _check_run(args.command, cfg, provided)
     _validate(cfg)
+    if cfg.task is not None:  # every run but eval's
+        _resolve_defaults(cfg)
     if args.command == "gen" and cfg.task == "cluster":
         _resolve_cluster_count(cfg, provided)
     return cfg, provided
 
 
+# The settings each run reads besides --out, by (command, task, method).
+# What eval reads depends on its model files, so it has one entry.
+_RUNS = {key: frozenset(names.split()) for key, names in {
+    ("gen", "cluster", None): "seed v k clusters documents doc_mean_length",
+    ("gen", "sequence", None): "seed runs order k v sequences mean_length",
+    ("gen", "depparse", None): "seed sentences tagset",
+    ("train", "cluster", "em"): "data seed iterations k",
+    ("train", "cluster", "searn-nb"): "data seed iterations k exact",
+    ("train", "sequence", "em"): "data seed iterations k em_tol",
+    ("train", "sequence", "searn-nb"):
+        "data seed iterations k beta n_samples smoothing",
+    ("train", "sequence", "searn-lr"):
+        "data seed iterations k beta n_samples lr_variance",
+    ("train", "depparse", "searn-nb"): "data seed iterations beta n_samples "
+        "tagset supervision labeled_count smoothing",
+    ("train", "depparse", "searn-lr"): "data seed iterations beta n_samples "
+        "tagset supervision labeled_count tree_variance tag_variance",
+    ("eval", None, None): "model data gold seed posterior_decode",
+    ("learning-curve", "depparse", None): "seeds labeled_counts sentences "
+        "tagset beta n_samples iterations tree_variance tag_variance",
+    ("equivalence", "cluster", None): "seed runs documents v iterations",
+}.items()}
+
+
+def _run_name(key: tuple) -> str:
+    flags = zip(("", "--task ", "--method "), key)
+    return "'" + " ".join(flag + value for flag, value in flags if value) + "'"
+
+
+def _check_run(command: str, cfg: ExperimentConfig, provided: set) -> None:
+    """The run must have an entry, and read every setting given to it by
+    flag or config file.  A command that serves one task takes that task
+    when none is given."""
+    tasks = {task for c, task, _ in _RUNS if c == command}
+    if cfg.task is None and len(tasks) == 1:
+        (cfg.task,) = tasks
+    key = (command, cfg.task, cfg.method)
+    if key not in _RUNS:
+        runs = ", ".join(_run_name(k) for k in _RUNS if k[0] == command)
+        raise ConfigError(f"{_run_name(key)} is not a run; try {runs}")
+    unread = provided - _RUNS[key] - {"out", "task", "method"}
+    if cfg.supervision == "unsup":  # no tree is kept, so no count is read
+        unread |= provided & {"labeled_count"}
+    if unread:
+        raise ConfigError(f"{_run_name(key)} reads no " + ", ".join(
+            "--" + name.replace("_", "-") for name in sorted(unread)))
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.task is not None and cfg.task not in _TASKS:
-        raise ConfigError(f"unknown task {cfg.task!r}")
-    if cfg.method is not None and cfg.method not in _METHODS:
-        raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.supervision not in _SUPERVISION:
         raise ConfigError(f"unknown supervision {cfg.supervision!r}")
-    if cfg.method == "em" and cfg.task == "depparse":
-        raise ConfigError("the em method applies to cluster and sequence "
-                          "tasks only")
-    if cfg.supervision != "unsup" and cfg.task in ("cluster", "sequence"):
-        raise ConfigError(f"the {cfg.task} task is unsupervised; "
-                          "drop the supervision setting")
     if cfg.supervision == "semi" and cfg.labeled_count is None:
         raise ConfigError("semi-supervised runs need --labeled-count")
-    if cfg.exact and (cfg.task, cfg.method) != ("cluster", "searn-nb"):
-        raise ConfigError("--exact is the cluster-task equivalence mode "
-                          "(searn-nb only)")
-    if cfg.smoothing is not None and cfg.method in ("em", "searn-lr"):
-        raise ConfigError(f"--method {cfg.method} reads no smoothing; "
-                          "only searn-nb smooths its model")
     if cfg.em_tol != cfg.em_tol:
         raise ConfigError("--em-tol nan: no gain is below NaN, so it would "
                           "never stop early; give a number (-inf runs every "
@@ -254,33 +282,32 @@ def _validate(cfg: ExperimentConfig) -> None:
 def _resolve_cluster_count(cfg: ExperimentConfig, provided: set) -> None:
     """A generated corpus has ``--clusters`` clusters, or ``--k`` when only
     that is given; two different values are rejected."""
-    if "k" in provided and "clusters" in provided:
-        if cfg.k != cfg.clusters:
+    if "k" in provided:
+        if "clusters" in provided and cfg.k != cfg.clusters:
             raise ConfigError(f"--k {cfg.k} and --clusters {cfg.clusters} "
                               "disagree; give one, or equal values")
-    elif "k" in provided:
         cfg.clusters = cfg.k
 
 
-# Settings whose default depends on the task; em training defaults to
-# 50 iterations on every task.
+# Settings whose default depends on the task (cluster runs: the
+# equivalence sweep's corpora); em training defaults to 50 iterations on
+# every task.
 _TASK_DEFAULTS = {
-    "cluster": {"beta": 1.0, "n_samples": 1, "iterations": 10, "v": 5},
-    "sequence": {"beta": 0.5, "n_samples": 2, "iterations": 4, "v": 10},
-    "depparse": {"beta": 0.1, "n_samples": 1, "iterations": 10, "v": 10},
+    "cluster": {"iterations": 10, "v": 5, "runs": 20},
+    "sequence": {"beta": 0.5, "n_samples": 2, "iterations": 4, "v": 10,
+                 "runs": 10},
+    "depparse": {"beta": 0.1, "n_samples": 1, "iterations": 10},
 }
 
 
-def _resolved(cfg: ExperimentConfig) -> ExperimentConfig:
+def _resolve_defaults(cfg: ExperimentConfig) -> None:
     """Fill task-dependent defaults for settings left unset."""
-    defaults = dict(_TASK_DEFAULTS[cfg.task], runs=10,
-                    smoothing=0.0 if cfg.exact else 1.0)
+    defaults = dict(_TASK_DEFAULTS[cfg.task], smoothing=1.0)
     if cfg.method == "em":
         defaults["iterations"] = 50
     for name, value in defaults.items():
         if getattr(cfg, name) is None:
             setattr(cfg, name, value)
-    return cfg
 
 
 def _parse_experiment(cfg: ExperimentConfig) -> ParseExperiment:
@@ -301,12 +328,6 @@ def _out_dir(cfg) -> Path:
 
 
 def cmd_gen(cfg: ExperimentConfig) -> int:
-    if cfg.task is None:
-        raise ConfigError("gen needs --task")
-    if cfg.runs is not None and cfg.task != "sequence":
-        raise ConfigError(f"gen --runs writes sequence datasets only; the "
-                          f"{cfg.task} task writes one dataset")
-    cfg = _resolved(cfg)
     out = _out_dir(cfg)
     if cfg.task == "sequence":
         for run in range(cfg.runs):
@@ -340,21 +361,16 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
                   f"documents={cfg.documents} seed={cfg.seed}")
         write_documents(out / "documents.txt", [d for d, _ in corpus],
                         cfg.v, header)
-        _write_labels(out / "documents.gold.txt",
-                      [label for _, label in corpus])
+        # one integer label per line, no header
+        (out / "documents.gold.txt").write_text(
+            "".join(f"{int(label)}\n" for _, label in corpus),
+            encoding="utf-8")
         print(f"wrote {cfg.documents} documents to {out / 'documents.txt'}")
     return 0
 
 
-def _write_labels(path, labels) -> None:
-    """One integer label per line, no header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for label in labels:
-            fh.write(f"{int(label)}\n")
-
-
 def _read_labels(path) -> np.ndarray:
-    """Reads ``_write_labels`` output; blank and ``#`` lines are skipped, so
+    """Reads ``gen``'s gold labels; blank and ``#`` lines are skipped, so
     gold files that carry a provenance header still read the same."""
     labels = []
     with open(path, encoding="utf-8") as fh:
@@ -426,11 +442,8 @@ def _read_treebank(path) -> list:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    if cfg.task is None or cfg.method is None:
-        raise ConfigError("train needs --task and --method")
     if cfg.data is None:
         raise ConfigError("train needs --data")
-    cfg = _resolved(cfg)
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     if cfg.method == "em":
@@ -503,22 +516,18 @@ def _train_searn(cfg: ExperimentConfig) -> tuple:
 
 
 def _train_cluster_exact(cfg: ExperimentConfig) -> tuple:
-    if not cfg.exact or cfg.beta != 1.0:
+    if not cfg.exact:
         raise ConfigError("cluster training is the exact-mode equivalence "
-                          "path; use --exact (beta stays 1)")
-    if cfg.smoothing != 0:
-        raise ConfigError("exact-mode cluster training takes no smoothing: "
-                          "it would smooth the cluster and total features "
-                          "too, so the model has no EM counterpart")
+                          "path; use --exact")
     docs, vocab = read_documents(cfg.data)
     task = ClusterTask(ClusterTaskConfig(K=cfg.k, V=vocab))
     # Same random initialization as the EM path with this seed, so the
     # two trainers' trajectories are directly comparable.
     start = task.policy_from_params(mm_random_init(cfg.k, vocab, cfg.seed))
     policy, log = searn_learn(
-        task, docs, LearnerConfig(kind="nb", smoothing=cfg.smoothing),
-        beta=1.0, cfg=RolloutConfig(seed=cfg.seed),
-        iterations=cfg.iterations, start=start)
+        task, docs, LearnerConfig(kind="nb", smoothing=0.0), beta=1.0,
+        cfg=RolloutConfig(seed=cfg.seed), iterations=cfg.iterations,
+        start=start)
     params = task.params_from_rule(policy.components[-1][0])
     return ({"task": "cluster", "k": cfg.k, "v": vocab},
             _params_payload("mm", params), log)
@@ -547,9 +556,9 @@ def _load_model(path) -> tuple:
     try:
         spec, method = blob["task"], blob["method"]
         name = spec["task"]
-        if name not in _TASKS or method not in _METHODS:
-            raise DataError(f"{path}: unknown task {name!r} or method "
-                            f"{method!r}")
+        if ("train", name, method) not in _RUNS:
+            raise DataError(f"{path}: no train run writes a {name!r} model "
+                            f"with method {method!r}")
         if name == "cluster":
             return name, _params_from_payload(MultinomialMixtureParams,
                                               blob["params"])
@@ -667,11 +676,6 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
 
 
 def cmd_learning_curve(cfg: ExperimentConfig) -> int:
-    if cfg.task is None:
-        cfg.task = "depparse"
-    if cfg.task != "depparse":
-        raise ConfigError("learning curves are a depparse protocol")
-    cfg = _resolved(cfg)
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     rows = learning_curve(_parse_experiment(cfg), cfg.labeled_counts,
@@ -693,11 +697,6 @@ def cmd_learning_curve(cfg: ExperimentConfig) -> int:
 
 
 def cmd_equivalence(cfg: ExperimentConfig) -> int:
-    if cfg.runs is None:
-        cfg.runs = 20
-    if cfg.task is None:
-        cfg.task = "cluster"
-    cfg = _resolved(cfg)
     out = _out_dir(cfg)
     reports = equivalence_sweep(
         n_corpora=cfg.runs, n_documents=cfg.documents, vocab_size=cfg.v,

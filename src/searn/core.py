@@ -186,7 +186,7 @@ class Task(abc.ABC):
     def validate_final(self, state) -> None:
         """Optional structural check on a completed rollout."""
 
-    def train_estimator(self, record, learner: LearnerConfig):
+    def train_estimator(self, record):
         """The model of a group estimated directly from the one record
         that :meth:`exact_examples` gave for it, in place of a classifier."""
         raise TaskContractError("task has no estimated groups")
@@ -471,7 +471,7 @@ def train_rule(task: Task, generated: GeneratedExamples,
     for name, n_actions in task.groups().items():
         record = generated.estimation_records.get(name)
         if record is not None:
-            models[name] = task.train_estimator(record, learner)
+            models[name] = task.train_estimator(record)
             continue
         examples = by_group.get(name)
         if not examples:

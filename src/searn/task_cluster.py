@@ -12,8 +12,8 @@ walks the same parameter trajectory as EM on a mixture of multinomials;
 :func:`run_equivalence` checks this end to end.  Like EM's E- and
 M-steps, one iteration is a few array operations over the whole corpus:
 :meth:`ClusterTask.exact_examples` turns the n x V count matrix into an
-n x K cost matrix per mixture component and a single (responsibilities,
-counts) record, and the emission table is their weighted column sum.
+n x K cost matrix and a (responsibilities, counts) record, and the
+emission table is their weighted column sum.
 Every number keeps the bits that the same computation gives one document
 at a time.  The decision process itself (``initial_state`` through
 ``rollout_loss``) is what :func:`searn.core.run_policy` runs.
@@ -187,7 +187,7 @@ class ClusterTask(Task):
     def rollout_loss(self, state):
         return cluster_loss(state.doc, state.emitted)
 
-    def train_estimator(self, record, learner: LearnerConfig):
+    def train_estimator(self, record):
         """Weighted maximum-likelihood emission table from the corpus
         record (Z, D): the n x K responsibilities and the n x V counts.
 
@@ -198,11 +198,9 @@ class ClusterTask(Task):
         Z, D = record
         acc = np.array([np.add.reduce(Z[:, k, None] * D, axis=0)
                         for k in range(self.config.K)])
-        acc += learner.smoothing
         row_sums = acc.sum(axis=1, keepdims=True)
         if np.any(row_sums == 0.0):
-            raise TrainingError(
-                "a cluster received zero emission mass (unsmoothed mode)")
+            raise TrainingError("a cluster received zero emission mass")
         return ClusterEmissionModel(acc / row_sums)
 
     # ----- closed-form expected costs -------------------------------------
@@ -211,33 +209,30 @@ class ClusterTask(Task):
         """Expected-loss cost vectors and the responsibility record of the
         whole corpus.
 
-        The corpus is checked once into an n x V count matrix D.  For each
-        mixture component, the expected completion loss of choosing cluster
-        k for document i is the negative log joint -log rho_k - sum_v
-        D_iv log theta_kv under that component's own tables: one n x K
-        cost matrix per component.  Costs average over components by
-        mixture weight, and the responsibilities Z (the component
-        posteriors, averaged the same way) go out as one (Z, D) record.
-        Every learned component needs an emission table; the initial rule
-        has no closed form here and is a ConfigError.
+        The corpus is checked once into an n x V count matrix D.  The
+        expected completion loss of choosing cluster k for document i is
+        the negative log joint -log rho_k - sum_v D_iv log theta_kv under
+        the policy's tables: one n x K cost matrix, whose softmin rows,
+        the responsibilities Z, go out as the (Z, D) record.  The policy
+        is one learned rule with an emission table, as the learning loop
+        leaves it at beta = 1; the initial rule has no closed form here,
+        and it and any mixture are a ConfigError.
         """
-        for rule, _ in policy.components:
-            if isinstance(rule, InitialRule):
-                raise ConfigError("exact mode starts from a learned policy "
-                                  "(policy_from_params), not the initial rule")
-            if rule.models.get(DOC) is None:
-                raise TrainingError("exact mode requires an emission table")
+        rules = [rule for rule, _ in policy.components]
+        if any(isinstance(rule, InitialRule) for rule in rules):
+            raise ConfigError("exact mode starts from a learned policy "
+                              "(policy_from_params), not the initial rule")
+        if len(rules) != 1:
+            raise ConfigError("exact mode takes a one-rule policy (beta 1), "
+                              f"not a {len(rules)}-component mixture")
+        if rules[0].models.get(DOC) is None:
+            raise TrainingError("exact mode requires an emission table")
         D = self._count_matrix(dataset)
-        n, K = D.shape[0], self.config.K
-        mix_costs = np.zeros((n, K))
-        z = np.zeros((n, K))
-        for rule, weight in policy.components:
-            comp_costs = self._component_costs(rule, D)
-            mix_costs += weight * comp_costs
-            shifted = comp_costs - comp_costs.min(axis=1, keepdims=True)
-            post = np.exp(-shifted)
-            z += weight * post / post.sum(axis=1, keepdims=True)
-        regrets = mix_costs - mix_costs.min(axis=1, keepdims=True)
+        K = self.config.K
+        costs = self._costs(rules[0], D)
+        regrets = costs - costs.min(axis=1, keepdims=True)
+        post = np.exp(-regrets)
+        z = post / post.sum(axis=1, keepdims=True)
         out = []
         if K >= 2:
             useful = np.any(np.round(regrets, 12) != 0.0, axis=1)
@@ -275,8 +270,8 @@ class ClusterTask(Task):
             self.initial_state(d)
         raise DataError("counts must be a nonnegative vector")
 
-    def _component_costs(self, rule, D) -> np.ndarray:
-        """The n x K cost matrix of one learned component."""
+    def _costs(self, rule, D) -> np.ndarray:
+        """The n x K cost matrix of a learned rule."""
         K = self.config.K
         cluster_model = rule.models.get(CLUSTER)
         # 0 * log 0 = 0: zero-probability words only matter when present

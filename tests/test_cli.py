@@ -265,7 +265,8 @@ class TestClusterExactTrain:
                        "--iterations", "2", "--data", docs,
                        "--out", str(tmp_path / "exact")) == 2
         err = capsys.readouterr().err
-        assert "no smoothing" in err and "no EM counterpart" in err
+        assert "'train --task cluster --method searn-nb' reads no " \
+            "--smoothing" in err
         assert not (tmp_path / "exact" / "model.json").exists()
 
 
@@ -324,6 +325,11 @@ class TestParseTrain:
 
 # ---------------------------------------------------------------------------
 # validation and exit codes
+
+
+# the one size setting gen reads for each task
+_GEN_SIZE = {"sequence": ["--runs", "1"], "depparse": ["--sentences", "6"],
+             "cluster": ["--documents", "6"]}
 
 
 class TestExitCodes:
@@ -444,8 +450,10 @@ class TestExitCodes:
         # rejected before any data is read (the data file does not exist)
         # or any result is written
         out = tmp_path / "o"
-        assert run_cli(*argv, "--iterations", iterations, "--data",
-                       str(tmp_path / "missing.txt"), "--out", str(out)) == 2
+        data = ([] if argv == ["equivalence"]
+                else ["--data", str(tmp_path / "missing.txt")])
+        assert run_cli(*argv, "--iterations", iterations, *data,
+                       "--out", str(out)) == 2
         assert "need at least 1" in capsys.readouterr().err
         assert not out.exists()
 
@@ -487,7 +495,8 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run_cli("gen", "--task", task, "--runs", "3",
                        "--out", str(out)) == 2
-        assert "sequence datasets only" in capsys.readouterr().err
+        assert f"'gen --task {task}' reads no --runs" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -506,8 +515,8 @@ class TestExitCodes:
         ("sequence", "nan", [], "smoothing must be finite and nonnegative"),
         ("sequence", "inf", [], "smoothing must be finite and nonnegative"),
         ("depparse", "nan", [], "smoothing must be finite and nonnegative"),
-        ("cluster", "nan", ["--exact"], "takes no smoothing"),
-        ("cluster", "-1", ["--exact", "--k", "1"], "takes no smoothing"),
+        ("cluster", "nan", ["--exact"], "reads no --smoothing"),
+        ("cluster", "-1", ["--exact", "--k", "1"], "reads no --smoothing"),
     ], ids=["sequence-nan", "sequence-inf", "depparse-nan", "cluster-nan",
             "cluster-negative"])
     def test_bad_smoothing_is_config_error(self, tmp_path, capsys,
@@ -515,8 +524,8 @@ class TestExitCodes:
         # a NaN smoothing once trained a NaN model that eval then scored;
         # a negative one trained a one-cluster exact model
         data = tmp_path / "data"
-        assert run_cli("gen", "--task", task, "--sentences", "6",
-                       "--documents", "6", "--out", str(data)) == 0
+        assert run_cli("gen", "--task", task, *_GEN_SIZE[task],
+                       "--out", str(data)) == 0
         path = next(p for p in sorted(data.iterdir())
                     if "gold" not in p.name)
         out = tmp_path / "o"
@@ -536,8 +545,8 @@ class TestExitCodes:
         # the flag was accepted and silently ignored: the model file was
         # byte-identical to the run without it
         data = tmp_path / "data"
-        assert run_cli("gen", "--task", task, "--sentences", "6",
-                       "--documents", "6", "--out", str(data)) == 0
+        assert run_cli("gen", "--task", task, *_GEN_SIZE[task],
+                       "--out", str(data)) == 0
         path = next(p for p in sorted(data.iterdir())
                     if "gold" not in p.name)
         out = tmp_path / "o"
@@ -545,8 +554,10 @@ class TestExitCodes:
         assert run_cli("train", "--task", task, "--method", method,
                        "--smoothing", "0.5", "--iterations", "1",
                        "--data", str(path), "--out", str(out)) == 2
-        assert f"--method {method} reads no smoothing" in \
-            capsys.readouterr().err
+        run = f"'train --task {task} --method {method}'"
+        error = ("is not a run" if (task, method) == ("cluster", "searn-lr")
+                 else "reads no --smoothing")
+        assert f"{run} {error}" in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
     def test_nan_em_tol_is_config_error(self, tmp_path, capsys):
@@ -749,6 +760,57 @@ def test_decode_reads_no_gold_tree(parse_run, tmp_path, monkeypatch):
     assert json.loads((out / "summary.json").read_text())["mean"] < 1.0
 
 
+# Settings a run does not read.  Each call once exited 0, and where it
+# wrote a model, the model had the md5 of the run without the setting.
+_SEQ_NB = ["train", "--task", "sequence", "--method", "searn-nb",
+           "--iterations", "1", "--data", "{seq}"]
+_PARSE_LR = ["train", "--task", "depparse", "--method", "searn-lr",
+             "--iterations", "1", "--data", "{bank}"]
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (_SEQ_NB, ["--lr-variance", "0.001"]),
+    (_SEQ_NB, ["--em-tol", "7"]),
+    (_SEQ_NB, ["--supervision", "unsup"]),
+    (_SEQ_NB, ["--tagset", "3"]),
+    (_PARSE_LR, ["--labeled-count", "5"]),
+    (_PARSE_LR, ["--sentences", "3"]),
+    (["gen", "--task", "depparse", "--sentences", "4"],
+     ["--iterations", "9", "--lr-variance", "3"]),
+    (["eval", "--model", "{model}", "--data", "{seq}", "--gold", "{gold}"],
+     ["--k", "7", "--beta", "0.3"]),
+], ids=["seq-nb-lr-variance", "seq-nb-em-tol", "seq-nb-supervision",
+        "seq-nb-tagset", "parse-unsup-labeled-count", "parse-sentences",
+        "gen-depparse-training", "eval-k-beta"])
+def test_unread_setting_is_config_error(seq_run, parse_run, tmp_path,
+                                        capsys, argv, unread):
+    data, run = seq_run
+    paths = {"{seq}": str(data / "sequences-run00.txt"),
+             "{gold}": str(data / "sequences-run00.gold.txt"),
+             "{model}": str(run / "model.json"), "{bank}": str(parse_run[0])}
+    argv = [paths.get(arg, arg) for arg in argv]
+    assert run_cli(*argv, "--out", str(tmp_path / "base")) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run_cli(*argv, *unread, "--out", str(out)) == 2
+    assert "reads no " + ", ".join(sorted(unread[::2])) in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unread_config_key_is_config_error(seq_run, tmp_path, capsys):
+    # a config file belongs to one run, as the flags it mirrors do
+    data, _ = seq_run
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("task=sequence\nmethod=searn-nb\nem_tol=7\n")
+    out = tmp_path / "o"
+    assert run_cli("train", "--config", str(cfg), "--data",
+                   str(data / "sequences-run00.txt"), "--out", str(out)) == 2
+    assert "'train --task sequence --method searn-nb' reads no --em-tol" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # equivalence command
 
@@ -762,3 +824,21 @@ class TestEquivalenceCommand:
         assert report["all_passed"] is True
         assert report["n_corpora"] == 3
         assert report["max_diff"] < 1e-8
+
+    @pytest.mark.parametrize("argv, error", [
+        (["equivalence", "--task", "sequence"],
+         "'equivalence --task sequence' is not a run"),
+        (["equivalence", "--task", "depparse"],
+         "'equivalence --task depparse' is not a run"),
+        (["learning-curve", "--seed", "5"],
+         "'learning-curve --task depparse' reads no --seed"),
+    ], ids=["equivalence-sequence", "equivalence-depparse",
+            "learning-curve-seed"])
+    def test_one_task_command_is_config_error(self, tmp_path, capsys, argv,
+                                              error):
+        # the sweep once ran the cluster task with another task's
+        # defaults, and the curve ignored --seed (it reads --seeds)
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()

@@ -89,11 +89,10 @@ def oracle_exact_examples(task, dataset, policy):
     return out, records
 
 
-def oracle_train_estimator(task, records, smoothing):
+def oracle_train_estimator(task, records):
     acc = np.zeros((task.config.K, task.config.V))
     for cluster, doc, weight in records:
         acc[cluster] += weight * doc.counts
-    acc += smoothing
     row_sums = acc.sum(axis=1, keepdims=True)
     if np.any(row_sums == 0.0):
         raise TrainingError("zero emission mass")
@@ -132,16 +131,16 @@ def oracle_nb_train(examples, n_classes, n_features, smoothing):
         return NBModel(np.log(prior), np.log(table), smoothing)
 
 
-def oracle_train_rule(task, cost_examples, records, smoothing):
+def oracle_train_rule(task, cost_examples, records):
     models = {}
     if records:
-        models[DOC] = oracle_train_estimator(task, records, smoothing)
+        models[DOC] = oracle_train_estimator(task, records)
     if cost_examples:
         labeled = []
         for ex in cost_examples:
             labeled.extend(oracle_weighted_labels(ex, "softmin"))
         models[CLUSTER] = oracle_nb_train(labeled, task.config.K,
-                                          len(task.interner), smoothing)
+                                          len(task.interner), 0.0)
     return LearnedRule(models)
 
 
@@ -206,10 +205,11 @@ def blocking_params(K, V, seed):
     return params
 
 
-def learn_both(task, dataset, pol, iterations, beta=1.0, smoothing=0.0):
-    """Run exact-mode iterations on both sides from one start; compare
-    examples, rules and classification losses at every iteration."""
-    learner = LearnerConfig(kind="nb", smoothing=smoothing)
+def learn_both(task, dataset, pol, iterations):
+    """Run exact-mode iterations (beta 1, no smoothing) on both sides from
+    one start; compare examples, rules and classification losses at every
+    iteration."""
+    learner = LearnerConfig(kind="nb", smoothing=0.0)
     new_pol = old_pol = pol
     for _ in range(iterations):
         generated = task.exact_examples(dataset, new_pol)
@@ -217,14 +217,13 @@ def learn_both(task, dataset, pol, iterations, beta=1.0, smoothing=0.0):
                                                           old_pol)
         assert_same_cost_examples(generated.cost_examples, old_examples)
         new_rule = train_rule(task, generated, learner)
-        old_rule = oracle_train_rule(task, old_examples, old_records,
-                                     smoothing)
+        old_rule = oracle_train_rule(task, old_examples, old_records)
         assert_same_rule(new_rule, old_rule)
         new_loss = _classification_loss(new_rule, generated)
         old_loss = oracle_classification_loss(old_rule, old_examples)
         assert np.float64(new_loss).tobytes() == np.float64(old_loss).tobytes()
-        new_pol = interpolate_policy(new_pol, new_rule, beta)
-        old_pol = interpolate_policy(old_pol, old_rule, beta)
+        new_pol = interpolate_policy(new_pol, new_rule, 1.0)
+        old_pol = interpolate_policy(old_pol, old_rule, 1.0)
     return new_pol
 
 
@@ -252,30 +251,20 @@ def test_zero_probability_words_block_a_cluster():
     learn_both(task, list(docs), pol, iterations=3)
 
 
-def test_two_component_mixture_with_beta_half():
+def test_mixture_policy_is_config_error():
+    # the closed form is one rule's: the learning loop at beta 1 leaves
+    # one rule, and a mixture (beta below 1) has no exact iteration
     K, V = 2, 12
     task = ClusterTask(ClusterTaskConfig(K=K, V=V))
-    docs = corpus(25, V, seed=7)
+    docs = list(corpus(25, V, seed=7))
     pol = task.policy_from_params(mm_random_init(K, V, 8))
-    final = learn_both(task, list(docs), pol, iterations=3, beta=0.5)
-    assert len(final.components) == 4
-    # the mixture's cost vectors are not a single component's: check one
-    # two-component step directly as well
     two = interpolate_policy(pol, task.policy_from_params(
         mm_random_init(K, V, 9)).components[0][0], 0.5)
-    generated = task.exact_examples(list(docs), two)
-    old_examples, old_records = oracle_exact_examples(task, list(docs), two)
-    assert_same_cost_examples(generated.cost_examples, old_examples)
-    z, counts = generated.estimation_records[DOC]
-    assert z.ravel().tolist() == [w for _, _, w in old_records]
-
-
-def test_smoothed_estimator_matches_reference():
-    K, V = 3, 9
-    task = ClusterTask(ClusterTaskConfig(K=K, V=V))
-    docs = corpus(20, V, seed=10)
-    pol = task.policy_from_params(mm_random_init(K, V, 11))
-    learn_both(task, list(docs), pol, iterations=2, smoothing=0.25)
+    with pytest.raises(ConfigError, match="2-component mixture"):
+        task.exact_examples(docs, two)
+    with pytest.raises(ConfigError, match="2-component mixture"):
+        searn_learn(task, docs, LearnerConfig(kind="nb"), beta=0.5,
+                    cfg=RolloutConfig(), iterations=2, start=pol)
 
 
 def test_documents_as_arrays_and_document_counts():

@@ -63,6 +63,13 @@ def _calls():
                        "--exact", "--data", docs, "--iterations", "5",
                        "--seed", "3"]),
     ]
+    calls += [
+        # the defaults no other call covers: gen --task cluster with no
+        # --k, --clusters, --documents or --v, and EM's 50 iterations
+        ("doc-default-data", ["gen", "--task", "cluster", "--seed", "6"]),
+        ("doc-em-default", ["train", "--task", "cluster", "--method", "em",
+                            "--data", docs, "--seed", "3"]),
+    ]
     for method in ("em", "exact"):
         calls.append((f"doc-{method}-eval", [
             "eval", "--model", f"{{}}/doc-{method}/model.json",
@@ -76,6 +83,13 @@ def _calls():
         calls.append((f"parse-{supervision}-eval", [
             "eval", "--model", f"{{}}/parse-{supervision}/model.json",
             "--data", heldout, "--seed", "4"]))
+    # searn-nb parsing with the CLI's default smoothing (1.0)
+    calls.append(("parse-nb", [
+        "train", "--task", "depparse", "--method", "searn-nb",
+        "--iterations", "2", "--data", bank, "--seed", "1"]))
+    calls.append(("parse-nb-eval", [
+        "eval", "--model", "{}/parse-nb/model.json", "--data", heldout,
+        "--seed", "4"]))
     calls += [
         ("curve", ["learning-curve", "--sentences", "40", "--iterations",
                    "1", "--labeled-counts", "4", "--seeds", "0"]),
@@ -122,6 +136,14 @@ GOLDEN = {
         "0aacab417592d8ac6c71bd6d5a9cbdddbcd1ce285727dee9c675d12941b2f6da",
     "doc-data/documents.txt":
         "5e32bd4e1fb2b46a81ec4f2dc9a99af28c22ffea772986ad0c83b1481f21ccb2",
+    "doc-default-data/documents.gold.txt":
+        "97cc316d2cf1f38e76134a8118a732f60d55609f748b7a1e3c104ae42944755d",
+    "doc-default-data/documents.txt":
+        "191df622198b26900cc957a53b5e0caedd6e6d4ecf56ea33818aa008e0002fd4",
+    "doc-em-default/model.json":
+        "539fd5b062aa612892cb754b018a61b0750cb6904377e7bf65aee0114d9fbfe7",
+    "doc-em-default/train-log.csv":
+        "b70af1ac85312d098e3675c0464df8bf7ecc8175319f47ef52e1590f92983781",
     "doc-em-eval/metrics.csv":
         "7302f4748245dd6eb1e5bed2b742135bb02f8d4d09f6f4724f7969549661ac91",
     "doc-em-eval/summary.json":
@@ -142,6 +164,14 @@ GOLDEN = {
         "cfcb09413d6421cc20e50b828c5edbd1ca9e17efd1bd5a6f85499aff20b448ad",
     "heldout/treebank.conll":
         "b06196c99a3f7cbd376e6ab976e9c137e28299edf2f13dfe9d748493edb3902c",
+    "parse-nb-eval/metrics.csv":
+        "f9f0f766ccd5dc002e97cdedad661fb3652bcb4521c82922a90ff755b294f7f8",
+    "parse-nb-eval/summary.json":
+        "aa02b3eacdb6a001c07599ebdd4b55243c7cb3a8cd19bb18b2e922112aeba3d2",
+    "parse-nb/model.json":
+        "9815981f30d920a32b0ffd9ad277ed99bcc4b13ec20efa50bf2946d71fe407b8",
+    "parse-nb/train-log.csv":
+        "de321d692cdcbf57c989b3786f06dc77202599bd606f13f0836c6f16ce431aef",
     "parse-semi-eval/metrics.csv":
         "8f97c5757c752691158cc95fb309014697ec0af556ea121521b4d292ccb24756",
     "parse-semi-eval/summary.json":
