@@ -5,9 +5,11 @@ training), ``eval`` (metrics over one or more runs), ``learning-curve``
 (annotation-budget sweep on the treebank task), and ``equivalence``
 (exact-mode mixture training vs. EM on random corpora).
 
-Each run reads only its own settings (``_RUNS``), from flags or from a
-flat ``key=value`` config file passed with ``--config`` (flags take
-precedence); a setting the run would not read is a configuration error.
+Each run reads only its own settings, and its defaults, from one table
+(``_RUNS``); a setting the run would not read is a configuration error.
+Settings come from flags or from a flat ``key=value`` config file passed
+with ``--config`` (flags take precedence).  ``searn <command> --help``
+lists the flags of that command's runs; flags must be spelled in full.
 Result files are byte-identical across reruns with the same settings;
 wall-clock measurements go to a separate ``timings.log``.
 
@@ -50,7 +52,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -89,44 +91,6 @@ _SUPERVISION = ("unsup", "sup", "semi")
 # Configuration
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat bag of every option; flags and config-file keys mirror it."""
-
-    task: str | None = None
-    method: str | None = None
-    supervision: str = "unsup"
-    beta: float | None = None
-    n_samples: int | None = None
-    iterations: int | None = None
-    seeds: tuple = (0,)
-    seed: int = 0
-    labeled_count: int | None = None
-    labeled_counts: tuple = (50, 150, 500)
-    data: str | None = None
-    gold: str | None = None
-    model: str | None = None
-    out: str = "runs"
-    order: int = 1
-    k: int = 2
-    v: int | None = None
-    runs: int | None = None
-    sequences: int = 5
-    mean_length: float = 40.0
-    sentences: int = 620
-    tagset: int = 12
-    documents: int = 10
-    clusters: int = 2
-    doc_mean_length: float = 20.0
-    smoothing: float | None = None
-    lr_variance: float = 10.0
-    tree_variance: float = 10.0
-    tag_variance: float = 10.0
-    exact: bool = False
-    posterior_decode: bool = False
-    em_tol: float = 1e-5
-
-
 def _parse_int_list(text) -> tuple:
     return tuple(int(part) for part in str(text).split(",") if part != "")
 
@@ -142,18 +106,64 @@ def _parse_bool(text) -> bool:
     raise ValueError(text)
 
 
-# Each setting's parser, from its field's annotation (a string here, since
-# annotations are postponed): "int | None" -> int, "tuple" -> int list.
-_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool,
-            "tuple": _parse_int_list}
-_KINDS = {f.name: f.type.split(" |")[0] for f in fields(ExperimentConfig)}
+# Each setting's parser; flags and config-file keys are these names.
+_KINDS = {
+    **dict.fromkeys(("task", "method", "supervision", "data", "gold",
+                     "model", "out"), str),
+    **dict.fromkeys(("n_samples", "iterations", "seed", "labeled_count",
+                     "order", "k", "v", "runs", "sequences", "sentences",
+                     "tagset", "documents", "clusters"), int),
+    **dict.fromkeys(("beta", "mean_length", "doc_mean_length", "smoothing",
+                     "lr_variance", "tree_variance", "tag_variance",
+                     "em_tol"), float),
+    **dict.fromkeys(("exact", "posterior_decode"), _parse_bool),
+    **dict.fromkeys(("seeds", "labeled_counts"), _parse_int_list),
+}
 
 
 def _coerce(name: str, value):
     try:
-        return _PARSERS[_KINDS[name]](value)
+        return _KINDS[name](value)
     except (TypeError, ValueError):
         raise ConfigError(f"bad value for {name}: {value!r}")
+
+
+def _entry(names: str) -> dict:
+    """``"name=default name ..."`` -> {name: parsed default, or None}."""
+    return {name: _coerce(name, default) if sep else None
+            for name, sep, default in (item.partition("=")
+                                       for item in names.split())}
+
+
+# The settings each run reads besides --out, with their defaults, by
+# (command, task, method).  What eval reads depends on its model files,
+# so it has one entry.
+_RUNS = {key: _entry(names) for key, names in {
+    ("gen", "cluster", None):
+        "seed=0 v=5 k=2 clusters=2 documents=10 doc_mean_length=20",
+    ("gen", "sequence", None):
+        "seed=0 runs=10 order=1 k=2 v=10 sequences=5 mean_length=40",
+    ("gen", "depparse", None): "seed=0 sentences=620 tagset=12",
+    ("train", "cluster", "em"): "data seed=0 iterations=50 k=2",
+    ("train", "cluster", "searn-nb"):
+        "data seed=0 iterations=10 k=2 exact=false",
+    ("train", "sequence", "em"): "data seed=0 iterations=50 k=2 em_tol=1e-5",
+    ("train", "sequence", "searn-nb"):
+        "data seed=0 iterations=4 k=2 beta=0.5 n_samples=2 smoothing=1",
+    ("train", "sequence", "searn-lr"):
+        "data seed=0 iterations=4 k=2 beta=0.5 n_samples=2 lr_variance=10",
+    ("train", "depparse", "searn-nb"): "data seed=0 iterations=10 beta=0.1 "
+        "n_samples=1 tagset=12 supervision=unsup labeled_count smoothing=1",
+    ("train", "depparse", "searn-lr"): "data seed=0 iterations=10 beta=0.1 "
+        "n_samples=1 tagset=12 supervision=unsup labeled_count "
+        "tree_variance=10 tag_variance=10",
+    ("eval", None, None): "model data gold seed=0 posterior_decode=false",
+    ("learning-curve", "depparse", None):
+        "seeds=0 labeled_counts=50,150,500 sentences=620 tagset=12 beta=0.1 "
+        "n_samples=1 iterations=10 tree_variance=10 tag_variance=10",
+    ("equivalence", "cluster", None):
+        "seed=0 runs=20 documents=10 v=5 iterations=10",
+}.items()}
 
 
 def read_config_file(path) -> dict:
@@ -178,64 +188,57 @@ def read_config_file(path) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command takes the settings its runs read, spelled in full."""
     parser = argparse.ArgumentParser(
-        prog="searn",
+        prog="searn", allow_abbrev=False,
         description="Structured-prediction experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("gen", "train", "eval", "learning-curve", "equivalence"):
-        p = sub.add_parser(command)
-        p.add_argument("--config", default=None,
-                       help="flat key=value settings file")
-        for name, kind in _KINDS.items():
+    for command in dict.fromkeys(c for c, _, _ in _RUNS):
+        p = sub.add_parser(command, allow_abbrev=False,
+                           usage="%(prog)s [options]")
+        p.add_argument("--config", help="flat key=value settings file")
+        names = dict.fromkeys(("task", "method", "out"))
+        for key, entry in _RUNS.items():
+            if key[0] == command:
+                names.update(entry)
+        for name in names:
             flag = "--" + name.replace("_", "-")
-            if kind == "bool":
-                p.add_argument(flag, action="store_const", const=True,
-                               default=None)
+            if _KINDS[name] is _parse_bool:
+                p.add_argument(flag, action="store_const", const=True)
             else:  # parsed by merge_config, so bad values are config errors
-                p.add_argument(flag, default=None)
+                p.add_argument(flag)
     return parser
 
 
-def merge_config(args: argparse.Namespace) -> tuple:
-    """defaults < config file < explicit flags; returns (config, provided).
-    The run (see ``_RUNS``) must read every setting given to it."""
+def configure(argv) -> argparse.Namespace:
+    """The settings of the run ``argv`` asks for (see ``merge_config``).
+    A flag the command does not take counts as a given setting, so the
+    run rejects it by name."""
+    args, extras = build_parser().parse_known_args(argv)
+    unknown = {arg.lstrip("-").split("=")[0].replace("-", "_")
+               for arg in extras if arg.startswith("-")}
+    if extras and not unknown:
+        raise ConfigError(f"unexpected argument {extras[0]!r}")
+    return merge_config(args, unknown)
+
+
+def merge_config(args: argparse.Namespace,
+                 unknown: set) -> argparse.Namespace:
+    """--out's default < the run's defaults (``_RUNS``) < config file <
+    flags.  Every setting the run does not read is None, and the run must
+    read every setting given to it."""
     values = read_config_file(args.config) if args.config else {}
-    for name in _KINDS:
-        flag_value = getattr(args, name)
-        if flag_value is not None:
-            values[name] = _coerce(name, flag_value)
-    cfg, provided = ExperimentConfig(**values), set(values)
-    _check_run(args.command, cfg, provided)
+    values.update((name, _coerce(name, value))
+                  for name, value in vars(args).items()
+                  if name in _KINDS and value is not None)
+    key = _check_run(args.command, values, set(values) | unknown)
+    cfg = argparse.Namespace(**{**dict.fromkeys(_KINDS), "out": "runs",
+                                **_RUNS[key], **values, "task": key[1],
+                                "command": args.command})
     _validate(cfg)
-    if cfg.task is not None:  # every run but eval's
-        _resolve_defaults(cfg)
-    if args.command == "gen" and cfg.task == "cluster":
-        _resolve_cluster_count(cfg, provided)
-    return cfg, provided
-
-
-# The settings each run reads besides --out, by (command, task, method).
-# What eval reads depends on its model files, so it has one entry.
-_RUNS = {key: frozenset(names.split()) for key, names in {
-    ("gen", "cluster", None): "seed v k clusters documents doc_mean_length",
-    ("gen", "sequence", None): "seed runs order k v sequences mean_length",
-    ("gen", "depparse", None): "seed sentences tagset",
-    ("train", "cluster", "em"): "data seed iterations k",
-    ("train", "cluster", "searn-nb"): "data seed iterations k exact",
-    ("train", "sequence", "em"): "data seed iterations k em_tol",
-    ("train", "sequence", "searn-nb"):
-        "data seed iterations k beta n_samples smoothing",
-    ("train", "sequence", "searn-lr"):
-        "data seed iterations k beta n_samples lr_variance",
-    ("train", "depparse", "searn-nb"): "data seed iterations beta n_samples "
-        "tagset supervision labeled_count smoothing",
-    ("train", "depparse", "searn-lr"): "data seed iterations beta n_samples "
-        "tagset supervision labeled_count tree_variance tag_variance",
-    ("eval", None, None): "model data gold seed posterior_decode",
-    ("learning-curve", "depparse", None): "seeds labeled_counts sentences "
-        "tagset beta n_samples iterations tree_variance tag_variance",
-    ("equivalence", "cluster", None): "seed runs documents v iterations",
-}.items()}
+    if key == ("gen", "cluster", None):
+        _resolve_cluster_count(cfg, values)
+    return cfg
 
 
 def _run_name(key: tuple) -> str:
@@ -243,27 +246,29 @@ def _run_name(key: tuple) -> str:
     return "'" + " ".join(flag + value for flag, value in flags if value) + "'"
 
 
-def _check_run(command: str, cfg: ExperimentConfig, provided: set) -> None:
-    """The run must have an entry, and read every setting given to it by
-    flag or config file.  A command that serves one task takes that task
-    when none is given."""
-    tasks = {task for c, task, _ in _RUNS if c == command}
-    if cfg.task is None and len(tasks) == 1:
-        (cfg.task,) = tasks
-    key = (command, cfg.task, cfg.method)
+def _check_run(command: str, values: dict, provided: set) -> tuple:
+    """The run's ``_RUNS`` key.  The run must have an entry, and read every
+    setting given to it by flag or config file.  A command that serves one
+    task takes that task when none is given."""
+    task = values.get("task")
+    tasks = {t for c, t, _ in _RUNS if c == command}
+    if task is None and len(tasks) == 1:
+        (task,) = tasks
+    key = (command, task, values.get("method"))
     if key not in _RUNS:
         runs = ", ".join(_run_name(k) for k in _RUNS if k[0] == command)
         raise ConfigError(f"{_run_name(key)} is not a run; try {runs}")
-    unread = provided - _RUNS[key] - {"out", "task", "method"}
-    if cfg.supervision == "unsup":  # no tree is kept, so no count is read
-        unread |= provided & {"labeled_count"}
+    unread = provided - _RUNS[key].keys() - {"out", "task", "method"}
+    if {**_RUNS[key], **values}.get("supervision") == "unsup":
+        unread |= provided & {"labeled_count"}  # no tree is kept
     if unread:
         raise ConfigError(f"{_run_name(key)} reads no " + ", ".join(
             "--" + name.replace("_", "-") for name in sorted(unread)))
+    return key
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.supervision not in _SUPERVISION:
+def _validate(cfg) -> None:
+    if cfg.supervision not in (None, *_SUPERVISION):
         raise ConfigError(f"unknown supervision {cfg.supervision!r}")
     if cfg.supervision == "semi" and cfg.labeled_count is None:
         raise ConfigError("semi-supervised runs need --labeled-count")
@@ -271,6 +276,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("--em-tol nan: no gain is below NaN, so it would "
                           "never stop early; give a number (-inf runs every "
                           "iteration)")
+    if cfg.smoothing == 0:
+        raise ConfigError("--smoothing 0: a feature seen in no training "
+                          "example would score log 0 for every class; give "
+                          "a positive smoothing")
     if cfg.iterations is not None and cfg.iterations < 1:
         raise ConfigError(f"--iterations {cfg.iterations}: need at least 1")
     if cfg.runs is not None and cfg.runs < 1:
@@ -279,38 +288,17 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"--v {cfg.v} exceeds the cap of {MAX_VOCAB_SIZE}")
 
 
-def _resolve_cluster_count(cfg: ExperimentConfig, provided: set) -> None:
+def _resolve_cluster_count(cfg, given: dict) -> None:
     """A generated corpus has ``--clusters`` clusters, or ``--k`` when only
     that is given; two different values are rejected."""
-    if "k" in provided:
-        if "clusters" in provided and cfg.k != cfg.clusters:
+    if "k" in given:
+        if "clusters" in given and cfg.k != cfg.clusters:
             raise ConfigError(f"--k {cfg.k} and --clusters {cfg.clusters} "
                               "disagree; give one, or equal values")
         cfg.clusters = cfg.k
 
 
-# Settings whose default depends on the task (cluster runs: the
-# equivalence sweep's corpora); em training defaults to 50 iterations on
-# every task.
-_TASK_DEFAULTS = {
-    "cluster": {"iterations": 10, "v": 5, "runs": 20},
-    "sequence": {"beta": 0.5, "n_samples": 2, "iterations": 4, "v": 10,
-                 "runs": 10},
-    "depparse": {"beta": 0.1, "n_samples": 1, "iterations": 10},
-}
-
-
-def _resolve_defaults(cfg: ExperimentConfig) -> None:
-    """Fill task-dependent defaults for settings left unset."""
-    defaults = dict(_TASK_DEFAULTS[cfg.task], smoothing=1.0)
-    if cfg.method == "em":
-        defaults["iterations"] = 50
-    for name, value in defaults.items():
-        if getattr(cfg, name) is None:
-            setattr(cfg, name, value)
-
-
-def _parse_experiment(cfg: ExperimentConfig) -> ParseExperiment:
+def _parse_experiment(cfg) -> ParseExperiment:
     return ParseExperiment(
         n_sentences=cfg.sentences, tagset_size=cfg.tagset,
         beta=cfg.beta, n_samples=cfg.n_samples, iterations=cfg.iterations,
@@ -327,7 +315,7 @@ def _out_dir(cfg) -> Path:
 # gen
 
 
-def cmd_gen(cfg: ExperimentConfig) -> int:
+def cmd_gen(cfg) -> int:
     out = _out_dir(cfg)
     if cfg.task == "sequence":
         for run in range(cfg.runs):
@@ -441,7 +429,7 @@ def _read_treebank(path) -> list:
     return sentences
 
 
-def cmd_train(cfg: ExperimentConfig) -> int:
+def cmd_train(cfg) -> int:
     if cfg.data is None:
         raise ConfigError("train needs --data")
     out = _out_dir(cfg)
@@ -471,7 +459,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _train_em(cfg: ExperimentConfig) -> tuple:
+def _train_em(cfg) -> tuple:
     """EM baselines: (task spec, model payload, per-iteration -LL)."""
     if cfg.task == "sequence":
         xs, vocab = _read_sequence_data(cfg.data)
@@ -489,7 +477,7 @@ def _train_em(cfg: ExperimentConfig) -> tuple:
             [-mm_log_likelihood(p, docs) for p in trajectory])
 
 
-def _train_searn(cfg: ExperimentConfig) -> tuple:
+def _train_searn(cfg) -> tuple:
     """Mixture training: (task spec, model payload, searn_learn's log)."""
     if cfg.task == "cluster":
         return _train_cluster_exact(cfg)
@@ -515,7 +503,7 @@ def _train_searn(cfg: ExperimentConfig) -> tuple:
     return spec, {"policy": policy_to_dict(policy, task.interner)}, log
 
 
-def _train_cluster_exact(cfg: ExperimentConfig) -> tuple:
+def _train_cluster_exact(cfg) -> tuple:
     if not cfg.exact:
         raise ConfigError("cluster training is the exact-mode equivalence "
                           "path; use --exact")
@@ -633,7 +621,7 @@ def _eval_one(task_name: str, model, data_path, gold_path, cfg,
     return "arc_accuracy", corpus_arc_accuracy(preds, golds)
 
 
-def cmd_eval(cfg: ExperimentConfig) -> int:
+def cmd_eval(cfg) -> int:
     if cfg.model is None or cfg.data is None:
         raise ConfigError("eval needs --model and --data")
     models = _split_list(cfg.model)
@@ -649,13 +637,15 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
                               "length (or be single)")
         return items[i]
 
-    out = _out_dir(cfg)
     metric_name = None
     values = []
     for run in range(n_runs):
         task_name, model = _load_model(pick(models, run))
         if task_name != "depparse" and pick(golds, run) is None:
             raise ConfigError("eval needs --gold for this task")
+        if cfg.posterior_decode and not isinstance(model, HmmParams):
+            raise ConfigError(f"{pick(models, run)} is not an HMM model; "
+                              "only those have --posterior-decode")
         name, value = _eval_one(task_name, model, pick(datas, run),
                                 pick(golds, run), cfg, run)
         if metric_name is not None and name != metric_name:
@@ -663,6 +653,7 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
         metric_name = name
         values.append(value)
     summary = summarize(values, metric=metric_name)
+    out = _out_dir(cfg)
     write_runs_csv(out / "metrics.csv", [summary])
     _write_json(out / "summary.json", asdict(summary))
     sigma = "" if summary.single_run else f" +/- {summary.std:.4f}"
@@ -675,11 +666,11 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
 # learning-curve
 
 
-def cmd_learning_curve(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
+def cmd_learning_curve(cfg) -> int:
     t0 = time.perf_counter()
     rows = learning_curve(_parse_experiment(cfg), cfg.labeled_counts,
                           master_seeds=cfg.seeds)
+    out = _out_dir(cfg)
     _write_csv(out / "curve.csv",
                ["arm", "labeled_count", "mean", "two_sigma", "values"],
                [(row.arm, row.labeled_count, f"{row.mean:.12g}",
@@ -696,7 +687,7 @@ def cmd_learning_curve(cfg: ExperimentConfig) -> int:
 # equivalence
 
 
-def cmd_equivalence(cfg: ExperimentConfig) -> int:
+def cmd_equivalence(cfg) -> int:
     out = _out_dir(cfg)
     reports = equivalence_sweep(
         n_corpora=cfg.runs, n_documents=cfg.documents, vocab_size=cfg.v,
@@ -730,11 +721,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg, _ = merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        cfg = configure(argv)
+        return _COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -313,6 +313,9 @@ def learning_curve(exp: ParseExperiment, labeled_counts,
         raise ConfigError("labeled_counts must be non-empty")
     if not master_seeds:
         raise ConfigError("master_seeds must be non-empty")
+    if len(set(master_seeds)) < len(master_seeds):
+        raise ConfigError(f"master_seeds {list(master_seeds)} repeat a seed; "
+                          "a repeated run adds no spread")
     exps = [replace(exp, master_seed=m) for m in master_seeds]
     corpora = {e.master_seed: parse_corpus(e) for e in exps}
     for train, _, test in corpora.values():

@@ -3,8 +3,8 @@
 ``perfbench/harness.py`` builds each workload's calls from its sizes and
 seed; a setting one of them gives that its run does not read would end
 the call as a configuration error.  The workloads are built here with a
-stub prober, so no CLI call runs: each argv only goes through the
-parser and ``merge_config``.
+stub prober, so no CLI call runs: each argv only goes through
+``configure``, which turns it into the run's settings as ``main`` does.
 """
 
 import importlib.util
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from searn.cli import build_parser, merge_config
+from searn.cli import configure
 
 HARNESS = Path(__file__).resolve().parent.parent / "perfbench" / "harness.py"
 
@@ -54,4 +54,4 @@ def test_workload_argv_is_accepted(harness, tmp_path, size, seed):
         ops = build(getattr(harness, size), seed, tmp_path, probe)
         assert ops
         for argv in [op.argv for op in ops] + probe.calls:
-            merge_config(build_parser().parse_args(argv))
+            configure(argv)

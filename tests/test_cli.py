@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from searn.cli import (ExperimentConfig, main, merge_config, read_config_file)
+from searn import cli
+from searn.cli import configure, main, read_config_file
 from searn.errors import ConfigError
 
 
@@ -52,11 +53,7 @@ class TestConfigFile:
     def test_flag_overrides_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text("task=sequence\nk=3\nseed=9\n")
-        import argparse
-        from searn.cli import build_parser
-        args = build_parser().parse_args(
-            ["gen", "--config", str(p), "--k", "5"])
-        cfg, _ = merge_config(args)
+        cfg = configure(["gen", "--config", str(p), "--k", "5"])
         assert cfg.task == "sequence"  # from file
         assert cfg.k == 5              # flag wins
         assert cfg.seed == 9           # from file
@@ -517,12 +514,15 @@ class TestExitCodes:
         ("depparse", "nan", [], "smoothing must be finite and nonnegative"),
         ("cluster", "nan", ["--exact"], "reads no --smoothing"),
         ("cluster", "-1", ["--exact", "--k", "1"], "reads no --smoothing"),
+        ("sequence", "0", [], "no training example would score log 0"),
+        ("depparse", "0", [], "no training example would score log 0"),
     ], ids=["sequence-nan", "sequence-inf", "depparse-nan", "cluster-nan",
-            "cluster-negative"])
+            "cluster-negative", "sequence-zero", "depparse-zero"])
     def test_bad_smoothing_is_config_error(self, tmp_path, capsys,
                                            task, value, extra, error):
         # a NaN smoothing once trained a NaN model that eval then scored;
-        # a negative one trained a one-cluster exact model
+        # a negative one trained a one-cluster exact model; a zero one
+        # scored every class -inf on an unseen feature, so costs were NaN
         data = tmp_path / "data"
         assert run_cli("gen", "--task", task, *_GEN_SIZE[task],
                        "--out", str(data)) == 0
@@ -842,3 +842,77 @@ class TestEquivalenceCommand:
         assert run_cli(*argv, "--out", str(out)) == 2
         assert error in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_posterior_decode_needs_hmm_models(seq_run, tmp_path, capsys):
+    # the flag was ignored for a searn model: both output files were
+    # byte-identical to the run without it
+    data, run = seq_run
+    out = tmp_path / "o"
+    assert run_cli("eval", "--model", str(run / "model.json"),
+                   "--data", str(data / "sequences-run00.txt"),
+                   "--gold", str(data / "sequences-run00.gold.txt"),
+                   "--posterior-decode", "--out", str(out)) == 2
+    assert "is not an HMM model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# one table of runs: flags, help and defaults
+
+
+def _command_settings(command):
+    names = {"config", "task", "method", "out"}
+    for key, entry in cli._RUNS.items():
+        if key[0] == command:
+            names |= entry.keys()
+    return {"--" + name.replace("_", "-") for name in names}
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "eval",
+                                     "learning-curve", "equivalence"])
+def test_help_lists_the_command_settings(capsys, command):
+    # every command once listed all 32 settings, most of them rejected
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        run_cli(command, "--help")
+    assert stop.value.code == 0
+    listed = {line.split()[0].rstrip(",")
+              for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  --")}
+    assert listed == _command_settings(command)
+
+
+def test_abbreviated_flag_is_config_error(seq_run, tmp_path, capsys):
+    # --iter was once read as --iterations
+    data, _ = seq_run
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("train", "--task", "sequence", "--method", "searn-nb",
+                   "--iter", "1", "--data", str(data / "sequences-run00.txt"),
+                   "--out", str(out)) == 2
+    assert "'train --task sequence --method searn-nb' reads no --iter" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stray_argument_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("gen", "stray", "--task", "depparse", "--out",
+                   str(out)) == 2
+    assert capsys.readouterr().err == \
+        "config error: unexpected argument 'stray'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", list(cli._RUNS), ids=cli._run_name)
+def test_run_sets_exactly_its_defaults(key):
+    argv = [key[0]]
+    for flag, value in zip(("--task", "--method"), key[1:]):
+        argv += [flag, value] if value else []
+    cfg = configure(argv)
+    set_names = {name for name in cli._KINDS if getattr(cfg, name) is not None}
+    defaulted = {name for name, value in cli._RUNS[key].items()
+                 if value is not None}
+    assert set_names - {"out", "task", "method"} == defaulted

@@ -123,6 +123,11 @@ class TestLearningCurve:
         with pytest.raises(ConfigError, match="master_seeds"):
             learning_curve(TINY_PARSE, [5], master_seeds=())
 
+    def test_repeated_seed_rejected(self):
+        # two equal runs once read as a spread of 0 on every row
+        with pytest.raises(ConfigError, match="repeat a seed"):
+            learning_curve(TINY_PARSE, [5], master_seeds=(0, 0))
+
 
 class TestEquivalenceSweep:
     def test_trainers_coincide(self):
