@@ -9,9 +9,16 @@ Each run reads only its own settings, and its defaults, from one table
 (``_RUNS``); a setting the run would not read is a configuration error.
 Settings come from flags or from a flat ``key=value`` config file passed
 with ``--config`` (flags take precedence).  ``searn <command> --help``
-lists the flags of that command's runs; flags must be spelled in full.
-Result files are byte-identical across reruns with the same settings;
-wall-clock measurements go to a separate ``timings.log``.
+lists the flags of that command's runs (``--task`` and ``--method`` where
+they pick the run); flags must be spelled in full.  Result files are
+byte-identical across reruns; wall-clock times go to ``timings.log``.
+
+The paper's sequence grid: ``gen --task sequence --runs N`` writes the
+datasets (``--order 2`` for second-order chains), ``train`` runs once per
+dataset and method, and one ``eval`` per method scores the comma-joined
+runs (``summary.json`` holds mean and std over datasets).  The EM arm
+trains with ``--iterations 8`` and scores with ``--posterior-decode``;
+longer EM runs gain likelihood but drift from the generating labels.
 
 Output files:
 
@@ -68,17 +75,16 @@ from .em import (HmmParams, MultinomialMixtureParams, hmm_decode,
                  hmm_em_train, hmm_posterior_decode, mm_e_step,
                  mm_em_train, mm_log_likelihood, mm_random_init)
 from .errors import ConfigError, DataError, TrainingError
-from .experiments import (ParseExperiment, SequenceExperiment, decode_labels,
-                          decode_trees, equivalence_sweep, learning_curve,
-                          parse_training_data, train_parser,
-                          train_sequence_searn)
+from .experiments import (ParseExperiment, decode, decode_trees,
+                          equivalence_sweep, learning_curve,
+                          parse_training_data, train_parser)
 from .metrics import (corpus_arc_accuracy, matched_hamming, summarize,
                       write_runs_csv)
 from .task_cluster import (ClusterTask, ClusterTaskConfig, read_documents,
                            write_documents)
 from .task_depparse import ParseTask, ParseTaskConfig, load_conll, write_conll
-from .task_sequence import (SequenceTask, SequenceTaskConfig, read_sequences,
-                            write_sequences)
+from .task_sequence import (SequenceTask, SequenceTaskConfig, latent_labels,
+                            read_sequences, write_sequences)
 
 _GEN_KEY = 701
 _TRAIN_KEY = 702
@@ -197,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, allow_abbrev=False,
                            usage="%(prog)s [options]")
         p.add_argument("--config", help="flat key=value settings file")
-        names = dict.fromkeys(("task", "method", "out"))
+        names = dict.fromkeys((*_selectors(command), "out"))
         for key, entry in _RUNS.items():
             if key[0] == command:
                 names.update(entry)
@@ -241,6 +247,12 @@ def merge_config(args: argparse.Namespace,
     return cfg
 
 
+def _selectors(command: str) -> tuple:
+    """Which of ``task`` and ``method`` key the runs of ``command``."""
+    return tuple(name for i, name in ((1, "task"), (2, "method"))
+                 if any(key[i] for key in _RUNS if key[0] == command))
+
+
 def _run_name(key: tuple) -> str:
     flags = zip(("", "--task ", "--method "), key)
     return "'" + " ".join(flag + value for flag, value in flags if value) + "'"
@@ -248,8 +260,13 @@ def _run_name(key: tuple) -> str:
 
 def _check_run(command: str, values: dict, provided: set) -> tuple:
     """The run's ``_RUNS`` key.  The run must have an entry, and read every
-    setting given to it by flag or config file.  A command that serves one
-    task takes that task when none is given."""
+    setting given to it by flag or config file (see ``_selectors``).  A
+    command that serves one task takes that task when none is given."""
+    selectors = _selectors(command)
+    stray = provided & {"task", "method"} - set(selectors)
+    if stray:
+        raise ConfigError(f"'{command}' reads no " + ", ".join(
+            "--" + name for name in sorted(stray)))
     task = values.get("task")
     tasks = {t for c, t, _ in _RUNS if c == command}
     if task is None and len(tasks) == 1:
@@ -258,7 +275,7 @@ def _check_run(command: str, values: dict, provided: set) -> tuple:
     if key not in _RUNS:
         runs = ", ".join(_run_name(k) for k in _RUNS if k[0] == command)
         raise ConfigError(f"{_run_name(key)} is not a run; try {runs}")
-    unread = provided - _RUNS[key].keys() - {"out", "task", "method"}
+    unread = provided - _RUNS[key].keys() - {"out", *selectors}
     if {**_RUNS[key], **values}.get("supervision") == "unsup":
         unread |= provided & {"labeled_count"}  # no tree is kept
     if unread:
@@ -280,6 +297,10 @@ def _validate(cfg) -> None:
         raise ConfigError("--smoothing 0: a feature seen in no training "
                           "example would score log 0 for every class; give "
                           "a positive smoothing")
+    for flag, seeds in (("seed", [cfg.seed]), ("seeds", cfg.seeds or ())):
+        if any(seed is not None and seed < 0 for seed in seeds):
+            raise ConfigError(f"--{flag} {','.join(map(str, seeds))}: seeds "
+                              "are non-negative")
     if cfg.iterations is not None and cfg.iterations < 1:
         raise ConfigError(f"--iterations {cfg.iterations}: need at least 1")
     if cfg.runs is not None and cfg.runs < 1:
@@ -485,11 +506,15 @@ def _train_searn(cfg) -> tuple:
     seed = derive_seed(cfg.seed, _TRAIN_KEY)
     if cfg.task == "sequence":
         xs, vocab = _read_sequence_data(cfg.data)
-        exp = SequenceExperiment(
-            n_states=cfg.k, vocab_size=vocab, beta=cfg.beta,
-            n_samples=cfg.n_samples, iterations=cfg.iterations,
-            smoothing=cfg.smoothing, lr_variance=cfg.lr_variance)
-        task, policy, log = train_sequence_searn(exp, xs, kind, seed)
+        task = SequenceTask(SequenceTaskConfig(
+            K=cfg.k, V=vocab,
+            feature_mode="nb_hmm" if kind == "nb" else "lr_window"))
+        policy, log = searn_learn(
+            task, xs, LearnerConfig(kind=kind, smoothing=cfg.smoothing,
+                                    l2_variance=cfg.lr_variance),
+            beta=cfg.beta,
+            cfg=RolloutConfig(seed=seed, n_samples=cfg.n_samples),
+            iterations=cfg.iterations)
         spec = {"task": "sequence", "k": cfg.k, "v": vocab,
                 "feature_mode": task.config.feature_mode}
     else:
@@ -607,8 +632,9 @@ def _eval_one(task_name: str, model, data_path, gold_path, cfg,
             k_pred = model.n_states
         else:
             task, policy = model
-            pred = decode_labels(task, policy, xs, cfg.seed, _EVAL_KEY, run,
-                                 runner=run_policy)
+            states = decode(task, policy, xs, cfg.seed, _EVAL_KEY, run,
+                            runner=run_policy)
+            pred = np.concatenate([latent_labels(s) for s in states])
             k_pred = task.config.K
         return "matched_hamming", matched_hamming(pred, gold, k_pred, k_gold)
     sentences = _read_treebank(data_path)

@@ -1,11 +1,11 @@
 """Desk-scale experiment protocols and the per-task train/decode steps.
 
-Each protocol fixes a dataset grid, per-method training settings, and a
-seed-derivation scheme so that every run is reproducible from a single
-master seed.  The training and decoding steps (``train_sequence_searn``,
-``train_parser``, ``parse_training_data``, ``decode``) are the ones the
-CLI runs too.  The functions return plain values or ``RunSummary`` rows;
-file output lives in the CLI layer.
+The parsing protocols and the equivalence sweep fix their data, settings
+and seed derivation so that every run is reproducible from one master
+seed.  The CLI runs the same training and decoding steps
+(``train_parser``, ``parse_training_data``, ``decode``); the sequence
+grid (EM against mixture training on HMM data) is the CLI's ``gen``,
+``train`` and ``eval`` alone.  File output lives in the CLI layer.
 """
 
 from dataclasses import dataclass, replace
@@ -14,20 +14,15 @@ import numpy as np
 
 from .core import (LearnerConfig, RolloutConfig, derive_seed, initial_policy,
                    run_policy, searn_learn)
-from .datagen import (DocGenConfig, HmmGenConfig, TreebankGenConfig,
-                      gen_document_corpus, gen_hmm_dataset, gen_hmm_params,
+from .datagen import (DocGenConfig, TreebankGenConfig, gen_document_corpus,
                       gen_treebank, split_dataset)
-from .em import hmm_decode, hmm_em_train, hmm_posterior_decode
 from .errors import ConfigError, DataError
-from .metrics import RunSummary, corpus_arc_accuracy, matched_hamming, summarize
-from .task_cluster import EquivalenceReport, run_equivalence
+from .metrics import corpus_arc_accuracy, summarize
+from .task_cluster import run_equivalence
 from .task_depparse import ParseTask, ParseTaskConfig, TaggedSentence
-from .task_sequence import SequenceTask, SequenceTaskConfig, latent_labels
 
 # Seed-derivation keys.  Every stream consumed by a protocol is derived
 # from (master_seed, key, indices...) so runs never share randomness.
-_SEQ_BASE = {1: 200, 2: 210}  # order -> base; +1 data, +2 em, +3 nb,
-_SEQ_DATA, _SEQ_EM, _SEQ_NB, _SEQ_LR, _SEQ_DECODE = 1, 2, 3, 4, 5
 _TREEBANK_KEY = 301
 _PARSE_TRAIN_KEY = 403
 _PARSE_DECODE_KEY = 404
@@ -40,72 +35,6 @@ _EQUIV_CLUSTER_COUNTS = (2, 3)
 _EQUIV_TOLERANCE = 1e-8
 
 
-# ---------------------------------------------------------------------------
-# Sequence protocols (latent-state recovery on synthetic chain data)
-
-
-@dataclass(frozen=True)
-class SequenceExperiment:
-    """One cell of the sequence grid: data settings + method settings."""
-
-    order: int = 1
-    n_states: int = 2
-    vocab_size: int = 10
-    n_datasets: int = 10
-    n_sequences: int = 5
-    mean_length: float = 40.0
-    master_seed: int = 0
-    # EM baseline: a short iteration budget plus marginal (posterior)
-    # decoding; both chosen on dev runs -- long EM runs keep increasing
-    # likelihood while drifting away from the generating labels.
-    em_iterations: int = 8
-    posterior_decode: bool = True
-    # Mixture-training settings shared by the NB and LR variants.
-    beta: float = 0.5
-    iterations: int = 4
-    n_samples: int = 2
-    smoothing: float = 1.0
-    lr_variance: float = 10.0
-
-    def __post_init__(self):
-        if self.order not in _SEQ_BASE:
-            raise ConfigError("order must be 1 or 2")
-        if self.n_datasets < 1:
-            raise ConfigError("n_datasets must be at least 1")
-
-
-def sequence_datasets(exp: SequenceExperiment) -> list:
-    """The experiment's dataset grid: (sequences, pooled gold labels)."""
-    base = _SEQ_BASE[exp.order]
-    out = []
-    for ds in range(exp.n_datasets):
-        cfg = HmmGenConfig(order=exp.order, K=exp.n_states,
-                           V=exp.vocab_size, n_sequences=exp.n_sequences,
-                           mean_length=exp.mean_length,
-                           seed=derive_seed(exp.master_seed,
-                                            base + _SEQ_DATA, ds))
-        data = gen_hmm_dataset(gen_hmm_params(cfg), cfg)
-        out.append(([x for x, _ in data],
-                    np.concatenate([g for _, g in data])))
-    return out
-
-
-def run_sequence_em(exp: SequenceExperiment) -> RunSummary:
-    """Matched Hamming error of the EM baseline, one value per dataset."""
-    base = _SEQ_BASE[exp.order]
-    decoder = hmm_posterior_decode if exp.posterior_decode else hmm_decode
-    errors = []
-    for ds, (xs, gold) in enumerate(sequence_datasets(exp)):
-        params, _ = hmm_em_train(
-            xs, exp.n_states, exp.vocab_size,
-            iterations=exp.em_iterations,
-            seed=derive_seed(exp.master_seed, base + _SEQ_EM, ds))
-        pred = np.concatenate([decoder(params, x) for x in xs])
-        errors.append(matched_hamming(pred, gold,
-                                      exp.n_states, exp.n_states))
-    return summarize(errors, metric="matched_hamming")
-
-
 def decode(task, policy, inputs, seed: int, *key: int, runner=None) -> list:
     """Final states of one policy run per input; input i runs on the
     stream seeded by ``derive_seed(seed, *key, i)``.  ``runner`` stands
@@ -114,56 +43,6 @@ def decode(task, policy, inputs, seed: int, *key: int, runner=None) -> list:
     return [runner(task, x, policy,
                    np.random.default_rng(derive_seed(seed, *key, i)))
             for i, x in enumerate(inputs)]
-
-
-def decode_labels(task, policy, xs, seed: int, *key: int,
-                  runner=None) -> np.ndarray:
-    """Pooled latent labels of a sequence task's decode."""
-    return np.concatenate([latent_labels(state) for state in
-                           decode(task, policy, xs, seed, *key,
-                                  runner=runner)])
-
-
-def train_sequence_searn(exp: SequenceExperiment, xs, kind: str, seed: int):
-    """Mixture-train a sequence labeller ("nb" or "lr" learner) with the
-    method settings of ``exp``; returns (task, policy, searn_learn's
-    log)."""
-    if kind not in ("nb", "lr"):
-        raise ConfigError("kind must be 'nb' or 'lr'")
-    task = SequenceTask(SequenceTaskConfig(
-        K=exp.n_states, V=exp.vocab_size,
-        feature_mode="nb_hmm" if kind == "nb" else "lr_window"))
-    policy, log = searn_learn(
-        task, xs, LearnerConfig(kind=kind, smoothing=exp.smoothing,
-                                l2_variance=exp.lr_variance),
-        beta=exp.beta,
-        cfg=RolloutConfig(seed=seed, n_samples=exp.n_samples),
-        iterations=exp.iterations)
-    return task, policy, log
-
-
-def run_sequence_searn(exp: SequenceExperiment, kind: str) -> RunSummary:
-    """Matched Hamming error of a mixture-trained policy ("nb" or "lr")."""
-    base = _SEQ_BASE[exp.order]
-    method_key = base + (_SEQ_NB if kind == "nb" else _SEQ_LR)
-    errors = []
-    for ds, (xs, gold) in enumerate(sequence_datasets(exp)):
-        task, policy, _ = train_sequence_searn(
-            exp, xs, kind, derive_seed(exp.master_seed, method_key, ds))
-        pred = decode_labels(task, policy, xs, exp.master_seed,
-                             base + _SEQ_DECODE, ds)
-        errors.append(matched_hamming(pred, gold,
-                                      exp.n_states, exp.n_states))
-    return summarize(errors, metric="matched_hamming")
-
-
-def run_sequence(exp: SequenceExperiment, method: str) -> RunSummary:
-    """Dispatch on method name: em | searn-nb | searn-lr."""
-    if method == "em":
-        return run_sequence_em(exp)
-    if method in ("searn-nb", "searn-lr"):
-        return run_sequence_searn(exp, method.split("-")[1])
-    raise ConfigError(f"unknown sequence method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +186,16 @@ def learning_curve(exp: ParseExperiment, labeled_counts,
     For each count c the semi arm trains with c gold trees (rest
     unlabeled) and the sup arm trains on the c gold trees alone; the
     unsup arm ignores the budget.  Values aggregate over master seeds.
+    Errors name the CLI flags that give these arguments.
     """
     counts = sorted(set(int(c) for c in labeled_counts))
     if not counts:
-        raise ConfigError("labeled_counts must be non-empty")
+        raise ConfigError("--labeled-counts names no count")
     if not master_seeds:
-        raise ConfigError("master_seeds must be non-empty")
+        raise ConfigError("--seeds names no seed")
     if len(set(master_seeds)) < len(master_seeds):
-        raise ConfigError(f"master_seeds {list(master_seeds)} repeat a seed; "
-                          "a repeated run adds no spread")
+        raise ConfigError(f"--seeds {','.join(map(str, master_seeds))}: "
+                          "runs that repeat a seed add no spread")
     exps = [replace(exp, master_seed=m) for m in master_seeds]
     corpora = {e.master_seed: parse_corpus(e) for e in exps}
     for train, _, test in corpora.values():
@@ -323,7 +203,8 @@ def learning_curve(exp: ParseExperiment, labeled_counts,
             raise ConfigError(f"the test split of {exp.n_sentences} "
                               "sentences is empty: no arm could be scored")
         if counts[-1] > len(train):
-            raise ConfigError("labeled_count exceeds the training set")
+            raise ConfigError(f"--labeled-counts {counts[-1]} exceeds the "
+                              f"{len(train)}-sentence training split")
 
     def point(arm, count, values):
         s = summarize(values, metric="arc_accuracy")

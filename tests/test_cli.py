@@ -9,6 +9,8 @@ import pytest
 from searn import cli
 from searn.cli import configure, main, read_config_file
 from searn.errors import ConfigError
+from searn.experiments import ParseExperiment
+from searn.task_sequence import read_sequences
 
 
 def run_cli(*argv):
@@ -81,6 +83,27 @@ class TestGen:
                            "--seed", "11", "--out", str(out)) == 0
         for name in os.listdir(a):
             assert read_bytes(a / name) == read_bytes(b / name)
+
+    # compare the sequences, not the files: each header names its seed
+    def test_sequence_runs_differ(self, tmp_path):
+        out = tmp_path / "data"
+        assert run_cli("gen", "--task", "sequence", "--runs", "2",
+                       "--seed", "4", "--out", str(out)) == 0
+        assert (read_sequences(out / "sequences-run00.txt")
+                != read_sequences(out / "sequences-run01.txt"))
+
+    def test_master_seed_changes_data(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out, seed in ((a, "4"), (b, "5")):
+            assert run_cli("gen", "--task", "sequence", "--runs", "1",
+                           "--seed", seed, "--out", str(out)) == 0
+        assert (read_sequences(a / "sequences-run00.txt")
+                != read_sequences(b / "sequences-run00.txt"))
+
+    def test_sequence_order_validated(self, tmp_path, capsys):
+        assert run_cli("gen", "--task", "sequence", "--order", "3",
+                       "--out", str(tmp_path / "o")) == 2
+        assert "order must be 1 or 2" in capsys.readouterr().err
 
     def test_depparse_conll(self, tmp_path):
         out = tmp_path / "bank"
@@ -340,6 +363,14 @@ class TestExitCodes:
         assert run_cli("train", "--task", "depparse", "--method", "em",
                        "--data", str(tmp_path / "x.conll"),
                        "--out", str(tmp_path / "o")) == 2
+
+    def test_unknown_sequence_method_is_config_error(self, tmp_path,
+                                                     capsys):
+        assert run_cli("train", "--task", "sequence", "--method",
+                       "searn-svm", "--data", str(tmp_path / "x.txt"),
+                       "--out", str(tmp_path / "o")) == 2
+        assert "'train --task sequence --method searn-svm' is not a run" in \
+            capsys.readouterr().err
 
     def test_semi_needs_labeled_count(self, tmp_path):
         assert run_cli("train", "--task", "depparse", "--method", "searn-lr",
@@ -610,22 +641,23 @@ class TestExitCodes:
         assert run_cli("gen", "--config", str(cfg)) == 2
 
 
-_SEQ_SPEC = {"task": "sequence", "k": 2, "v": 10, "feature_mode": "nb_hmm"}
+_SEQUENCE_SPEC = {"task": "sequence", "k": 2, "v": 10,
+                  "feature_mode": "nb_hmm"}
 
 
 @pytest.mark.parametrize("blob", [
     {"format_version": 1, "method": "em"},
     [1, 2],
     "model",
-    {"format_version": 2, "method": "em", "task": _SEQ_SPEC},
+    {"format_version": 2, "method": "em", "task": _SEQUENCE_SPEC},
     {"format_version": 1, "method": "em", "task": "sequence"},
     {"format_version": 1, "method": "em", "task": {"task": "tagging"}},
-    {"format_version": 1, "method": "svm", "task": _SEQ_SPEC},
-    {"format_version": 1, "method": "em", "task": _SEQ_SPEC},
-    {"format_version": 1, "method": "em", "task": _SEQ_SPEC,
+    {"format_version": 1, "method": "svm", "task": _SEQUENCE_SPEC},
+    {"format_version": 1, "method": "em", "task": _SEQUENCE_SPEC},
+    {"format_version": 1, "method": "em", "task": _SEQUENCE_SPEC,
      "params": {"initial": [1.0], "transition": "x", "emission": []}},
-    {"format_version": 1, "method": "searn-nb", "task": _SEQ_SPEC},
-    {"format_version": 1, "method": "searn-nb", "task": _SEQ_SPEC,
+    {"format_version": 1, "method": "searn-nb", "task": _SEQUENCE_SPEC},
+    {"format_version": 1, "method": "searn-nb", "task": _SEQUENCE_SPEC,
      "policy": []},
     {"format_version": 1, "method": "searn-nb",
      "task": {"task": "sequence", "k": 2}, "policy": {}},
@@ -762,17 +794,17 @@ def test_decode_reads_no_gold_tree(parse_run, tmp_path, monkeypatch):
 
 # Settings a run does not read.  Each call once exited 0, and where it
 # wrote a model, the model had the md5 of the run without the setting.
-_SEQ_NB = ["train", "--task", "sequence", "--method", "searn-nb",
-           "--iterations", "1", "--data", "{seq}"]
+_SEQUENCE_NB = ["train", "--task", "sequence", "--method", "searn-nb",
+                "--iterations", "1", "--data", "{seq}"]
 _PARSE_LR = ["train", "--task", "depparse", "--method", "searn-lr",
              "--iterations", "1", "--data", "{bank}"]
 
 
 @pytest.mark.parametrize("argv, unread", [
-    (_SEQ_NB, ["--lr-variance", "0.001"]),
-    (_SEQ_NB, ["--em-tol", "7"]),
-    (_SEQ_NB, ["--supervision", "unsup"]),
-    (_SEQ_NB, ["--tagset", "3"]),
+    (_SEQUENCE_NB, ["--lr-variance", "0.001"]),
+    (_SEQUENCE_NB, ["--em-tol", "7"]),
+    (_SEQUENCE_NB, ["--supervision", "unsup"]),
+    (_SEQUENCE_NB, ["--tagset", "3"]),
     (_PARSE_LR, ["--labeled-count", "5"]),
     (_PARSE_LR, ["--sentences", "3"]),
     (["gen", "--task", "depparse", "--sentences", "4"],
@@ -862,10 +894,13 @@ def test_posterior_decode_needs_hmm_models(seq_run, tmp_path, capsys):
 
 
 def _command_settings(command):
-    names = {"config", "task", "method", "out"}
+    # --task and --method only where some run of the command is keyed by it
+    names = {"config", "out"}
     for key, entry in cli._RUNS.items():
         if key[0] == command:
             names |= entry.keys()
+            names |= {name for name, value in zip(("task", "method"), key[1:])
+                      if value}
     return {"--" + name.replace("_", "-") for name in names}
 
 
@@ -881,6 +916,51 @@ def test_help_lists_the_command_settings(capsys, command):
               for line in capsys.readouterr().out.splitlines()
               if line.startswith("  --")}
     assert listed == _command_settings(command)
+
+
+@pytest.mark.parametrize("argv, error", [
+    # eval --help once listed --task and --method, and every value of
+    # either was rejected as "not a run"
+    (["eval", "--task", "sequence"], "'eval' reads no --task"),
+    (["eval", "--method", "em"], "'eval' reads no --method"),
+    (["gen", "--method", "em"], "'gen' reads no --method"),
+    (["gen", "--task", "depparse", "--method", "em"],
+     "'gen' reads no --method"),
+    (["learning-curve", "--method", "searn-lr"],
+     "'learning-curve' reads no --method"),
+    (["equivalence", "--method", "em"], "'equivalence' reads no --method"),
+    # numpy's seed derivation once raised a ValueError traceback, after
+    # gen had made its output directory
+    (["gen", "--task", "depparse", "--sentences", "5", "--seed", "-1"],
+     "--seed -1: seeds are non-negative"),
+    (["train", "--task", "sequence", "--method", "em", "--data",
+      "missing.txt", "--seed", "-1"], "--seed -1: seeds are non-negative"),
+    (["eval", "--model", "missing.json", "--data", "missing.txt",
+      "--seed", "-2"], "--seed -2: seeds are non-negative"),
+    (["learning-curve", "--seeds=-1"], "--seeds -1: seeds are non-negative"),
+    (["learning-curve", "--seeds", "0,-3"],
+     "--seeds 0,-3: seeds are non-negative"),
+    (["equivalence", "--seed", "-1"], "--seed -1: seeds are non-negative"),
+], ids=["eval-task", "eval-method", "gen-method", "gen-depparse-method",
+        "learning-curve-method", "equivalence-method", "gen-negative-seed",
+        "train-negative-seed", "eval-negative-seed",
+        "learning-curve-negative-seed", "learning-curve-negative-in-list",
+        "equivalence-negative-seed"])
+def test_bad_flag_is_config_error(tmp_path, capsys, argv, error):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unkeyed_config_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method=em\n")
+    out = tmp_path / "o"
+    assert run_cli("gen", "--config", str(cfg), "--task", "depparse",
+                   "--out", str(out)) == 2
+    assert "'gen' reads no --method" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_abbreviated_flag_is_config_error(seq_run, tmp_path, capsys):
@@ -916,3 +996,24 @@ def test_run_sets_exactly_its_defaults(key):
     defaulted = {name for name, value in cli._RUNS[key].items()
                  if value is not None}
     assert set_names - {"out", "task", "method"} == defaulted
+
+
+# ParseExperiment's field for each setting the parse runs also default
+_PARSE_FIELDS = {"iterations": "iterations", "beta": "beta",
+                 "n_samples": "n_samples", "tagset": "tagset_size",
+                 "tree_variance": "tree_variance",
+                 "tag_variance": "tag_variance", "sentences": "n_sentences"}
+
+
+@pytest.mark.parametrize("key", [("train", "depparse", "searn-nb"),
+                                 ("train", "depparse", "searn-lr"),
+                                 ("learning-curve", "depparse", None)],
+                         ids=cli._run_name)
+def test_parse_defaults_match_parse_experiment(key):
+    # both declare the parse defaults; a change to one must reach the other
+    entry = cli._RUNS[key]
+    shared = [name for name in _PARSE_FIELDS if name in entry]
+    assert {"iterations", "beta", "n_samples", "tagset"} <= set(shared)
+    assert {name: entry[name] for name in shared} == \
+        {name: getattr(ParseExperiment(), _PARSE_FIELDS[name])
+         for name in shared}

@@ -17,9 +17,8 @@ from pathlib import Path
 import pytest
 
 from searn.cli import main
-from searn.experiments import (ParseExperiment, SequenceExperiment,
-                               random_parse_baseline, run_parse,
-                               run_sequence)
+from searn.experiments import (ParseExperiment, random_parse_baseline,
+                               run_parse)
 
 
 def _calls():
@@ -28,6 +27,10 @@ def _calls():
     seq1 = "{}/seq-data/sequences-run01.txt"
     gold = "{}/seq-data/sequences-run00.gold.txt"
     gold1 = "{}/seq-data/sequences-run01.gold.txt"
+    seq2 = "{}/seq2-data/sequences-run00.txt"
+    seq2_1 = "{}/seq2-data/sequences-run01.txt"
+    gold2 = "{}/seq2-data/sequences-run00.gold.txt"
+    gold2_1 = "{}/seq2-data/sequences-run01.gold.txt"
     docs = "{}/doc-data/documents.txt"
     doc_gold = "{}/doc-data/documents.gold.txt"
     bank = "{}/bank/treebank.conll"
@@ -56,6 +59,20 @@ def _calls():
     calls.append(("seq-em-posterior-eval", [
         "eval", "--model", "{}/seq-em/model.json", "--data", seq,
         "--gold", gold, "--posterior-decode"]))
+    # one order-2 cell of the sequence grid
+    model2 = "{}/seq2-searn-nb/model.json"
+    calls += [
+        ("seq2-data", ["gen", "--task", "sequence", "--order", "2",
+                       "--runs", "2", "--sequences", "5", "--mean-length",
+                       "10", "--seed", "8"]),
+        ("seq2-searn-nb", ["train", "--task", "sequence", "--method",
+                           "searn-nb", "--data", seq2, "--iterations", "2",
+                           "--seed", "1"]),
+        ("seq2-searn-nb-eval", ["eval", "--model", f"{model2},{model2}",
+                                "--data", f"{seq2},{seq2_1}",
+                                "--gold", f"{gold2},{gold2_1}",
+                                "--seed", "2"]),
+    ]
     calls += [
         ("doc-em", ["train", "--task", "cluster", "--method", "em",
                     "--data", docs, "--iterations", "5", "--seed", "3"]),
@@ -115,14 +132,10 @@ def _run(root: Path) -> dict:
 
 def _protocol_values() -> dict:
     """Experiment-protocol results the CLI does not reach."""
-    seq = SequenceExperiment(n_datasets=2, n_sequences=3, mean_length=8.0,
-                             em_iterations=3, iterations=2, master_seed=7)
     parse = ParseExperiment(n_sentences=60, train_limit=20, iterations=1,
                             master_seed=3)
-    values = {method: list(run_sequence(seq, method).values)
-              for method in ("em", "searn-nb", "searn-lr")}
-    values["parse-sup-8"] = run_parse(parse, "sup", labeled_count=8)
-    values["random-parse"] = random_parse_baseline(parse)
+    values = {"parse-sup-8": run_parse(parse, "sup", labeled_count=8),
+              "random-parse": random_parse_baseline(parse)}
     return {name: hashlib.sha256(json.dumps(v).encode()).hexdigest()
             for name, v in values.items()}
 
@@ -232,19 +245,29 @@ GOLDEN = {
         "95216584385c4b694ee2fe0afbd66b70d2d368eb6194f98383d9b64c6979a386",
     "seq-searn-nb/train-log.csv":
         "6c06695ab3ab00b7daa4e0d6aaf694bad4cf274915a140a2a5779aca6a1d42ad",
+    "seq2-data/sequences-run00.gold.txt":
+        "b623379dc4053c1032c8feea2fbc684905889a125233fa48493c3d3d07cd85bf",
+    "seq2-data/sequences-run00.txt":
+        "6cecc75d09b9df1694069f3d24998642e98cc0771549e27c895a92f2af081049",
+    "seq2-data/sequences-run01.gold.txt":
+        "a9f34e3b453408f99b7c311caa51a98755e8b828fad05ec497b541eacb4923a7",
+    "seq2-data/sequences-run01.txt":
+        "31372b2b30dc695487c98548458f4db6d138de7c6ea463e7c2f8da78bc753aa6",
+    "seq2-searn-nb-eval/metrics.csv":
+        "2fda59d46077ab970423538e1ba5f0d027e3987463390f3967f5b63e324e064b",
+    "seq2-searn-nb-eval/summary.json":
+        "27850f98eb35115ebd3973f58a8384ca08bd332490dcf9621a7122c7feb5d4e5",
+    "seq2-searn-nb/model.json":
+        "5d7f04fad4aebe0992911735a7e11d71a6d3ff2a11f520f45cb23b2782171929",
+    "seq2-searn-nb/train-log.csv":
+        "ab42e1bb981e4040dd4a7b629098365832d6d0b6ac58722809d140b8edbae19f",
 }
 
 GOLDEN_PROTOCOL = {
-    "em":
-        "277ba4bdad0bfc9e0d32630a1eef465afc85aa4a0f49e88f316a9da76a683ed2",
     "parse-sup-8":
         "7849cb588d9489766c1f960213784f17f216fe285ec0bf9bd187a186faea8aa2",
     "random-parse":
         "a63e09e814f1704f942dcb16ec9b747bb7043c052fb71ece8b02e4df13589865",
-    "searn-lr":
-        "1f7fb5b60002a87b59c8ff95919b413713bc9484c15f9f232ddcb3acc8193d87",
-    "searn-nb":
-        "758acd4e1554965107aacd07a3c2df8395988c218c92bb4f08bd5303242967a2",
 }
 
 

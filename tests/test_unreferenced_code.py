@@ -36,15 +36,11 @@ _PROTOCOL = "experiment-protocol field; tests/test_golden.py pins it"
 
 # name -> why it stays although nothing in the package uses (or sets) it
 KEPT = {
-    "run_sequence": "imported by tests/test_golden.py",
     "random_parse_baseline": "imported by tests/test_golden.py",
     **{f"LROptimizerConfig.{name}": "tests cap epochs; perfbench/tracing.py "
        "reads max_epochs"
        for name in ("max_epochs", "grad_tol", "initial_step", "armijo",
                     "backtrack", "min_step")},
-    **{f"SequenceExperiment.{name}": _PROTOCOL
-       for name in ("order", "n_datasets", "n_sequences", "mean_length",
-                    "em_iterations", "posterior_decode")},
     "ParseExperiment.train_limit": _PROTOCOL,
     "main.argv": "tests and perfbench/harness.py pass the argument list",
     "as_dict.interner": "tests read feature vectors by name through it",
