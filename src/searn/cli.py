@@ -12,6 +12,8 @@ with ``--config`` (flags take precedence).  ``searn <command> --help``
 lists the flags of that command's runs (``--task`` and ``--method`` where
 they pick the run); flags must be spelled in full.  Result files are
 byte-identical across reruns; wall-clock times go to ``timings.log``.
+A command makes ``--out`` only once its work has succeeded, so a failed
+run leaves no directory behind.
 
 The paper's sequence grid: ``gen --task sequence --runs N`` writes the
 datasets (``--order 2`` for second-order chains), ``train`` runs once per
@@ -43,7 +45,9 @@ Output files:
 - ``eval``: ``metrics.csv`` (``metric,run,value``, one row per run) and
   ``summary.json``, a flat object over the runs of the one metric scored:
   ``metric``, ``mean``, ``std``, ``n_runs``, ``single_run`` and
-  ``values``.
+  ``values``.  A mixture-trained model decodes only the hidden half
+  (the tree, or the latent labels; see ``Task.decoder``): the tag or
+  emission phase that gives training its loss is not run.
 - ``learning-curve``: ``curve.csv``; ``equivalence``:
   ``equivalence.json``.
 
@@ -337,15 +341,18 @@ def _out_dir(cfg) -> Path:
 
 
 def cmd_gen(cfg) -> int:
-    out = _out_dir(cfg)
     if cfg.task == "sequence":
+        runs = []
         for run in range(cfg.runs):
             run_seed = derive_seed(cfg.seed, _GEN_KEY, run)
             gen_cfg = HmmGenConfig(order=cfg.order, K=cfg.k, V=cfg.v,
                                    n_sequences=cfg.sequences,
                                    mean_length=cfg.mean_length,
                                    seed=run_seed)
-            data = gen_hmm_dataset(gen_hmm_params(gen_cfg), gen_cfg)
+            runs.append((run_seed,
+                         gen_hmm_dataset(gen_hmm_params(gen_cfg), gen_cfg)))
+        out = _out_dir(cfg)
+        for run, (run_seed, data) in enumerate(runs):
             header = (f"task=sequence order={cfg.order} k={cfg.k} "
                       f"v={cfg.v} run={run} seed={run_seed}")
             write_sequences(out / f"sequences-run{run:02d}.txt",
@@ -357,6 +364,7 @@ def cmd_gen(cfg) -> int:
         bank = gen_treebank(TreebankGenConfig(
             n_sentences=cfg.sentences, tagset_size=cfg.tagset,
             seed=cfg.seed))
+        out = _out_dir(cfg)
         header = (f"task=depparse tagset={cfg.tagset} "
                   f"sentences={cfg.sentences} seed={cfg.seed}")
         write_conll(out / "treebank.conll", bank, header_comment=header)
@@ -366,6 +374,7 @@ def cmd_gen(cfg) -> int:
             n_documents=cfg.documents, vocab_size=cfg.v,
             n_clusters=cfg.clusters, mean_length=cfg.doc_mean_length,
             seed=cfg.seed))
+        out = _out_dir(cfg)
         header = (f"task=cluster v={cfg.v} clusters={cfg.clusters} "
                   f"documents={cfg.documents} seed={cfg.seed}")
         write_documents(out / "documents.txt", [d for d, _ in corpus],
@@ -453,7 +462,6 @@ def _read_treebank(path) -> list:
 def cmd_train(cfg) -> int:
     if cfg.data is None:
         raise ConfigError("train needs --data")
-    out = _out_dir(cfg)
     t0 = time.perf_counter()
     if cfg.method == "em":
         spec, payload, losses = _train_em(cfg)
@@ -467,6 +475,7 @@ def cmd_train(cfg) -> int:
             print(f"{capped} of {sum(r['lr_fits'] for r in log)} LR fits "
                   f"stopped at the {LR_OPTIMIZER.max_epochs}-epoch cap",
                   file=sys.stderr)
+    out = _out_dir(cfg)
     _write_json(out / "model.json", {"format_version": 1,
                                      "method": cfg.method, "task": spec,
                                      **payload})
@@ -714,7 +723,6 @@ def cmd_learning_curve(cfg) -> int:
 
 
 def cmd_equivalence(cfg) -> int:
-    out = _out_dir(cfg)
     reports = equivalence_sweep(
         n_corpora=cfg.runs, n_documents=cfg.documents, vocab_size=cfg.v,
         iterations=cfg.iterations, master_seed=cfg.seed)
@@ -727,6 +735,7 @@ def cmd_equivalence(cfg) -> int:
         "per_corpus": [{"passed": r.passed, "max_diff": r.max_diff}
                        for r in reports],
     }
+    out = _out_dir(cfg)
     _write_json(out / "equivalence.json", blob)
     status = "PASS" if blob["all_passed"] else "FAIL"
     print(f"{status}: max parameter gap {blob['max_diff']:.3g} over "

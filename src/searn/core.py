@@ -44,6 +44,7 @@ _PATH, _ROLLOUT, _ITER = 0, 1, 2
 
 # costs are rounded to this many decimals before the constant-vector test
 _COST_DECIMALS = 12
+_COST_SCALE = 10.0 ** _COST_DECIMALS
 
 # the optimizer of every LR fit; searn_learn counts the fits that stop at
 # its epoch cap
@@ -185,6 +186,15 @@ class Task(abc.ABC):
 
     def validate_final(self, state) -> None:
         """Optional structural check on a completed rollout."""
+
+    def decoder(self) -> "Task":
+        """The task that decoding runs, sharing this task's interner (and
+        so the feature ids its models read).  A task may return one whose
+        structure ends once the hidden half is built: the re-emitted
+        input only gives training a loss, and its draws follow every
+        hidden-half draw on an input's stream, so the hidden half comes
+        out the same.  The default is the task itself."""
+        return self
 
     def train_estimator(self, record):
         """The model of a group estimated directly from the one record
@@ -396,8 +406,14 @@ def _costs_at_state(task: Task, limit: int, example_id: int, t: int, state,
 
 
 def _constant_costs(costs: np.ndarray) -> bool:
-    rounded = np.round(costs, _COST_DECIMALS)
-    return bool(np.all(rounded == rounded[0]))
+    """Whether a regret vector is constant at ``_COST_DECIMALS`` decimals.
+
+    One entry of a regret vector is exactly 0 and none is negative, so it
+    is constant when every entry rounds to 0: its scaled value is at most
+    0.5 (``np.round`` rounds half to even).  Written so that a NaN entry
+    makes the vector not constant.
+    """
+    return all(c * _COST_SCALE <= 0.5 for c in costs.tolist())
 
 
 class GeneratedExamples(NamedTuple):

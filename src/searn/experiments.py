@@ -36,11 +36,13 @@ _EQUIV_TOLERANCE = 1e-8
 
 
 def decode(task, policy, inputs, seed: int, *key: int, runner=None) -> list:
-    """Final states of one policy run per input; input i runs on the
-    stream seeded by ``derive_seed(seed, *key, i)``.  ``runner`` stands
+    """Final states of one policy run per input under ``task.decoder()``,
+    which may end each at its hidden half; input i runs on the stream
+    seeded by ``derive_seed(seed, *key, i)``.  ``runner`` stands
     in for ``run_policy`` (a caller may hold its own binding of it)."""
     runner = runner or run_policy
-    return [runner(task, x, policy,
+    decoder = task.decoder()
+    return [runner(decoder, x, policy,
                    np.random.default_rng(derive_seed(seed, *key, i)))
             for i, x in enumerate(inputs)]
 

@@ -3,9 +3,11 @@
 Phase 1 runs a four-action arc-eager transition system over the tag
 sequence; phase 2 (unsupervised and semi-supervised modes) produces one
 tag per token using features read off the phase-1 tree, so the loss can
-be computed from the produced tags alone.
+be computed from the produced tags alone.  Decoding reads only the tree,
+so it runs phase 1 alone (:meth:`ParseTask.decoder`).
 """
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -266,13 +268,22 @@ class ParseTask(Task):
         """The tree that labels ``sent``, decided once per sentence: its
         gold tree, or None if it has none or the mode is unsup.  A labeled
         sentence gets the arc loss and the gold-tree oracle; an unlabeled
-        one gets random parse actions and, unless the mode is sup (which
-        then only decodes), a tag phase scored by tag mismatches."""
+        one gets random parse actions and, unless the mode is sup or the
+        task decodes (see ``decoder``), a tag phase scored by tag
+        mismatches."""
         return None if self.config.supervision == "unsup" else sent.gold_tree
 
     def _tagged(self, gold) -> bool:
         """Whether a sentence labeled by ``gold`` has a tag phase."""
         return gold is None and self._tags_unlabeled
+
+    def decoder(self) -> "ParseTask":
+        """This task with no tag phase, the rule of sup mode: a decoded
+        sentence carries no gold tree, and its tree is all that decoding
+        reads.  It shares this task's interner."""
+        twin = copy.copy(self)
+        twin._tags_unlabeled = False
+        return twin
 
     def initial_state(self, example: TaggedSentence) -> ParseState:
         if example.n_tokens > MAX_LENGTH:

@@ -5,10 +5,13 @@ T choose latent labels, the second T re-emit the observed symbols.  The
 loss counts emission mistakes only, so latent labels are judged purely by
 how well they support reconstruction.  The initial policy acts uniformly
 at random on latent decisions and emits the true symbol afterwards.
+Decoding reads only the labels, so it runs the first T decisions alone
+(:meth:`SequenceTask.decoder`).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,6 +55,9 @@ class SequenceTask(Task):
         self.config = config
         self._latent_legal = tuple(range(config.K))
         self._emit_legal = tuple(range(config.V))
+        # decisions per symbol: a label and an emission, or a label alone
+        # in the decoder
+        self._per_symbol = 2
         self.interner = Interner()
 
     @property
@@ -67,6 +73,13 @@ class SequenceTask(Task):
     def groups(self):
         return {LATENT: self.config.K, EMIT: self.config.V}
 
+    def decoder(self) -> "SequenceTask":
+        """A latent-only view: its structure is the T labels.  It shares
+        this task's interner and feature memo."""
+        view = copy.copy(self)
+        view._per_symbol = 1
+        return view
+
     def initial_state(self, example):
         x = tuple(int(v) for v in example)
         if not x:
@@ -76,10 +89,10 @@ class SequenceTask(Task):
         return SeqState(x, ())
 
     def max_decisions(self, example):
-        return 2 * len(example)
+        return self._per_symbol * len(example)
 
     def is_final(self, state):
-        return len(state.actions) == 2 * len(state.x)
+        return len(state.actions) == self._per_symbol * len(state.x)
 
     def group_of(self, state):
         return LATENT if len(state.actions) < len(state.x) else EMIT
@@ -228,8 +241,9 @@ class SequenceTask(Task):
 
     def validate_final(self, state):
         T = len(state.x)
-        if len(state.actions) != 2 * T:
-            raise TaskContractError("structure must have exactly 2T decisions")
+        if len(state.actions) != self._per_symbol * T:
+            raise TaskContractError(f"structure must have exactly "
+                                    f"{self._per_symbol * T} decisions")
         if any(not 0 <= a < self.config.K for a in state.actions[:T]):
             raise TaskContractError("latent label out of range")
         if any(not 0 <= a < self.config.V for a in state.actions[T:]):
@@ -247,7 +261,8 @@ def _feature_names(key: tuple) -> list:
 
 
 def latent_labels(state: SeqState) -> np.ndarray:
-    """The first-half actions of a completed rollout."""
+    """The latent labels, the first T actions, of a completed rollout or
+    of a decoded state (which holds them alone)."""
     return np.asarray(state.actions[: len(state.x)], dtype=np.int64)
 
 

@@ -1017,3 +1017,17 @@ def test_parse_defaults_match_parse_experiment(key):
     assert {name: entry[name] for name in shared} == \
         {name: getattr(ParseExperiment(), _PARSE_FIELDS[name])
          for name in shared}
+
+
+# Each call once left an empty --out directory behind.
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "--task", "sequence", "--order", "3"], 2),
+    (["train", "--task", "sequence", "--method", "em",
+      "--data", "{missing}"], 1),
+    (["equivalence", "--runs", "2", "--documents", "0"], 2),
+], ids=["gen-order-3", "train-missing-data", "equivalence-no-documents"])
+def test_failed_run_makes_no_out_dir(tmp_path, argv, code):
+    out = tmp_path / "out"
+    argv = [arg.format(missing=tmp_path / "missing.txt") for arg in argv]
+    assert run_cli(*argv, "--out", str(out)) == code
+    assert not out.exists()
