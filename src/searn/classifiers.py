@@ -346,7 +346,7 @@ def lr_train(
     n_classes: int,
     n_features: int,
     l2_variance: float,
-    config: LROptimizerConfig | None = None,
+    config: LROptimizerConfig,
 ) -> LRModel:
     """Minimize weighted multiclass log loss plus ||W||^2 / (2 sigma^2).
 
@@ -360,38 +360,38 @@ def lr_train(
     """
     if l2_variance <= 0:
         raise ConfigError("l2_variance must be positive")
-    cfg = config or LROptimizerConfig()
     design = _sparse_design(examples, n_classes, n_features)
     W = np.zeros((n_classes, n_features))
     f, logits, lse = _lr_objective(design, l2_variance, W)
     if not math.isfinite(f):
         raise OptimizerError("objective non-finite at initialization")
-    step = cfg.initial_step
+    step = config.initial_step
     epoch = 0
     # np.add.reduce and np.maximum.reduce are what np.sum and np.max run,
     # without their Python wrappers.
-    for epoch in range(1, cfg.max_epochs + 1):
+    for epoch in range(1, config.max_epochs + 1):
         grad = _lr_gradient(design, l2_variance, W, logits, lse)
         gnorm2 = float(np.add.reduce(grad * grad, axis=None))
         if not math.isfinite(gnorm2):
             # no step can pass the Armijo test below
             raise OptimizerError(f"gradient norm non-finite at epoch {epoch}")
-        if np.maximum.reduce(np.abs(grad), axis=None) < cfg.grad_tol:
+        if np.maximum.reduce(np.abs(grad), axis=None) < config.grad_tol:
             epoch -= 1
             break
         step = min(step * 2.0, 1e6)
         accepted = False
-        while step >= cfg.min_step:
+        while step >= config.min_step:
             W_try = W - step * grad
             f_try, logits_try, lse_try = _lr_objective(design, l2_variance,
                                                        W_try)
-            if math.isfinite(f_try) and f_try <= f - cfg.armijo * step * gnorm2:
+            if (math.isfinite(f_try)
+                    and f_try <= f - config.armijo * step * gnorm2):
                 W, f, logits, lse = W_try, f_try, logits_try, lse_try
                 accepted = True
                 break
-            if not math.isfinite(f_try) and step <= cfg.min_step * 2:
+            if not math.isfinite(f_try) and step <= config.min_step * 2:
                 raise OptimizerError(f"loss became non-finite at step size {step:g}")
-            step *= cfg.backtrack
+            step *= config.backtrack
         if not accepted:
             break
     return LRModel(weights=W, l2_variance=l2_variance, trained_epochs=epoch)

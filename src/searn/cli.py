@@ -7,6 +7,8 @@ training), ``eval`` (metrics over one or more runs), ``learning-curve``
 
 Each run reads only its own settings, and its defaults, from one table
 (``_RUNS``); a setting the run would not read is a configuration error.
+``_RUNS`` is the only place a default value lives: the library functions
+and configs it feeds take every such value from their callers.
 Settings come from flags or from a flat ``key=value`` config file passed
 with ``--config`` (flags take precedence).  ``searn <command> --help``
 lists the flags of that command's runs (``--task`` and ``--method`` where
@@ -64,6 +66,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +165,7 @@ _RUNS = {key: _entry(names) for key, names in {
         "data seed=0 iterations=4 k=2 beta=0.5 n_samples=2 smoothing=1",
     ("train", "sequence", "searn-lr"):
         "data seed=0 iterations=4 k=2 beta=0.5 n_samples=2 lr_variance=10",
+    # the parse runs' tree and tag variances were tuned once on dev data
     ("train", "depparse", "searn-nb"): "data seed=0 iterations=10 beta=0.1 "
         "n_samples=1 tagset=12 supervision=unsup labeled_count smoothing=1",
     ("train", "depparse", "searn-lr"): "data seed=0 iterations=10 beta=0.1 "
@@ -301,6 +305,16 @@ def _validate(cfg) -> None:
         raise ConfigError("--smoothing 0: a feature seen in no training "
                           "example would score log 0 for every class; give "
                           "a positive smoothing")
+    if cfg.smoothing is not None and not 0 <= cfg.smoothing < np.inf:
+        raise ConfigError(f"--smoothing {cfg.smoothing}: smoothing must be "
+                          "finite and nonnegative")
+    if cfg.beta is not None and not 0 < cfg.beta <= 1:
+        raise ConfigError(f"--beta {cfg.beta}: must lie in (0, 1]")
+    for flag in ("lr_variance", "tree_variance", "tag_variance"):
+        value = getattr(cfg, flag)
+        if value is not None and not value > 0:
+            raise ConfigError(f"--{flag.replace('_', '-')} {value}: "
+                              "must be positive")
     for flag, seeds in (("seed", [cfg.seed]), ("seeds", cfg.seeds or ())):
         if any(seed is not None and seed < 0 for seed in seeds):
             raise ConfigError(f"--{flag} {','.join(map(str, seeds))}: seeds "
@@ -630,6 +644,12 @@ def _eval_one(task_name: str, model, data_path, gold_path, cfg,
     if task_name == "sequence":
         xs, _ = _read_sequence_data(data_path)
         gold_seqs, k_gold = _read_sequence_data(gold_path)
+        for i, (x, g) in enumerate(zip_longest(xs, gold_seqs, fillvalue=()),
+                                   start=1):
+            if len(x) != len(g):
+                raise DataError(f"{gold_path}: gold sequence {i} has "
+                                f"{len(g)} labels, but sequence {i} of "
+                                f"{data_path} has {len(x)} symbols")
         gold = np.concatenate([np.asarray(g) for g in gold_seqs])
         if isinstance(model, HmmParams):
             if max(max(x) for x in xs) >= model.vocab_size:

@@ -83,8 +83,8 @@ class CostSensitiveExample:
 class RolloutConfig:
     """Cost-estimation settings for one learning run."""
 
+    seed: int
     n_samples: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -95,8 +95,8 @@ class RolloutConfig:
 class LearnerConfig:
     """Which cost-sensitive base learner to train, and how."""
 
-    kind: str = "nb"
-    smoothing: float = 0.0
+    kind: str
+    smoothing: float
     l2_variance: float | dict = 1.0
 
     def variance_for(self, group: str) -> float:

@@ -131,9 +131,9 @@ def gen_hmm_dataset(params, cfg: HmmGenConfig) -> list:
 class DocGenConfig:
     n_documents: int
     vocab_size: int
-    n_clusters: int = 2
+    n_clusters: int
+    seed: int
     mean_length: float = 20.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_documents < 1:
@@ -168,7 +168,7 @@ def gen_document_corpus(cfg: DocGenConfig) -> list:
 class TreebankGenConfig:
     n_sentences: int
     seed: int
-    tagset_size: int = 12
+    tagset_size: int
 
     def __post_init__(self):
         if self.n_sentences < 1:

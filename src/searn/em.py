@@ -259,7 +259,7 @@ def hmm_random_init(n_states: int, vocab_size: int, seed) -> HmmParams:
 
 
 def hmm_em_train(data, n_states: int, vocab_size: int, iterations: int, seed,
-                 tol: float = 1e-5):
+                 tol: float):
     """Baum-Welch from a random initialization.
 
     Runs until the iteration cap or until the total log likelihood improves

@@ -1,14 +1,15 @@
 """Desk-scale experiment protocols and the per-task train/decode steps.
 
-The parsing protocols and the equivalence sweep fix their data, settings
-and seed derivation so that every run is reproducible from one master
-seed.  The CLI runs the same training and decoding steps
-(``train_parser``, ``parse_training_data``, ``decode``); the sequence
-grid (EM against mixture training on HMM data) is the CLI's ``gen``,
-``train`` and ``eval`` alone.  File output lives in the CLI layer.
+The parsing protocols and the equivalence sweep fix their data and seed
+derivation so that every run is reproducible from its settings and one
+master seed; the CLI's run table (``cli._RUNS``) holds their defaults.
+The CLI runs the same training and decoding steps (``train_parser``,
+``parse_training_data``, ``decode``); the sequence grid (EM against
+mixture training on HMM data) is the CLI's ``gen``, ``train`` and
+``eval`` alone.  File output lives in the CLI layer.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +34,15 @@ _EQUIV_INIT_KEY = 602
 # equivalence-sweep cluster counts (cycled) and largest passing gap
 _EQUIV_CLUSTER_COUNTS = (2, 3)
 _EQUIV_TOLERANCE = 1e-8
+# parse protocols train on at most this many sentences of the training split
+PARSE_TRAIN_LIMIT = 500
 
 
-def decode(task, policy, inputs, seed: int, *key: int, runner=None) -> list:
+def decode(task, policy, inputs, seed: int, *key: int, runner) -> list:
     """Final states of one policy run per input under ``task.decoder()``,
     which may end each at its hidden half; input i runs on the stream
-    seeded by ``derive_seed(seed, *key, i)``.  ``runner`` stands
-    in for ``run_policy`` (a caller may hold its own binding of it)."""
-    runner = runner or run_policy
+    seeded by ``derive_seed(seed, *key, i)``.  ``runner`` is ``run_policy``
+    (a caller may hold its own binding of it)."""
     decoder = task.decoder()
     return [runner(decoder, x, policy,
                    np.random.default_rng(derive_seed(seed, *key, i)))
@@ -55,30 +57,25 @@ def decode(task, policy, inputs, seed: int, *key: int, runner=None) -> list:
 class ParseExperiment:
     """Treebank settings plus the shared parser-training settings."""
 
-    n_sentences: int = 620
-    train_limit: int = 500
-    tagset_size: int = 12
-    master_seed: int = 0
-    beta: float = 0.1
-    n_samples: int = 1
-    iterations: int = 10
+    n_sentences: int
+    tagset_size: int
+    beta: float
+    n_samples: int
+    iterations: int
     # Separate smoothing for the two feature groups (attachment decisions
-    # vs. tag decisions), tuned once on dev data; see the run log.
-    tree_variance: float = 10.0
-    tag_variance: float = 10.0
-
-    def __post_init__(self):
-        if self.train_limit < 1:
-            raise ConfigError("train_limit must be at least 1")
+    # vs. tag decisions).
+    tree_variance: float
+    tag_variance: float
 
 
-def parse_corpus(exp: ParseExperiment):
-    """Deterministic (train, dev, test) split of the synthetic treebank."""
+def parse_corpus(exp: ParseExperiment, master_seed: int):
+    """Deterministic (train, dev, test) split of the synthetic treebank;
+    train keeps its first ``PARSE_TRAIN_LIMIT`` sentences."""
     bank = gen_treebank(TreebankGenConfig(
         n_sentences=exp.n_sentences, tagset_size=exp.tagset_size,
-        seed=derive_seed(exp.master_seed, _TREEBANK_KEY)))
+        seed=derive_seed(master_seed, _TREEBANK_KEY)))
     train, dev, test = split_dataset(bank)
-    return train[:exp.train_limit], dev, test
+    return train[:PARSE_TRAIN_LIMIT], dev, test
 
 
 def _strip_gold(sentences):
@@ -86,7 +83,7 @@ def _strip_gold(sentences):
 
 
 def parse_training_data(sentences, supervision: str,
-                        labeled_count: int | None = None) -> list:
+                        labeled_count: int | None) -> list:
     """Training inputs for one supervision mode.
 
     "unsup" strips every gold tree; "sup" keeps the first
@@ -134,38 +131,38 @@ def decode_trees(task: ParseTask, policy, sentences, seed: int, *key: int,
                  runner=None) -> list:
     """Predicted trees of the sentences with their gold trees stripped, so
     that no decode can read one: a group the policy has no model for
-    falls back to random legal actions, never to the gold-tree oracle."""
+    falls back to random legal actions, never to the gold-tree oracle.
+    ``runner`` is ``decode``'s, this module's ``run_policy`` when None."""
     return [state.tree for state in decode(task, policy,
                                            _strip_gold(sentences), seed,
-                                           *key, runner=runner)]
+                                           *key, runner=runner or run_policy)]
 
 
-def run_parse(exp: ParseExperiment, supervision: str,
-              labeled_count: int | None = None,
-              corpus=None) -> float:
-    """Train one parsing arm and return held-out arc accuracy.
+def run_parse(exp: ParseExperiment, master_seed: int, corpus,
+              supervision: str, labeled_count: int | None = None) -> float:
+    """Train one parsing arm on ``corpus`` (``parse_corpus(exp,
+    master_seed)``) and return held-out arc accuracy.
 
     ``supervision`` and ``labeled_count`` select the training inputs as in
     ``parse_training_data``.
     """
-    train, _, test = corpus or parse_corpus(exp)
+    train, _, test = corpus
     data = parse_training_data(train, supervision, labeled_count)
     task, policy, _ = train_parser(exp, data, supervision,
-                                   derive_seed(exp.master_seed,
-                                               _PARSE_TRAIN_KEY))
+                                   derive_seed(master_seed, _PARSE_TRAIN_KEY))
     preds = decode_trees(task, policy, test,
-                         derive_seed(exp.master_seed, _PARSE_DECODE_KEY),
+                         derive_seed(master_seed, _PARSE_DECODE_KEY),
                          _PARSE_ITEM_KEY)
     return corpus_arc_accuracy(preds, [s.gold_tree for s in test])
 
 
-def random_parse_baseline(exp: ParseExperiment) -> float:
+def random_parse_baseline(exp: ParseExperiment, master_seed: int) -> float:
     """Arc accuracy of the untrained policy (random legal actions)."""
-    _, _, test = parse_corpus(exp)
+    _, _, test = parse_corpus(exp, master_seed)
     task = ParseTask(ParseTaskConfig(tagset_size=exp.tagset_size,
                                      supervision="unsup"))
     preds = decode_trees(task, initial_policy(), test,
-                         derive_seed(exp.master_seed, _PARSE_BASELINE_KEY),
+                         derive_seed(master_seed, _PARSE_BASELINE_KEY),
                          _PARSE_ITEM_KEY)
     return corpus_arc_accuracy(preds, [s.gold_tree for s in test])
 
@@ -182,7 +179,7 @@ class CurvePoint:
 
 
 def learning_curve(exp: ParseExperiment, labeled_counts,
-                   master_seeds=(0, 1, 2)) -> list:
+                   master_seeds) -> list:
     """Unsup / semi / sup arms across annotation budgets.
 
     For each count c the semi arm trains with c gold trees (rest
@@ -193,13 +190,15 @@ def learning_curve(exp: ParseExperiment, labeled_counts,
     counts = sorted(set(int(c) for c in labeled_counts))
     if not counts:
         raise ConfigError("--labeled-counts names no count")
+    if counts[0] < 1:
+        raise ConfigError(f"--labeled-counts {counts[0]}: each count needs "
+                          "at least 1 gold tree")
     if not master_seeds:
         raise ConfigError("--seeds names no seed")
     if len(set(master_seeds)) < len(master_seeds):
         raise ConfigError(f"--seeds {','.join(map(str, master_seeds))}: "
                           "runs that repeat a seed add no spread")
-    exps = [replace(exp, master_seed=m) for m in master_seeds]
-    corpora = {e.master_seed: parse_corpus(e) for e in exps}
+    corpora = {m: parse_corpus(exp, m) for m in master_seeds}
     for train, _, test in corpora.values():
         if not test:
             raise ConfigError(f"the test split of {exp.n_sentences} "
@@ -213,18 +212,12 @@ def learning_curve(exp: ParseExperiment, labeled_counts,
         return CurvePoint(arm=arm, labeled_count=count, mean=s.mean,
                           two_sigma=2.0 * s.std, values=s.values)
 
-    rows = [point("unsup", 0,
-                  [run_parse(e, "unsup", corpus=corpora[e.master_seed])
-                   for e in exps])]
+    rows = [point("unsup", 0, [run_parse(exp, m, corpora[m], "unsup")
+                               for m in master_seeds])]
     for c in counts:
-        rows.append(point("semi", c,
-                          [run_parse(e, "semi", labeled_count=c,
-                                     corpus=corpora[e.master_seed])
-                           for e in exps]))
-        rows.append(point("sup", c,
-                          [run_parse(e, "sup", labeled_count=c,
-                                     corpus=corpora[e.master_seed])
-                           for e in exps]))
+        for arm in ("semi", "sup"):
+            rows.append(point(arm, c, [run_parse(exp, m, corpora[m], arm, c)
+                                       for m in master_seeds]))
     return rows
 
 
@@ -232,9 +225,8 @@ def learning_curve(exp: ParseExperiment, labeled_counts,
 # Mixture-trainer equivalence sweep (cluster task)
 
 
-def equivalence_sweep(n_corpora: int = 20, n_documents: int = 10,
-                      vocab_size: int = 5, iterations: int = 10,
-                      master_seed: int = 0) -> list:
+def equivalence_sweep(n_corpora: int, n_documents: int, vocab_size: int,
+                      iterations: int, master_seed: int) -> list:
     """Exact-mode mixture training vs. EM on random document corpora.
 
     Returns one ``EquivalenceReport`` per corpus; cluster counts cycle

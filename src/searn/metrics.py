@@ -114,7 +114,7 @@ def corpus_arc_accuracy(preds, golds) -> float:
     return hits / total
 
 
-def summarize(values, metric: str = "") -> RunSummary:
+def summarize(values, metric: str) -> RunSummary:
     """Mean and sample standard deviation (n-1); one run flags sigma."""
     values = tuple(float(v) for v in values)
     if not values:

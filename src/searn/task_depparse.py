@@ -222,7 +222,7 @@ def supervised_oracle(state: ParserState, gold: DependencyTree,
 @dataclass(frozen=True)
 class ParseTaskConfig:
     tagset_size: int
-    supervision: str = "unsup"
+    supervision: str
 
     def __post_init__(self):
         if self.tagset_size < 2:
@@ -508,7 +508,7 @@ def load_conll(path):
     return sentences, rejected
 
 
-def write_conll(path, sentences, header_comment=None):
+def write_conll(path, sentences, header_comment: str):
     """Write sentences with their gold heads ("_" where there is none)."""
     with open(path, "w", encoding="utf-8") as fh:
         if header_comment:

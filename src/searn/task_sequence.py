@@ -36,7 +36,7 @@ class SequenceTaskConfig:
 
     K: int
     V: int
-    feature_mode: str = "nb_hmm"
+    feature_mode: str
 
     def __post_init__(self):
         if self.K < 2 or self.V < 2:
@@ -266,7 +266,7 @@ def latent_labels(state: SeqState) -> np.ndarray:
     return np.asarray(state.actions[: len(state.x)], dtype=np.int64)
 
 
-def write_sequences(path, data, vocab_size: int, header_comment: str = ""):
+def write_sequences(path, data, vocab_size: int, header_comment: str):
     """One sequence per line, space-separated symbol ids; `V=<int>` header."""
     write_corpus(path, (" ".join(str(int(v)) for v in x) for x in data),
                  vocab_size, header_comment)

@@ -29,6 +29,8 @@ from searn.classifiers import (
 from searn.errors import ConfigError, TrainingError
 from searn.features import FeatureVector, Interner
 
+OPT = LROptimizerConfig()
+
 
 @dataclasses.dataclass
 class FakeCostExample:
@@ -299,7 +301,7 @@ class TestLogisticRegression:
         f0 = _fv(it, [("a", 1.0)])
         f1 = _fv(it, [("b", 1.0)])
         examples = [LabeledExample(f0, 0, 1.0), LabeledExample(f1, 1, 1.0)]
-        model = lr_train(examples, 2, 2, l2_variance=100.0)
+        model = lr_train(examples, 2, 2, l2_variance=100.0, config=OPT)
         c0 = lr_predict_costs(model, f0)
         c1 = lr_predict_costs(model, f1)
         assert np.argmin(c0) == 0
@@ -310,13 +312,13 @@ class TestLogisticRegression:
         # variance doubles the penalty to match, so the optimum is shared.
         it, examples, F, K = self._dataset(seed=5, n=12)
         sigma2 = 0.5
-        m1 = lr_train(examples, K, F, sigma2)
-        m2 = lr_train(examples + examples, K, F, sigma2 / 2.0)
+        m1 = lr_train(examples, K, F, sigma2, config=OPT)
+        m2 = lr_train(examples + examples, K, F, sigma2 / 2.0, config=OPT)
         np.testing.assert_allclose(m2.weights, m1.weights, atol=1e-6)
 
     def test_strong_prior_pins_weights_near_zero(self):
         it, examples, F, K = self._dataset(seed=7)
-        model = lr_train(examples, K, F, l2_variance=1e-8)
+        model = lr_train(examples, K, F, l2_variance=1e-8, config=OPT)
         assert np.max(np.abs(model.weights)) < 1e-4
 
     def test_weight_scaling_equivalence(self):
@@ -327,8 +329,8 @@ class TestLogisticRegression:
         base = [LabeledExample(f0, 0, 2.0), LabeledExample(f1, 1, 1.0)]
         doubled = [LabeledExample(f0, 0, 1.0), LabeledExample(f0, 0, 1.0),
                    LabeledExample(f1, 1, 1.0)]
-        m1 = lr_train(base, 2, 2, 1.0)
-        m2 = lr_train(doubled, 2, 2, 1.0)
+        m1 = lr_train(base, 2, 2, 1.0, config=OPT)
+        m2 = lr_train(doubled, 2, 2, 1.0, config=OPT)
         np.testing.assert_allclose(m1.weights, m2.weights, atol=1e-7)
 
     def test_label_outside_classes_rejected(self):
@@ -336,19 +338,20 @@ class TestLogisticRegression:
         for label in (-1, K):
             bad = examples[:-1] + [examples[-1]._replace(label=label)]
             with pytest.raises(ConfigError, match=f"label {label} outside"):
-                lr_train(bad, K, F, 1.0)
+                lr_train(bad, K, F, 1.0, config=OPT)
 
     def test_feature_id_outside_features_rejected(self):
         # In a child process: an unchecked id reads and writes past W inside
         # the compiled products, which can crash the interpreter.
         code = (
             "from searn.classifiers import LabeledExample, lr_train\n"
+            "from searn.classifiers import LROptimizerConfig\n"
             "from searn.errors import ConfigError\n"
             "from searn.features import FeatureVector\n"
             "for fid in (5, 2, -1):\n"
             "    ex = LabeledExample(FeatureVector([0, fid], [1.0, 1.0]), 0, 1.0)\n"
             "    try:\n"
-            "        lr_train([ex], 2, 2, 1.0)\n"
+            "        lr_train([ex], 2, 2, 1.0, LROptimizerConfig())\n"
             "    except ConfigError as err:\n"
             "        print(err)\n"
         )
@@ -364,11 +367,11 @@ class TestLogisticRegression:
     def test_nonpositive_variance_rejected(self):
         it, examples, F, K = self._dataset()
         with pytest.raises(ConfigError):
-            lr_train(examples, K, F, l2_variance=0.0)
+            lr_train(examples, K, F, l2_variance=0.0, config=OPT)
 
     def test_costs_are_min_subtracted(self):
         it, examples, F, K = self._dataset(seed=9)
-        model = lr_train(examples, K, F, 1.0)
+        model = lr_train(examples, K, F, 1.0, config=OPT)
         costs = lr_predict_costs(model, examples[0].features)
         assert costs.min() == 0.0
         assert np.all(costs >= 0.0)
@@ -376,7 +379,7 @@ class TestLogisticRegression:
     def test_serialization_round_trip(self):
         from searn.classifiers import LRModel
         it, examples, F, K = self._dataset(seed=11)
-        model = lr_train(examples, K, F, 1.0)
+        model = lr_train(examples, K, F, 1.0, config=OPT)
         clone = LRModel.from_dict(model.to_dict())
         fv = examples[0].features
         np.testing.assert_allclose(lr_predict_costs(clone, fv),
@@ -384,6 +387,6 @@ class TestLogisticRegression:
 
     def test_deterministic(self):
         it, examples, F, K = self._dataset(seed=13)
-        m1 = lr_train(examples, K, F, 1.0)
-        m2 = lr_train(examples, K, F, 1.0)
+        m1 = lr_train(examples, K, F, 1.0, config=OPT)
+        m2 = lr_train(examples, K, F, 1.0, config=OPT)
         np.testing.assert_array_equal(m1.weights, m2.weights)

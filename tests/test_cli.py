@@ -9,8 +9,7 @@ import pytest
 from searn import cli
 from searn.cli import configure, main, read_config_file
 from searn.errors import ConfigError
-from searn.experiments import ParseExperiment
-from searn.task_sequence import read_sequences
+from searn.task_sequence import read_sequences, write_sequences
 
 
 def run_cli(*argv):
@@ -758,6 +757,32 @@ def test_malformed_policy_is_data_error(seq_run, parse_run, tmp_path,
     assert err.startswith(f"data error: {model}") and error in err
 
 
+@pytest.mark.parametrize("cut", ["label", "line"])
+def test_misaligned_sequence_gold_is_data_error(seq_run, tmp_path, capsys,
+                                                cut):
+    # eval once compared only the pooled label counts, so a label moved
+    # from one gold line to the next was scored and exited 0
+    data, run = seq_run
+    xs, _ = read_sequences(data / "sequences-run00.txt")
+    gold, k = read_sequences(data / "sequences-run00.gold.txt")
+    if cut == "label":
+        gold[1:3] = [gold[1][:-1], gold[1][-1:] + gold[2]]
+        i, n = 2, len(xs[1]) - 1
+    else:
+        gold = gold[:-1]
+        i, n = len(xs), 0
+    path = tmp_path / "gold.txt"
+    write_sequences(path, gold, k, "")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("eval", "--model", str(run / "model.json"),
+                   "--data", str(data / "sequences-run00.txt"),
+                   "--gold", str(path), "--out", str(out)) == 1
+    assert f"{path}: gold sequence {i} has {n} labels, but sequence {i} " \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nb_log_zero_still_loads(seq_run, tmp_path):
     # -inf is log 0, which an unsmoothed NB fit writes
     data, run = seq_run
@@ -941,15 +966,68 @@ def test_help_lists_the_command_settings(capsys, command):
     (["learning-curve", "--seeds", "0,-3"],
      "--seeds 0,-3: seeds are non-negative"),
     (["equivalence", "--seed", "-1"], "--seed -1: seeds are non-negative"),
+    # a count of 0 once trained the unsup and semi arms before an empty
+    # dataset stopped it; -3 stopped after the unsup arm, naming
+    # labeled_count, not the flag
+    (["learning-curve", "--labeled-counts", "0", "--sentences", "60",
+      "--iterations", "1"], "--labeled-counts 0: each count needs"),
+    (["learning-curve", "--labeled-counts=-3,5", "--sentences", "60",
+      "--iterations", "1"], "--labeled-counts -3: each count needs"),
 ], ids=["eval-task", "eval-method", "gen-method", "gen-depparse-method",
         "learning-curve-method", "equivalence-method", "gen-negative-seed",
         "train-negative-seed", "eval-negative-seed",
         "learning-curve-negative-seed", "learning-curve-negative-in-list",
-        "equivalence-negative-seed"])
-def test_bad_flag_is_config_error(tmp_path, capsys, argv, error):
+        "equivalence-negative-seed", "learning-curve-zero-count",
+        "learning-curve-negative-count"])
+def test_bad_flag_is_config_error(tmp_path, capsys, monkeypatch, argv,
+                                  error):
+    import searn.experiments
+    learned = []
+    learn = searn.experiments.searn_learn
+
+    def counted(*args, **kwargs):
+        learned.append(args)
+        return learn(*args, **kwargs)
+
+    monkeypatch.setattr(searn.experiments, "searn_learn", counted)
     out = tmp_path / "o"
     assert run_cli(*argv, "--out", str(out)) == 2
     assert error in capsys.readouterr().err
+    assert not out.exists()
+    assert learned == []
+
+
+@pytest.mark.parametrize("task, method, flag, value", [
+    ("sequence", "searn-nb", "beta", "0"),
+    ("depparse", "searn-nb", "beta", "1.5"),
+    ("sequence", "searn-nb", "smoothing", "-1"),
+    ("sequence", "searn-lr", "lr-variance", "0"),
+    ("depparse", "searn-lr", "tree-variance", "0"),
+    ("depparse", "searn-lr", "tag-variance", "-2"),
+])
+def test_bad_learning_setting_is_config_error(seq_run, parse_run, tmp_path,
+                                              capsys, monkeypatch, task,
+                                              method, flag, value):
+    # each was once found only inside the learning loop, after examples
+    # were generated, and the variance errors named no flag
+    import searn.core
+    generated = []
+    generate = searn.core.generate_examples
+
+    def counted(*args, **kwargs):
+        generated.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(searn.core, "generate_examples", counted)
+    data = (seq_run[0] / "sequences-run00.txt" if task == "sequence"
+            else parse_run[0])
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run_cli("train", "--task", task, "--method", method,
+                   f"--{flag}={value}", "--iterations", "1",
+                   "--data", str(data), "--out", str(out)) == 2
+    assert f"config error: --{flag} " in capsys.readouterr().err
+    assert generated == []
     assert not out.exists()
 
 
@@ -996,27 +1074,6 @@ def test_run_sets_exactly_its_defaults(key):
     defaulted = {name for name, value in cli._RUNS[key].items()
                  if value is not None}
     assert set_names - {"out", "task", "method"} == defaulted
-
-
-# ParseExperiment's field for each setting the parse runs also default
-_PARSE_FIELDS = {"iterations": "iterations", "beta": "beta",
-                 "n_samples": "n_samples", "tagset": "tagset_size",
-                 "tree_variance": "tree_variance",
-                 "tag_variance": "tag_variance", "sentences": "n_sentences"}
-
-
-@pytest.mark.parametrize("key", [("train", "depparse", "searn-nb"),
-                                 ("train", "depparse", "searn-lr"),
-                                 ("learning-curve", "depparse", None)],
-                         ids=cli._run_name)
-def test_parse_defaults_match_parse_experiment(key):
-    # both declare the parse defaults; a change to one must reach the other
-    entry = cli._RUNS[key]
-    shared = [name for name in _PARSE_FIELDS if name in entry]
-    assert {"iterations", "beta", "n_samples", "tagset"} <= set(shared)
-    assert {name: entry[name] for name in shared} == \
-        {name: getattr(ParseExperiment(), _PARSE_FIELDS[name])
-         for name in shared}
 
 
 # Each call once left an empty --out directory behind.

@@ -303,7 +303,8 @@ class TestSearnLearn:
     def test_capped_fits_counted(self, monkeypatch):
         def log():
             return searn_learn(ToyTask(), toy_dataset(),
-                               LearnerConfig(kind="lr"), beta=0.5,
+                               LearnerConfig(kind="lr", smoothing=0.0),
+                               beta=0.5,
                                cfg=RolloutConfig(seed=9), iterations=2)[1]
 
         converged = log()

@@ -129,12 +129,13 @@ class TestHmmDataset:
 
 class TestTreebank:
     def test_trees_valid_and_bounded(self):
-        cfg = TreebankGenConfig(n_sentences=300, seed=11)
+        cfg = TreebankGenConfig(n_sentences=300, seed=11, tagset_size=12)
         bank = gen_treebank(cfg)
         assert len(bank) == 300
         # the generator fills the parse task's length cap, never passes it
         assert max(s.n_tokens for s in bank) == MAX_LENGTH
-        task = ParseTask(ParseTaskConfig(tagset_size=12))
+        task = ParseTask(ParseTaskConfig(tagset_size=12,
+                                         supervision="unsup"))
         for sent in bank:
             assert 1 <= sent.n_tokens
             assert sent.gold_tree is not None
@@ -142,26 +143,32 @@ class TestTreebank:
             task.initial_state(sent)
 
     def test_average_length_near_seven(self):
-        bank = gen_treebank(TreebankGenConfig(n_sentences=2000, seed=12))
+        bank = gen_treebank(TreebankGenConfig(n_sentences=2000, seed=12,
+                                              tagset_size=12))
         mean = np.mean([s.n_tokens for s in bank])
         assert 4.5 <= mean <= 9.5
 
     def test_deterministic_and_seed_sensitive(self):
-        a = gen_treebank(TreebankGenConfig(n_sentences=50, seed=13))
-        b = gen_treebank(TreebankGenConfig(n_sentences=50, seed=13))
-        c = gen_treebank(TreebankGenConfig(n_sentences=50, seed=14))
+        a = gen_treebank(TreebankGenConfig(n_sentences=50, seed=13,
+                                           tagset_size=12))
+        b = gen_treebank(TreebankGenConfig(n_sentences=50, seed=13,
+                                           tagset_size=12))
+        c = gen_treebank(TreebankGenConfig(n_sentences=50, seed=14,
+                                           tagset_size=12))
         assert a == b
         assert a != c
 
     def test_heads_never_share_dependent_tag(self):
-        bank = gen_treebank(TreebankGenConfig(n_sentences=400, seed=16))
+        bank = gen_treebank(TreebankGenConfig(n_sentences=400, seed=16,
+                                              tagset_size=12))
         for sent in bank:
             for dep, head in enumerate(sent.gold_tree.heads, start=1):
                 if head != 0:
                     assert sent.tags[dep - 1] != sent.tags[head - 1]
 
     def test_round_trip_through_conll(self, tmp_path):
-        bank = gen_treebank(TreebankGenConfig(n_sentences=40, seed=15))
+        bank = gen_treebank(TreebankGenConfig(n_sentences=40, seed=15,
+                                              tagset_size=12))
         path = tmp_path / "bank.conll"
         write_conll(path, bank, header_comment="seed=15")
         loaded, rejected = load_conll(path)
@@ -170,7 +177,7 @@ class TestTreebank:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            TreebankGenConfig(n_sentences=0, seed=0)
+            TreebankGenConfig(n_sentences=0, seed=0, tagset_size=12)
         with pytest.raises(ConfigError):
             TreebankGenConfig(n_sentences=1, seed=0, tagset_size=1)
 

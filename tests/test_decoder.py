@@ -56,8 +56,9 @@ _PARSERS = [("unsup", "lr", 1.0, 1), ("unsup", "lr", 0.5, 2),
 def parser(request, treebank):
     supervision, kind, beta, iterations = request.param
     train, _ = treebank
-    exp = ParseExperiment(tagset_size=TAGSET, beta=beta,
-                          iterations=iterations)
+    exp = ParseExperiment(n_sentences=620, tagset_size=TAGSET, beta=beta,
+                          n_samples=1, iterations=iterations,
+                          tree_variance=10.0, tag_variance=10.0)
     data = parse_training_data(train, supervision,
                                None if supervision == "unsup" else 10)
     task, policy, _ = train_parser(exp, data, supervision, seed=3, kind=kind,
@@ -83,7 +84,7 @@ def test_decoded_trees_match_the_full_task(parser, treebank, seed):
 
 def test_random_policy_trees_match_the_full_task(treebank):
     _, test = treebank
-    task = ParseTask(ParseTaskConfig(tagset_size=TAGSET))
+    task = ParseTask(ParseTaskConfig(tagset_size=TAGSET, supervision="unsup"))
     old = [s.tree.heads for s in
            _full_task_finals(task, initial_policy(), _unlabeled(test), 0)]
     assert [t.heads for t in decode_trees(task, initial_policy(), test, 0,
@@ -94,7 +95,7 @@ def test_parse_decoder_states_hold_no_tags(parser, treebank):
     task, policy = parser
     _, test = treebank
     sentences = _unlabeled(test[:40])
-    for state in decode(task, policy, sentences, 0, *KEY):
+    for state in decode(task, policy, sentences, 0, *KEY, runner=run_policy):
         assert state.produced == ()
         assert state.ps.i == state.sent.n_tokens + 1
         assert state.tree is not None
@@ -116,7 +117,8 @@ def test_parse_decoder_shares_the_interner(parser):
 def test_parse_decoder_needs_the_tree(parser, treebank):
     task, policy = parser
     _, test = treebank
-    state = decode(task, policy, _unlabeled(test[:1]), 0, *KEY)[0]
+    state = decode(task, policy, _unlabeled(test[:1]), 0, *KEY,
+                   runner=run_policy)[0]
     decoder = task.decoder()
     decoder.validate_final(state)
     with pytest.raises(StateError):
@@ -182,14 +184,15 @@ def test_latent_labels_match_the_full_task(labeler, sequences, mixture,
     old = [latent_labels(s).tolist()
            for s in _full_task_finals(task, pol, test, seed)]
     new = [latent_labels(s).tolist()
-           for s in decode(task, pol, test, seed, *KEY)]
+           for s in decode(task, pol, test, seed, *KEY, runner=run_policy)]
     assert new == old
 
 
 def test_sequence_decoder_states_hold_the_labels_alone(labeler, sequences):
     task, policy = labeler
     _, test = sequences
-    for x, state in zip(test, decode(task, policy, test, 0, *KEY)):
+    for x, state in zip(test, decode(task, policy, test, 0, *KEY,
+                                     runner=run_policy)):
         assert len(state.actions) == len(x)
         assert all(0 <= a < task.config.K for a in state.actions)
     assert all(len(s.actions) == 2 * len(x) for x, s in
@@ -212,7 +215,8 @@ def test_sequence_decoder_shares_features():
 @pytest.mark.parametrize("actions", [(0, 1, 2, 3), (0, 1, 2, 0, 1, 2)],
                          ids=["T+1", "2T"])
 def test_sequence_decoder_rejects_more_than_the_labels(actions):
-    decoder = SequenceTask(SequenceTaskConfig(K=3, V=4)).decoder()
+    decoder = SequenceTask(SequenceTaskConfig(
+        K=3, V=4, feature_mode="nb_hmm")).decoder()
     decoder.validate_final(SeqState((0, 1, 2), actions[:3]))
     with pytest.raises(TaskContractError):
         decoder.validate_final(SeqState((0, 1, 2), actions))
@@ -220,7 +224,8 @@ def test_sequence_decoder_rejects_more_than_the_labels(actions):
 
 @pytest.mark.parametrize("labels", [(0, 3, 1), (-1, 0, 0)])
 def test_sequence_decoder_rejects_a_label_out_of_range(labels):
-    decoder = SequenceTask(SequenceTaskConfig(K=3, V=4)).decoder()
+    decoder = SequenceTask(SequenceTaskConfig(
+        K=3, V=4, feature_mode="nb_hmm")).decoder()
     with pytest.raises(TaskContractError):
         decoder.validate_final(SeqState((0, 1, 2), labels))
 

@@ -193,8 +193,8 @@ class TestBaumWelch:
     def test_deterministic(self):
         true = random_hmm(2, 4, 23)
         data = self._sample_data(true, 3, 6, 24)
-        p1, h1 = hmm_em_train(data, 2, 4, iterations=10, seed=25)
-        p2, h2 = hmm_em_train(data, 2, 4, iterations=10, seed=25)
+        p1, h1 = hmm_em_train(data, 2, 4, iterations=10, seed=25, tol=1e-5)
+        p2, h2 = hmm_em_train(data, 2, 4, iterations=10, seed=25, tol=1e-5)
         np.testing.assert_array_equal(p1.transition, p2.transition)
         np.testing.assert_array_equal(p1.emission, p2.emission)
         assert h1 == h2
@@ -202,18 +202,19 @@ class TestBaumWelch:
     def test_single_state_closed_form(self):
         # K = 1: emission is the pooled symbol histogram
         data = [np.array([0, 1, 1, 2]), np.array([2, 2])]
-        params, _ = hmm_em_train(data, 1, 3, iterations=3, seed=26)
+        params, _ = hmm_em_train(data, 1, 3, iterations=3, seed=26, tol=1e-5)
         np.testing.assert_allclose(params.emission[0],
                                    [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
         np.testing.assert_allclose(params.initial, [1.0], atol=1e-12)
 
     def test_rejects_bad_symbols(self):
         with pytest.raises(DataError):
-            hmm_em_train([np.array([0, 5])], 2, 3, iterations=1, seed=0)
+            hmm_em_train([np.array([0, 5])], 2, 3, iterations=1, seed=0,
+                         tol=1e-5)
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(DataError):
-            hmm_em_train([], 2, 3, iterations=1, seed=0)
+            hmm_em_train([], 2, 3, iterations=1, seed=0, tol=1e-5)
 
 
 class TestViterbi:

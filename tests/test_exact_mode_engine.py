@@ -263,8 +263,9 @@ def test_mixture_policy_is_config_error():
     with pytest.raises(ConfigError, match="2-component mixture"):
         task.exact_examples(docs, two)
     with pytest.raises(ConfigError, match="2-component mixture"):
-        searn_learn(task, docs, LearnerConfig(kind="nb"), beta=0.5,
-                    cfg=RolloutConfig(), iterations=2, start=pol)
+        searn_learn(task, docs, LearnerConfig(kind="nb", smoothing=0.0),
+                    beta=0.5, cfg=RolloutConfig(seed=0), iterations=2,
+                    start=pol)
 
 
 def test_documents_as_arrays_and_document_counts():
@@ -473,8 +474,9 @@ def test_python_calls_do_not_grow_with_documents(monkeypatch, K):
         docs = list(corpus(n, V, seed=n + K))
         start = task.policy_from_params(mm_random_init(K, V, 22))
         calls.update(from_pairs=0, predict_costs=0)
-        _, log = searn_learn(task, docs, LearnerConfig(kind="nb"),
-                             beta=1.0, cfg=RolloutConfig(), iterations=1,
+        _, log = searn_learn(task, docs,
+                             LearnerConfig(kind="nb", smoothing=0.0),
+                             beta=1.0, cfg=RolloutConfig(seed=0), iterations=1,
                              start=start)
         assert log[0]["n_cost_examples"] > n // 2
         counts.append(dict(calls))

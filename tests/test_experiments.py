@@ -1,44 +1,56 @@
 """Protocol-level tests for the experiment recipes (small scales only)."""
 
+from dataclasses import replace
+
 import pytest
 
 from searn.errors import ConfigError
-from searn.experiments import (CurvePoint, ParseExperiment, equivalence_sweep,
+from searn.experiments import (PARSE_TRAIN_LIMIT, CurvePoint,
+                               ParseExperiment, equivalence_sweep,
                                learning_curve, parse_corpus,
                                random_parse_baseline, run_parse)
 
-TINY_PARSE = ParseExperiment(n_sentences=60, train_limit=30, iterations=2,
-                             master_seed=3)
+TINY_PARSE = ParseExperiment(n_sentences=60, tagset_size=12, beta=0.1,
+                             n_samples=1, iterations=2, tree_variance=10.0,
+                             tag_variance=10.0)
+SEED = 3
+TINY_CORPUS = parse_corpus(TINY_PARSE, SEED)
+
+
+def tiny_run(supervision, labeled_count=None):
+    return run_parse(TINY_PARSE, SEED, TINY_CORPUS, supervision,
+                     labeled_count)
 
 
 class TestParseProtocol:
     def test_corpus_split(self):
-        train, dev, test = parse_corpus(TINY_PARSE)
-        assert len(train) <= TINY_PARSE.train_limit
+        train, dev, test = TINY_CORPUS
         assert dev and test
-        again = parse_corpus(TINY_PARSE)
+        big = replace(TINY_PARSE, n_sentences=700)
+        assert len(parse_corpus(big, SEED)[0]) == PARSE_TRAIN_LIMIT
+        again = parse_corpus(TINY_PARSE, SEED)
         assert [s.tags for s in train] == [s.tags for s in again[0]]
 
     def test_random_baseline_bounded(self):
-        acc = random_parse_baseline(TINY_PARSE)
+        acc = random_parse_baseline(TINY_PARSE, SEED)
         assert 0.0 <= acc <= 1.0
-        assert acc == random_parse_baseline(TINY_PARSE)
+        assert acc == random_parse_baseline(TINY_PARSE, SEED)
 
     def test_sup_run_beats_nothing(self):
-        acc = run_parse(TINY_PARSE, "sup")
+        acc = tiny_run("sup")
         assert 0.0 <= acc <= 1.0
 
     def test_semi_requires_count(self):
         with pytest.raises(ConfigError):
-            run_parse(TINY_PARSE, "semi")
+            tiny_run("semi")
 
     def test_unknown_supervision(self):
         with pytest.raises(ConfigError):
-            run_parse(TINY_PARSE, "distant")
+            tiny_run("distant")
 
     def test_labeled_count_capped(self):
         with pytest.raises(ConfigError):
-            run_parse(TINY_PARSE, "semi", labeled_count=10_000)
+            tiny_run("semi", labeled_count=10_000)
 
 
 class TestLearningCurve:
@@ -53,7 +65,7 @@ class TestLearningCurve:
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ConfigError):
-            learning_curve(TINY_PARSE, [])
+            learning_curve(TINY_PARSE, [], master_seeds=(0,))
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError, match="--seeds names no seed"):
@@ -67,12 +79,16 @@ class TestLearningCurve:
 
 class TestEquivalenceSweep:
     def test_trainers_coincide(self):
-        reports = equivalence_sweep(n_corpora=4, iterations=5)
+        reports = equivalence_sweep(n_corpora=4, n_documents=10,
+                                    vocab_size=5, iterations=5,
+                                    master_seed=0)
         assert len(reports) == 4
         assert all(r.passed for r in reports)
         assert max(r.max_diff for r in reports) < 1e-8
 
     def test_corpora_distinct(self):
-        reports = equivalence_sweep(n_corpora=4, iterations=3)
+        reports = equivalence_sweep(n_corpora=4, n_documents=10,
+                                    vocab_size=5, iterations=3,
+                                    master_seed=0)
         trajectories = [tuple(r.theta_diffs) for r in reports]
         assert len(set(trajectories)) == len(trajectories)

@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from searn.cli import main
-from searn.experiments import (ParseExperiment, random_parse_baseline,
-                               run_parse)
+from searn.experiments import (ParseExperiment, parse_corpus,
+                               random_parse_baseline, run_parse)
 
 
 def _calls():
@@ -132,10 +132,12 @@ def _run(root: Path) -> dict:
 
 def _protocol_values() -> dict:
     """Experiment-protocol results the CLI does not reach."""
-    parse = ParseExperiment(n_sentences=60, train_limit=20, iterations=1,
-                            master_seed=3)
-    values = {"parse-sup-8": run_parse(parse, "sup", labeled_count=8),
-              "random-parse": random_parse_baseline(parse)}
+    parse = ParseExperiment(n_sentences=60, tagset_size=12, beta=0.1,
+                            n_samples=1, iterations=1, tree_variance=10.0,
+                            tag_variance=10.0)
+    values = {"parse-sup-8": run_parse(parse, 3, parse_corpus(parse, 3),
+                                       "sup", labeled_count=8),
+              "random-parse": random_parse_baseline(parse, 3)}
     return {name: hashlib.sha256(json.dumps(v).encode()).hexdigest()
             for name, v in values.items()}
 

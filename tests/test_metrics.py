@@ -255,14 +255,14 @@ class TestSummarize:
         assert s.n_runs == 1
 
     def test_order_invariant(self):
-        a = summarize([3.0, 1.0, 2.0])
-        b = summarize([1.0, 2.0, 3.0])
+        a = summarize([3.0, 1.0, 2.0], metric="")
+        b = summarize([1.0, 2.0, 3.0], metric="")
         assert a.mean == b.mean
         assert a.std == b.std
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            summarize([])
+            summarize([], metric="")
 
 
 class TestEmitters:

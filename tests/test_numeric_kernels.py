@@ -226,7 +226,7 @@ def test_lr_train_raises_when_the_gradient_norm_overflows():
     examples, K, F = _lr_problem(9, value_scale=1e155)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(OptimizerError, match="gradient norm non-finite"):
-        lr_train(examples, K, F, 1.0)
+        lr_train(examples, K, F, 1.0, config=LROptimizerConfig())
 
 
 @pytest.mark.parametrize("K", [2, 12])

@@ -444,7 +444,7 @@ def _uniform_nb(n_classes, n_features):
 def test_cost_ties_go_to_lowest_id():
     # every predicted cost ties, so each decision is the lowest legal id,
     # and a memoized choice for one legal set is not reused for another
-    config = SequenceTaskConfig(K=3, V=4)
+    config = SequenceTaskConfig(K=3, V=4, feature_mode="nb_hmm")
     new, old = SequenceTask(config), OracleSequenceTask(config)
     data = random_sequences(4, 5, seed=41)
     for task in (new, old):
@@ -470,7 +470,7 @@ def test_cost_ties_go_to_lowest_id():
 def test_parse_steps_match_reference_per_state():
     # a fresh interner per state makes the order in which one call
     # interns its names visible (two dependents of one node, say)
-    config = ParseTaskConfig(tagset_size=6)
+    config = ParseTaskConfig(tagset_size=6, supervision="unsup")
     task = ParseTask(config)
     rng = np.random.default_rng(51)
     for sent in random_sentences(6, 300, seed=52,

@@ -183,15 +183,17 @@ class TestExactCosts:
         learned = []
         for corpus in (docs, list(docs)):
             task = make_task(K=K, V=V)
-            pol, _ = searn_learn(task, corpus, LearnerConfig(kind="nb"),
-                                 beta=1.0, cfg=RolloutConfig(), iterations=2,
+            pol, _ = searn_learn(task, corpus,
+                                 LearnerConfig(kind="nb", smoothing=0.0),
+                                 beta=1.0, cfg=RolloutConfig(seed=0),
+                                 iterations=2,
                                  start=task.policy_from_params(params0))
             learned.append(task.params_from_rule(pol.components[-1][0]))
         assert learned[0].rho.tobytes() == learned[1].rho.tobytes()
         assert learned[0].theta.tobytes() == learned[1].theta.tobytes()
         with pytest.raises(DataError, match="empty"):
             generate_examples(docs[:0], task.policy_from_params(params0),
-                              task, RolloutConfig())
+                              task, RolloutConfig(seed=0))
 
     def test_exact_mode_requires_configuration(self):
         # under the default rollout config the task trains by the closed
@@ -201,8 +203,9 @@ class TestExactCosts:
         params0 = mm_random_init(K, V, 15)
         em_params, _ = mm_em_train(np.asarray(docs), params0, iterations)
         task = CountingClusterTask(ClusterTaskConfig(K=K, V=V))
-        pol, _ = searn_learn(task, docs, LearnerConfig(kind="nb"), beta=1.0,
-                             cfg=RolloutConfig(), iterations=iterations,
+        pol, _ = searn_learn(task, docs,
+                             LearnerConfig(kind="nb", smoothing=0.0), beta=1.0,
+                             cfg=RolloutConfig(seed=0), iterations=iterations,
                              start=task.policy_from_params(params0))
         assert task.rollouts == 0
         got = task.params_from_rule(pol.components[-1][0])

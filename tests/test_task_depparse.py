@@ -310,7 +310,7 @@ class TestDecompose:
         # training data is checked where it is prepared; the task itself
         # builds gold-free sup states, which is how every decode runs
         with pytest.raises(DataError, match="requires a gold tree"):
-            parse_training_data([TaggedSentence((1, 2))], "sup")
+            parse_training_data([TaggedSentence((1, 2))], "sup", None)
         task = make_task(supervision="sup")
         state = task.initial_state(TaggedSentence((1, 2)))
         assert state.gold is None
@@ -519,7 +519,7 @@ class TestConfig:
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
-            ParseTaskConfig(tagset_size=1)
+            ParseTaskConfig(tagset_size=1, supervision="unsup")
         with pytest.raises(ConfigError):
             ParseTaskConfig(tagset_size=5, supervision="full")
 

@@ -80,9 +80,9 @@ class TestDecompose:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            SequenceTaskConfig(K=1, V=4)
+            SequenceTaskConfig(K=1, V=4, feature_mode="nb_hmm")
         with pytest.raises(ConfigError):
-            SequenceTaskConfig(K=2, V=1)
+            SequenceTaskConfig(K=2, V=1, feature_mode="nb_hmm")
         with pytest.raises(ConfigError):
             SequenceTaskConfig(K=2, V=2, feature_mode="cnn")
 

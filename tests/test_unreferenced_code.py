@@ -18,6 +18,12 @@ listed in KEPT as ``Owner.name``.  Calls are matched by name: a call of
 fields.  It sets a value by keyword, by position, through ``*`` or
 ``**``, or (for a field) as a keyword of ``dataclasses.replace``.
 
+Every default is relied on: a setting that every package call of its
+name sets has a default no run reads, so the parameter or field is
+required instead, unless KEPT names a reader outside ``src/`` that is
+not a test.  A run's value is decided in ``cli._RUNS`` or by the code
+that calls the function.
+
 Every parameter is read: for each function or method name, a parameter
 (other than ``self`` and ``cls``) of some definition of that name must be
 read by at least one definition of that name that is not abstract.  An
@@ -32,16 +38,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "searn"
 
-_PROTOCOL = "experiment-protocol field; tests/test_golden.py pins it"
-
-# name -> why it stays although nothing in the package uses (or sets) it
+# name -> why it stays although nothing in the package uses it, sets it
+# or relies on its default
 KEPT = {
     "random_parse_baseline": "imported by tests/test_golden.py",
     **{f"LROptimizerConfig.{name}": "tests cap epochs; perfbench/tracing.py "
        "reads max_epochs"
        for name in ("max_epochs", "grad_tol", "initial_step", "armijo",
                     "backtrack", "min_step")},
-    "ParseExperiment.train_limit": _PROTOCOL,
     "main.argv": "tests and perfbench/harness.py pass the argument list",
     "as_dict.interner": "tests read feature vectors by name through it",
     "FeatureVector.as_dict": "tests read feature vectors by name through it",
@@ -160,25 +164,39 @@ def settings() -> dict:
     return out
 
 
+def _calls() -> list:
+    return [node for tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)]
+
+
+def _sets(call: ast.Call, pos, name: str) -> bool:
+    starred = [i for i, a in enumerate(call.args)
+               if isinstance(a, ast.Starred)]
+    reach = starred[0] if starred else len(call.args)
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or (pos is not None and (pos < reach or bool(starred))))
+
+
 def unset_settings() -> set:
-    calls = [node for tree in _trees() for node in ast.walk(tree)
-             if isinstance(node, ast.Call)]
+    calls = _calls()
     replaced = {k.arg for c in calls if _callee(c) == "replace"
                 for k in c.keywords}
-    unset = set()
-    for qualname, (callee, pos, name, is_field) in settings().items():
-        if is_field and name in replaced:
-            continue
-        for call in (c for c in calls if _callee(c) == callee):
-            starred = [i for i, a in enumerate(call.args)
-                       if isinstance(a, ast.Starred)]
-            reach = starred[0] if starred else len(call.args)
-            if (any(k.arg in (name, None) for k in call.keywords)
-                    or (pos is not None and (pos < reach or starred))):
-                break
-        else:
-            unset.add(qualname)
-    return unset
+    return {qualname
+            for qualname, (callee, pos, name, is_field) in settings().items()
+            if not (is_field and name in replaced)
+            and not any(_sets(c, pos, name) for c in calls
+                        if _callee(c) == callee)}
+
+
+def unrelied_defaults() -> set:
+    """Settings that every package call of their name sets."""
+    calls = _calls()
+    out = set()
+    for qualname, (callee, pos, name, _) in settings().items():
+        matching = [c for c in calls if _callee(c) == callee]
+        if matching and all(_sets(c, pos, name) for c in matching):
+            out.add(qualname)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +242,10 @@ def test_every_setting_is_set_in_the_package():
     assert sorted(unset_settings() - KEPT.keys()) == []
 
 
+def test_every_default_is_relied_on_in_the_package():
+    assert sorted(unrelied_defaults() - KEPT.keys()) == []
+
+
 def test_every_parameter_is_read_in_the_package():
     assert sorted(unread_parameters()) == []
 
@@ -232,4 +254,5 @@ def test_every_kept_name_is_still_unused():
     # an entry whose name gained a use in the package, or is gone, is stale
     kept_settings = KEPT.keys() & settings().keys()
     assert sorted(KEPT.keys() - kept_settings - unreferenced()) == []
-    assert sorted(kept_settings - unset_settings()) == []
+    assert sorted(kept_settings - unset_settings()
+                  - unrelied_defaults()) == []
