@@ -8,17 +8,36 @@ per-action regret vector into one or more weighted labeled examples.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-# eager: train and eval need it, and numpy ports of its kernels are slower
-from scipy.sparse import _sparsetools
 
 from .em import logsumexp
 from .errors import ConfigError, OptimizerError, TrainingError
 from .features import FeatureVector
+
+
+def _load_sparsetools():
+    """scipy.sparse's compiled CSR/CSC kernels, loaded from their own file:
+    ``from scipy.sparse import _sparsetools`` would run that package's init,
+    which costs every CLI process ~0.12 s and ~15 MB for two functions.
+    Numpy ports of them are slower."""
+    where = [os.path.join(path, "sparse") for path in
+             importlib.util.find_spec("scipy").submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec("_sparsetools", where)
+    if spec is None:
+        raise ImportError(f"no _sparsetools extension module in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 
 class LabeledExample(NamedTuple):

@@ -297,6 +297,12 @@ def _validate(cfg) -> None:
         raise ConfigError(f"unknown supervision {cfg.supervision!r}")
     if cfg.supervision == "semi" and cfg.labeled_count is None:
         raise ConfigError("semi-supervised runs need --labeled-count")
+    if cfg.labeled_count is not None and cfg.labeled_count < 0:
+        raise ConfigError(f"--labeled-count {cfg.labeled_count}: a count is "
+                          "non-negative")
+    if cfg.supervision == "sup" and cfg.labeled_count == 0:
+        raise ConfigError("--labeled-count 0: a supervised run needs at "
+                          "least 1 gold tree")
     if cfg.em_tol != cfg.em_tol:
         raise ConfigError("--em-tol nan: no gain is below NaN, so it would "
                           "never stop early; give a number (-inf runs every "

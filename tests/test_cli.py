@@ -332,6 +332,18 @@ class TestParseTrain:
                 for c in model["policy"]["components"]
                 for m in c["models"].values()} == {3}
 
+    def test_semi_with_no_gold_tree_trains(self, tmp_path):
+        # sup with 0 is a ConfigError; semi with 0 is an unlabeled run
+        data = tmp_path / "data"
+        assert run_cli("gen", "--task", "depparse", "--sentences", "4",
+                       "--out", str(data)) == 0
+        assert run_cli("train", "--task", "depparse", "--method", "searn-lr",
+                       "--supervision", "semi", "--labeled-count", "0",
+                       "--iterations", "1",
+                       "--data", str(data / "treebank.conll"),
+                       "--out", str(tmp_path / "o")) == 0
+        assert (tmp_path / "o" / "model.json").exists()
+
     def test_labeled_count_beyond_data_rejected(self, tmp_path):
         data = tmp_path / "data"
         assert run_cli("gen", "--task", "depparse", "--sentences", "4",
@@ -973,12 +985,21 @@ def test_help_lists_the_command_settings(capsys, command):
       "--iterations", "1"], "--labeled-counts 0: each count needs"),
     (["learning-curve", "--labeled-counts=-3,5", "--sentences", "60",
       "--iterations", "1"], "--labeled-counts -3: each count needs"),
+    # once found after the treebank was read, naming labeled_count; sup
+    # with 0 once ended in "data error: dataset is empty", exit 1
+    (["train", "--task", "depparse", "--method", "searn-lr",
+      "--supervision", "semi", "--labeled-count=-1", "--data",
+      "missing.conll"], "--labeled-count -1: a count is non-negative"),
+    (["train", "--task", "depparse", "--method", "searn-lr",
+      "--supervision", "sup", "--labeled-count", "0", "--data",
+      "missing.conll"], "--labeled-count 0: a supervised run needs"),
 ], ids=["eval-task", "eval-method", "gen-method", "gen-depparse-method",
         "learning-curve-method", "equivalence-method", "gen-negative-seed",
         "train-negative-seed", "eval-negative-seed",
         "learning-curve-negative-seed", "learning-curve-negative-in-list",
         "equivalence-negative-seed", "learning-curve-zero-count",
-        "learning-curve-negative-count"])
+        "learning-curve-negative-count", "train-negative-labeled-count",
+        "train-sup-zero-labeled-count"])
 def test_bad_flag_is_config_error(tmp_path, capsys, monkeypatch, argv,
                                   error):
     import searn.experiments

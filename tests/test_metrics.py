@@ -193,9 +193,16 @@ class TestMaxAgreement:
                     == parent_matched_hamming(pred, gold))
 
 
-def test_no_module_imports_scipy_optimize():
-    """scipy.optimize costs every CLI process ~0.19 s and ~27 MB to import;
-    the matching that needed it is solved in searn.metrics."""
+# What a CLI process would pay to import each (2-vCPU VM, Python 3.11,
+# scipy 1.17): scipy.sparse ~0.12 s and ~15 MB, loaded only for two
+# compiled kernels that searn.classifiers now loads from their own file;
+# scipy.optimize ~0.19 s and ~27 MB beyond that (it imports scipy.sparse
+# itself), loaded only for a matching now solved in searn.metrics.
+_UNLOADED_SCIPY = ["scipy.optimize", "scipy.sparse"]
+
+
+@pytest.mark.parametrize("package", _UNLOADED_SCIPY)
+def test_no_module_imports_scipy_package(package):
     offenders = []
     for path in sorted(Path(searn.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -206,19 +213,29 @@ def test_no_module_imports_scipy_optimize():
                 names = [a.name for a in node.names]
             else:
                 continue
-            if any(n == "scipy.optimize" or n.startswith("scipy.optimize.")
+            if any(n == package or n.startswith(package + ".")
                    for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
 
-def test_cli_import_loads_no_scipy_optimize():
-    code = ("import sys, searn.cli; "
-            "print('scipy.optimize' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
-                          cwd=Path(searn.__file__).parent.parent)
-    assert done.stdout.strip() == "False"
+@pytest.mark.parametrize("package", _UNLOADED_SCIPY)
+def test_cli_loads_no_scipy_package(package, tmp_path):
+    """Neither a bare ``import searn.cli`` nor a whole ``python -m searn
+    gen`` run loads ``package``."""
+    loaded = f"print({package!r} in sys.modules)"
+    run_searn = ("import atexit, runpy, sys; "
+                 f"atexit.register(lambda: {loaded}); "
+                 "runpy.run_module('searn', run_name='__main__', "
+                 "alter_sys=True)")
+    for argv in (["-c", "import sys, searn.cli; " + loaded],
+                 ["-c", run_searn, "gen", "--task", "cluster",
+                  "--out", str(tmp_path / "gen")]):
+        done = subprocess.run([sys.executable, *argv], capture_output=True,
+                              text=True, check=True,
+                              cwd=Path(searn.__file__).parent.parent)
+        assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "gen" / "documents.txt").exists()
 
 
 class TestArcAccuracy:

@@ -7,6 +7,7 @@ trained model, so an equal-to-tolerance kernel would not be enough.
 """
 
 import ast
+import importlib.machinery
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,11 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.sparse import _sparsetools
 
 import searn
 from searn.classifiers import (LabeledExample, LROptimizerConfig,
-                               _sparse_design, lr_train)
+                               _load_sparsetools, _sparse_design,
+                               _sparsetools, lr_train)
 from searn.errors import OptimizerError
 from searn.em import HmmParams, hmm_log_backward, hmm_log_forward, logsumexp
 from searn.features import FeatureVector
@@ -231,8 +232,11 @@ def test_lr_train_raises_when_the_gradient_norm_overflows():
 
 @pytest.mark.parametrize("K", [2, 12])
 def test_sparse_kernels_match_scipy_products(K):
-    """lr_train calls scipy's compiled CSR/CSC kernels directly; they must
-    give the bits of scipy.sparse's ``X @ W.T`` and ``X.T @ G``."""
+    """lr_train calls scipy's compiled CSR/CSC kernels directly, loaded by
+    searn.classifiers from the file scipy.sparse loads, without running
+    that package's init; they must give the bits of scipy.sparse's
+    ``X @ W.T`` and ``X.T @ G``."""
+    assert Path(_sparsetools.__file__).samefile(sp._sparsetools.__file__)
     rng = np.random.default_rng(K)
     F = 9
     ids = [[1, 4, 1, 7], [], [0, 8, 8, 8], [3], [5, 2, 5]]  # repeats, empty
@@ -249,6 +253,13 @@ def test_sparse_kernels_match_scipy_products(K):
                              design.data, G.ravel(), XtG.ravel())
     assert_same_bits(logits, X @ W.T)
     assert_same_bits(XtG, X.T @ G)
+
+
+def test_missing_sparse_kernels_name_the_place_looked(monkeypatch):
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda name, path: None)
+    with pytest.raises(ImportError, match=r"_sparsetools .*scipy.*sparse"):
+        _load_sparsetools()
 
 
 # ---------------------------------------------------------------------------
