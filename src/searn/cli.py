@@ -75,9 +75,9 @@ from .core import (LR_OPTIMIZER, LearnedRule, LearnerConfig, RolloutConfig,
                    derive_seed, policy_from_dict, policy_to_dict, run_policy,
                    searn_learn)
 from .corpus_files import MAX_VOCAB_SIZE
-from .datagen import (DocGenConfig, HmmGenConfig, TreebankGenConfig,
-                      gen_document_corpus, gen_hmm_dataset, gen_hmm_params,
-                      gen_treebank)
+from .datagen import (MAX_MEAN_LENGTH, MEAN_LENGTH_RULE, DocGenConfig,
+                      HmmGenConfig, TreebankGenConfig, gen_document_corpus,
+                      gen_hmm_dataset, gen_hmm_params, gen_treebank)
 from .em import (HmmParams, MultinomialMixtureParams, hmm_decode,
                  hmm_em_train, hmm_posterior_decode, mm_e_step,
                  mm_em_train, mm_log_likelihood, mm_random_init)
@@ -201,26 +201,31 @@ def read_config_file(path) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Each command takes the settings its runs read, spelled in full."""
+def build_parser(command) -> argparse.ArgumentParser:
+    """Each command takes the settings its runs read, spelled in full.
+    Every command is registered, but only ``command`` (the one an argv
+    names, or None) gets its flags: argparse reads no other."""
     parser = argparse.ArgumentParser(
         prog="searn", allow_abbrev=False,
         description="Structured-prediction experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in dict.fromkeys(c for c, _, _ in _RUNS):
-        p = sub.add_parser(command, allow_abbrev=False,
-                           usage="%(prog)s [options]")
-        p.add_argument("--config", help="flat key=value settings file")
-        names = dict.fromkeys((*_selectors(command), "out"))
-        for key, entry in _RUNS.items():
-            if key[0] == command:
-                names.update(entry)
-        for name in names:
-            flag = "--" + name.replace("_", "-")
-            if _KINDS[name] is _parse_bool:
-                p.add_argument(flag, action="store_const", const=True)
-            else:  # parsed by merge_config, so bad values are config errors
-                p.add_argument(flag)
+    commands = {name: sub.add_parser(name, allow_abbrev=False,
+                                     usage="%(prog)s [options]")
+                for name in dict.fromkeys(c for c, _, _ in _RUNS)}
+    if command not in commands:
+        return parser
+    p = commands[command]
+    p.add_argument("--config", help="flat key=value settings file")
+    names = dict.fromkeys((*_selectors(command), "out"))
+    for key, entry in _RUNS.items():
+        if key[0] == command:
+            names.update(entry)
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        if _KINDS[name] is _parse_bool:
+            p.add_argument(flag, action="store_const", const=True)
+        else:  # parsed by merge_config, so bad values are config errors
+            p.add_argument(flag)
     return parser
 
 
@@ -228,7 +233,10 @@ def configure(argv) -> argparse.Namespace:
     """The settings of the run ``argv`` asks for (see ``merge_config``).
     A flag the command does not take counts as a given setting, so the
     run rejects it by name."""
-    args, extras = build_parser().parse_known_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args, extras = build_parser(argv[0] if argv else None) \
+        .parse_known_args(argv)
     unknown = {arg.lstrip("-").split("=")[0].replace("-", "_")
                for arg in extras if arg.startswith("-")}
     if extras and not unknown:
@@ -321,6 +329,11 @@ def _validate(cfg) -> None:
         if value is not None and not value > 0:
             raise ConfigError(f"--{flag.replace('_', '-')} {value}: "
                               "must be positive")
+    for flag in ("mean_length", "doc_mean_length"):
+        value = getattr(cfg, flag)
+        if value is not None and not 0 < value <= MAX_MEAN_LENGTH:
+            raise ConfigError(f"--{flag.replace('_', '-')} {value}: "
+                              + MEAN_LENGTH_RULE)
     for flag, seeds in (("seed", [cfg.seed]), ("seeds", cfg.seeds or ())):
         if any(seed is not None and seed < 0 for seed in seeds):
             raise ConfigError(f"--{flag} {','.join(map(str, seeds))}: seeds "

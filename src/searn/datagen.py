@@ -1,10 +1,15 @@
 """Seeded synthetic data: HMM sequence corpora and projective treebanks.
 
 Everything here is a pure function of its config, so regenerating with
-the same seed reproduces files byte for byte.
+the same seed reproduces files byte for byte.  Each categorical draw is
+``Generator.choice(len(p), p=p)``'s draw: the same single uniform, searched
+on the right in the same CDF, so every index and the generator's state
+after it are choice's.  The CDF rows are built once per table (``_cdfs``),
+not once per draw.
 """
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +26,14 @@ _DOC_KEY = 104
 # concentration of the tag-conditioned dependent tables; higher values
 # give sharper parent-to-child tag preferences
 _PEAK = 8.0
+
+# the largest mean Generator.poisson accepts
+MAX_MEAN_LENGTH = float(np.iinfo(np.int64).max
+                        - np.sqrt(np.iinfo(np.int64).max) * 10)
+MEAN_LENGTH_RULE = ("mean_length must be finite and positive, at most "
+                    f"{MAX_MEAN_LENGTH:.16g} (numpy's largest Poisson mean)")
+# Generator.choice's tolerance on the sum of a probability row
+_CHOICE_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 def _stream(seed, key) -> np.random.Generator:
@@ -49,8 +62,8 @@ class HmmGenConfig:
             raise ConfigError("K and V must be at least 2")
         if self.n_sequences < 1:
             raise ConfigError("n_sequences must be at least 1")
-        if not 0 < self.mean_length < np.inf:
-            raise ConfigError("mean_length must be finite and positive")
+        if not 0 < self.mean_length <= MAX_MEAN_LENGTH:
+            raise ConfigError(MEAN_LENGTH_RULE)
 
 
 @dataclass(frozen=True)
@@ -102,27 +115,49 @@ def gen_hmm_params(cfg: HmmGenConfig):
                       transition=transition, emission=emission)
 
 
-def _draw(rng, dist) -> int:
-    return int(rng.choice(len(dist), p=dist))
+def _cdfs(table) -> list:
+    """``Generator.choice``'s CDF of every row along the last axis, as
+    nested lists.  Runs choice's check of ``p`` (every entry finite and
+    nonnegative, each row summing to 1 within sqrt(eps)) and its
+    arithmetic (``cumsum``, then division by the last entry) once per
+    table."""
+    table = np.asarray(table, dtype=float)
+    if not np.isfinite(table).all() or (table < 0).any():
+        raise ValueError("probabilities must be finite and nonnegative")
+    if (np.abs(table.sum(axis=-1) - 1.0) > _CHOICE_TOL).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = table.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf.tolist()
+
+
+def _draw(rng, cdf_row) -> int:
+    """The index ``rng.choice(len(p), p=p)`` draws, given ``_cdfs``' row
+    for ``p``: one uniform, searched on the right."""
+    return bisect_right(cdf_row, rng.random())
 
 
 def gen_hmm_dataset(params, cfg: HmmGenConfig) -> list:
     """List of (symbols, gold_states); lengths Poisson, clamped to >= 2."""
     rng = _stream(cfg.seed, _DATA_KEY)
     second_order = isinstance(params, Hmm2Params)
+    initial = _cdfs(params.initial)
+    transition = _cdfs(params.transition)
+    pair = _cdfs(params.pair_transition) if second_order else None
+    emission = _cdfs(params.emission)
     out = []
     for _ in range(cfg.n_sequences):
         T = max(2, int(rng.poisson(cfg.mean_length)))
-        states = [_draw(rng, params.initial)]
+        states = [_draw(rng, initial)]
         while len(states) < T:
             if not second_order:
-                dist = params.transition[states[-1]]
+                dist = transition[states[-1]]
             elif len(states) == 1:
-                dist = params.pair_transition[states[-1]]
+                dist = pair[states[-1]]
             else:
-                dist = params.transition[states[-2], states[-1]]
+                dist = transition[states[-2]][states[-1]]
             states.append(_draw(rng, dist))
-        symbols = tuple(_draw(rng, params.emission[s]) for s in states)
+        symbols = tuple(_draw(rng, emission[s]) for s in states)
         out.append((symbols, tuple(states)))
     return out
 
@@ -142,8 +177,8 @@ class DocGenConfig:
             raise ConfigError("vocab_size must be at least 2")
         if self.n_clusters < 1:
             raise ConfigError("n_clusters must be at least 1")
-        if not 0 < self.mean_length < np.inf:
-            raise ConfigError("mean_length must be finite and positive")
+        if not 0 < self.mean_length <= MAX_MEAN_LENGTH:
+            raise ConfigError(MEAN_LENGTH_RULE)
 
 
 def gen_document_corpus(cfg: DocGenConfig) -> list:
@@ -153,7 +188,7 @@ def gen_document_corpus(cfg: DocGenConfig) -> list:
     draws clamped to >= 1.  Deterministic per seed.
     """
     rng = _stream(cfg.seed, _DOC_KEY)
-    weights = _normalized_uniform(rng, (cfg.n_clusters,))
+    weights = _cdfs(_normalized_uniform(rng, (cfg.n_clusters,)))
     word_dists = _normalized_uniform(rng, (cfg.n_clusters, cfg.vocab_size))
     out = []
     for _ in range(cfg.n_documents):
@@ -187,9 +222,9 @@ class _Node:
         self.index = 0
 
 
-def _sample_tree(rng, root_dist, child_table) -> _Node:
+def _sample_tree(rng, root_cdf, child_cdfs) -> _Node:
     """Head-outward expansion up to MAX_LENGTH tokens; projective."""
-    root = _Node(_draw(rng, root_dist))
+    root = _Node(_draw(rng, root_cdf))
     remaining = MAX_LENGTH - 1
     queue = [root]
     while queue:
@@ -198,7 +233,7 @@ def _sample_tree(rng, root_dist, child_table) -> _Node:
             n_children = min(int(rng.geometric(0.6)) - 1, remaining)
             remaining -= n_children
             for _ in range(n_children):
-                child = _Node(_draw(rng, child_table[node.tag]))
+                child = _Node(_draw(rng, child_cdfs[node.tag]))
                 side.append(child)
                 queue.append(child)
     return root
@@ -236,9 +271,10 @@ def gen_treebank(cfg: TreebankGenConfig) -> list:
     # make head direction unrecoverable from tag features alone.
     np.fill_diagonal(child_table, 0.0)
     child_table /= child_table.sum(axis=1, keepdims=True)
+    root_cdf, child_cdfs = _cdfs(root_dist), _cdfs(child_table)
     sentences = []
     for _ in range(cfg.n_sentences):
-        tags, heads = _linearize(_sample_tree(rng, root_dist, child_table))
+        tags, heads = _linearize(_sample_tree(rng, root_cdf, child_cdfs))
         sentences.append(TaggedSentence(tags, DependencyTree(heads)))
     return sentences
 

@@ -389,7 +389,7 @@ def run_equivalence(dataset, K: int, iterations: int, seed: int,
 
 def write_documents(path, docs, vocab_size: int, header_comment: str):
     """One document per line as `word:count` pairs; `V=<int>` header."""
-    rows = (enumerate(np.asarray(doc, dtype=float)) for doc in docs)
+    rows = (enumerate(np.asarray(doc, dtype=float).tolist()) for doc in docs)
     lines = (" ".join(f"{v}:{int(c)}" for v, c in r if c > 0) for r in rows)
     write_corpus(path, lines, vocab_size, header_comment)
 

@@ -550,6 +550,21 @@ class TestExitCodes:
         assert "mean_length must be finite and positive" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, task", [
+        ("--mean-length", "sequence"), ("--doc-mean-length", "cluster")])
+    @pytest.mark.parametrize("value", ["1e19", "9223372006484771841"])
+    def test_gen_mean_length_above_poisson_bound(self, tmp_path, capsys,
+                                                 flag, task, value):
+        # numpy's Poisson sampler once ended these in "ValueError: lam
+        # value too large"; the second value is the float after its bound
+        out = tmp_path / "o"
+        assert run_cli("gen", "--task", task, flag, value,
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag} " in err
+        assert "at most 9.223372006484771e+18" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("task, value, extra, error", [
         ("sequence", "nan", [], "smoothing must be finite and nonnegative"),
         ("sequence", "inf", [], "smoothing must be finite and nonnegative"),
@@ -953,6 +968,16 @@ def test_help_lists_the_command_settings(capsys, command):
               for line in capsys.readouterr().out.splitlines()
               if line.startswith("  --")}
     assert listed == _command_settings(command)
+
+
+def test_top_level_help_lists_every_command(capsys):
+    # only the named command gets its flags; every one is still registered
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        run_cli("--help")
+    assert stop.value.code == 0
+    assert "{gen,train,eval,learning-curve,equivalence}" in \
+        capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, error", [

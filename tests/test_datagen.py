@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from searn.datagen import (
+    MAX_MEAN_LENGTH,
+    DocGenConfig,
     Hmm2Params,
     HmmGenConfig,
     TreebankGenConfig,
+    _cdfs,
+    _draw,
     gen_hmm_dataset,
     gen_hmm_params,
     gen_treebank,
@@ -16,6 +20,121 @@ from searn.em import HmmParams, hmm_decode
 from searn.errors import ConfigError
 from searn.task_depparse import (MAX_LENGTH, ParseTask, ParseTaskConfig,
                                   load_conll, write_conll)
+
+
+def _table(seed: int) -> np.ndarray:
+    """A seeded probability row of one of three kinds, by ``seed % 3``."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(size=int(rng.integers(2, 16)))
+    if seed % 3 == 1:  # zero entries, as on the treebank's diagonal
+        p[rng.uniform(size=p.size) < 0.4] = 0.0
+        p[rng.integers(p.size)] = 1.0
+    elif seed % 3 == 2:  # the treebank's peaked rows: tiny probabilities
+        p = (p / p.sum()) ** 8.0
+    return p / p.sum()
+
+
+class TestSampler:
+    """``_draw`` on ``_cdfs``' rows is ``Generator.choice(len(p), p=p)``."""
+
+    TABLES = [_table(seed) for seed in range(240)] + [np.ones(1)]
+
+    @staticmethod
+    def _same_draws(p, row, seed, n=25):
+        by_choice = np.random.default_rng(seed)
+        by_draw = np.random.default_rng(seed)
+        for _ in range(n):
+            assert _draw(by_draw, row) == int(by_choice.choice(len(p), p=p))
+            assert by_draw.bit_generator.state \
+                == by_choice.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(len(TABLES)))
+    def test_same_index_and_state_as_choice(self, seed):
+        p = self.TABLES[seed]
+        self._same_draws(p, _cdfs(p), seed)
+
+    def test_tables_cover_the_edge_cases(self):
+        assert any((p == 0).any() for p in self.TABLES)
+        assert any(p.min() < 1e-12 for p in self.TABLES)
+        assert any(p.size == 1 for p in self.TABLES)
+        # choice divides by the last cumulative sum; so must _cdfs
+        assert any(p.cumsum()[-1] != 1.0 for p in self.TABLES)
+
+    def test_rows_of_a_table_match_choice_per_row(self):
+        # a treebank-like child table: zero diagonal, peaked rows
+        rng = np.random.default_rng(1)
+        table = rng.uniform(size=(12, 12)) ** 8.0
+        np.fill_diagonal(table, 0.0)
+        table /= table.sum(axis=1, keepdims=True)
+        rows = _cdfs(table)
+        for tag in range(12):
+            self._same_draws(table[tag], rows[tag], tag)
+
+    def test_sum_within_tolerance_is_accepted_like_choice(self):
+        p = np.array([0.25, 0.75 + 1e-9])
+        self._same_draws(p, _cdfs(p), 3)
+
+    def test_uniform_on_a_cdf_step_goes_right(self):
+        # seed 0's first uniform u is 0.637; with p = [u, 0, 1 - u] the
+        # CDF is exactly [u, u, 1], so only a right-side search gives 2
+        u = np.random.default_rng(0).random()
+        p = np.array([u, 0.0, 1.0 - u])
+        assert p.cumsum().tolist() == [u, u, 1.0]
+        self._same_draws(p, _cdfs(p), 0, n=1)
+        assert _draw(np.random.default_rng(0), _cdfs(p)) == 2
+
+    def test_uniform_above_the_raw_sum(self):
+        # draw 14,817,372 of seed 0 is 0.9999999984, above this row's
+        # cumulative sum 1 - 1e-8: without choice's division by the last
+        # entry the search would run past the end
+        p = np.array([0.5, 0.5 - 1e-8])
+        by_choice = np.random.default_rng(0)
+        by_draw = np.random.default_rng(0)
+        for rng in (by_choice, by_draw):
+            rng.bit_generator.advance(14_817_372)
+        assert _draw(by_draw, _cdfs(p)) \
+            == int(by_choice.choice(2, p=p)) == 1
+
+    @pytest.mark.parametrize("p", [
+        [0.5, np.nan, 0.5],
+        [1.2, -0.2],
+        [0.5, 0.5 + 2 * np.sqrt(np.finfo(float).eps)],
+        [0.5, 0.5 - 2 * np.sqrt(np.finfo(float).eps)],
+        [np.inf, 0.0],
+    ], ids=["nan", "negative", "sum-high", "sum-low", "inf"])
+    def test_bad_table_rejected_like_choice(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(p), p=p)
+        with pytest.raises(ValueError):
+            _cdfs(p)
+        with pytest.raises(ValueError):  # one bad row rejects the table
+            _cdfs(np.stack([np.full(len(p), 1.0 / len(p)), p]))
+
+
+class TestMeanLength:
+    """The configs take every mean Generator.poisson takes, and no other."""
+
+    NEXT = float(np.nextafter(MAX_MEAN_LENGTH, np.inf))
+
+    def test_poisson_bound(self):
+        np.random.default_rng(0).poisson(MAX_MEAN_LENGTH)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).poisson(self.NEXT)
+
+    def test_hmm_config(self):
+        HmmGenConfig(order=1, K=2, V=4, n_sequences=1,
+                     mean_length=MAX_MEAN_LENGTH, seed=0)
+        with pytest.raises(ConfigError, match="at most"):
+            HmmGenConfig(order=1, K=2, V=4, n_sequences=1,
+                         mean_length=self.NEXT, seed=0)
+
+    def test_doc_config(self):
+        DocGenConfig(n_documents=1, vocab_size=2, n_clusters=1, seed=0,
+                     mean_length=MAX_MEAN_LENGTH)
+        with pytest.raises(ConfigError, match="at most"):
+            DocGenConfig(n_documents=1, vocab_size=2, n_clusters=1, seed=0,
+                         mean_length=self.NEXT)
 
 
 class TestHmmParams:

@@ -107,6 +107,21 @@ def _calls():
     calls.append(("parse-nb-eval", [
         "eval", "--model", "{}/parse-nb/model.json", "--data", heldout,
         "--seed", "4"]))
+    # corpora at the benchmark's sizes, so that a sampler change shows on
+    # thousands of draws per table, not a few dozen
+    calls += [
+        ("bench-seq-data", ["gen", "--task", "sequence", "--runs", "1",
+                            "--mean-length", "10", "--sequences", "40",
+                            "--seed", "301"]),
+        ("bench-seq2-data", ["gen", "--task", "sequence", "--order", "2",
+                             "--runs", "3", "--mean-length", "10",
+                             "--sequences", "15", "--seed", "302"]),
+        ("bench-bank", ["gen", "--task", "depparse", "--sentences", "200",
+                        "--seed", "303"]),
+        ("bench-doc-data", ["gen", "--task", "cluster", "--documents",
+                            "600", "--v", "20", "--k", "3", "--clusters",
+                            "3", "--seed", "304"]),
+    ]
     calls += [
         ("curve", ["learning-curve", "--sentences", "40", "--iterations",
                    "1", "--labeled-counts", "4", "--seeds", "0"]),
@@ -145,6 +160,28 @@ def _protocol_values() -> dict:
 GOLDEN = {
     "bank/treebank.conll":
         "7692d0e800371a5cc4c88ac508279c760c5f587a508c7a0ea1fb1e68227f8620",
+    "bench-bank/treebank.conll":
+        "d8d0b0f08b3d04e1d2e4a9b9c289f058fb24876c349ba959f10b1409bac7257d",
+    "bench-doc-data/documents.gold.txt":
+        "809ceb990d3e4c61a8cf6d752c50b81e813c4d23d3f87d3d2bed30ed209cd982",
+    "bench-doc-data/documents.txt":
+        "5d80d0a460c51c35ec6818b9eba80cec25e984db07234e2677e70a2153a6f80b",
+    "bench-seq-data/sequences-run00.gold.txt":
+        "6fa89fe8abea2ae3d23f10d1b68229242469bb12cc2bdfb1976065da51315af2",
+    "bench-seq-data/sequences-run00.txt":
+        "18d5febf25d042e4deef92f67f668bc53c4eeb8bca4ce22e5aa625a0f6913941",
+    "bench-seq2-data/sequences-run00.gold.txt":
+        "0641775d3bcfcd8692ceb44563b124e8588db03db5d1c968750af8e8ac895310",
+    "bench-seq2-data/sequences-run00.txt":
+        "c9561b14c2a2add0749e1bdae424a5f5190d2dbd1bee0936c65c9b5c43074a1f",
+    "bench-seq2-data/sequences-run01.gold.txt":
+        "c375bc67b4a202cbb00ceb12faf4ba8574a50e76f23c96eed8550b88af51fd0e",
+    "bench-seq2-data/sequences-run01.txt":
+        "3e3052b92d54f123a41544b7ff73c3c12fb00b00d5768a208493fcbedbaad6b0",
+    "bench-seq2-data/sequences-run02.gold.txt":
+        "a647b3a4a72515abd15a7d9ce6019545bc4b821488424fcd5ae177c9cc915029",
+    "bench-seq2-data/sequences-run02.txt":
+        "60d58e60977aaa80b083196a1b5691f98e08c9485bdfe02adc77955aa4a3526a",
     "curve/curve.csv":
         "36f5b30bb9aeaf3496a3419581ee8d01c64e0cde58a9204c97b1b4845b1e76de",
     "doc-data/documents.gold.txt":
