@@ -41,9 +41,10 @@ Output files:
   ``unsup`` strips them all; ``sup`` trains on the first
   ``--labeled-count`` sentences (all when not given), each with its
   tree; ``semi`` keeps the trees of the first ``--labeled-count``
-  sentences and strips the rest.  ``train --task cluster --method
-  searn-nb`` is the exact-mode equivalence path (``--exact``); there
-  ``--k 1`` is accepted as a boundary case.
+  sentences and strips the rest; that is all a mode does (the parser
+  reads each sentence's tree, see ``ParseTask``).  ``train --task cluster
+  --method searn-nb`` is the exact-mode equivalence path (``--exact``);
+  there ``--k 1`` is accepted as a boundary case.
 - ``eval``: ``metrics.csv`` (``metric,run,value``, one row per run) and
   ``summary.json``, a flat object over the runs of the one metric scored:
   ``metric``, ``mean``, ``std``, ``n_runs``, ``single_run`` and
@@ -75,9 +76,11 @@ from .core import (LR_OPTIMIZER, LearnedRule, LearnerConfig, RolloutConfig,
                    derive_seed, policy_from_dict, policy_to_dict, run_policy,
                    searn_learn)
 from .corpus_files import MAX_VOCAB_SIZE
-from .datagen import (MAX_MEAN_LENGTH, MEAN_LENGTH_RULE, DocGenConfig,
-                      HmmGenConfig, TreebankGenConfig, gen_document_corpus,
-                      gen_hmm_dataset, gen_hmm_params, gen_treebank)
+from .datagen import (MAX_MEAN_LENGTH, MAX_SEQUENCE_MEAN_LENGTH,
+                      MEAN_LENGTH_RULE, SEQUENCE_MEAN_LENGTH_RULE,
+                      DocGenConfig, HmmGenConfig, TreebankGenConfig,
+                      gen_document_corpus, gen_hmm_dataset, gen_hmm_params,
+                      gen_treebank)
 from .em import (HmmParams, MultinomialMixtureParams, hmm_decode,
                  hmm_em_train, hmm_posterior_decode, mm_e_step,
                  mm_em_train, mm_log_likelihood, mm_random_init)
@@ -89,7 +92,7 @@ from .metrics import (corpus_arc_accuracy, matched_hamming, summarize,
                       write_runs_csv)
 from .task_cluster import (ClusterTask, ClusterTaskConfig, read_documents,
                            write_documents)
-from .task_depparse import ParseTask, ParseTaskConfig, load_conll, write_conll
+from .task_depparse import ParseTask, load_conll, write_conll
 from .task_sequence import (SequenceTask, SequenceTaskConfig, latent_labels,
                             read_sequences, write_sequences)
 
@@ -329,11 +332,13 @@ def _validate(cfg) -> None:
         if value is not None and not value > 0:
             raise ConfigError(f"--{flag.replace('_', '-')} {value}: "
                               "must be positive")
-    for flag in ("mean_length", "doc_mean_length"):
+    for flag, bound, rule in (
+            ("mean_length", MAX_SEQUENCE_MEAN_LENGTH,
+             SEQUENCE_MEAN_LENGTH_RULE),
+            ("doc_mean_length", MAX_MEAN_LENGTH, MEAN_LENGTH_RULE)):
         value = getattr(cfg, flag)
-        if value is not None and not 0 < value <= MAX_MEAN_LENGTH:
-            raise ConfigError(f"--{flag.replace('_', '-')} {value}: "
-                              + MEAN_LENGTH_RULE)
+        if value is not None and not 0 < value <= bound:
+            raise ConfigError(f"--{flag.replace('_', '-')} {value}: " + rule)
     for flag, seeds in (("seed", [cfg.seed]), ("seeds", cfg.seeds or ())):
         if any(seed is not None and seed < 0 for seed in seeds):
             raise ConfigError(f"--{flag} {','.join(map(str, seeds))}: seeds "
@@ -562,9 +567,8 @@ def _train_searn(cfg) -> tuple:
     else:
         data = parse_training_data(_read_treebank(cfg.data),
                                    cfg.supervision, cfg.labeled_count)
-        task, policy, log = train_parser(_parse_experiment(cfg), data,
-                                         cfg.supervision, seed, kind,
-                                         cfg.smoothing)
+        task, policy, log = train_parser(_parse_experiment(cfg), data, seed,
+                                         kind, cfg.smoothing)
         spec = {"task": "depparse", "tagset": cfg.tagset,
                 "supervision": cfg.supervision}
     return spec, {"policy": policy_to_dict(policy, task.interner)}, log
@@ -623,8 +627,10 @@ def _load_model(path) -> tuple:
             task = SequenceTask(SequenceTaskConfig(
                 K=spec["k"], V=spec["v"], feature_mode=spec["feature_mode"]))
         else:
-            task = ParseTask(ParseTaskConfig(
-                tagset_size=spec["tagset"], supervision=spec["supervision"]))
+            tagset, supervision = spec["tagset"], spec["supervision"]
+            task = ParseTask(tagset)
+            if supervision not in _SUPERVISION:
+                raise ConfigError("supervision must be unsup, sup or semi")
         policy, task.interner = policy_from_dict(blob["policy"])
         groups = task.groups()
         for rule, _ in policy.components:

@@ -32,6 +32,11 @@ MAX_MEAN_LENGTH = float(np.iinfo(np.int64).max
                         - np.sqrt(np.iinfo(np.int64).max) * 10)
 MEAN_LENGTH_RULE = ("mean_length must be finite and positive, at most "
                     f"{MAX_MEAN_LENGTH:.16g} (numpy's largest Poisson mean)")
+# a sequence's states are held whole; a document is V counts at any length
+MAX_SEQUENCE_MEAN_LENGTH = 100_000.0
+SEQUENCE_MEAN_LENGTH_RULE = ("mean_length must be finite and positive, at "
+                             f"most {MAX_SEQUENCE_MEAN_LENGTH:g} (a sequence "
+                             "is held in memory whole)")
 # Generator.choice's tolerance on the sum of a probability row
 _CHOICE_TOL = float(np.sqrt(np.finfo(float).eps))
 
@@ -62,8 +67,8 @@ class HmmGenConfig:
             raise ConfigError("K and V must be at least 2")
         if self.n_sequences < 1:
             raise ConfigError("n_sequences must be at least 1")
-        if not 0 < self.mean_length <= MAX_MEAN_LENGTH:
-            raise ConfigError(MEAN_LENGTH_RULE)
+        if not 0 < self.mean_length <= MAX_SEQUENCE_MEAN_LENGTH:
+            raise ConfigError(SEQUENCE_MEAN_LENGTH_RULE)
 
 
 @dataclass(frozen=True)
@@ -92,10 +97,6 @@ class Hmm2Params:
         _check_distribution("pair_transition", self.pair_transition)
         _check_distribution("transition", self.transition)
         _check_distribution("emission", self.emission)
-
-    @property
-    def n_states(self) -> int:
-        return self.initial.shape[0]
 
 
 def gen_hmm_params(cfg: HmmGenConfig):
@@ -168,7 +169,7 @@ class DocGenConfig:
     vocab_size: int
     n_clusters: int
     seed: int
-    mean_length: float = 20.0
+    mean_length: float
 
     def __post_init__(self):
         if self.n_documents < 1:

@@ -215,13 +215,17 @@ def mm_em_train(docs, init: MultinomialMixtureParams, iterations: int):
 # First-order HMM: forward-backward, Baum-Welch, Viterbi
 
 
+def _log_tables(params: HmmParams) -> tuple:
+    """(log initial, log transition, log emission); log 0 is -inf."""
+    with np.errstate(divide="ignore"):
+        return (np.log(params.initial), np.log(params.transition),
+                np.log(params.emission))
+
+
 def hmm_log_forward(params: HmmParams, x) -> np.ndarray:
     """Log forward lattice, shape (T x K)."""
     x = np.asarray(x, dtype=np.int64)
-    with np.errstate(divide="ignore"):
-        log_init = np.log(params.initial)
-        log_trans = np.log(params.transition)
-        log_emit = np.log(params.emission)
+    log_init, log_trans, log_emit = _log_tables(params)
     alpha = np.empty((len(x), params.n_states))
     alpha[0] = log_init + log_emit[:, x[0]]
     for t in range(1, len(x)):
@@ -233,9 +237,7 @@ def hmm_log_forward(params: HmmParams, x) -> np.ndarray:
 def hmm_log_backward(params: HmmParams, x) -> np.ndarray:
     """Log backward lattice, shape (T x K)."""
     x = np.asarray(x, dtype=np.int64)
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(params.transition)
-        log_emit = np.log(params.emission)
+    _, log_trans, log_emit = _log_tables(params)
     beta = np.zeros((len(x), params.n_states))
     for t in range(len(x) - 2, -1, -1):
         beta[t] = logsumexp(
@@ -282,9 +284,7 @@ def hmm_em_train(data, n_states: int, vocab_size: int, iterations: int, seed,
         trans_acc = np.zeros((n_states, n_states))
         emit_acc = np.zeros((n_states, vocab_size))
         total_ll = 0.0
-        with np.errstate(divide="ignore"):
-            log_trans = np.log(params.transition)
-            log_emit = np.log(params.emission)
+        _, log_trans, log_emit = _log_tables(params)
         for x in data:
             alpha = hmm_log_forward(params, x)
             beta = hmm_log_backward(params, x)
@@ -315,10 +315,7 @@ def hmm_em_train(data, n_states: int, vocab_size: int, iterations: int, seed,
 def hmm_decode(params: HmmParams, x) -> np.ndarray:
     """Viterbi state sequence; ties break toward the lower state id."""
     x = np.asarray(x, dtype=np.int64)
-    with np.errstate(divide="ignore"):
-        log_init = np.log(params.initial)
-        log_trans = np.log(params.transition)
-        log_emit = np.log(params.emission)
+    log_init, log_trans, log_emit = _log_tables(params)
     T, K = len(x), params.n_states
     delta = np.empty((T, K))
     back = np.zeros((T, K), dtype=np.int64)

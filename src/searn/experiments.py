@@ -4,7 +4,8 @@ The parsing protocols and the equivalence sweep fix their data and seed
 derivation so that every run is reproducible from its settings and one
 master seed; the CLI's run table (``cli._RUNS``) holds their defaults.
 The CLI runs the same training and decoding steps (``train_parser``,
-``parse_training_data``, ``decode``); the sequence grid (EM against
+``parse_training_data``, ``decode``); a parsing run's supervision mode
+acts only in ``parse_training_data``.  The sequence grid (EM against
 mixture training on HMM data) is the CLI's ``gen``, ``train`` and
 ``eval`` alone.  File output lives in the CLI layer.
 """
@@ -20,7 +21,7 @@ from .datagen import (DocGenConfig, TreebankGenConfig, gen_document_corpus,
 from .errors import ConfigError, DataError
 from .metrics import corpus_arc_accuracy, summarize
 from .task_cluster import run_equivalence
-from .task_depparse import ParseTask, ParseTaskConfig, TaggedSentence
+from .task_depparse import ParseTask, TaggedSentence
 
 # Seed-derivation keys.  Every stream consumed by a protocol is derived
 # from (master_seed, key, indices...) so runs never share randomness.
@@ -34,6 +35,8 @@ _EQUIV_INIT_KEY = 602
 # equivalence-sweep cluster counts (cycled) and largest passing gap
 _EQUIV_CLUSTER_COUNTS = (2, 3)
 _EQUIV_TOLERANCE = 1e-8
+# mean document length of the equivalence-sweep corpora
+_EQUIV_DOC_MEAN_LENGTH = 20.0
 # parse protocols train on at most this many sentences of the training split
 PARSE_TRAIN_LIMIT = 500
 
@@ -84,7 +87,8 @@ def _strip_gold(sentences):
 
 def parse_training_data(sentences, supervision: str,
                         labeled_count: int | None) -> list:
-    """Training inputs for one supervision mode.
+    """Training inputs for one supervision mode: ``ParseTask`` reads
+    only which sentences keep their gold tree.
 
     "unsup" strips every gold tree; "sup" keeps the first
     ``labeled_count`` sentences (all when None), each of which must have
@@ -110,13 +114,12 @@ def parse_training_data(sentences, supervision: str,
     return labeled
 
 
-def train_parser(exp: ParseExperiment, data, supervision: str, seed: int,
-                 kind: str = "lr", smoothing: float = 0.0):
+def train_parser(exp: ParseExperiment, data, seed: int, kind: str = "lr",
+                 smoothing: float = 0.0):
     """Mixture-train a parser on prepared inputs (see
     ``parse_training_data``) with the settings of ``exp``; returns
     (task, policy, searn_learn's log)."""
-    task = ParseTask(ParseTaskConfig(tagset_size=exp.tagset_size,
-                                     supervision=supervision))
+    task = ParseTask(exp.tagset_size)
     learner = LearnerConfig(kind=kind, smoothing=smoothing,
                             l2_variance={"parse": exp.tree_variance,
                                          "tag": exp.tag_variance})
@@ -148,7 +151,7 @@ def run_parse(exp: ParseExperiment, master_seed: int, corpus,
     """
     train, _, test = corpus
     data = parse_training_data(train, supervision, labeled_count)
-    task, policy, _ = train_parser(exp, data, supervision,
+    task, policy, _ = train_parser(exp, data,
                                    derive_seed(master_seed, _PARSE_TRAIN_KEY))
     preds = decode_trees(task, policy, test,
                          derive_seed(master_seed, _PARSE_DECODE_KEY),
@@ -159,8 +162,7 @@ def run_parse(exp: ParseExperiment, master_seed: int, corpus,
 def random_parse_baseline(exp: ParseExperiment, master_seed: int) -> float:
     """Arc accuracy of the untrained policy (random legal actions)."""
     _, _, test = parse_corpus(exp, master_seed)
-    task = ParseTask(ParseTaskConfig(tagset_size=exp.tagset_size,
-                                     supervision="unsup"))
+    task = ParseTask(exp.tagset_size)
     preds = decode_trees(task, initial_policy(), test,
                          derive_seed(master_seed, _PARSE_BASELINE_KEY),
                          _PARSE_ITEM_KEY)
@@ -239,7 +241,8 @@ def equivalence_sweep(n_corpora: int, n_documents: int, vocab_size: int,
         K = _EQUIV_CLUSTER_COUNTS[c % len(_EQUIV_CLUSTER_COUNTS)]
         corpus = gen_document_corpus(DocGenConfig(
             n_documents=n_documents, vocab_size=vocab_size, n_clusters=K,
-            seed=derive_seed(master_seed, _EQUIV_DATA_KEY, c)))
+            seed=derive_seed(master_seed, _EQUIV_DATA_KEY, c),
+            mean_length=_EQUIV_DOC_MEAN_LENGTH))
         docs = [doc for doc, _ in corpus]
         reports.append(run_equivalence(
             docs, K, iterations, derive_seed(master_seed, _EQUIV_INIT_KEY, c),

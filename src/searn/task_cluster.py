@@ -5,10 +5,12 @@ document as a distribution over the vocabulary.  The loss is the log loss
 of the true counts under the emitted distribution, so cluster ids matter
 only through the emission table attached to them.
 
-The expected rollout losses have a closed form, and the task learns only
-by it: no decision is rolled out.  The learning loop configured with a
-naive Bayes learner, softmin weights, zero smoothing, and beta = 1 then
-walks the same parameter trajectory as EM on a mixture of multinomials;
+The task learns only by a closed form, with no rollouts: a cluster's cost
+is the negative log joint, its emit decision's rollout loss minus log
+rho_k.  The prior term makes the softmin of these costs EM's E-step, so
+the learning loop configured with a naive Bayes learner, softmin weights,
+zero smoothing, and beta = 1 walks the same parameter trajectory as EM
+on a mixture of multinomials;
 :func:`run_equivalence` checks this end to end.  Like EM's E- and
 M-steps, one iteration is a few array operations over the whole corpus:
 :meth:`ClusterTask.exact_examples` turns the n x V count matrix into an
@@ -203,20 +205,20 @@ class ClusterTask(Task):
             raise TrainingError("a cluster received zero emission mass")
         return ClusterEmissionModel(acc / row_sums)
 
-    # ----- closed-form expected costs -------------------------------------
+    # ----- closed-form costs ----------------------------------------------
 
     def exact_examples(self, dataset, policy: Policy):
-        """Expected-loss cost vectors and the responsibility record of the
-        whole corpus.
+        """Negative-log-joint cost vectors and the responsibility record of
+        the whole corpus.
 
-        The corpus is checked once into an n x V count matrix D.  The
-        expected completion loss of choosing cluster k for document i is
-        the negative log joint -log rho_k - sum_v D_iv log theta_kv under
-        the policy's tables: one n x K cost matrix, whose softmin rows,
-        the responsibilities Z, go out as the (Z, D) record.  The policy
-        is one learned rule with an emission table, as the learning loop
-        leaves it at beta = 1; the initial rule has no closed form here,
-        and it and any mixture are a ConfigError.
+        The corpus is checked once into an n x V count matrix D.  The cost
+        of cluster k for document i is -log rho_k - sum_v D_iv log theta_kv
+        under the policy's tables: the emit decision's rollout loss minus
+        log rho_k, a prior term that makes the softmin rows of this n x K
+        matrix EM's E-step.  Those rows, the responsibilities Z, go out as
+        the (Z, D) record.  The policy is one learned rule with an emission
+        table, as the learning loop leaves it at beta = 1; the initial rule
+        has no closed form here, and it and any mixture are a ConfigError.
         """
         rules = [rule for rule, _ in policy.components]
         if any(isinstance(rule, InitialRule) for rule in rules):

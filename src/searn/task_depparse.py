@@ -1,9 +1,9 @@
 """Shift-reduce dependency parsing as a sequential decision task.
 
 Phase 1 runs a four-action arc-eager transition system over the tag
-sequence; phase 2 (unsupervised and semi-supervised modes) produces one
-tag per token using features read off the phase-1 tree, so the loss can
-be computed from the produced tags alone.  Decoding reads only the tree,
+sequence; phase 2 (sentences with no gold tree) produces one tag per
+token using features read off the phase-1 tree, so the loss can be
+computed from the produced tags alone.  Decoding reads only the tree,
 so it runs phase 1 alone (:meth:`ParseTask.decoder`).
 """
 
@@ -219,32 +219,18 @@ def supervised_oracle(state: ParserState, gold: DependencyTree,
     raise StateError("no legal parser action remains")
 
 
-@dataclass(frozen=True)
-class ParseTaskConfig:
-    tagset_size: int
-    supervision: str
-
-    def __post_init__(self):
-        if self.tagset_size < 2:
-            raise ConfigError("tagset_size must be at least 2")
-        if self.supervision not in ("unsup", "sup", "semi"):
-            raise ConfigError("supervision must be unsup, sup or semi")
-
-
 class ParseState:
-    """Rollout state: sentence, its labeling gold tree (see
-    ParseTask._gold), parser state, produced tags, cached tree.
+    """Rollout state: sentence, parser state, produced tags, cached tree.
 
     ``windows`` memoizes the sentence's tag-window pairs (see _window);
     one dict is shared by every state reached from an initial state.
     Once parsing ends, it is None and ``tree`` is set.
     """
 
-    __slots__ = ("sent", "gold", "ps", "produced", "tree", "windows")
+    __slots__ = ("sent", "ps", "produced", "tree", "windows")
 
-    def __init__(self, sent, gold, ps, produced, tree, windows):
+    def __init__(self, sent, ps, produced, tree, windows):
         self.sent = sent
-        self.gold = gold
         self.ps = ps
         self.produced = produced
         self.tree = tree
@@ -252,55 +238,48 @@ class ParseState:
 
 
 class ParseTask(Task):
-    def __init__(self, config: ParseTaskConfig):
-        self.config = config
+    """A sentence with a gold tree gets the arc loss and the gold-tree
+    oracle; one without gets random parse actions and, unless the task
+    decodes (see ``decoder``), a tag phase scored by tag mismatches."""
+
+    def __init__(self, tagset_size: int):
+        if tagset_size < 2:
+            raise ConfigError("tagset_size must be at least 2")
+        self.tagset_size = tagset_size
         self.interner = Interner()
-        self._groups = {PARSE: 4}
-        self._tags_unlabeled = config.supervision != "sup"
-        if self._tags_unlabeled:
-            self._groups[TAG] = config.tagset_size
-        self._tag_legal = tuple(range(config.tagset_size))
+        self._groups = {PARSE: 4, TAG: tagset_size}
+        self._decoding = False
+        self._tag_legal = tuple(range(tagset_size))
 
     def groups(self):
         return self._groups
 
-    def _gold(self, sent: TaggedSentence):
-        """The tree that labels ``sent``, decided once per sentence: its
-        gold tree, or None if it has none or the mode is unsup.  A labeled
-        sentence gets the arc loss and the gold-tree oracle; an unlabeled
-        one gets random parse actions and, unless the mode is sup or the
-        task decodes (see ``decoder``), a tag phase scored by tag
-        mismatches."""
-        return None if self.config.supervision == "unsup" else sent.gold_tree
-
-    def _tagged(self, gold) -> bool:
-        """Whether a sentence labeled by ``gold`` has a tag phase."""
-        return gold is None and self._tags_unlabeled
+    def _tagged(self, sent: TaggedSentence) -> bool:
+        """Whether ``sent`` has a tag phase."""
+        return sent.gold_tree is None and not self._decoding
 
     def decoder(self) -> "ParseTask":
-        """This task with no tag phase, the rule of sup mode: a decoded
-        sentence carries no gold tree, and its tree is all that decoding
-        reads.  It shares this task's interner."""
+        """This task with no tag phase: a decoded sentence carries no gold
+        tree, and its tree is all that decoding reads.  It shares this
+        task's interner."""
         twin = copy.copy(self)
-        twin._tags_unlabeled = False
+        twin._decoding = True
         return twin
 
     def initial_state(self, example: TaggedSentence) -> ParseState:
         if example.n_tokens > MAX_LENGTH:
             raise DataError(f"sentence exceeds {MAX_LENGTH} tokens")
-        if any(t >= self.config.tagset_size for t in example.tags):
+        if any(t >= self.tagset_size for t in example.tags):
             raise DataError("tag id outside the configured tagset")
-        return ParseState(example, self._gold(example),
-                          initial_parser_state(example.n_tokens), (), None,
-                          {})
+        return ParseState(example, initial_parser_state(example.n_tokens),
+                          (), None, {})
 
     def max_decisions(self, example) -> int:
-        phases = 3 if self._tagged(self._gold(example)) else 2
-        return phases * example.n_tokens
+        return (3 if self._tagged(example) else 2) * example.n_tokens
 
     def is_final(self, state: ParseState) -> bool:
         T = state.sent.n_tokens
-        return state.ps.i > T and (not self._tagged(state.gold)
+        return state.ps.i > T and (not self._tagged(state.sent)
                                    or len(state.produced) == T)
 
     def group_of(self, state: ParseState) -> str:
@@ -321,8 +300,8 @@ class ParseTask(Task):
 
     def initial_action(self, state: ParseState, legal: tuple, rng) -> int:
         if state.ps.i <= state.sent.n_tokens:
-            if state.gold is not None:
-                return supervised_oracle(state.ps, state.gold, legal)
+            if state.sent.gold_tree is not None:
+                return supervised_oracle(state.ps, state.sent.gold_tree, legal)
             return legal[int(rng.integers(len(legal)))]
         return state.sent.tags[len(state.produced)]
 
@@ -334,18 +313,15 @@ class ParseTask(Task):
                 # the full tree check runs on every completed parse; the
                 # tree is all that later steps read, and dropping the
                 # windows frees them with the sentence's last parse
-                return ParseState(state.sent, state.gold, ps, (),
-                                  finalize(ps, T), None)
-            return ParseState(state.sent, state.gold, ps, (), None,
-                              state.windows)
-        if not 0 <= action < self.config.tagset_size:
+                return ParseState(state.sent, ps, (), finalize(ps, T), None)
+            return ParseState(state.sent, ps, (), None, state.windows)
+        if not 0 <= action < self.tagset_size:
             raise StateError(f"tag {action} outside the tagset")
-        return ParseState(state.sent, state.gold, state.ps,
-                          state.produced + (action,), state.tree,
-                          state.windows)
+        return ParseState(state.sent, state.ps, state.produced + (action,),
+                          state.tree, state.windows)
 
     def rollout_loss(self, state: ParseState) -> float:
-        sent, gold = state.sent, state.gold
+        sent, gold = state.sent, state.sent.gold_tree
         if gold is not None:
             wrong = sum(1 for d in range(1, sent.n_tokens + 1)
                         if state.tree.head_of(d) != gold.head_of(d))
@@ -361,7 +337,7 @@ class ParseTask(Task):
             return None
         truth = state.sent.tags[len(state.produced)]
         return np.array([float(a != truth)
-                         for a in range(self.config.tagset_size)])
+                         for a in range(self.tagset_size)])
 
     def validate_final(self, state: ParseState) -> None:
         T = state.sent.n_tokens
@@ -369,7 +345,7 @@ class ParseTask(Task):
             raise StateError("rollout ended with unconsumed input")
         if state.tree is None:
             raise StateError("final state has no tree")
-        if self._tagged(state.gold) and len(state.produced) != T:
+        if self._tagged(state.sent) and len(state.produced) != T:
             raise StateError("rollout ended with missing tag productions")
 
     def _tag_features(self, state: ParseState) -> FeatureVector:

@@ -556,13 +556,27 @@ class TestExitCodes:
     def test_gen_mean_length_above_poisson_bound(self, tmp_path, capsys,
                                                  flag, task, value):
         # numpy's Poisson sampler once ended these in "ValueError: lam
-        # value too large"; the second value is the float after its bound
+        # value too large"; the second value is the float after its bound.
+        # A sequence mean has the lower bound of the next test.
         out = tmp_path / "o"
         assert run_cli("gen", "--task", task, flag, value,
                        "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert f"config error: {flag} " in err
-        assert "at most 9.223372006484771e+18" in err
+        bound = "100000 " if task == "sequence" else "9.223372006484771e+18"
+        assert f"at most {bound}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["100000.00000000001", "1e9"])
+    def test_gen_sequence_mean_length_bound(self, tmp_path, capsys, value):
+        # a mean numpy accepts once grew one sequence until memory ran
+        # out; no sequence is generated here
+        out = tmp_path / "o"
+        assert run_cli("gen", "--task", "sequence", "--mean-length", value,
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error: --mean-length " in err
+        assert "at most 100000 (a sequence is held in memory whole)" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("task, value, extra, error", [
@@ -671,6 +685,14 @@ _SEQUENCE_SPEC = {"task": "sequence", "k": 2, "v": 10,
                   "feature_mode": "nb_hmm"}
 
 
+def _parse_model(**spec):
+    """A parse model file with ``spec`` and a policy of no rules."""
+    return {"format_version": 1, "method": "searn-lr",
+            "task": {"task": "depparse", **spec},
+            "policy": {"format_version": 1, "feature_names": [],
+                       "components": []}}
+
+
 @pytest.mark.parametrize("blob", [
     {"format_version": 1, "method": "em"},
     [1, 2],
@@ -690,9 +712,13 @@ _SEQUENCE_SPEC = {"task": "sequence", "k": 2, "v": 10,
     {"format_version": 1, "method": "em",
      "task": {"task": "cluster", "k": 2, "v": 10},
      "params": {"rho": [0.5, 0.5]}},
+    _parse_model(tagset=12, supervision="distant"),
+    _parse_model(supervision="unsup"),
+    _parse_model(tagset=1, supervision="unsup"),
 ], ids=["no-task", "list", "string", "version", "task-not-object",
         "unknown-task", "unknown-method", "no-params", "bad-tables",
-        "no-policy", "policy-list", "spec-fields", "no-theta"])
+        "no-policy", "policy-list", "spec-fields", "no-theta",
+        "parse-supervision", "parse-no-tagset", "parse-tagset-1"])
 def test_malformed_model_is_data_error(seq_run, tmp_path, blob):
     data, _ = seq_run
     model = tmp_path / "model.json"
@@ -701,6 +727,19 @@ def test_malformed_model_is_data_error(seq_run, tmp_path, blob):
                    "--data", str(data / "sequences-run00.txt"),
                    "--gold", str(data / "sequences-run00.gold.txt"),
                    "--out", str(tmp_path / "eval")) == 1
+
+
+def test_model_supervision_is_checked(seq_run, tmp_path, capsys):
+    # no task reads the recorded mode, but eval still rejects an unknown one
+    data, _ = seq_run
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_parse_model(tagset=12,
+                                             supervision="distant")))
+    assert run_cli("eval", "--model", str(model),
+                   "--data", str(data / "sequences-run00.txt"),
+                   "--out", str(tmp_path / "eval")) == 1
+    assert f"data error: {model}: malformed model (ConfigError('supervision " \
+        "must be unsup, sup or semi'))" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

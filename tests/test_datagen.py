@@ -5,6 +5,7 @@ import pytest
 
 from searn.datagen import (
     MAX_MEAN_LENGTH,
+    MAX_SEQUENCE_MEAN_LENGTH,
     DocGenConfig,
     Hmm2Params,
     HmmGenConfig,
@@ -18,8 +19,8 @@ from searn.datagen import (
 )
 from searn.em import HmmParams, hmm_decode
 from searn.errors import ConfigError
-from searn.task_depparse import (MAX_LENGTH, ParseTask, ParseTaskConfig,
-                                  load_conll, write_conll)
+from searn.task_depparse import (MAX_LENGTH, ParseTask, load_conll,
+                                  write_conll)
 
 
 def _table(seed: int) -> np.ndarray:
@@ -113,7 +114,10 @@ class TestSampler:
 
 
 class TestMeanLength:
-    """The configs take every mean Generator.poisson takes, and no other."""
+    """A document config takes every mean Generator.poisson takes, and no
+    other; a sequence config stops far below, at 100,000, since a
+    sequence's states are held whole.  These build configs only: no data
+    is generated near either bound."""
 
     NEXT = float(np.nextafter(MAX_MEAN_LENGTH, np.inf))
 
@@ -123,11 +127,14 @@ class TestMeanLength:
             np.random.default_rng(0).poisson(self.NEXT)
 
     def test_hmm_config(self):
+        assert MAX_SEQUENCE_MEAN_LENGTH == 100_000
         HmmGenConfig(order=1, K=2, V=4, n_sequences=1,
-                     mean_length=MAX_MEAN_LENGTH, seed=0)
-        with pytest.raises(ConfigError, match="at most"):
-            HmmGenConfig(order=1, K=2, V=4, n_sequences=1,
-                         mean_length=self.NEXT, seed=0)
+                     mean_length=MAX_SEQUENCE_MEAN_LENGTH, seed=0)
+        above = float(np.nextafter(MAX_SEQUENCE_MEAN_LENGTH, np.inf))
+        for mean in (above, MAX_MEAN_LENGTH, self.NEXT):
+            with pytest.raises(ConfigError, match="at most 100000 "):
+                HmmGenConfig(order=1, K=2, V=4, n_sequences=1,
+                             mean_length=mean, seed=0)
 
     def test_doc_config(self):
         DocGenConfig(n_documents=1, vocab_size=2, n_clusters=1, seed=0,
@@ -253,8 +260,7 @@ class TestTreebank:
         assert len(bank) == 300
         # the generator fills the parse task's length cap, never passes it
         assert max(s.n_tokens for s in bank) == MAX_LENGTH
-        task = ParseTask(ParseTaskConfig(tagset_size=12,
-                                         supervision="unsup"))
+        task = ParseTask(12)
         for sent in bank:
             assert 1 <= sent.n_tokens
             assert sent.gold_tree is not None

@@ -17,7 +17,7 @@ from searn.errors import StateError, TaskContractError
 from searn.experiments import (ParseExperiment, decode, decode_trees,
                                parse_training_data, train_parser)
 from searn.task_cluster import ClusterTask, ClusterTaskConfig
-from searn.task_depparse import ParseTask, ParseTaskConfig, TaggedSentence
+from searn.task_depparse import DependencyTree, ParseTask, TaggedSentence
 from searn.task_sequence import (EMIT, LATENT, SeqState, SequenceTask,
                                  SequenceTaskConfig, latent_labels)
 
@@ -61,7 +61,7 @@ def parser(request, treebank):
                           tree_variance=10.0, tag_variance=10.0)
     data = parse_training_data(train, supervision,
                                None if supervision == "unsup" else 10)
-    task, policy, _ = train_parser(exp, data, supervision, seed=3, kind=kind,
+    task, policy, _ = train_parser(exp, data, seed=3, kind=kind,
                                    smoothing=1.0)
     assert len(policy.components) == (1 if beta == 1.0 else 2)
     return task, policy
@@ -84,7 +84,7 @@ def test_decoded_trees_match_the_full_task(parser, treebank, seed):
 
 def test_random_policy_trees_match_the_full_task(treebank):
     _, test = treebank
-    task = ParseTask(ParseTaskConfig(tagset_size=TAGSET, supervision="unsup"))
+    task = ParseTask(TAGSET)
     old = [s.tree.heads for s in
            _full_task_finals(task, initial_policy(), _unlabeled(test), 0)]
     assert [t.heads for t in decode_trees(task, initial_policy(), test, 0,
@@ -99,10 +99,9 @@ def test_parse_decoder_states_hold_no_tags(parser, treebank):
         assert state.produced == ()
         assert state.ps.i == state.sent.n_tokens + 1
         assert state.tree is not None
-    if task.config.supervision != "sup":
-        # the full task still tags every unlabeled sentence
-        assert all(len(s.produced) == s.sent.n_tokens for s in
-                   _full_task_finals(task, policy, sentences, 0))
+    # the full task still tags every unlabeled sentence
+    assert all(len(s.produced) == s.sent.n_tokens for s in
+               _full_task_finals(task, policy, sentences, 0))
 
 
 def test_parse_decoder_shares_the_interner(parser):
@@ -110,8 +109,10 @@ def test_parse_decoder_shares_the_interner(parser):
     decoder = task.decoder()
     assert decoder.interner is task.interner
     assert decoder is not task
-    assert task._tagged(None) == (task.config.supervision != "sup")
-    assert not decoder._tagged(None)
+    bare = TaggedSentence((1, 2))
+    labeled = TaggedSentence((1, 2), DependencyTree((0, 1)))
+    assert task._tagged(bare) and not task._tagged(labeled)
+    assert not decoder._tagged(bare) and not decoder._tagged(labeled)
 
 
 def test_parse_decoder_needs_the_tree(parser, treebank):

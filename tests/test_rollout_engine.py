@@ -42,7 +42,6 @@ from searn.task_depparse import (
     ParserState,
     ParseState,
     ParseTask,
-    ParseTaskConfig,
     TaggedSentence,
     _distance_bucket,
     _window_pairs,
@@ -227,12 +226,12 @@ class OracleParseTask(ParseTask):
 
     def initial_state(self, example):
         state = super().initial_state(example)
-        return ParseState(state.sent, state.gold, state.ps, (), None, None)
+        return ParseState(state.sent, state.ps, (), None, None)
 
     def legal_actions(self, state):
         if state.ps.i <= state.sent.n_tokens:
             return oracle_parser_legal(state.ps, state.sent.n_tokens)
-        return tuple(range(self.config.tagset_size))
+        return tuple(range(self.tagset_size))
 
     def features(self, state):
         if state.ps.i <= state.sent.n_tokens:
@@ -241,9 +240,7 @@ class OracleParseTask(ParseTask):
 
     def initial_action(self, state, legal, rng):
         T = state.sent.n_tokens
-        gold = state.sent.gold_tree
-        if state.ps.i <= T and (self.config.supervision == "unsup"
-                                or gold is None):
+        if state.ps.i <= T and state.sent.gold_tree is None:
             legal = oracle_parser_legal(state.ps, T)
             return legal[int(rng.integers(len(legal)))]
         return super().initial_action(state, legal, rng)
@@ -253,11 +250,11 @@ class OracleParseTask(ParseTask):
         if state.ps.i <= T:
             ps = oracle_apply_action(state.ps, action, T)
             tree = finalize(ps, T) if ps.i == T + 1 else None
-            return ParseState(state.sent, state.gold, ps, (), tree, None)
-        if not 0 <= action < self.config.tagset_size:
+            return ParseState(state.sent, ps, (), tree, None)
+        if not 0 <= action < self.tagset_size:
             raise StateError(f"tag {action} outside the tagset")
-        return ParseState(state.sent, state.gold, state.ps,
-                          state.produced + (action,), state.tree, None)
+        return ParseState(state.sent, state.ps, state.produced + (action,),
+                          state.tree, None)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +421,12 @@ def test_sequence_rollout_finals_match_default_per_state(mode):
     ("unsup", "lr"), ("unsup", "nb"), ("sup", "nb"), ("semi", "lr"),
 ])
 def test_depparse_matches_reference(supervision, kind):
-    config = ParseTaskConfig(tagset_size=4, supervision=supervision)
+    # the mode only decides which sentences carry their gold tree
     labeled = {"unsup": lambda j: False, "sup": lambda j: True,
                "semi": lambda j: j % 2 == 0}[supervision]
     data = random_sentences(4, 5, seed=21, labeled=labeled)
     learner = LearnerConfig(kind=kind, smoothing=0.5)
-    learn_side_by_side(ParseTask(config), OracleParseTask(config), data,
+    learn_side_by_side(ParseTask(4), OracleParseTask(4), data,
                        learner, beta=0.5,
                        cfg=RolloutConfig(n_samples=2, seed=9))
 
@@ -470,8 +467,7 @@ def test_cost_ties_go_to_lowest_id():
 def test_parse_steps_match_reference_per_state():
     # a fresh interner per state makes the order in which one call
     # interns its names visible (two dependents of one node, say)
-    config = ParseTaskConfig(tagset_size=6, supervision="unsup")
-    task = ParseTask(config)
+    task = ParseTask(6)
     rng = np.random.default_rng(51)
     for sent in random_sentences(6, 300, seed=52,
                                  labeled=lambda j: False):
@@ -480,7 +476,7 @@ def test_parse_steps_match_reference_per_state():
         while state.ps.i <= T:
             legal = task.legal_actions(state)
             assert legal == oracle_parser_legal(state.ps, T)
-            fresh, reference = ParseTask(config), OracleParseTask(config)
+            fresh, reference = ParseTask(6), OracleParseTask(6)
             assert fresh.features(state) == oracle_tree_features(
                 reference, state.ps, sent)
             assert fresh.interner.names() == reference.interner.names()

@@ -18,6 +18,7 @@ from searn.em import (MultinomialMixtureParams, mm_e_step, mm_em_train,
                       mm_log_likelihood, mm_random_init)
 from searn.errors import ConfigError, DataError
 from searn.task_cluster import (
+    CLUSTER,
     DOC,
     ClusterTask,
     ClusterTaskConfig,
@@ -162,6 +163,45 @@ class TestExactCosts:
             post = np.exp(-ex.costs)
             post /= post.sum()
             np.testing.assert_allclose(post, z_oracle[n], atol=1e-10)
+
+    @staticmethod
+    def _rollout_losses(task, rule, doc):
+        """Loss of choosing each cluster, then emitting by the rule."""
+        losses = []
+        for k in range(task.config.K):
+            state = task.apply(task.initial_state(doc), k)
+            emitted = task.model_action(rule.models[DOC], state,
+                                        task.legal_actions(state))
+            losses.append(task.rollout_loss(task.apply(state, emitted)))
+        return np.array(losses)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_costs_are_rollout_loss_minus_log_prior(self, seed):
+        # the closed form is the negative log joint, not the expected
+        # rollout loss: the emit decision's loss minus the policy's log rho
+        V, K = 5, 3
+        docs = random_corpus(6, V, 40 + seed)
+        task = make_task(K=K, V=V)
+        pol = task.policy_from_params(mm_random_init(K, V, 50 + seed))
+        rule = pol.components[0][0]
+        examples = task.exact_examples(list(docs), pol).cost_examples
+        assert len(examples) == len(docs)
+        for doc, ex in zip(docs, examples):
+            want = (self._rollout_losses(task, rule, doc)
+                    - rule.models[CLUSTER].class_log_prior)
+            np.testing.assert_allclose(ex.costs, want - want.min(),
+                                       rtol=0, atol=1e-10)
+
+    def test_prior_term_moves_the_regrets(self):
+        task = make_task(K=3, V=5)
+        pol = task.policy_from_params(mm_random_init(3, 5, 7))
+        doc = np.array([3.0, 0.0, 1.0, 2.0, 1.0])
+        rollout = self._rollout_losses(task, pol.components[0][0], doc)
+        (ex,) = task.exact_examples([doc], pol).cost_examples
+        np.testing.assert_allclose(rollout - rollout.min(),
+                                   [9.901, 0.0, 0.604], atol=5e-4)
+        np.testing.assert_allclose(ex.costs, [10.262, 0.0, 0.749],
+                                   atol=5e-4)
 
     def test_record_weights_are_responsibilities(self):
         V, K = 4, 2

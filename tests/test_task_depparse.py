@@ -23,7 +23,6 @@ from searn.task_depparse import (
     SHIFT,
     DependencyTree,
     ParseTask,
-    ParseTaskConfig,
     ParserState,
     ParseState,
     TaggedSentence,
@@ -41,9 +40,8 @@ N_RANDOM_ROLLOUTS = 10_000
 N_ORACLE_TREES = 2_000
 
 
-def make_task(supervision="unsup", tagset=12):
-    return ParseTask(ParseTaskConfig(tagset_size=tagset,
-                                     supervision=supervision))
+def make_task(tagset=12):
+    return ParseTask(tagset)
 
 
 def random_rollout_tree(T, rng):
@@ -221,7 +219,7 @@ class TestOracle:
 
 class TestTreeFeatures:
     def names(self, task, ps, tags):
-        state = ParseState(TaggedSentence(tags), None, ps, (), None, {})
+        state = ParseState(TaggedSentence(tags), ps, (), None, {})
         return task.features(state).as_dict(task.interner)
 
     def test_initial_state_has_null_stack_marker(self):
@@ -292,7 +290,7 @@ def action_spaces(task, sent, rng):
 
 class TestDecompose:
     def test_phase_one_bounded_by_twice_length(self):
-        task = make_task(supervision="sup")
+        task = make_task()
         gold, _ = random_rollout_tree(7, np.random.default_rng(5))
         sent = TaggedSentence(tuple(range(7)), gold)
         spaces = action_spaces(task, sent, np.random.default_rng(0))
@@ -307,14 +305,17 @@ class TestDecompose:
         assert len(spaces) <= 2 * 7 + 7
 
     def test_sup_without_gold_rejected(self):
-        # training data is checked where it is prepared; the task itself
-        # builds gold-free sup states, which is how every decode runs
+        # training data is checked where it is prepared; the task gives a
+        # gold-free sentence a tag phase, except in its decoder, which is
+        # how every decode runs
         with pytest.raises(DataError, match="requires a gold tree"):
             parse_training_data([TaggedSentence((1, 2))], "sup", None)
-        task = make_task(supervision="sup")
-        state = task.initial_state(TaggedSentence((1, 2)))
-        assert state.gold is None
-        assert task.max_decisions(state.sent) == 4
+        task = make_task()
+        sent = TaggedSentence((1, 2))
+        assert task.max_decisions(sent) == 6
+        assert task.decoder().max_decisions(sent) == 4
+        labeled = TaggedSentence((1, 2), DependencyTree((0, 1)))
+        assert task.max_decisions(labeled) == 4
 
     def test_length_cap(self):
         task = make_task()
@@ -381,17 +382,20 @@ class TestLosses:
         assert task.rollout_loss(state) == 2.0
 
     def test_unsup_ignores_gold(self):
+        # unsup data keeps no tree, so a sentence that had one is trained
+        # as the bare sentence
         task = make_task()
         gold = DependencyTree((0, 1, 2))
         bare = TaggedSentence((3, 1, 4))
-        rich = TaggedSentence((3, 1, 4), gold)
+        (rich,) = parse_training_data([TaggedSentence((3, 1, 4), gold)],
+                                      "unsup", None)
         actions = [SHIFT, SHIFT, SHIFT, 3, 1, 0]
         loss_bare = task.rollout_loss(drive(task, bare, actions))
         loss_rich = task.rollout_loss(drive(task, rich, actions))
         assert loss_bare == loss_rich == 1.0
 
     def test_sup_loss_is_wrong_head_fraction(self):
-        task = make_task(supervision="sup")
+        task = make_task()
         gold = DependencyTree((0, 1, 1, 3))
         sent = TaggedSentence((3, 1, 4, 1), gold)
         state = drive(task, sent, [SHIFT, SHIFT, SHIFT, SHIFT])
@@ -399,7 +403,7 @@ class TestLosses:
         assert task.rollout_loss(state) == pytest.approx(0.75)
 
     def test_semi_dispatches_on_gold_presence(self):
-        task = make_task(supervision="semi")
+        task = make_task()
         gold = DependencyTree((0, 1))
         labeled = TaggedSentence((3, 1), gold)
         state = drive(task, labeled, [SHIFT, SHIFT])
@@ -422,6 +426,22 @@ class TestRolloutIntegration:
         assert a.ps == b.ps
         assert a.produced == b.produced
 
+    def test_initial_rule_reads_each_sentence_gold_tree(self):
+        # one task: the initial rule parses a labeled sentence into its
+        # gold tree with no tag phase, and tags an unlabeled one
+        task = make_task()
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            T = int(rng.integers(1, MAX_LENGTH + 1))
+            gold, _ = random_rollout_tree(T, rng)
+            tags = tuple(int(t) for t in rng.integers(0, 12, size=T))
+            labeled = run_policy(task, TaggedSentence(tags, gold),
+                                 initial_policy(), rng)
+            assert labeled.tree == gold and labeled.produced == ()
+            bare = run_policy(task, TaggedSentence(tags), initial_policy(),
+                              rng)
+            assert bare.produced == tags
+
     def test_supervised_learning_round(self):
         rng = np.random.default_rng(13)
         sents = []
@@ -430,7 +450,7 @@ class TestRolloutIntegration:
             gold, _ = random_rollout_tree(T, rng)
             tags = tuple(int(x) for x in rng.integers(0, 6, size=T))
             sents.append(TaggedSentence(tags, gold))
-        task = make_task(supervision="sup", tagset=6)
+        task = make_task(tagset=6)
         pol, _ = searn_learn(task, sents, LearnerConfig(kind="nb",
                                                         smoothing=0.1),
                              beta=0.1, cfg=RolloutConfig(seed=4),
@@ -519,10 +539,18 @@ class TestConfig:
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
-            ParseTaskConfig(tagset_size=1, supervision="unsup")
-        with pytest.raises(ConfigError):
-            ParseTaskConfig(tagset_size=5, supervision="full")
+            ParseTask(1)
 
-    def test_sup_task_has_no_tag_group(self):
-        assert set(make_task(supervision="sup").groups()) == {"parse"}
-        assert set(make_task().groups()) == {"parse", "tag"}
+    def test_sup_run_trains_no_tag_model(self):
+        # the tag group is always declared, but labeled sentences make no
+        # tag examples, so a sup run's rules model the parse group alone
+        assert make_task().groups() == {"parse": 4, "tag": 12}
+        gold = DependencyTree((0, 1, 1))
+        sents = [TaggedSentence((3, 1, 4), gold),
+                 TaggedSentence((2, 5, 1), gold)]
+        pol, _ = searn_learn(make_task(), sents,
+                             LearnerConfig(kind="nb", smoothing=0.1),
+                             beta=0.5, cfg=RolloutConfig(seed=1),
+                             iterations=2)
+        rules = [rule for rule, _ in pol.components]
+        assert rules and all(set(rule.models) == {"parse"} for rule in rules)
