@@ -26,7 +26,8 @@ def _load_sparsetools():
     """scipy.sparse's compiled CSR/CSC kernels, loaded from their own file:
     ``from scipy.sparse import _sparsetools`` would run that package's init,
     which costs every CLI process ~0.12 s and ~15 MB for two functions.
-    Numpy ports of them are slower."""
+    They serve every prediction, one vector or a batch, and the LR
+    trainer's products.  Numpy ports of them are slower."""
     where = [os.path.join(path, "sparse") for path in
              importlib.util.find_spec("scipy").submodule_search_locations]
     spec = importlib.machinery.PathFinder.find_spec("_sparsetools", where)
@@ -117,6 +118,13 @@ class NBModel:
     # (features, legal actions) -> chosen action, kept by Task.model_action
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    # feature_log_prob's transpose, the layout the scorer reads
+    _held: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.class_log_prior = _frozen(self.class_log_prior)
+        self.feature_log_prob = _frozen(self.feature_log_prob)
+        self._held = _frozen(self.feature_log_prob.T)
 
     @property
     def n_classes(self) -> int:
@@ -127,8 +135,7 @@ class NBModel:
 
     def predict_costs_rows(self, fvs) -> np.ndarray:
         """:meth:`predict_costs` of each vector, one per row."""
-        return _linear_costs_rows(self.class_log_prior,
-                                  self.feature_log_prob, fvs)
+        return _linear_costs(self.class_log_prior, self._held, fvs)
 
     def to_dict(self) -> dict:
         return {
@@ -191,47 +198,68 @@ def nb_train(examples, n_classes: int, n_features: int, smoothing: float) -> NBM
     return NBModel(class_log_prior, feature_log_prob, smoothing)
 
 
-def _linear_costs(bias: np.ndarray, table: np.ndarray,
-                  fv: FeatureVector) -> np.ndarray:
-    """max(s) - s for the per-class scores s = bias + table @ fv.
+def _frozen(table) -> np.ndarray:
+    """``table`` as a float array that owns its data, made read-only: a
+    model's predictions and decision memo are taken from its tables, so an
+    in-place edit raises instead of leaving them stale.  A view (such as a
+    transpose) is copied in C order."""
+    table = np.asarray(table, dtype=float)
+    if not table.flags.owndata:
+        table = table.copy()
+    table.flags.writeable = False
+    return table
 
-    Feature ids past the table's columns (unseen at training time) are
-    ignored.
+
+def _csr(fvs, n_feat: int):
+    """The vectors as the rows of a CSR matrix over ``n_feat`` columns,
+    ``(indptr, ids, values)``, each row in its vector's id order.
+
+    An id at or past ``n_feat`` (unseen at training time) is dropped.  A
+    negative id is a ConfigError: the kernel reads its table unchecked.
+    Ids need not be sorted.
     """
-    scores = bias.copy()
-    n_feat = table.shape[1]
-    for fid, v in zip(fv.ids, fv.values):
-        if fid < n_feat:
-            scores += v * table[:, fid]
-    return scores.max() - scores
-
-
-def _linear_costs_rows(bias: np.ndarray, table: np.ndarray,
-                       fvs) -> np.ndarray:
-    """:func:`_linear_costs` of every vector in ``fvs``, one per row.
-
-    One CSR product adds ``v * table[:, fid]`` into each row, seeded with
-    the bias, in the vector's id order: the additions of the one-vector
-    loop, in its order, so each row has its bits.
-    """
-    n_feat = table.shape[1]
+    # one vector, as in every single prediction: checked in Python, which
+    # costs less than the array path below
+    if len(fvs) == 1 and (not fvs[0].ids or min(fvs[0].ids) >= 0):
+        ids = np.array(fvs[0].ids, dtype=np.int64)
+        values = np.array(fvs[0].values, dtype=float)
+        if ids.size and max(fvs[0].ids) >= n_feat:
+            keep = ids < n_feat
+            ids, values = ids[keep], values[keep]
+        return np.array((0, ids.size), dtype=np.int64), ids, values
     ids = np.fromiter((i for fv in fvs for i in fv.ids), dtype=np.int64)
-    data = np.fromiter((v for fv in fvs for v in fv.values), dtype=float)
+    values = np.fromiter((v for fv in fvs for v in fv.values), dtype=float)
+    negative = ids[ids < 0]
+    if negative.size:
+        raise ConfigError(f"feature id {negative[0]} is negative")
     keep = ids < n_feat
     # row boundaries among all ids, then among the kept ones
     bounds = np.cumsum([0] + [len(fv) for fv in fvs], dtype=np.int64)
     indptr = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))[bounds]
-    scores = np.tile(bias, (len(fvs), 1))
-    _sparsetools.csr_matvecs(len(fvs), n_feat, bias.size, indptr, ids[keep],
-                             data[keep], np.ascontiguousarray(table.T).ravel(),
-                             scores.ravel())
-    return scores.max(axis=1, keepdims=True) - scores
+    return indptr, ids[keep], values[keep]
+
+
+def _linear_costs(bias, held: np.ndarray, fvs) -> np.ndarray:
+    """max(s) - s for the per-class scores s = bias + table @ fv of each
+    vector in ``fvs``, one per row; ``held`` is the table's C-ordered
+    transpose and ``bias`` a per-class row or a scalar.
+
+    One CSR product adds ``v * table[:, fid]`` into each row, seeded with
+    the bias, in the vector's id order, skipping unseen ids (see
+    :func:`_csr`).
+    """
+    n_feat, n_classes = held.shape
+    scores = np.empty((len(fvs), n_classes))
+    scores[...] = bias
+    _sparsetools.csr_matvecs(len(fvs), n_feat, n_classes,
+                             *_csr(fvs, n_feat), held, scores)
+    return np.maximum.reduce(scores, axis=1, keepdims=True) - scores
 
 
 def nb_predict_costs(model: NBModel, fv: FeatureVector) -> np.ndarray:
     """Negative per-class log joint scores, minimum subtracted; their
     softmin is exactly the class posterior."""
-    return _linear_costs(model.class_log_prior, model.feature_log_prob, fv)
+    return _linear_costs(model.class_log_prior, model._held, (fv,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +288,14 @@ class LRModel:
     # (features, legal actions) -> chosen action, kept by Task.model_action
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    # the weights' transpose, the layout the scorer reads; weights views it
+    _held: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the table is kept once, as its transpose: no package code reduces
+        # an LR table, so its memory layout changes no result
+        self._held = _frozen(np.transpose(self.weights))
+        self.weights = self._held.T
 
     @property
     def n_classes(self) -> int:
@@ -270,7 +306,7 @@ class LRModel:
 
     def predict_costs_rows(self, fvs) -> np.ndarray:
         """:meth:`predict_costs` of each vector, one per row."""
-        return _linear_costs_rows(np.zeros(self.n_classes), self.weights, fvs)
+        return _linear_costs(0.0, self._held, fvs)
 
     def to_dict(self) -> dict:
         return {
@@ -419,4 +455,4 @@ def lr_train(
 def lr_predict_costs(model: LRModel, fv: FeatureVector) -> np.ndarray:
     """Negative class log-probabilities under the softmax, min subtracted:
     max(logits) - logits, so the cheapest action is the argmax logit."""
-    return _linear_costs(np.zeros(model.n_classes), model.weights, fv)
+    return _linear_costs(0.0, model._held, (fv,))[0]

@@ -16,7 +16,9 @@ import pytest
 import searn
 from searn.classifiers import (
     LabeledExample,
+    LRModel,
     LROptimizerConfig,
+    NBModel,
     _lr_gradient,
     _lr_objective,
     _sparse_design,
@@ -390,3 +392,54 @@ class TestLogisticRegression:
         m1 = lr_train(examples, K, F, 1.0, config=OPT)
         m2 = lr_train(examples, K, F, 1.0, config=OPT)
         np.testing.assert_array_equal(m1.weights, m2.weights)
+
+
+# ---------------------------------------------------------------------------
+# The compiled scorer's guards
+
+
+def _nb_and_lr():
+    table = np.arange(12.0).reshape(3, 4)
+    return [NBModel(np.log([0.2, 0.3, 0.5]), table, 0.0),
+            LRModel(table.copy(), 1.0, 0)]
+
+
+@pytest.mark.parametrize("ids", [[-1], [2, -3, 0, -1], [9, 1, -2]])
+def test_negative_feature_id_is_config_error(ids):
+    # the kernel reads its table unchecked: -1 read memory before it in a
+    # batch and wrapped to the last column for one vector
+    fv = FeatureVector(ids, [1.0] * len(ids))
+    first = next(i for i in ids if i < 0)
+    for model in _nb_and_lr():
+        with pytest.raises(ConfigError, match=f"feature id {first} "):
+            model.predict_costs(fv)
+        with pytest.raises(ConfigError, match=f"feature id {first} "):
+            model.predict_costs_rows([FeatureVector([1], [1.0]), fv])
+
+
+def test_model_tables_cannot_change_under_the_scorer():
+    # each model scores from a transposed copy of its table taken when it
+    # is built, so an in-place edit of a table must raise
+    it, examples, F, K = TestLogisticRegression()._dataset(seed=3)
+    nb = nb_train([ex._replace(features=FeatureVector(
+        ex.features.ids, np.abs(ex.features.values)))
+        for ex in examples], K, F, 1.0)
+    lr = lr_train(examples, K, F, 1.0, config=OPT)
+    for model in _nb_and_lr() + [nb, lr, NBModel.from_dict(nb.to_dict()),
+                                 LRModel.from_dict(lr.to_dict())]:
+        tables = ([model.weights] if isinstance(model, LRModel)
+                  else [model.class_log_prior, model.feature_log_prob])
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] += 1.0
+
+
+def test_model_keeps_its_own_table_when_given_a_view():
+    fv = FeatureVector([0, 2], [1.0, 1.0])
+    base = np.arange(10.0).reshape(2, 5)
+    model = LRModel(base[:, :3], 1.0, 0)
+    want = model.predict_costs(fv)
+    base[0, 0] = base[1, 0] = 100.0
+    np.testing.assert_array_equal(model.predict_costs(fv), want)
+    np.testing.assert_array_equal(model.weights, np.arange(10.0).reshape(
+        2, 5)[:, :3])

@@ -6,8 +6,9 @@ array operations over the whole corpus: closed-form costs computed one
 document at a time, one (cluster, document, weight) estimation record per
 cluster and document summed in a loop, naive Bayes counts accumulated one
 example and one feature at a time, cost vectors converted one example at a
-time, and the classification loss scored one example at a time through
-``predict_costs``.  Both sides must agree bit for bit.
+time, and the classification loss scored one example at a time by the
+one-vector scorer, one column add per feature.  Both sides must agree bit
+for bit.
 """
 
 import numpy as np
@@ -15,10 +16,11 @@ import pytest
 
 from searn.classifiers import (
     LabeledExample,
+    LRModel,
+    LROptimizerConfig,
     NBModel,
-    _linear_costs,
-    _linear_costs_rows,
     costs_to_weighted_labels,
+    lr_train,
     nb_train,
 )
 from searn.core import (
@@ -144,12 +146,30 @@ def oracle_train_rule(task, cost_examples, records):
     return LearnedRule(models)
 
 
+def oracle_linear_costs(bias, table, fv):
+    """max(s) - s for s = bias + table @ fv, one column add per feature in
+    the vector's id order; ids past the table's columns are skipped."""
+    scores = bias.copy()
+    n_feat = table.shape[1]
+    for fid, v in zip(fv.ids, fv.values):
+        if fid < n_feat:
+            scores += v * table[:, fid]
+    return scores.max() - scores
+
+
+def oracle_predict_costs(model, fv):
+    if isinstance(model, NBModel):
+        return oracle_linear_costs(model.class_log_prior,
+                                   model.feature_log_prob, fv)
+    return oracle_linear_costs(np.zeros(model.n_classes), model.weights, fv)
+
+
 def oracle_classification_loss(rule, cost_examples):
     regrets = []
     for ex in cost_examples:
         model = rule.models.get(ex.group)
         if model is not None:
-            costs_pred = model.predict_costs(ex.features)
+            costs_pred = oracle_predict_costs(model, ex.features)
             predicted = min(ex.actions, key=lambda a: (costs_pred[a], a))
             regrets.append(float(ex.costs[ex.actions.index(predicted)]
                                  - ex.costs.min()))
@@ -407,9 +427,32 @@ def test_nb_counts_match_per_example_loop():
                 == old.feature_log_prob.tobytes()
 
 
+def random_vectors(rng, F, n, unseen=3):
+    """Vectors over ids [0, F + unseen), in random (not sorted) order;
+    about one in five is empty."""
+    fvs = []
+    for _ in range(n):
+        size = int(rng.integers(0, F + unseen + 1)) if rng.random() < 0.8 \
+            else 0
+        ids = rng.choice(F + unseen, size=size, replace=False).tolist()
+        fvs.append(FeatureVector(ids, (rng.integers(1, 4, size=size)
+                                       * rng.random(size)).tolist()))
+    return fvs
+
+
+def assert_scores_match_loop(model, fvs):
+    """predict_costs of each vector and each row of predict_costs_rows
+    have the one-vector loop's bits."""
+    with np.errstate(all="ignore"):
+        want = [oracle_predict_costs(model, fv).tobytes() for fv in fvs]
+        assert [model.predict_costs(fv).tobytes() for fv in fvs] == want
+        assert [row.tobytes() for row in model.predict_costs_rows(fvs)] \
+            == want
+
+
 def test_seeded_scorer_matches_one_vector_loop():
-    # rows of one CSR product seeded with the bias, against _linear_costs:
-    # -inf entries, all -inf rows, unseen ids, empty vectors, big scales
+    # the compiled scorer against the one-vector loop: -inf entries, all
+    # -inf biases, unseen ids, empty vectors, big scales
     rng = np.random.default_rng(20)
     for trial in range(400):
         K, F = int(rng.integers(1, 6)), int(rng.integers(1, 12))
@@ -419,17 +462,32 @@ def test_seeded_scorer_matches_one_vector_loop():
         table[rng.random(size=(K, F)) < 0.2] = -np.inf
         if trial % 9 == 0:
             bias[:] = -np.inf
-        fvs = []
-        for _ in range(int(rng.integers(1, 8))):
-            ids = sorted(rng.choice(F + 3, size=int(rng.integers(0, F + 4)),
-                                    replace=False).tolist())
-            fvs.append(FeatureVector(ids, (rng.integers(1, 4, size=len(ids))
-                                           * rng.random(len(ids))).tolist()))
-        with np.errstate(all="ignore"):
-            rows = _linear_costs_rows(bias, table, fvs)
-            for fv, row in zip(fvs, rows):
-                assert row.tobytes() == _linear_costs(bias, table,
-                                                      fv).tobytes()
+        fvs = random_vectors(rng, F, int(rng.integers(1, 8)))
+        assert_scores_match_loop(NBModel(bias, table, 0.0), fvs)
+        assert_scores_match_loop(LRModel(table.copy(), 1.0, 0), fvs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trained_models_match_one_vector_loop(seed):
+    # models as the package builds them: trained, read back from a model
+    # file, and the cluster classifier built from (rho, theta)
+    rng = np.random.default_rng(seed)
+    K, F = int(rng.integers(2, 5)), int(rng.integers(2, 15))
+    examples = [LabeledExample(fv, int(rng.integers(K)), float(rng.random()))
+                for fv in random_vectors(rng, F, 30, unseen=0)]
+    fvs = random_vectors(rng, F, 40)
+    models = []
+    for smoothing in (0.0, 0.5):
+        try:
+            models.append(nb_train(examples, K, F, smoothing))
+        except TrainingError:
+            pass
+    models.append(lr_train(examples, K, F, 2.0,
+                           LROptimizerConfig(max_epochs=20)))
+    task = ClusterTask(ClusterTaskConfig(K=K, V=F))
+    models.append(task.nb_model_from_params(blocking_params(K, F, seed)))
+    for model in models + [type(m).from_dict(m.to_dict()) for m in models]:
+        assert_scores_match_loop(model, fvs)
 
 
 def test_batched_matvec_matches_per_document_product():
