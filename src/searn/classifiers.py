@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em import logsumexp
+from .em import _logsumexp
 from .errors import ConfigError, OptimizerError, TrainingError
 from .features import FeatureVector
 
@@ -323,7 +323,10 @@ class LRModel:
             raise ConfigError("an LR model needs a 2-D weight table")
         if not np.all(np.isfinite(weights)):
             raise ConfigError("LR weights must be finite")
-        return cls(weights=weights, l2_variance=float(d["l2_variance"]),
+        l2_variance = float(d["l2_variance"])
+        if not 0 < l2_variance < np.inf:
+            raise ConfigError("l2_variance must be finite and positive")
+        return cls(weights=weights, l2_variance=l2_variance,
                    trained_epochs=int(d["trained_epochs"]))
 
 
@@ -373,13 +376,15 @@ def _sparse_design(examples, n_classes: int, n_features: int) -> _Design:
 
 
 def _lr_objective(design: _Design, l2_variance, W):
-    """Objective value at W, with the logits and their row log-normalizers."""
+    """Objective value at W, with the logits and their row log-normalizers
+    (an n x 1 column).  Runs under :func:`lr_train`'s ``np.errstate``."""
     (K, F), n = W.shape, design.weights.size
     logits = np.zeros((n, K))
     _sparsetools.csr_matvecs(n, F, K, design.indptr, design.indices,
                              design.data, W.T.ravel(), logits.ravel())
-    lse = logsumexp(logits, axis=1)
-    data_loss = float(np.dot(design.weights, lse - logits.ravel()[design.gold]))
+    lse = _logsumexp(logits, 1)
+    data_loss = float(np.dot(design.weights,
+                             lse.ravel() - logits.ravel()[design.gold]))
     penalty = float(np.add.reduce(W * W, axis=None)) / (2.0 * l2_variance)
     return data_loss + penalty, logits, lse
 
@@ -387,7 +392,7 @@ def _lr_objective(design: _Design, l2_variance, W):
 def _lr_gradient(design: _Design, l2_variance, W, logits, lse):
     """Gradient at W from its logits and log-normalizers."""
     (n, K), F = logits.shape, W.shape[1]
-    G = np.exp(logits - lse[:, None])
+    G = np.exp(logits - lse)
     G.ravel()[design.gold] -= 1.0
     G *= design.weights[:, None]
     XtG = np.zeros((F, K))
@@ -409,46 +414,55 @@ def lr_train(
     fully deterministic given the data.  Stops at the gradient tolerance or
     the epoch cap, whichever comes first.  Trial points of the line search
     cost one objective each; softmax probabilities are formed only for the
-    gradient at an accepted point.  A feature id outside [0, n_features) or
-    a label outside [0, n_classes) is a ConfigError; a non-finite objective
-    at the start or gradient norm at any epoch is an OptimizerError.
+    gradient at an accepted point.  A feature id outside [0, n_features),
+    a label outside [0, n_classes) or a variance that is not finite and
+    positive is a ConfigError; a non-finite objective at the start or
+    gradient norm at any epoch is an OptimizerError.  The fit runs under
+    one ``np.errstate`` that ignores numpy's floating-point errors (those
+    checks report the ones that matter), and restores the caller's settings
+    when it returns or raises.
     """
-    if l2_variance <= 0:
-        raise ConfigError("l2_variance must be positive")
+    if not 0 < l2_variance < np.inf:
+        raise ConfigError("l2_variance must be finite and positive")
     design = _sparse_design(examples, n_classes, n_features)
     W = np.zeros((n_classes, n_features))
-    f, logits, lse = _lr_objective(design, l2_variance, W)
-    if not math.isfinite(f):
-        raise OptimizerError("objective non-finite at initialization")
-    step = config.initial_step
-    epoch = 0
-    # np.add.reduce and np.maximum.reduce are what np.sum and np.max run,
-    # without their Python wrappers.
-    for epoch in range(1, config.max_epochs + 1):
-        grad = _lr_gradient(design, l2_variance, W, logits, lse)
-        gnorm2 = float(np.add.reduce(grad * grad, axis=None))
-        if not math.isfinite(gnorm2):
-            # no step can pass the Armijo test below
-            raise OptimizerError(f"gradient norm non-finite at epoch {epoch}")
-        if np.maximum.reduce(np.abs(grad), axis=None) < config.grad_tol:
-            epoch -= 1
-            break
-        step = min(step * 2.0, 1e6)
-        accepted = False
-        while step >= config.min_step:
-            W_try = W - step * grad
-            f_try, logits_try, lse_try = _lr_objective(design, l2_variance,
-                                                       W_try)
-            if (math.isfinite(f_try)
-                    and f_try <= f - config.armijo * step * gnorm2):
-                W, f, logits, lse = W_try, f_try, logits_try, lse_try
-                accepted = True
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f, logits, lse = _lr_objective(design, l2_variance, W)
+        if not math.isfinite(f):
+            raise OptimizerError("objective non-finite at initialization")
+        step = config.initial_step
+        epoch = 0
+        # np.add.reduce and np.maximum.reduce are what np.sum and np.max
+        # run, without their Python wrappers; the max starts at 0 so that
+        # a fit over no feature columns converges at once.
+        for epoch in range(1, config.max_epochs + 1):
+            grad = _lr_gradient(design, l2_variance, W, logits, lse)
+            gnorm2 = float(np.add.reduce(grad * grad, axis=None))
+            if not math.isfinite(gnorm2):
+                # no step can pass the Armijo test below
+                raise OptimizerError(
+                    f"gradient norm non-finite at epoch {epoch}")
+            if np.maximum.reduce(np.abs(grad), axis=None,
+                                 initial=0.0) < config.grad_tol:
+                epoch -= 1
                 break
-            if not math.isfinite(f_try) and step <= config.min_step * 2:
-                raise OptimizerError(f"loss became non-finite at step size {step:g}")
-            step *= config.backtrack
-        if not accepted:
-            break
+            step = min(step * 2.0, 1e6)
+            accepted = False
+            while step >= config.min_step:
+                W_try = W - step * grad
+                f_try, logits_try, lse_try = _lr_objective(
+                    design, l2_variance, W_try)
+                if (math.isfinite(f_try)
+                        and f_try <= f - config.armijo * step * gnorm2):
+                    W, f, logits, lse = W_try, f_try, logits_try, lse_try
+                    accepted = True
+                    break
+                if not math.isfinite(f_try) and step <= config.min_step * 2:
+                    raise OptimizerError(
+                        f"loss became non-finite at step size {step:g}")
+                step *= config.backtrack
+            if not accepted:
+                break
     return LRModel(weights=W, l2_variance=l2_variance, trained_epochs=epoch)
 
 

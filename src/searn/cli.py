@@ -241,10 +241,20 @@ def configure(argv) -> argparse.Namespace:
     args, extras = build_parser(argv[0] if argv else None) \
         .parse_known_args(argv)
     unknown = {arg.lstrip("-").split("=")[0].replace("-", "_")
-               for arg in extras if arg.startswith("-")}
+               for arg in extras
+               if arg.startswith("-") and not _is_number(arg)}
     if extras and not unknown:
         raise ConfigError(f"unexpected argument {extras[0]!r}")
     return merge_config(args, unknown)
+
+
+def _is_number(token: str) -> bool:
+    """Whether a token is a value such as ``-1``, not a flag."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def merge_config(args: argparse.Namespace,
@@ -329,9 +339,9 @@ def _validate(cfg) -> None:
         raise ConfigError(f"--beta {cfg.beta}: must lie in (0, 1]")
     for flag in ("lr_variance", "tree_variance", "tag_variance"):
         value = getattr(cfg, flag)
-        if value is not None and not value > 0:
+        if value is not None and not 0 < value < np.inf:
             raise ConfigError(f"--{flag.replace('_', '-')} {value}: "
-                              "must be positive")
+                              "must be finite and positive")
     for flag, bound, rule in (
             ("mean_length", MAX_SEQUENCE_MEAN_LENGTH,
              SEQUENCE_MEAN_LENGTH_RULE),
@@ -343,6 +353,8 @@ def _validate(cfg) -> None:
         if any(seed is not None and seed < 0 for seed in seeds):
             raise ConfigError(f"--{flag} {','.join(map(str, seeds))}: seeds "
                               "are non-negative")
+    if cfg.k is not None and cfg.k < 1:
+        raise ConfigError(f"--k {cfg.k}: need at least 1")
     if cfg.iterations is not None and cfg.iterations < 1:
         raise ConfigError(f"--iterations {cfg.iterations}: need at least 1")
     if cfg.runs is not None and cfg.runs < 1:

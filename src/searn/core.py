@@ -180,9 +180,16 @@ class Task(abc.ABC):
         ``steps`` decisions precede the rollouts and ``limit`` is the
         example's ``max_decisions``.  A task may override it where it can
         give the same finals with less work."""
-        return [_run_to_completion(self, self.apply(state, action), pol,
-                                   np.random.default_rng(seq), steps, limit)
-                for action in legal]
+        # one generator, reset to its seeded state before each rollout:
+        # the state holds all of PCG64's, its buffered 32-bit half too
+        rng = np.random.default_rng(seq)
+        start = rng.bit_generator.state
+        finals = []
+        for action in legal:
+            rng.bit_generator.state = start
+            finals.append(_run_to_completion(self, self.apply(state, action),
+                                             pol, rng, steps, limit))
+        return finals
 
     def validate_final(self, state) -> None:
         """Optional structural check on a completed rollout."""

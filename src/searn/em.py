@@ -11,6 +11,7 @@ multinomial coefficient of the document likelihood is omitted everywhere
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,21 @@ def logsumexp(a, axis=None):
     scipy's per-call array-API dispatch, which dominates on the small arrays
     the learners pass.
 
+    The arithmetic is :func:`_logsumexp`, which the LR objective calls
+    directly, under the ``np.errstate`` its trainer holds for a whole fit.
+    It takes two shortcuts that keep the bits:
+
+    - The row maxima of a 2-D array reduced over its last axis are taken
+      as elementwise maxima of its columns, over a C-ordered transposed
+      copy.  A maximum is exact in any order: a NaN propagates either way,
+      and the sign of a zero maximum cannot reach the result (a - max and
+      the final add give the same values for +0 and -0).
+    - When every slice has exactly one tied entry, the result is
+      log1p(s) + max: s / 1, log(1) = 0 and x + 0.0 are exact.  A NaN
+      slice has no tie, so a two-way tie elsewhere could still total one
+      tie per slice; a NaN slice also has s NaN, so s . s, finite for every
+      other s (each is at most the slice length), rules it out.
+
     scipy replaces a non-finite result by log(sum(exp(a))).  Here that is
     never needed: the tied entries are zeroed after the exp (scipy sets them
     to -inf before it, which gives the same 0 except in an all -inf slice,
@@ -43,24 +59,35 @@ def logsumexp(a, axis=None):
         a = a.reshape(1)
     if axis is None:
         axis = tuple(range(a.ndim))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _logsumexp(a, axis)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
+def _logsumexp(a: np.ndarray, axis) -> np.ndarray:
+    """:func:`logsumexp` of a float64 array, with the reduced axes kept.
+    The caller holds ``np.errstate`` with divide, invalid and over ignored."""
     # The reductions call the ufuncs' reduce directly: it is what np.sum
     # and np.max run, without their Python wrapper.
     total = np.add.reduce
     if a.size == 0:
-        out = np.full(total(a, axis=axis, keepdims=True).shape, -np.inf)
+        return np.full(total(a, axis=axis, keepdims=True).shape, -np.inf)
+    if a.ndim == 2 and axis in (1, -1):
+        a_max = np.maximum.reduce(np.ascontiguousarray(a.T), axis=0)[:, None]
     else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
-            ties = a == a_max
-            m = total(ties, axis=axis, dtype=float, keepdims=True)
-            e = np.exp(a - a_max)
-            np.copyto(e, 0.0, where=ties)
-            # s == 0 implies m >= 1 (m is 0 only for a NaN max, where s is
-            # NaN), so this division is scipy's where(s == 0, s, s / m).
-            out = np.log1p(total(e, axis=axis, keepdims=True) / m) \
-                + np.log(m) + a_max
-    out = np.squeeze(out, axis=axis)
-    return out[()] if out.ndim == 0 else out
+        a_max = np.maximum.reduce(a, axis=axis, keepdims=True)
+    ties = a == a_max
+    e = np.exp(a - a_max)
+    np.copyto(e, 0.0, where=ties)
+    s = total(e, axis=axis, keepdims=True)
+    flat = s.ravel()
+    if np.count_nonzero(ties) == s.size and not math.isnan(flat.dot(flat)):
+        return np.log1p(s) + a_max
+    # s == 0 implies m >= 1 (m is 0 only for a NaN max, where s is NaN), so
+    # this division is scipy's where(s == 0, s, s / m).
+    m = total(ties, axis=axis, dtype=float, keepdims=True)
+    return np.log1p(s / m) + np.log(m) + a_max
 
 
 def _check_distribution(name, arr):
@@ -187,6 +214,8 @@ def mm_log_likelihood(params: MultinomialMixtureParams, docs) -> float:
 
 def mm_random_init(n_clusters: int, vocab_size: int, seed) -> MultinomialMixtureParams:
     """Each distribution is an independent normalized vector of uniforms."""
+    if n_clusters < 1:
+        raise ConfigError(f"need at least 1 cluster, got {n_clusters}")
     rng = np.random.default_rng(seed)
     rho = rng.uniform(size=n_clusters)
     rho /= rho.sum()

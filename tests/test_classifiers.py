@@ -371,6 +371,12 @@ class TestLogisticRegression:
         with pytest.raises(ConfigError):
             lr_train(examples, K, F, l2_variance=0.0, config=OPT)
 
+    def test_infinite_variance_rejected(self):
+        # its model would be written as "l2_variance": Infinity, not JSON
+        it, examples, F, K = self._dataset()
+        with pytest.raises(ConfigError, match="finite and positive"):
+            lr_train(examples, K, F, l2_variance=np.inf, config=OPT)
+
     def test_costs_are_min_subtracted(self):
         it, examples, F, K = self._dataset(seed=9)
         model = lr_train(examples, K, F, 1.0, config=OPT)

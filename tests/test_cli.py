@@ -779,6 +779,15 @@ def _parse_nan_weight(policy):
         float("nan")
 
 
+def _parse_infinite_variance(policy):
+    policy["components"][0]["models"]["parse"]["l2_variance"] = \
+        float("inf")
+
+
+def _parse_zero_variance(policy):
+    policy["components"][0]["models"]["parse"]["l2_variance"] = 0.0
+
+
 def _nb_short_prior(policy):
     model = policy["components"][0]["models"]["emit"]
     model["class_log_prior"] = model["class_log_prior"][:1]
@@ -795,10 +804,13 @@ def _nb_nan_table(policy):
     (_parse_initial_rule, "learned rules only"),
     (_parse_nan_mixture_weights, "policy weights sum to nan"),
     (_parse_nan_weight, "LR weights must be finite"),
+    (_parse_infinite_variance, "l2_variance must be finite and positive"),
+    (_parse_zero_variance, "l2_variance must be finite and positive"),
     (_nb_short_prior, "one prior entry per table row"),
     (_nb_nan_table, "must not be NaN"),
 ], ids=["parse-three-rows", "parse-scalar-weights", "parse-initial-rule",
-        "parse-nan-mixture-weights", "parse-nan-weight", "nb-short-prior",
+        "parse-nan-mixture-weights", "parse-nan-weight",
+        "parse-infinite-variance", "parse-zero-variance", "nb-short-prior",
         "nb-nan-table"])
 def test_malformed_policy_is_data_error(seq_run, parse_run, tmp_path,
                                         capsys, edit, error):
@@ -1057,13 +1069,26 @@ def test_top_level_help_lists_every_command(capsys):
     (["train", "--task", "depparse", "--method", "searn-lr",
       "--supervision", "sup", "--labeled-count", "0", "--data",
       "missing.conll"], "--labeled-count 0: a supervised run needs"),
+    # -1 once ended in a traceback from the EM start, 0 in an error about
+    # rho that named no flag
+    (["train", "--task", "cluster", "--method", "em", "--k", "-1",
+      "--data", "missing.txt"], "--k -1: need at least 1"),
+    (["train", "--task", "cluster", "--method", "em", "--k", "0",
+      "--data", "missing.txt"], "--k 0: need at least 1"),
+    (["gen", "--task", "sequence", "--k=-2"], "--k -2: need at least 1"),
+    # the value of a flag the run does not read was once reported as a
+    # flag too: "reads no --1, --k"
+    (["equivalence", "--runs", "2", "--documents", "10", "--seed", "1",
+      "--k", "-1"], "'equivalence --task cluster' reads no --k"),
 ], ids=["eval-task", "eval-method", "gen-method", "gen-depparse-method",
         "learning-curve-method", "equivalence-method", "gen-negative-seed",
         "train-negative-seed", "eval-negative-seed",
         "learning-curve-negative-seed", "learning-curve-negative-in-list",
         "equivalence-negative-seed", "learning-curve-zero-count",
         "learning-curve-negative-count", "train-negative-labeled-count",
-        "train-sup-zero-labeled-count"])
+        "train-sup-zero-labeled-count", "train-cluster-negative-k",
+        "train-cluster-zero-k", "gen-sequence-negative-k",
+        "equivalence-unread-negative-value"])
 def test_bad_flag_is_config_error(tmp_path, capsys, monkeypatch, argv,
                                   error):
     import searn.experiments
@@ -1089,6 +1114,11 @@ def test_bad_flag_is_config_error(tmp_path, capsys, monkeypatch, argv,
     ("sequence", "searn-lr", "lr-variance", "0"),
     ("depparse", "searn-lr", "tree-variance", "0"),
     ("depparse", "searn-lr", "tag-variance", "-2"),
+    # an infinite variance once trained and wrote "l2_variance": Infinity,
+    # which is not JSON
+    ("sequence", "searn-lr", "lr-variance", "inf"),
+    ("depparse", "searn-lr", "tree-variance", "inf"),
+    ("depparse", "searn-lr", "tag-variance", "inf"),
 ])
 def test_bad_learning_setting_is_config_error(seq_run, parse_run, tmp_path,
                                               capsys, monkeypatch, task,

@@ -133,6 +133,12 @@ class TestMixtureOfMultinomials:
         with pytest.raises(ConfigError, match="finite and nonnegative"):
             HmmParams(initial=[1.0], transition=[[1.0]], emission=theta)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_random_init_needs_a_cluster(self, k):
+        # -1 once raised numpy's "negative dimensions are not allowed"
+        with pytest.raises(ConfigError, match="at least 1 cluster"):
+            mm_random_init(k, 4, 0)
+
     def test_row_sums_within_tolerance(self):
         # a row passes when |sum - 1| <= 1e-12
         MultinomialMixtureParams(rho=[1.0], theta=[[0.5, 0.5 + 5e-13]])

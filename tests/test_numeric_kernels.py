@@ -72,6 +72,16 @@ def _arrays_and_axes(draw):
 @example(case=(np.zeros((0, 3)), 0))
 @example(case=(np.zeros((3, 0)), 1))
 @example(case=(np.zeros(0), None))
+# one tie per slice in total, from a NaN row (no tie) beside a two-way tie:
+# the one-tie shortcut must not apply; by rows and in an F-ordered view
+@example(case=(np.array([[NAN, 1.0, 0.0], [2.0, 2.0, 0.5]]), 1))
+@example(case=(np.array([[NAN, 1.0, 0.0], [2.0, 2.0, 0.5]]).T, 0))
+@example(case=(np.asfortranarray([[NAN, 1.0, 0.0], [2.0, 2.0, 0.5]]), 1))
+# a zero maximum held as +0.0 in one entry and -0.0 in another
+@example(case=(np.array([[0.0, -0.0, -1.0], [-0.0, -3.0, 0.0]]), 1))
+@example(case=(np.array([[-0.0, -1.0], [-2.0, -0.0]]), 1))
+@example(case=(np.array([[1.5], [-INF], [NAN], [0.0]]), 1))
+@example(case=(np.array([[INF, INF, INF], [1.0, 2.0, 3.0]]), 1))
 def test_logsumexp_bit_identical_to_scipy(case):
     a, axis = case
     try:
@@ -218,6 +228,29 @@ def test_lr_train_matches_oracle_bytes(seed, problem, variance, max_epochs,
     assert want_nonfinite == nonfinite
     assert model.trained_epochs == want_epochs
     assert model.weights.tobytes() == want_W.tobytes()
+
+
+def test_lr_train_leaves_the_error_state_as_it_found_it():
+    """lr_train ignores numpy's floating-point errors for the whole fit, and
+    restores the caller's settings when it returns and when it raises."""
+    before = np.geterr()
+    examples, K, F = _lr_problem(0)
+    lr_train(examples, K, F, 1.0, config=LROptimizerConfig(max_epochs=5))
+    assert np.geterr() == before
+    examples, K, F = _lr_problem(9, value_scale=1e155)
+    with pytest.raises(OptimizerError):
+        lr_train(examples, K, F, 1.0, config=LROptimizerConfig())
+    assert np.geterr() == before
+
+
+def test_lr_train_over_no_feature_columns_converges_at_once():
+    # the gradient has no entry, and its max once raised numpy's
+    # "zero-size array to reduction operation maximum" ValueError
+    examples = [LabeledExample(FeatureVector((), ()), label, 1.0)
+                for label in (0, 1, 1)]
+    model = lr_train(examples, 2, 0, 1.0, config=LROptimizerConfig())
+    assert model.trained_epochs == 0
+    assert model.weights.shape == (2, 0)
 
 
 def test_lr_train_raises_when_the_gradient_norm_overflows():
