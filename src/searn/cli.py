@@ -49,8 +49,9 @@ Output files:
   ``summary.json``, a flat object over the runs of the one metric scored:
   ``metric``, ``mean``, ``std``, ``n_runs``, ``single_run`` and
   ``values``.  A mixture-trained model decodes only the hidden half
-  (the tree, or the latent labels; see ``Task.decoder``): the tag or
-  emission phase that gives training its loss is not run.
+  (the tree, or the latent labels), not the re-emission that gives
+  training its loss; a parse model reads its gold trees from ``--data``
+  and takes no ``--gold``.
 - ``learning-curve``: ``curve.csv``; ``equivalence``:
   ``equivalence.json``.
 
@@ -735,6 +736,9 @@ def cmd_eval(cfg) -> int:
         task_name, model = _load_model(pick(models, run))
         if task_name != "depparse" and pick(golds, run) is None:
             raise ConfigError("eval needs --gold for this task")
+        if task_name == "depparse" and pick(golds, run) is not None:
+            raise ConfigError("a parse model reads its gold trees from "
+                              "--data; it takes no --gold")
         if cfg.posterior_decode and not isinstance(model, HmmParams):
             raise ConfigError(f"{pick(models, run)} is not an HMM model; "
                               "only those have --posterior-decode")

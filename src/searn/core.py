@@ -114,14 +114,19 @@ class LearnerConfig:
 class Task(abc.ABC):
     """A structured prediction problem decomposed into atomic decisions.
 
-    Each hook takes only what it reads.  A state holds no pointer back to
-    the task: the engine passes the task to whatever acts on a state, and
-    a completed state alone gives its loss.
+    The step hooks build a hidden half; a task may then re-emit its
+    observed input from the finished hidden half (``observed``; see
+    :func:`_emitted`).  Each hook takes only what it reads.  A state
+    holds no pointer back to the task: the engine passes the task to
+    whatever acts on a state, and a final state and its re-emission
+    alone give the loss.
     """
 
     interner: Interner
     # costs_to_weighted_labels mode of every group trained as a classifier
     weight_mode = "argmin_spread"
+    # the group whose models re-emit ``observed``, where a task has one
+    emit_group: str
 
     @abc.abstractmethod
     def groups(self) -> dict:
@@ -162,8 +167,9 @@ class Task(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def rollout_loss(self, state) -> float:
-        """Task loss of a completed structure (un-normalized counts)."""
+    def rollout_loss(self, final, emitted: tuple) -> float:
+        """Task loss of a final state and its re-emission (un-normalized
+        counts)."""
 
     def model_action(self, model, state, legal: tuple):
         """A trained model's action: cheapest predicted legal action.
@@ -175,11 +181,11 @@ class Task(abc.ABC):
 
     def rollout_finals(self, state, legal: tuple, pol, seq,
                        steps: int, limit: int) -> list:
-        """The final state of each ``legal`` action's rollout from
-        ``state`` under ``pol``, each on a generator seeded by ``seq``;
-        ``steps`` decisions precede the rollouts and ``limit`` is the
-        example's ``max_decisions``.  A task may override it where it can
-        give the same finals with less work."""
+        """The (final, emitted) pair of each ``legal`` action's rollout
+        from ``state`` under ``pol``, each on a generator seeded by
+        ``seq``; ``steps`` decisions precede the rollouts and ``limit`` is
+        the example's ``max_decisions``.  A task may override it where it
+        can give the same pairs with less work."""
         # one generator, reset to its seeded state before each rollout:
         # the state holds all of PCG64's, its buffered 32-bit half too
         rng = np.random.default_rng(seq)
@@ -187,21 +193,21 @@ class Task(abc.ABC):
         finals = []
         for action in legal:
             rng.bit_generator.state = start
-            finals.append(_run_to_completion(self, self.apply(state, action),
-                                             pol, rng, steps, limit))
+            final = _run_to_completion(self, self.apply(state, action), pol,
+                                       rng, steps, limit)
+            finals.append((final, _emitted(self, final, pol, rng)))
         return finals
 
     def validate_final(self, state) -> None:
-        """Optional structural check on a completed rollout."""
+        """Optional structural check on a finished hidden half."""
 
-    def decoder(self) -> "Task":
-        """The task that decoding runs, sharing this task's interner (and
-        so the feature ids its models read).  A task may return one whose
-        structure ends once the hidden half is built: the re-emitted
-        input only gives training a loss, and its draws follow every
-        hidden-half draw on an input's stream, so the hidden half comes
-        out the same.  The default is the task itself."""
-        return self
+    def observed(self, final) -> tuple:
+        """The symbols ``final`` re-emits, in order (none by default)."""
+        return ()
+
+    def emission_features(self, final, p: int) -> FeatureVector:
+        """Features of re-emitting observed symbol p of ``final``."""
+        raise TaskContractError("task re-emits nothing")
 
     def train_estimator(self, record):
         """The model of a group estimated directly from the one record
@@ -214,17 +220,11 @@ class Task(abc.ABC):
         no closed form and costs must be rolled out."""
         return None
 
-    def shortcut_costs(self, state):
-        """Exact cost vector, minimum subtracted, when derivable without
-        rollouts, else None.
-
-        :func:`generate_examples` consults it at every decision with two
-        or more legal actions and rolls out only where it gives None.  A
-        task may implement it for decisions whose action provably never
-        alters the tied continuation (so the returned vector must equal
-        what rollouts would compute).
-        """
-        return None
+    def shortcut_costs(self, final, p: int) -> np.ndarray:
+        """Regrets of re-emitting observed symbol p of ``final`` as each
+        ``emit_group`` action: what tied rollouts would measure, since an
+        emitted symbol enters no feature."""
+        raise TaskContractError("task re-emits nothing")
 
 
 def vector_action(model, fv: FeatureVector, legal: tuple):
@@ -359,6 +359,29 @@ def policy_act(task: Task, pol: Policy, state, legal: tuple,
     return task.model_action(model, state, legal)
 
 
+def _emitted(task: Task, final, pol: Policy,
+             rng: np.random.Generator) -> tuple:
+    """The re-emission of ``task.observed(final)`` under ``pol``: per
+    symbol, in order, a mixture component drawn as :func:`policy_act`
+    draws it.  One with a model of ``task.emit_group`` emits that model's
+    cheapest symbol for ``emission_features(final, p)``; any other copies
+    the observed symbol, drawing nothing more."""
+    observed = task.observed(final)
+    if not observed:
+        return ()
+    models = [None if isinstance(rule, InitialRule)
+              else rule.models.get(task.emit_group)
+              for rule, _ in pol.components]
+    legal = tuple(range(task.groups()[task.emit_group]))
+    multi = len(models) > 1
+    out = []
+    for p, symbol in enumerate(observed):
+        model = models[pol.index_at(rng.random()) if multi else 0]
+        out.append(symbol if model is None else vector_action(
+            model, task.emission_features(final, p), legal))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Rollouts and example generation
 
@@ -366,8 +389,8 @@ def policy_act(task: Task, pol: Policy, state, legal: tuple,
 def _run_to_completion(task: Task, state, pol: Policy,
                        rng: np.random.Generator, steps_taken: int,
                        limit: int):
-    """Continue a partial structure to a final state under pol; ``limit``
-    is the example's ``max_decisions``."""
+    """Continue a partial hidden half to its end under pol; ``limit`` is
+    the example's ``max_decisions``."""
     steps = steps_taken
     while not task.is_final(state):
         if steps >= limit:
@@ -380,7 +403,7 @@ def _run_to_completion(task: Task, state, pol: Policy,
 
 
 def run_policy(task: Task, example, pol: Policy, rng: np.random.Generator):
-    """Roll a policy from scratch; validate and return the final state."""
+    """Roll a policy from scratch; validate and return its final state."""
     final = _run_to_completion(task, task.initial_state(example), pol, rng,
                                0, task.max_decisions(example))
     task.validate_final(final)
@@ -398,16 +421,16 @@ def _costs_at_state(task: Task, limit: int, example_id: int, t: int, state,
     randomness.  One SeedSequence per sample serves every candidate: a
     generator built from it draws the same stream each time, since
     seeding reads the sequence's state without changing it.  The task
-    gives the finals (:meth:`Task.rollout_finals`); every one is scored
-    by ``rollout_loss``.
+    gives the (final, emitted) pairs (:meth:`Task.rollout_finals`); every
+    one is scored by ``rollout_loss``.
     """
     costs = np.zeros(len(legal))
     for s in range(cfg.n_samples):
         seq = np.random.SeedSequence(cfg.seed,
                                      spawn_key=(_ROLLOUT, example_id, t, s))
         finals = task.rollout_finals(state, legal, pol, seq, t, limit)
-        for k, final in enumerate(finals):
-            costs[k] += task.rollout_loss(final)
+        for k, (final, emitted) in enumerate(finals):
+            costs[k] += task.rollout_loss(final, emitted)
     costs /= cfg.n_samples
     return costs - costs.min()
 
@@ -435,12 +458,12 @@ def generate_examples(dataset, pol: Policy, task: Task,
                       cfg: RolloutConfig) -> GeneratedExamples:
     """Roll the policy over the dataset, costing every decision.
 
-    One cost-sensitive example per decision with two or more legal actions
-    whose cost vector is not constant.  Such a decision is costed by
-    Task.shortcut_costs where it answers, else by rollouts; a task with
-    closed-form costs (see Task.exact_examples) rolls nothing out.  Output
-    is deterministic given cfg.seed and does not depend on the order in
-    which examples are processed.
+    One cost-sensitive example per roll-in decision with two or more
+    legal actions whose rolled-out cost vector is not constant, then one
+    per re-emission of the final state, costed by Task.shortcut_costs.  A
+    task with closed-form costs (see Task.exact_examples) rolls nothing
+    out.  Output is deterministic given cfg.seed and does not depend on
+    the order in which examples are processed.
     """
     if len(dataset) == 0:
         raise DataError("dataset is empty")
@@ -460,10 +483,8 @@ def generate_examples(dataset, pol: Policy, task: Task,
                     f"roll-in exceeded the task's {limit}-decision bound")
             legal = task.legal_actions(state)
             if len(legal) >= 2:
-                costs = task.shortcut_costs(state)
-                if costs is None:
-                    costs = _costs_at_state(task, limit, example_id, t,
-                                            state, legal, pol, cfg)
+                costs = _costs_at_state(task, limit, example_id, t, state,
+                                        legal, pol, cfg)
                 if not _constant_costs(costs):
                     out.append(CostSensitiveExample(
                         features=task.features(state), actions=tuple(legal),
@@ -471,6 +492,11 @@ def generate_examples(dataset, pol: Policy, task: Task,
             state = task.apply(state, policy_act(task, pol, state, legal,
                                                  path_rng))
         task.validate_final(state)
+        for p in range(len(task.observed(state))):
+            out.append(CostSensitiveExample(
+                features=task.emission_features(state, p),
+                actions=tuple(range(task.groups()[task.emit_group])),
+                costs=task.shortcut_costs(state, p), group=task.emit_group))
     return GeneratedExamples(out, {})
 
 

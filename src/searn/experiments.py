@@ -42,12 +42,11 @@ PARSE_TRAIN_LIMIT = 500
 
 
 def decode(task, policy, inputs, seed: int, *key: int, runner) -> list:
-    """Final states of one policy run per input under ``task.decoder()``,
-    which may end each at its hidden half; input i runs on the stream
-    seeded by ``derive_seed(seed, *key, i)``.  ``runner`` is ``run_policy``
-    (a caller may hold its own binding of it)."""
-    decoder = task.decoder()
-    return [runner(decoder, x, policy,
+    """The finished hidden half of one policy run per input: decoding
+    draws no re-emission.  Input i runs on the stream seeded by
+    ``derive_seed(seed, *key, i)``.  ``runner`` is ``run_policy`` (a
+    caller may hold its own binding of it)."""
+    return [runner(task, x, policy,
                    np.random.default_rng(derive_seed(seed, *key, i)))
             for i, x in enumerate(inputs)]
 
@@ -91,9 +90,9 @@ def parse_training_data(sentences, supervision: str,
     only which sentences keep their gold tree.
 
     "unsup" strips every gold tree; "sup" keeps the first
-    ``labeled_count`` sentences (all when None), each of which must have
-    its gold tree; "semi" keeps the gold trees of the first
-    ``labeled_count`` sentences and strips the rest.
+    ``labeled_count`` sentences (all when None); "semi" keeps them and
+    strips the gold trees of the rest.  Each kept sentence must have its
+    gold tree.
     """
     if supervision == "unsup":
         return _strip_gold(sentences)
@@ -107,10 +106,10 @@ def parse_training_data(sentences, supervision: str,
         raise ConfigError(f"labeled_count must lie in [0, {len(sentences)}]"
                           " (the training set size)")
     labeled = list(sentences[:labeled_count])
-    if supervision == "semi":
-        return labeled + _strip_gold(sentences[labeled_count:])
     if any(s.gold_tree is None for s in labeled):
         raise DataError("supervised mode requires a gold tree")
+    if supervision == "semi":
+        return labeled + _strip_gold(sentences[labeled_count:])
     return labeled
 
 

@@ -186,8 +186,8 @@ class ClusterTask(Task):
         return ClusterState(state.doc, state.cluster,
                             np.asarray(action, dtype=float))
 
-    def rollout_loss(self, state):
-        return cluster_loss(state.doc, state.emitted)
+    def rollout_loss(self, final, emitted):
+        return cluster_loss(final.doc, final.emitted)
 
     def train_estimator(self, record):
         """Weighted maximum-likelihood emission table from the corpus

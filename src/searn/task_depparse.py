@@ -1,13 +1,13 @@
 """Shift-reduce dependency parsing as a sequential decision task.
 
-Phase 1 runs a four-action arc-eager transition system over the tag
-sequence; phase 2 (sentences with no gold tree) produces one tag per
-token using features read off the phase-1 tree, so the loss can be
-computed from the produced tags alone.  Decoding reads only the tree,
-so it runs phase 1 alone (:meth:`ParseTask.decoder`).
+The hidden half is a four-action arc-eager transition system over the tag
+sequence.  A sentence with no gold tree then re-emits its tags, one per
+token, from features read off the finished tree (``observed`` and
+``emission_features``; :func:`searn.core._emitted` runs that pass), so
+the loss can be computed from the emitted tags alone.  Decoding reads
+only the tree.
 """
 
-import copy
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -220,27 +220,28 @@ def supervised_oracle(state: ParserState, gold: DependencyTree,
 
 
 class ParseState:
-    """Rollout state: sentence, parser state, produced tags, cached tree.
+    """Rollout state: sentence, parser state, cached tree.
 
     ``windows`` memoizes the sentence's tag-window pairs (see _window);
     one dict is shared by every state reached from an initial state.
     Once parsing ends, it is None and ``tree`` is set.
     """
 
-    __slots__ = ("sent", "ps", "produced", "tree", "windows")
+    __slots__ = ("sent", "ps", "tree", "windows")
 
-    def __init__(self, sent, ps, produced, tree, windows):
+    def __init__(self, sent, ps, tree, windows):
         self.sent = sent
         self.ps = ps
-        self.produced = produced
         self.tree = tree
         self.windows = windows
 
 
 class ParseTask(Task):
     """A sentence with a gold tree gets the arc loss and the gold-tree
-    oracle; one without gets random parse actions and, unless the task
-    decodes (see ``decoder``), a tag phase scored by tag mismatches."""
+    oracle; one without gets random parse actions and re-emits its tags,
+    scored by tag mismatches."""
+
+    emit_group = TAG
 
     def __init__(self, tagset_size: int):
         if tagset_size < 2:
@@ -248,23 +249,9 @@ class ParseTask(Task):
         self.tagset_size = tagset_size
         self.interner = Interner()
         self._groups = {PARSE: 4, TAG: tagset_size}
-        self._decoding = False
-        self._tag_legal = tuple(range(tagset_size))
 
     def groups(self):
         return self._groups
-
-    def _tagged(self, sent: TaggedSentence) -> bool:
-        """Whether ``sent`` has a tag phase."""
-        return sent.gold_tree is None and not self._decoding
-
-    def decoder(self) -> "ParseTask":
-        """This task with no tag phase: a decoded sentence carries no gold
-        tree, and its tree is all that decoding reads.  It shares this
-        task's interner."""
-        twin = copy.copy(self)
-        twin._decoding = True
-        return twin
 
     def initial_state(self, example: TaggedSentence) -> ParseState:
         if example.n_tokens > MAX_LENGTH:
@@ -272,86 +259,68 @@ class ParseTask(Task):
         if any(t >= self.tagset_size for t in example.tags):
             raise DataError("tag id outside the configured tagset")
         return ParseState(example, initial_parser_state(example.n_tokens),
-                          (), None, {})
+                          None, {})
 
     def max_decisions(self, example) -> int:
-        return (3 if self._tagged(example) else 2) * example.n_tokens
+        return 2 * example.n_tokens
 
     def is_final(self, state: ParseState) -> bool:
-        T = state.sent.n_tokens
-        return state.ps.i > T and (not self._tagged(state.sent)
-                                   or len(state.produced) == T)
+        return state.ps.i > state.sent.n_tokens
 
     def group_of(self, state: ParseState) -> str:
-        return PARSE if state.ps.i <= state.sent.n_tokens else TAG
+        return PARSE
 
     def legal_actions(self, state: ParseState) -> tuple:
-        T = state.sent.n_tokens
-        if state.ps.i <= T:
-            return legal_actions(state.ps, T)
-        return self._tag_legal
+        return legal_actions(state.ps, state.sent.n_tokens)
 
     def features(self, state: ParseState) -> FeatureVector:
-        ps = state.ps
-        if ps.i <= state.sent.n_tokens:
-            return FeatureVector.from_pairs(self.interner, _tree_pairs(
-                state.windows, state.sent.tags, ps))
-        return self._tag_features(state)
+        return FeatureVector.from_pairs(self.interner, _tree_pairs(
+            state.windows, state.sent.tags, state.ps))
 
     def initial_action(self, state: ParseState, legal: tuple, rng) -> int:
-        if state.ps.i <= state.sent.n_tokens:
-            if state.sent.gold_tree is not None:
-                return supervised_oracle(state.ps, state.sent.gold_tree, legal)
-            return legal[int(rng.integers(len(legal)))]
-        return state.sent.tags[len(state.produced)]
+        if state.sent.gold_tree is not None:
+            return supervised_oracle(state.ps, state.sent.gold_tree, legal)
+        return legal[int(rng.integers(len(legal)))]
 
     def apply(self, state: ParseState, action: int) -> ParseState:
         T = state.sent.n_tokens
-        if state.ps.i <= T:
-            ps = apply_action(state.ps, action, T)
-            if ps.i == T + 1:
-                # the full tree check runs on every completed parse; the
-                # tree is all that later steps read, and dropping the
-                # windows frees them with the sentence's last parse
-                return ParseState(state.sent, ps, (), finalize(ps, T), None)
-            return ParseState(state.sent, ps, (), None, state.windows)
-        if not 0 <= action < self.tagset_size:
-            raise StateError(f"tag {action} outside the tagset")
-        return ParseState(state.sent, state.ps, state.produced + (action,),
-                          state.tree, state.windows)
+        ps = apply_action(state.ps, action, T)
+        if ps.i == T + 1:
+            # the full tree check runs on every completed parse; the tree
+            # is all that the re-emission reads, and dropping the windows
+            # frees them with the sentence's last parse
+            return ParseState(state.sent, ps, finalize(ps, T), None)
+        return ParseState(state.sent, ps, None, state.windows)
 
-    def rollout_loss(self, state: ParseState) -> float:
-        sent, gold = state.sent, state.sent.gold_tree
+    def rollout_loss(self, final: ParseState, emitted: tuple) -> float:
+        sent, gold = final.sent, final.sent.gold_tree
         if gold is not None:
             wrong = sum(1 for d in range(1, sent.n_tokens + 1)
-                        if state.tree.head_of(d) != gold.head_of(d))
+                        if final.tree.head_of(d) != gold.head_of(d))
             return wrong / sent.n_tokens
-        return float(sum(1 for p, t in zip(state.produced, sent.tags)
-                         if p != t))
+        return float(sum(1 for e, t in zip(emitted, sent.tags) if e != t))
 
-    def shortcut_costs(self, state: ParseState):
-        """Tag decisions: a produced tag never enters any later feature,
-        so tied continuations are identical across candidates and the
-        regret is exactly the mismatch indicator."""
-        if state.ps.i <= state.sent.n_tokens:
-            return None
-        truth = state.sent.tags[len(state.produced)]
+    def observed(self, final: ParseState) -> tuple:
+        """The tags, re-emitted where the sentence has no gold tree."""
+        return final.sent.tags if final.sent.gold_tree is None else ()
+
+    def shortcut_costs(self, final: ParseState, p: int) -> np.ndarray:
+        """Re-emitting tag p: an emitted tag never enters any feature, so
+        tied continuations are identical across candidates and the regret
+        is exactly the mismatch indicator."""
+        truth = final.sent.tags[p]
         return np.array([float(a != truth)
                          for a in range(self.tagset_size)])
 
     def validate_final(self, state: ParseState) -> None:
-        T = state.sent.n_tokens
-        if state.ps.i != T + 1:
+        if state.ps.i != state.sent.n_tokens + 1:
             raise StateError("rollout ended with unconsumed input")
         if state.tree is None:
             raise StateError("final state has no tree")
-        if self._tagged(state.sent) and len(state.produced) != T:
-            raise StateError("rollout ended with missing tag productions")
 
-    def _tag_features(self, state: ParseState) -> FeatureVector:
-        token = len(state.produced) + 1
-        tree = state.tree
-        tags = state.sent.tags
+    def emission_features(self, final: ParseState, p: int) -> FeatureVector:
+        """Tags of token p+1's parent, grandparent, aunts and daughters."""
+        token, tree, tags = p + 1, final.tree, final.sent.tags
         pairs = []
         parent = tree.head_of(token)
         if parent == 0:

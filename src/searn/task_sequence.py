@@ -1,17 +1,16 @@
 """Predict-self sequence labeling.
 
-The structure over a length-T symbol sequence has 2T decisions: the first
-T choose latent labels, the second T re-emit the observed symbols.  The
-loss counts emission mistakes only, so latent labels are judged purely by
-how well they support reconstruction.  The initial policy acts uniformly
-at random on latent decisions and emits the true symbol afterwards.
-Decoding reads only the labels, so it runs the first T decisions alone
-(:meth:`SequenceTask.decoder`).
+The hidden half of a length-T symbol sequence is T decisions that choose
+latent labels; the finished labels then re-emit the observed symbols,
+one per position (``observed`` and ``emission_features``).  The loss
+counts emission mistakes only, so latent labels are judged purely by how
+well they support reconstruction.  The initial policy acts uniformly at
+random on latent decisions and emits the true symbol afterwards.
+Decoding reads only the labels.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,13 +50,12 @@ class SeqState(NamedTuple):
 
 
 class SequenceTask(Task):
+    emit_group = EMIT
+
     def __init__(self, config: SequenceTaskConfig):
         self.config = config
         self._latent_legal = tuple(range(config.K))
         self._emit_legal = tuple(range(config.V))
-        # decisions per symbol: a label and an emission, or a label alone
-        # in the decoder
-        self._per_symbol = 2
         self.interner = Interner()
 
     @property
@@ -73,13 +71,6 @@ class SequenceTask(Task):
     def groups(self):
         return {LATENT: self.config.K, EMIT: self.config.V}
 
-    def decoder(self) -> "SequenceTask":
-        """A latent-only view: its structure is the T labels.  It shares
-        this task's interner and feature memo."""
-        view = copy.copy(self)
-        view._per_symbol = 1
-        return view
-
     def initial_state(self, example):
         x = tuple(int(v) for v in example)
         if not x:
@@ -89,37 +80,33 @@ class SequenceTask(Task):
         return SeqState(x, ())
 
     def max_decisions(self, example):
-        return self._per_symbol * len(example)
+        return len(example)
 
     def is_final(self, state):
-        return len(state.actions) == self._per_symbol * len(state.x)
+        return len(state.actions) == len(state.x)
 
     def group_of(self, state):
-        return LATENT if len(state.actions) < len(state.x) else EMIT
+        return LATENT
 
     def legal_actions(self, state):
-        if len(state.actions) < len(state.x):
-            return self._latent_legal
-        return self._emit_legal
+        return self._latent_legal
 
     def features(self, state):
-        """Latent decisions read the previous label (and, in lr_window
-        mode, the input window); emissions read their own latent label.
+        """A latent decision reads the previous label (and, in lr_window
+        mode, the input window).
 
         Memoized per task: the key holds every value ``features`` reads,
         so a hit returns the vector a rebuild would give.  Only a
         first-seen key builds names, so the interner sees each name first
         in the order an unmemoized build would intern it.
         """
-        x, actions = state.x, state.actions
-        T = len(x)
-        t = len(actions) + 1
-        if t <= T:
-            key = ((LATENT, actions[t - 2] if t > 1 else "START")
-                   + self._window(x, t - 1))
-        else:
-            key = (EMIT, actions[t - T - 1])
-        return self._vector(key)
+        actions = state.actions
+        return self._vector((LATENT, actions[-1] if actions else "START")
+                            + self._window(state.x, len(actions)))
+
+    def emission_features(self, final, p):
+        """Re-emitting symbol p reads its own latent label alone."""
+        return self._vector((EMIT, final.actions[p]))
 
     def _window(self, x: tuple, j: int) -> tuple:
         """The input part of the latent key at 0-based position j: empty
@@ -138,24 +125,21 @@ class SequenceTask(Task):
         return fv
 
     def initial_action(self, state, legal, rng):
-        if self.group_of(state) == LATENT:
-            return int(rng.integers(self.config.K))
-        p = len(state.actions) - len(state.x)
-        return state.x[p]
+        return int(rng.integers(self.config.K))
 
     def apply(self, state, action):
         return SeqState(state.x, state.actions + (int(action),))
 
     def rollout_finals(self, state, legal, pol, seq, steps, limit):
-        """The default's finals, from one pass over the shared draws.
+        """The default's pairs, from one pass over the shared draws.
 
         A step draws the same whatever the state: ``policy_act`` draws
-        ``rng.random()`` when the mixture has more than one component; a
-        latent step then draws ``rng.integers(K)`` when that component is
-        the initial rule or has no latent model; an emission draws nothing
-        more.  So the draws are taken once per call, the emission half's
-        by one ``rng.random(T)`` (the doubles of T scalar calls).  A
-        latent label reads only the previous label, the input and the
+        ``rng.random()`` when the mixture has more than one component,
+        then ``rng.integers(K)`` when that component is the initial rule
+        or has no latent model; ``_emitted`` draws one ``rng.random()``
+        per symbol likewise.  So the draws are taken once per call, the
+        re-emission's by one ``rng.random(T)`` (T scalar calls' doubles).
+        A latent label reads only the previous label, the input and the
         draws, so a candidate whose label equals the first candidate's at
         some position follows the first candidate's path from there; an
         emission reads only its own label and draw, so it is reused where
@@ -166,9 +150,6 @@ class SequenceTask(Task):
         """
         x, prefix = state.x, state.actions
         T, p = len(x), len(prefix)
-        if p >= T:
-            return super().rollout_finals(state, legal, pol, seq, steps,
-                                          limit)
         rng = np.random.default_rng(seq)
         rules = [r for r, _ in pol.components]
         latent_models = [None if isinstance(r, InitialRule)
@@ -218,36 +199,32 @@ class SequenceTask(Task):
                     if label != first[q - p]:
                         emitted[q] = emit(q, label)
                 labels += first[len(labels):]
-            finals.append(SeqState(x, prefix + tuple(labels)
-                                   + tuple(emitted)))
+            finals.append((SeqState(x, prefix + tuple(labels)),
+                           tuple(emitted)))
         return finals
 
-    def rollout_loss(self, state):
+    def rollout_loss(self, final, emitted):
         """Emission mistakes, counted (not normalized)."""
-        T = len(state.x)
-        emitted = state.actions[T:]
-        return float(sum(1 for p in range(T) if emitted[p] != state.x[p]))
+        return float(sum(1 for e, v in zip(emitted, final.x) if e != v))
 
-    def shortcut_costs(self, state):
-        """Emit decisions: the emitted symbol never enters any later
+    def observed(self, final):
+        return final.x
+
+    def shortcut_costs(self, final, p):
+        """Re-emitting symbol p: an emitted symbol never enters any
         feature, so tied continuations are identical across candidates
         and the regret is exactly the mismatch indicator."""
-        if self.group_of(state) != EMIT:
-            return None
-        p = len(state.actions) - len(state.x)
-        truth = state.x[p]
+        truth = final.x[p]
         return np.array([float(a != truth)
                          for a in range(self.config.V)])
 
     def validate_final(self, state):
         T = len(state.x)
-        if len(state.actions) != self._per_symbol * T:
-            raise TaskContractError(f"structure must have exactly "
-                                    f"{self._per_symbol * T} decisions")
-        if any(not 0 <= a < self.config.K for a in state.actions[:T]):
+        if len(state.actions) != T:
+            raise TaskContractError(f"structure must have exactly {T} "
+                                    "decisions")
+        if any(not 0 <= a < self.config.K for a in state.actions):
             raise TaskContractError("latent label out of range")
-        if any(not 0 <= a < self.config.V for a in state.actions[T:]):
-            raise TaskContractError("emitted symbol out of range")
 
 
 def _feature_names(key: tuple) -> list:
@@ -261,9 +238,9 @@ def _feature_names(key: tuple) -> list:
 
 
 def latent_labels(state: SeqState) -> np.ndarray:
-    """The latent labels, the first T actions, of a completed rollout or
-    of a decoded state (which holds them alone)."""
-    return np.asarray(state.actions[: len(state.x)], dtype=np.int64)
+    """The latent labels of a finished hidden half: its whole action
+    tuple."""
+    return np.asarray(state.actions, dtype=np.int64)
 
 
 def write_sequences(path, data, vocab_size: int, header_comment: str):

@@ -344,6 +344,24 @@ class TestParseTrain:
                        "--out", str(tmp_path / "o")) == 0
         assert (tmp_path / "o" / "model.json").exists()
 
+    @pytest.mark.parametrize("supervision", ["sup", "semi"])
+    def test_labeled_sentence_without_tree_is_data_error(self, tmp_path,
+                                                         capsys,
+                                                         supervision):
+        # semi on a file with no tree once trained on zero trees and
+        # exited 0, where sup failed
+        data = tmp_path / "bare.conll"
+        data.write_text("".join(f"1\t{t}\t_\n2\t{t + 1}\t_\n\n"
+                                for t in range(6)))
+        capsys.readouterr()
+        assert run_cli("train", "--task", "depparse", "--method", "searn-lr",
+                       "--supervision", supervision, "--labeled-count", "5",
+                       "--iterations", "1", "--data", str(data),
+                       "--out", str(tmp_path / "o")) == 1
+        assert "supervised mode requires a gold tree" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_labeled_count_beyond_data_rejected(self, tmp_path):
         data = tmp_path / "data"
         assert run_cli("gen", "--task", "depparse", "--sentences", "4",
@@ -893,6 +911,20 @@ def test_decode_reads_no_gold_tree(parse_run, tmp_path, monkeypatch):
     assert run_cli("eval", "--model", str(model), "--data", str(data),
                    "--out", str(out)) == 0
     assert json.loads((out / "summary.json").read_text())["mean"] < 1.0
+
+
+@pytest.mark.parametrize("gold", ["data", "missing"])
+def test_parse_eval_takes_no_gold(parse_run, tmp_path, capsys, gold):
+    # a parse model is scored against the trees of --data; eval once
+    # ignored --gold there, even a file that does not exist
+    data, model = parse_run
+    path = data if gold == "data" else tmp_path / "missing.gold.txt"
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert run_cli("eval", "--model", str(model), "--data", str(data),
+                   "--gold", str(path), "--out", str(out)) == 2
+    assert "takes no --gold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Settings a run does not read.  Each call once exited 0, and where it

@@ -71,8 +71,8 @@ class ToyTask(Task):
     def apply(self, state, action):
         return ToyState(state.example, int(action))
 
-    def rollout_loss(self, state):
-        return 0.0 if state.action == state.example[1] else 1.0
+    def rollout_loss(self, final, emitted):
+        return 0.0 if final.action == final.example[1] else 1.0
 
 
 def toy_dataset():

@@ -1,23 +1,28 @@
-"""Decoding runs each task's decoder, whose structure ends at the hidden half.
+"""Decoding runs each task itself, whose steps end at the hidden half.
 
-The reference is the path decoding took before: ``run_policy`` on the
-full task, tag or emission phase included, on the same per-input
-streams.  The decoder must give the same trees and latent labels, and its
-final states must hold the hidden half alone.
+The reference is the path decoding took before: the stepwise tasks of
+``test_rollout_engine``, tag or emission phase included, on the same
+per-input streams and the trained task's interner.  Decoding must give
+the same trees and latent labels, and its final states must hold the
+hidden half alone.
 """
 
 import numpy as np
 import pytest
+from test_rollout_engine import (OracleParseTask, OracleSequenceTask,
+                                 oracle_run_policy)
 
 from searn.core import (LearnedRule, LearnerConfig, Policy, RolloutConfig,
-                        derive_seed, initial_policy, run_policy, searn_learn)
+                        _emitted, derive_seed, initial_policy, run_policy,
+                        searn_learn)
 from searn.datagen import (HmmGenConfig, TreebankGenConfig, gen_hmm_dataset,
                            gen_hmm_params, gen_treebank)
+from searn.em import mm_random_init
 from searn.errors import StateError, TaskContractError
 from searn.experiments import (ParseExperiment, decode, decode_trees,
                                parse_training_data, train_parser)
 from searn.task_cluster import ClusterTask, ClusterTaskConfig
-from searn.task_depparse import DependencyTree, ParseTask, TaggedSentence
+from searn.task_depparse import ParseTask, TaggedSentence
 from searn.task_sequence import (EMIT, LATENT, SeqState, SequenceTask,
                                  SequenceTaskConfig, latent_labels)
 
@@ -27,10 +32,15 @@ TAGSET = 6
 
 
 def _full_task_finals(task, policy, inputs, seed):
-    """The old decode: every input run to the full task's final state."""
-    return [run_policy(task, x, policy,
-                       np.random.default_rng(derive_seed(seed, *KEY, i)))
-            for i, x in enumerate(inputs)]
+    """The old decode: every input run to the final state of the stepwise
+    task, tag or emission phase included, through ``task``'s interner."""
+    if isinstance(task, ParseTask):
+        stepwise = OracleParseTask(task.tagset_size)
+    else:
+        stepwise = OracleSequenceTask(task.config)
+    stepwise.interner = task.interner
+    return [oracle_run_policy(stepwise, x, policy, np.random.default_rng(
+        derive_seed(seed, *KEY, i))) for i, x in enumerate(inputs)]
 
 
 # ---------------------------------------------------------------------------
@@ -96,23 +106,26 @@ def test_parse_decoder_states_hold_no_tags(parser, treebank):
     _, test = treebank
     sentences = _unlabeled(test[:40])
     for state in decode(task, policy, sentences, 0, *KEY, runner=run_policy):
-        assert state.produced == ()
+        assert not hasattr(state, "produced")
         assert state.ps.i == state.sent.n_tokens + 1
         assert state.tree is not None
-    # the full task still tags every unlabeled sentence
+    # the stepwise task tags every unlabeled sentence
     assert all(len(s.produced) == s.sent.n_tokens for s in
                _full_task_finals(task, policy, sentences, 0))
 
 
-def test_parse_decoder_shares_the_interner(parser):
-    task, _ = parser
-    decoder = task.decoder()
-    assert decoder.interner is task.interner
-    assert decoder is not task
-    bare = TaggedSentence((1, 2))
-    labeled = TaggedSentence((1, 2), DependencyTree((0, 1)))
-    assert task._tagged(bare) and not task._tagged(labeled)
-    assert not decoder._tagged(bare) and not decoder._tagged(labeled)
+def test_parse_decoder_shares_the_interner(parser, treebank):
+    # decoding runs the trained task, so it reads the feature ids the
+    # models were trained on, and it builds no tag feature
+    task, policy = parser
+    _, test = treebank
+    before = task.interner.names()
+    decode(task, policy, _unlabeled(test), 0, *KEY, runner=run_policy)
+    names = task.interner.names()
+    assert names[:len(before)] == before
+    assert not [n for n in names[len(before):]
+                if n.split("=")[0] in ("parent", "grand", "aunt",
+                                       "daughter")]
 
 
 def test_parse_decoder_needs_the_tree(parser, treebank):
@@ -120,10 +133,9 @@ def test_parse_decoder_needs_the_tree(parser, treebank):
     _, test = treebank
     state = decode(task, policy, _unlabeled(test[:1]), 0, *KEY,
                    runner=run_policy)[0]
-    decoder = task.decoder()
-    decoder.validate_final(state)
+    task.validate_final(state)
     with pytest.raises(StateError):
-        decoder.validate_final(decoder.initial_state(state.sent))
+        task.validate_final(task.initial_state(state.sent))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +194,7 @@ def test_latent_labels_match_the_full_task(labeler, sequences, mixture,
     task, policy = labeler
     _, test = sequences
     pol = _mixtures(policy)[mixture]
-    old = [latent_labels(s).tolist()
+    old = [list(s.actions[:len(s.x)])
            for s in _full_task_finals(task, pol, test, seed)]
     new = [latent_labels(s).tolist()
            for s in decode(task, pol, test, seed, *KEY, runner=run_policy)]
@@ -201,36 +213,42 @@ def test_sequence_decoder_states_hold_the_labels_alone(labeler, sequences):
 
 
 def test_sequence_decoder_shares_features():
+    # the steps end at the labels, and the decoded and re-emitted halves
+    # read one feature memo
     task = SequenceTask(SequenceTaskConfig(K=3, V=4, feature_mode="lr_window"))
-    decoder = task.decoder()
-    assert decoder.interner is task.interner
     x = (0, 1, 2)
-    fv = decoder.features(SeqState(x, (1,)))
+    fv = task.features(SeqState(x, (1,)))
     assert task.features(SeqState(x, (1,))) is fv
-    assert decoder.max_decisions(x) == 3
-    assert task.max_decisions(x) == 6
-    assert decoder.is_final(SeqState(x, (0, 1, 2)))
-    assert not task.is_final(SeqState(x, (0, 1, 2)))
+    assert task.emission_features(SeqState(x, (0, 1, 2)), 1) is \
+        task.emission_features(SeqState(x, (1, 0, 0)), 0)
+    assert task.max_decisions(x) == 3
+    assert task.is_final(SeqState(x, (0, 1, 2)))
+    assert not task.is_final(SeqState(x, (0, 1)))
 
 
 @pytest.mark.parametrize("actions", [(0, 1, 2, 3), (0, 1, 2, 0, 1, 2)],
                          ids=["T+1", "2T"])
 def test_sequence_decoder_rejects_more_than_the_labels(actions):
-    decoder = SequenceTask(SequenceTaskConfig(
-        K=3, V=4, feature_mode="nb_hmm")).decoder()
-    decoder.validate_final(SeqState((0, 1, 2), actions[:3]))
+    task = SequenceTask(SequenceTaskConfig(K=3, V=4, feature_mode="nb_hmm"))
+    task.validate_final(SeqState((0, 1, 2), actions[:3]))
     with pytest.raises(TaskContractError):
-        decoder.validate_final(SeqState((0, 1, 2), actions))
+        task.validate_final(SeqState((0, 1, 2), actions))
 
 
 @pytest.mark.parametrize("labels", [(0, 3, 1), (-1, 0, 0)])
 def test_sequence_decoder_rejects_a_label_out_of_range(labels):
-    decoder = SequenceTask(SequenceTaskConfig(
-        K=3, V=4, feature_mode="nb_hmm")).decoder()
+    task = SequenceTask(SequenceTaskConfig(K=3, V=4, feature_mode="nb_hmm"))
     with pytest.raises(TaskContractError):
-        decoder.validate_final(SeqState((0, 1, 2), labels))
+        task.validate_final(SeqState((0, 1, 2), labels))
 
 
 def test_cluster_task_decodes_as_itself():
+    # the cluster task re-emits its document by its own decision, so a
+    # policy run ends with the emission and the engine adds none
     task = ClusterTask(ClusterTaskConfig(K=2, V=3))
-    assert task.decoder() is task
+    pol = task.policy_from_params(mm_random_init(2, 3, 1))
+    rng = np.random.default_rng(0)
+    final = run_policy(task, np.array([1.0, 0.0, 2.0]), pol, rng)
+    assert final.emitted is not None
+    assert task.observed(final) == ()
+    assert _emitted(task, final, pol, rng) == ()

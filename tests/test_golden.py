@@ -107,6 +107,33 @@ def _calls():
     calls.append(("parse-nb-eval", [
         "eval", "--model", "{}/parse-nb/model.json", "--data", heldout,
         "--seed", "4"]))
+    # multi-sample rollouts, mixtures of several tag or emission models,
+    # and the deterministic re-emission of beta 1
+    for step, extra in (
+            ("parse-unsup-mix", ["--method", "searn-lr", "--beta", "0.5",
+                                 "--n-samples", "2", "--iterations", "3"]),
+            ("parse-semi-mix", ["--method", "searn-lr", "--supervision",
+                                "semi", "--labeled-count", "8", "--beta",
+                                "0.5", "--n-samples", "2", "--iterations",
+                                "3"]),
+            ("parse-unsup-beta1", ["--method", "searn-lr", "--beta", "1",
+                                   "--iterations", "3"]),
+            ("parse-nb-mix", ["--method", "searn-nb", "--beta", "0.3",
+                              "--n-samples", "3", "--iterations", "3"])):
+        calls.append((step, ["train", "--task", "depparse", "--data", bank,
+                             "--seed", "1"] + extra))
+        calls.append((f"{step}-eval", [
+            "eval", "--model", f"{{}}/{step}/model.json", "--data", heldout,
+            "--seed", "4"]))
+    for method in ("searn-nb", "searn-lr"):
+        calls.append((f"seq-{method}-mix", [
+            "train", "--task", "sequence", "--method", method, "--data", seq,
+            "--beta", "0.3", "--n-samples", "3", "--iterations", "4",
+            "--seed", "1"]))
+        model = f"{{}}/seq-{method}-mix/model.json"
+        calls.append((f"seq-{method}-mix-eval", [
+            "eval", "--model", f"{model},{model}", "--data", f"{seq},{seq1}",
+            "--gold", f"{gold},{gold1}", "--seed", "2"]))
     # corpora at the benchmark's sizes, so that a sampler change shows on
     # thousands of draws per table, not a few dozen
     calls += [
@@ -220,6 +247,14 @@ GOLDEN = {
         "f9f0f766ccd5dc002e97cdedad661fb3652bcb4521c82922a90ff755b294f7f8",
     "parse-nb-eval/summary.json":
         "aa02b3eacdb6a001c07599ebdd4b55243c7cb3a8cd19bb18b2e922112aeba3d2",
+    "parse-nb-mix-eval/metrics.csv":
+        "3253deeb8fde94dfd07f2604415a66ee06f1e963abdc3708f82e9264a8a91a36",
+    "parse-nb-mix-eval/summary.json":
+        "b2b3bf6e3c056d5c3318af4fd0ae5fa05c92ed464894976e3aea535c45ce2520",
+    "parse-nb-mix/model.json":
+        "468acc9540f631555d32b24dcf94108dea763098a91fd4eef7018c1365b6a31b",
+    "parse-nb-mix/train-log.csv":
+        "e7465b8c1254a5cb0194d1bf11a3042a4ae97e1e830fdf035e50d12ae8aa3af5",
     "parse-nb/model.json":
         "9815981f30d920a32b0ffd9ad277ed99bcc4b13ec20efa50bf2946d71fe407b8",
     "parse-nb/train-log.csv":
@@ -228,6 +263,14 @@ GOLDEN = {
         "8f97c5757c752691158cc95fb309014697ec0af556ea121521b4d292ccb24756",
     "parse-semi-eval/summary.json":
         "2ed1e20cadfda55112fe85fd5c9c8bedda27c5734d531e8eee022efc09fb5a25",
+    "parse-semi-mix-eval/metrics.csv":
+        "63a896cc4335842104abaea2fdcdc03016694b83956fb760dce0e5e42f53445c",
+    "parse-semi-mix-eval/summary.json":
+        "bb61cea48929ac244a361b189da5d5e51cc5e203e6ff757272e87fd3f62afa13",
+    "parse-semi-mix/model.json":
+        "35e780d541e4ed9b2ce43bd58c306e3843fe3e926cf6bc2a574d61344b1a7e92",
+    "parse-semi-mix/train-log.csv":
+        "3937ac4acaf0b3330b3d424e4f9d9b6bf1edff56650f5009931501a0ba57f4a1",
     "parse-semi/model.json":
         "680ca75f59fc231cfe11c088f0303298d754969eee9a0c18b2ecf0249793d457",
     "parse-semi/train-log.csv":
@@ -240,10 +283,26 @@ GOLDEN = {
         "c34fe58f22a6fb428b0600e74e20e5538d867d3d50130f2e671047596772b1a4",
     "parse-sup/train-log.csv":
         "4a3643cecc0e429c47d605cecb80a710269b3cb7ac9d83246f829f872faff954",
+    "parse-unsup-beta1-eval/metrics.csv":
+        "3253deeb8fde94dfd07f2604415a66ee06f1e963abdc3708f82e9264a8a91a36",
+    "parse-unsup-beta1-eval/summary.json":
+        "b2b3bf6e3c056d5c3318af4fd0ae5fa05c92ed464894976e3aea535c45ce2520",
+    "parse-unsup-beta1/model.json":
+        "3c378076b2132f6413e78c11b772e0c17f408cecb7e17f538e0402bc63a07daf",
+    "parse-unsup-beta1/train-log.csv":
+        "768aa43b185b1301ba4a53a71d2a0cc9fbd50961417c3f1ca116d21ae3eb2b31",
     "parse-unsup-eval/metrics.csv":
         "f9f0f766ccd5dc002e97cdedad661fb3652bcb4521c82922a90ff755b294f7f8",
     "parse-unsup-eval/summary.json":
         "aa02b3eacdb6a001c07599ebdd4b55243c7cb3a8cd19bb18b2e922112aeba3d2",
+    "parse-unsup-mix-eval/metrics.csv":
+        "01bc484dd01f6b5be5ca8dcd390b66b7692915780e4816543dd971dba17d491a",
+    "parse-unsup-mix-eval/summary.json":
+        "51ea778c73451a90f6c4cfb2f94051b721b34e883b38fd05b9b02334ab21011d",
+    "parse-unsup-mix/model.json":
+        "604e17ea2846d10c3125130051c19247555a8904b31dfb7856d0dc7cef9d8c4c",
+    "parse-unsup-mix/train-log.csv":
+        "f1c43b865f060e9a58c7c4d0e3b249238fe8cec21d47f0358d535cc3838cfcd0",
     "parse-unsup/model.json":
         "c0927569488a793b86b01a978ea7773ea5de04e5be18059f460c921ec5aebe22",
     "parse-unsup/train-log.csv":
@@ -272,6 +331,14 @@ GOLDEN = {
         "b74f5bd3c1565a2ea235d4a889b74e773486e96852f5c9c6d0d6183c33ae0055",
     "seq-searn-lr-eval/summary.json":
         "16489356a90329d52d8d4883f835978aaa8cfcb3e88ba87b8d31ee803f8a6a5f",
+    "seq-searn-lr-mix-eval/metrics.csv":
+        "c73938c9ac51f85786050da2e212b6f113719ed35ea3329afec755312845a5de",
+    "seq-searn-lr-mix-eval/summary.json":
+        "eb6201641a81aaa036d568bba7e0baa6d6399b18c62ea13eb8bc99eaf580d1dc",
+    "seq-searn-lr-mix/model.json":
+        "c4c4e082510a1034e945b1bf0d3244ddaeede7a219f51eee35440985c89c2db3",
+    "seq-searn-lr-mix/train-log.csv":
+        "605a1ed892ffc8505401ef166fb8bcc3e6c3d533200cd0245cc17f01e1f85324",
     "seq-searn-lr/model.json":
         "24eb9a23a6608b201f33562f284b40f7e5594ce38dfccb8ded298e0b19447942",
     "seq-searn-lr/train-log.csv":
@@ -280,6 +347,14 @@ GOLDEN = {
         "b74f5bd3c1565a2ea235d4a889b74e773486e96852f5c9c6d0d6183c33ae0055",
     "seq-searn-nb-eval/summary.json":
         "16489356a90329d52d8d4883f835978aaa8cfcb3e88ba87b8d31ee803f8a6a5f",
+    "seq-searn-nb-mix-eval/metrics.csv":
+        "cd9a130bd8381da23ad8bb063f6d37847aaed6d33f318377a72466442a384634",
+    "seq-searn-nb-mix-eval/summary.json":
+        "0a51e0c921e4dec8e687b45080b80f5c873612d617512e5fcad070d3e431d2c6",
+    "seq-searn-nb-mix/model.json":
+        "18803d2df6679f810e3c7b2131d22a4f17d6ca1c96ae45ab7aab58e79440f4ff",
+    "seq-searn-nb-mix/train-log.csv":
+        "9494f313680f3375dfe77ae5bfdc120532e64c03a5609b65046586735814bb1d",
     "seq-searn-nb/model.json":
         "95216584385c4b694ee2fe0afbd66b70d2d368eb6194f98383d9b64c6979a386",
     "seq-searn-nb/train-log.csv":

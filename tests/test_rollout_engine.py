@@ -2,10 +2,15 @@
 
 The reference below is the engine before legality was computed once per
 step, before model decisions and sequence features were memoized, before
-the parser kept incremental heads, and before one SeedSequence served
-every candidate of a deviation.  Both engines learn side by side, each
-with its own task, interner and models, and must agree bit for bit.
+the parser kept incremental heads, before one SeedSequence served every
+candidate of a deviation, and before the re-emission left the step
+engine: its tasks step through the tag or emission phase, one decision
+per observed symbol, and cost each such decision by a per-state
+shortcut.  Both engines learn side by side, each with its own task,
+interner and models, and must agree bit for bit.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from searn.core import (
     RolloutConfig,
     Task,
     _constant_costs,
+    _emitted,
     _rng,
     generate_examples,
     initial_policy,
@@ -36,9 +42,11 @@ from searn.errors import StateError
 from searn.features import FeatureVector, Interner
 from searn.task_depparse import (
     LEFT_ARC,
+    PARSE,
     REDUCE,
     RIGHT_ARC,
     SHIFT,
+    TAG,
     ParserState,
     ParseState,
     ParseTask,
@@ -47,8 +55,10 @@ from searn.task_depparse import (
     _window_pairs,
     finalize,
     initial_parser_state,
+    supervised_oracle,
 )
-from searn.task_sequence import EMIT, LATENT, SequenceTask, SequenceTaskConfig
+from searn.task_sequence import (EMIT, LATENT, SeqState, SequenceTask,
+                                 SequenceTaskConfig)
 
 # ---------------------------------------------------------------------------
 # The reference engine
@@ -97,11 +107,15 @@ def oracle_run_policy(task, example, pol, rng):
 
 
 def oracle_costs_at_state(task, example, example_id, t, state, pol, cfg):
-    legal = task.legal_actions(state)
     shortcut = task.shortcut_costs(state)
     if shortcut is not None:
         costs = np.asarray(shortcut, dtype=float)
         return costs - costs.min()
+    return oracle_rolled_costs(task, example_id, t, state, pol, cfg)
+
+
+def oracle_rolled_costs(task, example_id, t, state, pol, cfg):
+    legal = task.legal_actions(state)
     costs = np.zeros(len(legal))
     for s in range(cfg.n_samples):
         for k, action in enumerate(legal):
@@ -135,12 +149,57 @@ def oracle_generate_examples(dataset, pol, task, cfg):
     return GeneratedExamples(out, {})
 
 
-class OracleSequenceTask(SequenceTask):
-    """Legality and features rebuilt from the state on every call."""
+class OracleSequenceTask:
+    """The sequence task in 2T steps: T latent labels, then T emissions of
+    the observed symbols; legality and features rebuilt from the state on
+    every call."""
+
+    weight_mode = "argmin_spread"
+
+    def __init__(self, config):
+        self.config = config
+        self.interner = Interner()
+
+    def groups(self):
+        return {LATENT: self.config.K, EMIT: self.config.V}
+
+    def initial_state(self, x):
+        return SeqState(tuple(int(v) for v in x), ())
+
+    def is_final(self, state):
+        return len(state.actions) == 2 * len(state.x)
+
+    def group_of(self, state):
+        return LATENT if len(state.actions) < len(state.x) else EMIT
 
     def legal_actions(self, state):
         n = self.config.K if self.group_of(state) == LATENT else self.config.V
         return tuple(range(n))
+
+    def initial_action(self, state, legal, rng):
+        if self.group_of(state) == LATENT:
+            return int(rng.integers(self.config.K))
+        return state.x[len(state.actions) - len(state.x)]
+
+    def apply(self, state, action):
+        return SeqState(state.x, state.actions + (int(action),))
+
+    def emitted(self, final):
+        return final.actions[len(final.x):]
+
+    def rollout_loss(self, final):
+        return float(sum(1 for e, v in zip(self.emitted(final), final.x)
+                         if e != v))
+
+    def shortcut_costs(self, state):
+        """Emissions: the mismatch indicator."""
+        if self.group_of(state) == LATENT:
+            return None
+        truth = state.x[len(state.actions) - len(state.x)]
+        return np.array([float(a != truth) for a in range(self.config.V)])
+
+    def validate_final(self, final):
+        assert len(final.actions) == 2 * len(final.x)
 
     def features(self, state):
         x, actions = state.x, state.actions
@@ -221,12 +280,61 @@ def oracle_tree_features(task, ps, sent):
     return FeatureVector.from_pairs(task.interner, pairs)
 
 
-class OracleParseTask(ParseTask):
-    """Parser state kept as the arc list alone, scanned on every call."""
+def oracle_tag_features(task, state):
+    """Tags of the parent, grandparent, aunts and daughters of the next
+    token to tag, read off the finished tree."""
+    tags, heads = state.sent.tags, state.tree.heads
+    token = len(state.produced) + 1
 
-    def initial_state(self, example):
-        state = super().initial_state(example)
-        return ParseState(state.sent, state.ps, (), None, None)
+    def children(node):
+        return [d for d in range(1, len(tags) + 1) if heads[d - 1] == node]
+
+    def tag(node):
+        return "ROOT" if node == 0 else tags[node - 1]
+
+    parent = heads[token - 1]
+    pairs = [(f"parent={tag(parent)}", 1.0)]
+    if parent:
+        grand = heads[parent - 1]
+        pairs.append((f"grand={tag(grand)}", 1.0))
+        pairs += [(f"aunt={tags[a - 1]}", 1.0) for a in children(grand)
+                  if a != parent]
+    pairs += [(f"daughter={tags[d - 1]}", 1.0) for d in children(token)]
+    return FeatureVector.from_pairs(task.interner, pairs)
+
+
+class OracleParseState(NamedTuple):
+    sent: TaggedSentence
+    ps: ParserState
+    produced: tuple
+    tree: object
+
+
+class OracleParseTask:
+    """The parser with its tag phase in steps: a sentence with no gold
+    tree tags each token once the tree is built.  Parser state is kept as
+    the arc list alone, scanned on every call."""
+
+    weight_mode = "argmin_spread"
+
+    def __init__(self, tagset_size):
+        self.tagset_size = tagset_size
+        self.interner = Interner()
+
+    def groups(self):
+        return {PARSE: 4, TAG: self.tagset_size}
+
+    def initial_state(self, sent):
+        return OracleParseState(sent, initial_parser_state(sent.n_tokens),
+                                (), None)
+
+    def is_final(self, state):
+        T = state.sent.n_tokens
+        return state.ps.i > T and (state.sent.gold_tree is not None
+                                   or len(state.produced) == T)
+
+    def group_of(self, state):
+        return PARSE if state.ps.i <= state.sent.n_tokens else TAG
 
     def legal_actions(self, state):
         if state.ps.i <= state.sent.n_tokens:
@@ -236,25 +344,47 @@ class OracleParseTask(ParseTask):
     def features(self, state):
         if state.ps.i <= state.sent.n_tokens:
             return oracle_tree_features(self, state.ps, state.sent)
-        return self._tag_features(state)
+        return oracle_tag_features(self, state)
 
     def initial_action(self, state, legal, rng):
-        T = state.sent.n_tokens
-        if state.ps.i <= T and state.sent.gold_tree is None:
-            legal = oracle_parser_legal(state.ps, T)
-            return legal[int(rng.integers(len(legal)))]
-        return super().initial_action(state, legal, rng)
+        sent = state.sent
+        if state.ps.i > sent.n_tokens:
+            return sent.tags[len(state.produced)]
+        if sent.gold_tree is not None:
+            return supervised_oracle(state.ps, sent.gold_tree, legal)
+        return legal[int(rng.integers(len(legal)))]
 
     def apply(self, state, action):
         T = state.sent.n_tokens
         if state.ps.i <= T:
             ps = oracle_apply_action(state.ps, action, T)
             tree = finalize(ps, T) if ps.i == T + 1 else None
-            return ParseState(state.sent, ps, (), tree, None)
+            return OracleParseState(state.sent, ps, (), tree)
         if not 0 <= action < self.tagset_size:
             raise StateError(f"tag {action} outside the tagset")
-        return ParseState(state.sent, state.ps, state.produced + (action,),
-                          state.tree, None)
+        return state._replace(produced=state.produced + (action,))
+
+    def emitted(self, final):
+        return final.produced
+
+    def rollout_loss(self, final):
+        sent, gold = final.sent, final.sent.gold_tree
+        if gold is not None:
+            return sum(final.tree.heads[d] != gold.heads[d]
+                       for d in range(sent.n_tokens)) / sent.n_tokens
+        return float(sum(p != t for p, t in zip(final.produced, sent.tags)))
+
+    def shortcut_costs(self, state):
+        """Tag decisions: the mismatch indicator."""
+        if state.ps.i <= state.sent.n_tokens:
+            return None
+        truth = state.sent.tags[len(state.produced)]
+        return np.array([float(a != truth)
+                         for a in range(self.tagset_size)])
+
+    def validate_final(self, final):
+        assert final.ps.i == final.sent.n_tokens + 1
+        assert self.is_final(final)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +402,11 @@ def assert_same_examples(new, old):
     assert new.estimation_records == old.estimation_records == {}
 
 
-def final_key(state):
-    if isinstance(state, ParseState):
-        return state.ps, state.produced, state.tree.heads
-    return state.actions
+def hidden_key(state):
+    """The hidden half of a package or reference final."""
+    if isinstance(state, (ParseState, OracleParseState)):
+        return state.ps, state.tree.heads
+    return state.actions[:len(state.x)]
 
 
 def learn_side_by_side(new, old, data, learner, beta, cfg, iterations=2,
@@ -299,9 +430,13 @@ def learn_side_by_side(new, old, data, learner, beta, cfg, iterations=2,
         pol_new = interpolate_policy(pol_new, rule_new, beta)
         pol_old = interpolate_policy(pol_old, rule_old, beta)
     for i, x in enumerate(data):
-        f_new = run_policy(new, x, pol_new, np.random.default_rng(i))
-        f_old = oracle_run_policy(old, x, pol_old, np.random.default_rng(i))
-        assert final_key(f_new) == final_key(f_old)
+        rng_new, rng_old = np.random.default_rng(i), np.random.default_rng(i)
+        f_new = run_policy(new, x, pol_new, rng_new)
+        emitted = _emitted(new, f_new, pol_new, rng_new)
+        f_old = oracle_run_policy(old, x, pol_old, rng_old)
+        assert hidden_key(f_new) == hidden_key(f_old)
+        assert emitted == old.emitted(f_old)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
     assert new.interner.names() == old.interner.names()
     assert n_examples > 0
     return pol_new
@@ -453,9 +588,11 @@ def test_cost_ties_go_to_lowest_id():
                          oracle_generate_examples(data, pol, old, cfg))
     greedy = Policy(((rule, 1.0),))
     for i, x in enumerate(data):
-        final = run_policy(new, x, greedy, np.random.default_rng(i))
-        assert final.actions == (0,) * (2 * len(x))
-        assert final_key(final) == final_key(
+        rng = np.random.default_rng(i)
+        final = run_policy(new, x, greedy, rng)
+        assert final.actions + _emitted(new, final, greedy, rng) == \
+            (0,) * (2 * len(x))
+        assert final.actions == hidden_key(
             oracle_run_policy(old, x, greedy, np.random.default_rng(i)))
     state = new.initial_state(data[0])
     model = rule.models[LATENT]
@@ -485,3 +622,45 @@ def test_parse_steps_match_reference_per_state():
             assert after.ps == oracle_apply_action(state.ps, action, T)
             state = after
         assert state.tree.heads == finalize(state.ps, T).heads
+
+
+def _tag_phase_policies():
+    """A two-iteration parser's last rule alone, mixed with the initial
+    rule, and mixed with a copy of itself that has no tag model."""
+    data = random_sentences(5, 12, seed=71, labeled=lambda j: False)
+    task = ParseTask(5)
+    learner = LearnerConfig(kind="nb", smoothing=0.5)
+    pol = initial_policy()
+    for it in range(2):
+        rule = train_rule(task, generate_examples(
+            data, pol, task, RolloutConfig(seed=it)), learner)
+        pol = interpolate_policy(pol, rule, 0.5)
+    assert set(rule.models) == {PARSE, TAG}
+    untagged = LearnedRule({PARSE: rule.models[PARSE]})
+    return task, data, {
+        "one-rule": Policy(((rule, 1.0),)),
+        "with-initial": Policy(((INITIAL_RULE, 0.3), (rule, 0.7))),
+        "no-tag-model": Policy(((untagged, 0.5), (rule, 0.5))),
+    }
+
+
+@pytest.mark.parametrize("mixture", ["one-rule", "with-initial",
+                                     "no-tag-model"])
+def test_emitted_leaves_the_stream_where_the_tag_phase_does(mixture):
+    # the re-emission draws what the stepwise tag phase drew, in the same
+    # order, and nothing more
+    task, data, policies = _tag_phase_policies()
+    pol = policies[mixture]
+    reference = OracleParseTask(5)
+    reference.interner = task.interner
+    n_changed = 0
+    for i, sent in enumerate(data):
+        rng, stepwise = np.random.default_rng(i), np.random.default_rng(i)
+        final = run_policy(task, sent, pol, rng)
+        emitted = _emitted(task, final, pol, rng)
+        old = oracle_run_policy(reference, sent, pol, stepwise)
+        assert hidden_key(final) == hidden_key(old)
+        assert emitted == old.produced
+        assert rng.bit_generator.state == stepwise.bit_generator.state
+        n_changed += emitted != sent.tags
+    assert n_changed > 0

@@ -47,9 +47,9 @@ class CountingClusterTask(ClusterTask):
 
     rollouts = 0
 
-    def rollout_loss(self, state):
+    def rollout_loss(self, final, emitted):
         self.rollouts += 1
-        return super().rollout_loss(state)
+        return super().rollout_loss(final, emitted)
 
 
 class TestDecompose:
@@ -96,7 +96,7 @@ class TestDecompose:
         final = run_policy(task, np.array([1.0, 2.0, 0.0, 1.0]),
                            initial_policy(), rng)
         assert final.emitted is not None
-        assert task.rollout_loss(final) >= 0.0
+        assert task.rollout_loss(final, ()) >= 0.0
 
     def test_learned_policy_emits_its_cluster_table(self):
         # the emit decision acts through ClusterEmissionModel, which only
@@ -108,7 +108,7 @@ class TestDecompose:
         for i, doc in enumerate(random_corpus(8, V, 13)):
             final = run_policy(task, doc, pol, np.random.default_rng(i))
             assert np.array_equal(final.emitted, params.theta[final.cluster])
-            assert np.isfinite(task.rollout_loss(final))
+            assert np.isfinite(task.rollout_loss(final, ()))
 
     def test_document_validation(self):
         with pytest.raises(DataError):
@@ -172,7 +172,7 @@ class TestExactCosts:
             state = task.apply(task.initial_state(doc), k)
             emitted = task.model_action(rule.models[DOC], state,
                                         task.legal_actions(state))
-            losses.append(task.rollout_loss(task.apply(state, emitted)))
+            losses.append(task.rollout_loss(task.apply(state, emitted), ()))
         return np.array(losses)
 
     @pytest.mark.parametrize("seed", range(5))

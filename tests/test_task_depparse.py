@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from test_rollout_engine import (OracleParseTask, oracle_policy_act,
+                                 oracle_rolled_costs)
+
 from searn.core import (
     LearnerConfig,
     RolloutConfig,
-    _costs_at_state,
+    _emitted,
+    _PATH,
+    _rng,
     initial_policy,
-    policy_act,
     run_policy,
     searn_learn,
 )
@@ -219,7 +223,7 @@ class TestOracle:
 
 class TestTreeFeatures:
     def names(self, task, ps, tags):
-        state = ParseState(TaggedSentence(tags), ps, (), None, {})
+        state = ParseState(TaggedSentence(tags), ps, None, {})
         return task.features(state).as_dict(task.interner)
 
     def test_initial_state_has_null_stack_marker(self):
@@ -269,11 +273,12 @@ class TestTreeFeatures:
         assert "st.head=5" not in got
 
     def test_no_features_past_final(self):
-        # once the input is consumed, decisions read tag features only
+        # once the input is consumed the hidden half is finished, and only
+        # the re-emission reads features: the tag features
         task = make_task()
         state = drive(task, TaggedSentence((1, 1)), [SHIFT, SHIFT])
-        assert task.group_of(state) == "tag"
-        got = task.features(state).as_dict(task.interner)
+        assert task.is_final(state)
+        got = task.emission_features(state, 0).as_dict(task.interner)
         assert got == {"parent=ROOT": 1.0}
 
 
@@ -298,24 +303,33 @@ class TestDecompose:
         assert spaces[0] == (SHIFT,)
 
     def test_unsupervised_adds_one_tag_decision_per_token(self):
+        # the tags are re-emitted from the finished tree, one per token,
+        # after the parse steps
         task = make_task()
         sent = TaggedSentence((3, 1, 4, 1, 5, 9, 2))
         spaces = action_spaces(task, sent, np.random.default_rng(8))
-        assert len([s for s in spaces if len(s) == 12]) == 7
-        assert len(spaces) <= 2 * 7 + 7
+        assert all(len(s) <= 4 for s in spaces)
+        assert len(spaces) <= 2 * 7
+        final = run_policy(task, sent, initial_policy(),
+                           np.random.default_rng(8))
+        assert task.observed(final) == sent.tags
+        assert task.groups()[task.emit_group] == 12
 
     def test_sup_without_gold_rejected(self):
         # training data is checked where it is prepared; the task gives a
-        # gold-free sentence a tag phase, except in its decoder, which is
-        # how every decode runs
+        # gold-free sentence a re-emission of its tags, which decoding
+        # never draws
         with pytest.raises(DataError, match="requires a gold tree"):
             parse_training_data([TaggedSentence((1, 2))], "sup", None)
         task = make_task()
         sent = TaggedSentence((1, 2))
-        assert task.max_decisions(sent) == 6
-        assert task.decoder().max_decisions(sent) == 4
+        assert task.max_decisions(sent) == 4
         labeled = TaggedSentence((1, 2), DependencyTree((0, 1)))
         assert task.max_decisions(labeled) == 4
+        final = drive(task, sent, [SHIFT, SHIFT])
+        assert task.observed(final) == (1, 2)
+        labeled_final = drive(task, labeled, [SHIFT, RIGHT_ARC])
+        assert task.observed(labeled_final) == ()
 
     def test_length_cap(self):
         task = make_task()
@@ -338,14 +352,14 @@ class TestTagFeatures:
         sent = TaggedSentence((5, 2, 7))
         state = drive(task, sent, [SHIFT, RIGHT_ARC, RIGHT_ARC])
         assert state.tree.heads == (0, 1, 2)
-        got = task.features(state).as_dict(task.interner)
+        got = task.emission_features(state, 0).as_dict(task.interner)
         assert got == {"parent=ROOT": 1.0, "daughter=2": 1.0}
 
     def test_parent_and_root_grandparent(self):
         task = make_task()
         sent = TaggedSentence((5, 2, 7))
-        state = drive(task, sent, [SHIFT, RIGHT_ARC, RIGHT_ARC, 0])
-        got = task.features(state).as_dict(task.interner)
+        state = drive(task, sent, [SHIFT, RIGHT_ARC, RIGHT_ARC])
+        got = task.emission_features(state, 1).as_dict(task.interner)
         assert got == {"parent=5": 1.0, "grand=ROOT": 1.0,
                        "daughter=7": 1.0}
 
@@ -353,18 +367,18 @@ class TestTagFeatures:
         task = make_task()
         sent = TaggedSentence((5, 2, 7, 3))
         state = drive(task, sent, [SHIFT, RIGHT_ARC, REDUCE, RIGHT_ARC,
-                                   RIGHT_ARC, 0, 0, 0])
+                                   RIGHT_ARC])
         assert state.tree.heads == (0, 1, 1, 3)
-        got = task.features(state).as_dict(task.interner)
+        got = task.emission_features(state, 3).as_dict(task.interner)
         assert got == {"parent=7": 1.0, "grand=5": 1.0, "aunt=2": 1.0}
 
     def test_own_tag_never_appears(self):
         # token 2 carries the only occurrence of tag 9; none of its
-        # phase-2 features may mention it
+        # re-emission features may mention it
         task = make_task()
         sent = TaggedSentence((5, 9, 7))
-        state = drive(task, sent, [SHIFT, RIGHT_ARC, RIGHT_ARC, 0])
-        got = task.features(state).as_dict(task.interner)
+        state = drive(task, sent, [SHIFT, RIGHT_ARC, RIGHT_ARC])
+        got = task.emission_features(state, 1).as_dict(task.interner)
         assert all("9" not in name for name in got)
 
 
@@ -372,14 +386,14 @@ class TestLosses:
     def test_unsup_zero_when_tags_reproduced(self):
         task = make_task()
         sent = TaggedSentence((3, 1, 4))
-        state = drive(task, sent, [SHIFT, SHIFT, SHIFT, 3, 1, 4])
-        assert task.rollout_loss(state) == 0.0
+        state = drive(task, sent, [SHIFT, SHIFT, SHIFT])
+        assert task.rollout_loss(state, (3, 1, 4)) == 0.0
 
     def test_unsup_counts_mismatches(self):
         task = make_task()
         sent = TaggedSentence((3, 1, 4))
-        state = drive(task, sent, [SHIFT, SHIFT, SHIFT, 3, 0, 0])
-        assert task.rollout_loss(state) == 2.0
+        state = drive(task, sent, [SHIFT, SHIFT, SHIFT])
+        assert task.rollout_loss(state, (3, 0, 0)) == 2.0
 
     def test_unsup_ignores_gold(self):
         # unsup data keeps no tree, so a sentence that had one is trained
@@ -389,9 +403,9 @@ class TestLosses:
         bare = TaggedSentence((3, 1, 4))
         (rich,) = parse_training_data([TaggedSentence((3, 1, 4), gold)],
                                       "unsup", None)
-        actions = [SHIFT, SHIFT, SHIFT, 3, 1, 0]
-        loss_bare = task.rollout_loss(drive(task, bare, actions))
-        loss_rich = task.rollout_loss(drive(task, rich, actions))
+        actions = [SHIFT, SHIFT, SHIFT]
+        loss_bare = task.rollout_loss(drive(task, bare, actions), (3, 1, 0))
+        loss_rich = task.rollout_loss(drive(task, rich, actions), (3, 1, 0))
         assert loss_bare == loss_rich == 1.0
 
     def test_sup_loss_is_wrong_head_fraction(self):
@@ -400,7 +414,8 @@ class TestLosses:
         sent = TaggedSentence((3, 1, 4, 1), gold)
         state = drive(task, sent, [SHIFT, SHIFT, SHIFT, SHIFT])
         assert state.tree.heads == (0, 0, 0, 0)
-        assert task.rollout_loss(state) == pytest.approx(0.75)
+        assert task.observed(state) == ()
+        assert task.rollout_loss(state, ()) == pytest.approx(0.75)
 
     def test_semi_dispatches_on_gold_presence(self):
         task = make_task()
@@ -408,11 +423,11 @@ class TestLosses:
         labeled = TaggedSentence((3, 1), gold)
         state = drive(task, labeled, [SHIFT, SHIFT])
         assert task.is_final(state)
-        assert task.rollout_loss(state) == pytest.approx(0.5)
+        assert task.rollout_loss(state, ()) == pytest.approx(0.5)
         bare = TaggedSentence((3, 1))
-        state = drive(task, bare, [SHIFT, SHIFT, 0, 1])
+        state = drive(task, bare, [SHIFT, SHIFT])
         assert task.is_final(state)
-        assert task.rollout_loss(state) == 1.0
+        assert task.rollout_loss(state, (0, 1)) == 1.0
 
 
 class TestRolloutIntegration:
@@ -424,11 +439,11 @@ class TestRolloutIntegration:
         b = run_policy(task, sent, initial_policy(),
                        np.random.default_rng(2))
         assert a.ps == b.ps
-        assert a.produced == b.produced
+        assert a.tree == b.tree
 
     def test_initial_rule_reads_each_sentence_gold_tree(self):
         # one task: the initial rule parses a labeled sentence into its
-        # gold tree with no tag phase, and tags an unlabeled one
+        # gold tree with no re-emission, and copies an unlabeled one's tags
         task = make_task()
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -437,10 +452,11 @@ class TestRolloutIntegration:
             tags = tuple(int(t) for t in rng.integers(0, 12, size=T))
             labeled = run_policy(task, TaggedSentence(tags, gold),
                                  initial_policy(), rng)
-            assert labeled.tree == gold and labeled.produced == ()
+            assert labeled.tree == gold
+            assert _emitted(task, labeled, initial_policy(), rng) == ()
             bare = run_policy(task, TaggedSentence(tags), initial_policy(),
                               rng)
-            assert bare.produced == tags
+            assert _emitted(task, bare, initial_policy(), rng) == tags
 
     def test_supervised_learning_round(self):
         rng = np.random.default_rng(13)
@@ -459,8 +475,9 @@ class TestRolloutIntegration:
         assert state.tree is not None
 
     def test_tag_shortcut_equals_tied_rollout_costs(self):
-        # the fast path at tag decisions must match tied-randomness
-        # rollouts exactly, since produced tags never reach any feature
+        # the cost of each re-emitted tag must match the stepwise task's
+        # tied-randomness rollouts at its tag decision exactly, since
+        # emitted tags never reach any feature
         rng = np.random.default_rng(23)
         sents = [TaggedSentence(tuple(int(x) for x in
                                       rng.integers(0, 5, size=5)))
@@ -470,25 +487,24 @@ class TestRolloutIntegration:
         pol, _ = searn_learn(task, sents,
                              LearnerConfig(kind="nb", smoothing=0.5),
                              beta=0.3, cfg=cfg, iterations=2)
-        sent = sents[0]
-        walk = np.random.default_rng(37)
-        state = task.initial_state(sent)
-        t = 0
-        checked = 0
-        while not task.is_final(state):
-            t += 1
-            legal = task.legal_actions(state)
-            shortcut = task.shortcut_costs(state)
-            if shortcut is not None:
-                rolled = _costs_at_state(task, task.max_decisions(sent), 0, t,
-                                         state, legal, pol, cfg)
-                np.testing.assert_array_equal(rolled, shortcut)
-                checked += 1
-            else:
-                assert task.group_of(state) == "parse"
-            state = task.apply(state, policy_act(task, pol, state, legal,
-                                                 walk))
-        assert checked == sent.n_tokens
+        assert len(pol.components) > 1
+        stepwise = OracleParseTask(5)
+        stepwise.interner = task.interner
+        for i, sent in enumerate(sents):
+            walk = _rng(cfg.seed, _PATH, i)
+            state = stepwise.initial_state(sent)
+            t = checked = 0
+            while not stepwise.is_final(state):
+                t += 1
+                if stepwise.group_of(state) == "tag":
+                    rolled = oracle_rolled_costs(stepwise, i, t, state, pol,
+                                                 cfg)
+                    np.testing.assert_array_equal(
+                        rolled, task.shortcut_costs(state, checked))
+                    checked += 1
+                state = stepwise.apply(state, oracle_policy_act(
+                    stepwise, pol, state, walk))
+            assert checked == sent.n_tokens
 
 
 class TestConllFiles:

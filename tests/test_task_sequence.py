@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from test_rollout_engine import (OracleSequenceTask, oracle_policy_act,
+                                 oracle_rolled_costs)
 
 from searn.classifiers import NBModel
 from searn.core import (
+    _PATH,
     LearnedRule,
     LearnerConfig,
     Policy,
     RolloutConfig,
     _costs_at_state,
+    _emitted,
+    _rng,
     generate_examples,
     initial_policy,
-    policy_act,
     run_policy,
     searn_learn,
 )
@@ -61,22 +65,28 @@ def action_spaces(task, x):
 
 class TestDecompose:
     def test_two_t_decisions(self):
+        # T label steps, then T re-emissions of the finished labels
         task = make_task()
         x = (0, 1, 2, 3, 0)
-        assert len(action_spaces(task, x)) == 10
-        assert task.max_decisions(x) == 10
+        assert len(action_spaces(task, x)) == 5
+        assert task.max_decisions(x) == 5
+        final = run_policy(task, x, initial_policy(),
+                           np.random.default_rng(0))
+        assert task.observed(final) == x
 
     def test_action_space_sizes(self):
         task = make_task(K=3, V=5)
-        assert [len(s) for s in action_spaces(task, (0, 1))] == [3, 3, 5, 5]
+        assert [len(s) for s in action_spaces(task, (0, 1))] == [3, 3]
+        assert task.groups()[task.emit_group] == 5
 
     def test_initial_rollout_reconstructs_input(self):
         task = make_task()
         x = (1, 3, 0, 2)
-        final = run_policy(task, x, initial_policy(),
-                           np.random.default_rng(0))
-        assert final.actions[len(x):] == x
-        assert task.rollout_loss(final) == 0.0
+        rng = np.random.default_rng(0)
+        final = run_policy(task, x, initial_policy(), rng)
+        emitted = _emitted(task, final, initial_policy(), rng)
+        assert emitted == x
+        assert task.rollout_loss(final, emitted) == 0.0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -98,16 +108,15 @@ class TestFeatures:
     def test_emit_is_single_latent_indicator(self):
         task = make_task(K=4, V=5)
         x = (1, 2, 0)
-        # latent prefix predicted (3, 1, 0); first emit decision t=4
-        fv = task.features(walk(task, x, (3, 1, 0)))
+        # latent labels predicted (3, 1, 0); the first re-emission
+        fv = task.emission_features(walk(task, x, (3, 1, 0)), 0)
         assert fv.as_dict(task.interner) == {"emit_label=3": 1.0}
 
     def test_emit_never_sees_the_input(self):
         task = make_task()
         x = (1, 2, 3)
-        for t in (4, 5, 6):
-            fv = task.features(walk(
-                task, x, (0, 1, 0) + tuple([x[p - 4] for p in range(4, t)])))
+        for p in range(3):
+            fv = task.emission_features(walk(task, x, (0, 1, 0)), p)
             names = set(fv.as_dict(task.interner))
             assert all(not n.startswith("x[") for n in names)
 
@@ -142,8 +151,10 @@ class TestFeatures:
 class TestLoss:
     @staticmethod
     def loss(x, structure):
+        """The loss of labels then emitted symbols, T of each."""
         task = make_task()
-        return task.rollout_loss(walk(task, x, structure))
+        T = len(x)
+        return task.rollout_loss(walk(task, x, structure[:T]), structure[T:])
 
     def test_perfect_and_all_wrong(self):
         x = (0, 1, 2)
@@ -172,14 +183,14 @@ class TestIterationOneProperty:
         task = make_task(K=2, V=5)
         rng = np.random.default_rng(3)
         x = tuple(int(v) for v in rng.integers(0, 5, size=4))
-        T = len(x)
-        cfg = RolloutConfig(seed=4, n_samples=2)
-        for p in range(T):
-            prefix = tuple(int(v) for v in rng.integers(0, 2, size=T)) + x[:p]
-            costs = costs_after(task, x, prefix, initial_policy(), cfg)
+        generated = generate_examples([x], initial_policy(), task,
+                                      RolloutConfig(seed=4, n_samples=2))
+        emits = [ex for ex in generated.cost_examples if ex.group == EMIT]
+        assert len(emits) == len(x)
+        for symbol, ex in zip(x, emits):
             expected = np.ones(5)
-            expected[x[p]] = 0.0
-            np.testing.assert_array_equal(costs, expected)
+            expected[symbol] = 0.0
+            np.testing.assert_array_equal(ex.costs, expected)
 
     def test_latent_costs_constant(self):
         task = make_task(K=3, V=4)
@@ -204,9 +215,10 @@ class TestIterationOneProperty:
 
 class TestEmitShortcut:
     def test_shortcut_equals_tied_rollout_costs(self):
-        # the generation-time fast path for emit decisions must return
-        # exactly what tied-randomness rollouts measure; checked under a
-        # genuine mixture policy so both components steer continuations
+        # the cost of each re-emission must be exactly what the stepwise
+        # task's tied-randomness rollouts measure at its emit decision;
+        # checked under a genuine mixture policy so both components steer
+        # continuations
         task = make_task(K=2, V=5)
         rng = np.random.default_rng(11)
         data = [tuple(int(v) for v in rng.integers(0, 5, size=6))
@@ -216,25 +228,35 @@ class TestEmitShortcut:
                              LearnerConfig(kind="nb", smoothing=0.5),
                              beta=0.4, cfg=cfg, iterations=2)
         assert len(pol.components) > 1
-        x = data[0]
-        T = len(x)
-        walk = np.random.default_rng(13)
-        state = task.initial_state(x)
-        checked = 0
-        for t in range(1, 2 * T + 1):
-            if t > T:
-                shortcut = task.shortcut_costs(state)
-                rolled = costs_after(task, x, state.actions, pol, cfg)
-                np.testing.assert_array_equal(rolled, shortcut)
-                checked += 1
-            state = task.apply(state, policy_act(
-                task, pol, state, task.legal_actions(state), walk))
-        assert checked == T
+        stepwise = OracleSequenceTask(task.config)
+        stepwise.interner = task.interner
+        for i, x in enumerate(data):
+            T = len(x)
+            walk = _rng(cfg.seed, _PATH, i)
+            state = stepwise.initial_state(x)
+            for t in range(1, 2 * T + 1):
+                if t > T:
+                    rolled = oracle_rolled_costs(stepwise, i, t, state, pol,
+                                                 cfg)
+                    np.testing.assert_array_equal(
+                        rolled, task.shortcut_costs(state, t - T - 1))
+                state = stepwise.apply(state, oracle_policy_act(
+                    stepwise, pol, state, walk))
 
     def test_latent_decisions_take_no_shortcut(self):
-        task = make_task(K=3, V=4)
-        state = task.initial_state((0, 1, 2))
-        assert task.shortcut_costs(state) is None
+        # generation consults the shortcut once per re-emitted symbol,
+        # in order, and never at a latent decision
+        calls = []
+
+        class Counting(SequenceTask):
+            def shortcut_costs(self, final, p):
+                calls.append(p)
+                return super().shortcut_costs(final, p)
+
+        task = Counting(SequenceTaskConfig(K=3, V=4, feature_mode="nb_hmm"))
+        generate_examples([(0, 1, 2), (3, 2)], initial_policy(), task,
+                          RolloutConfig(seed=1))
+        assert calls == [0, 1, 2, 0, 1]
 
 
 class TestRelabelingInvariance:
@@ -263,37 +285,42 @@ class TestRelabelingInvariance:
         pol_swapped = Policy(((swapped, 1.0),))
         for x in data:
             self._assert_cost_equivariance(task, rule, swapped, perm, x)
-            f1 = run_policy(task, x, pol, np.random.default_rng(0))
-            f2 = run_policy(task, x, pol_swapped, np.random.default_rng(0))
-            assert task.rollout_loss(f1) == task.rollout_loss(f2)
-            T = len(x)
-            assert tuple(perm[a] for a in f1.actions[:T]) == f2.actions[:T]
+            rng1, rng2 = np.random.default_rng(0), np.random.default_rng(0)
+            f1 = run_policy(task, x, pol, rng1)
+            f2 = run_policy(task, x, pol_swapped, rng2)
+            assert task.rollout_loss(f1, _emitted(task, f1, pol, rng1)) == \
+                task.rollout_loss(f2, _emitted(task, f2, pol_swapped, rng2))
+            assert tuple(perm[a] for a in f1.actions) == f2.actions
 
     def _assert_cost_equivariance(self, task, orig, swapped, perm, x):
-        # walk the original greedy trajectory; at every state the swapped
-        # model's costs on the permuted state must be the permutation of
-        # the original costs
+        # walk the original greedy trajectory, then its re-emission; at
+        # every decision the swapped model's costs on the permuted state
+        # must be the permutation of the original costs
         state_o = task.initial_state(x)
         state_s = task.initial_state(x)
-        T = len(x)
-        while not task.is_final(state_o):
-            group = task.group_of(state_o)
-            c_o = orig.models[group].predict_costs(task.features(state_o))
-            c_s = swapped.models[group].predict_costs(task.features(state_s))
-            if group == LATENT:
-                np.testing.assert_allclose(
-                    c_s, [c_o[perm_inv] for perm_inv in
-                          self._inverse(perm, len(c_o))], atol=1e-9)
-            else:
-                np.testing.assert_allclose(c_s, c_o, atol=1e-9)
+
+        def untied(c_o):
             spread = np.sort(c_o)
             assert len(spread) < 2 or spread[0] < spread[1], \
                 "tie encountered; pick a different training seed"
-            a = min(task.legal_actions(state_o),
-                    key=lambda k: (c_o[k], k))
-            a_s = perm[a] if group == LATENT else a
+            return min(range(len(c_o)), key=lambda k: (c_o[k], k))
+
+        while not task.is_final(state_o):
+            c_o = orig.models[LATENT].predict_costs(task.features(state_o))
+            c_s = swapped.models[LATENT].predict_costs(task.features(state_s))
+            np.testing.assert_allclose(
+                c_s, [c_o[perm_inv] for perm_inv in
+                      self._inverse(perm, len(c_o))], atol=1e-9)
+            a = untied(c_o)
             state_o = task.apply(state_o, a)
-            state_s = task.apply(state_s, a_s)
+            state_s = task.apply(state_s, perm[a])
+        for p in range(len(x)):
+            c_o = orig.models[EMIT].predict_costs(
+                task.emission_features(state_o, p))
+            c_s = swapped.models[EMIT].predict_costs(
+                task.emission_features(state_s, p))
+            np.testing.assert_allclose(c_s, c_o, atol=1e-9)
+            untied(c_o)
 
     def _inverse(self, perm, k):
         inv = [0] * k
