@@ -115,7 +115,7 @@ class NBModel:
     class_log_prior: np.ndarray
     feature_log_prob: np.ndarray
     smoothing: float
-    # (features, legal actions) -> chosen action, kept by Task.model_action
+    # (features, legal actions) -> chosen action, kept by core.vector_action
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     # feature_log_prob's transpose, the layout the scorer reads
@@ -285,7 +285,7 @@ class LRModel:
     weights: np.ndarray
     l2_variance: float
     trained_epochs: int
-    # (features, legal actions) -> chosen action, kept by Task.model_action
+    # (features, legal actions) -> chosen action, kept by core.vector_action
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     # the weights' transpose, the layout the scorer reads; weights views it

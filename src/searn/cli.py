@@ -354,12 +354,12 @@ def _validate(cfg) -> None:
         if any(seed is not None and seed < 0 for seed in seeds):
             raise ConfigError(f"--{flag} {','.join(map(str, seeds))}: seeds "
                               "are non-negative")
-    if cfg.k is not None and cfg.k < 1:
-        raise ConfigError(f"--k {cfg.k}: need at least 1")
-    if cfg.iterations is not None and cfg.iterations < 1:
-        raise ConfigError(f"--iterations {cfg.iterations}: need at least 1")
-    if cfg.runs is not None and cfg.runs < 1:
-        raise ConfigError(f"--runs {cfg.runs}: need at least 1")
+    for flag in ("k", "iterations", "runs", "n_samples", "sentences",
+                 "documents", "sequences", "clusters"):
+        value = getattr(cfg, flag)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{flag.replace('_', '-')} {value}: "
+                              "need at least 1")
     if cfg.v is not None and cfg.v > MAX_VOCAB_SIZE:
         raise ConfigError(f"--v {cfg.v} exceeds the cap of {MAX_VOCAB_SIZE}")
 

@@ -114,17 +114,19 @@ class LearnerConfig:
 class Task(abc.ABC):
     """A structured prediction problem decomposed into atomic decisions.
 
-    The step hooks build a hidden half; a task may then re-emit its
-    observed input from the finished hidden half (``observed``; see
-    :func:`_emitted`).  Each hook takes only what it reads.  A state
-    holds no pointer back to the task: the engine passes the task to
-    whatever acts on a state, and a final state and its re-emission
-    alone give the loss.
+    The step hooks build a hidden half, every decision of it in the one
+    group ``hidden_group``; a task may then re-emit its observed input
+    from the finished hidden half (``observed``; see :func:`_emitted`).
+    Each hook takes only what it reads.  A state holds no pointer back to
+    the task: the engine passes the task to whatever acts on a state, and
+    a final state and its re-emission alone give the loss.
     """
 
     interner: Interner
     # costs_to_weighted_labels mode of every group trained as a classifier
     weight_mode = "argmin_spread"
+    # the group of every step decision
+    hidden_group: str
     # the group whose models re-emit ``observed``, where a task has one
     emit_group: str
 
@@ -143,10 +145,6 @@ class Task(abc.ABC):
 
     @abc.abstractmethod
     def is_final(self, state) -> bool:
-        ...
-
-    @abc.abstractmethod
-    def group_of(self, state) -> str:
         ...
 
     @abc.abstractmethod
@@ -170,14 +168,6 @@ class Task(abc.ABC):
     def rollout_loss(self, final, emitted: tuple) -> float:
         """Task loss of a final state and its re-emission (un-normalized
         counts)."""
-
-    def model_action(self, model, state, legal: tuple):
-        """A trained model's action: cheapest predicted legal action.
-
-        ``legal`` is ``legal_actions(state)``, computed once by the caller.
-        Ties go to the lowest action id (see :func:`vector_action`).
-        """
-        return vector_action(model, self.features(state), legal)
 
     def rollout_finals(self, state, legal: tuple, pol, seq,
                        steps: int, limit: int) -> list:
@@ -353,10 +343,10 @@ def policy_act(task: Task, pol: Policy, state, legal: tuple,
         rule = pol.components[pol.index_at(rng.random())][0]
     if isinstance(rule, InitialRule):
         return task.initial_action(state, legal, rng)
-    model = rule.models.get(task.group_of(state))
+    model = rule.models.get(task.hidden_group)
     if model is None:
         return task.initial_action(state, legal, rng)
-    return task.model_action(model, state, legal)
+    return vector_action(model, task.features(state), legal)
 
 
 def _emitted(task: Task, final, pol: Policy,
@@ -488,7 +478,7 @@ def generate_examples(dataset, pol: Policy, task: Task,
                 if not _constant_costs(costs):
                     out.append(CostSensitiveExample(
                         features=task.features(state), actions=tuple(legal),
-                        costs=costs, group=task.group_of(state)))
+                        costs=costs, group=task.hidden_group))
             state = task.apply(state, policy_act(task, pol, state, legal,
                                                  path_rng))
         task.validate_final(state)

@@ -1,16 +1,17 @@
 """Predict-self document clustering over multinomial word counts.
 
-Each document induces two decisions: pick a cluster id, then re-emit the
-document as a distribution over the vocabulary.  The loss is the log loss
-of the true counts under the emitted distribution, so cluster ids matter
-only through the emission table attached to them.
+Each document induces one decision, a cluster id k; the document is then
+re-emitted from row k of the emission table theta (the ``DOC`` group,
+estimated in closed form, never a step).  Cluster k's loss is the
+document's log loss under theta_k, so cluster ids matter only through
+the emission table attached to them.
 
 The task learns only by a closed form, with no rollouts: a cluster's cost
-is the negative log joint, its emit decision's rollout loss minus log
-rho_k.  The prior term makes the softmin of these costs EM's E-step, so
-the learning loop configured with a naive Bayes learner, softmin weights,
-zero smoothing, and beta = 1 walks the same parameter trajectory as EM
-on a mixture of multinomials;
+is the negative log joint, the document's log loss under theta_k minus
+log rho_k.  The prior term makes the softmin of these costs EM's E-step,
+so the learning loop configured with a naive Bayes learner, softmin
+weights, zero smoothing, and beta = 1 walks the same parameter trajectory
+as EM on a mixture of multinomials;
 :func:`run_equivalence` checks this end to end.  Like EM's E- and
 M-steps, one iteration is a few array operations over the whole corpus:
 :meth:`ClusterTask.exact_examples` turns the n x V count matrix into an
@@ -18,12 +19,13 @@ n x K cost matrix and a (responsibilities, counts) record, and the
 emission table is their weighted column sum.
 Every number keeps the bits that the same computation gives one document
 at a time.  The decision process itself (``initial_state`` through
-``rollout_loss``) is what :func:`searn.core.run_policy` runs.
+``apply``) is what :func:`searn.core.run_policy` runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,13 +43,10 @@ from .core import (
 )
 from .corpus_files import read_corpus, write_corpus
 from .em import MultinomialMixtureParams, mm_em_train, mm_random_init
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, TaskContractError, TrainingError
 from .features import FeatureVector, Interner
 
 CLUSTER, DOC = "cluster", "doc"
-
-# sentinel action id for the degenerate emit-the-document decision
-EMIT_DOC = "emit"
 
 
 @dataclass
@@ -67,9 +66,6 @@ class DocumentCounts:
     def total(self) -> float:
         return float(self.counts.sum())
 
-    def empirical(self) -> np.ndarray:
-        return self.counts / self.total
-
 
 @dataclass
 class ClusterTaskConfig:
@@ -87,43 +83,24 @@ class ClusterTaskConfig:
             raise ConfigError("need K >= 1 and V >= 2")
 
 
-class ClusterState:
-    __slots__ = ("doc", "cluster", "emitted")
+class ClusterState(NamedTuple):
+    """A document and its cluster id, None until chosen."""
 
-    def __init__(self, doc, cluster=None, emitted=None):
-        self.doc = doc
-        self.cluster = cluster
-        self.emitted = emitted
+    doc: DocumentCounts
+    cluster: int | None
 
 
 @dataclass
 class ClusterEmissionModel:
-    """Per-cluster word distributions used by the emit-document decision."""
+    """Per-cluster word distributions: the ``DOC`` group's emission table,
+    estimated by ``ClusterTask.train_estimator``."""
 
     theta: np.ndarray
-
-    def distribution_for(self, cluster: int) -> np.ndarray:
-        return self.theta[cluster]
-
-
-def cluster_loss(true_doc: DocumentCounts, probs) -> float:
-    """Log loss of the document under an emitted word distribution.
-
-    Infinite when a present word has zero predicted probability.  The
-    cluster choice does not appear: ids matter only through the table.
-    """
-    probs = np.asarray(probs, dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ConfigError("emitted probabilities must sum to 1")
-    counts = true_doc.counts
-    present = counts > 0
-    with np.errstate(divide="ignore"):
-        logs = np.log(probs[present])
-    return float(-(counts[present] * logs).sum())
 
 
 class ClusterTask(Task):
     weight_mode = "softmin"  # as EM's E-step weighs the clusters
+    hidden_group = CLUSTER
 
     def __init__(self, config: ClusterTaskConfig):
         self.config = config
@@ -133,6 +110,9 @@ class ClusterTask(Task):
         # mixture-of-multinomials theta
         for v in range(config.V):
             self.interner.intern(f"w={v}")
+        # no feature reads these names, but the NB cluster table spans
+        # every interned column, and their number sets how its row sums
+        # are grouped: without them the model files change
         for k in range(config.K):
             self.interner.intern(f"cluster={k}")
         self.interner.intern("total")
@@ -145,49 +125,31 @@ class ClusterTask(Task):
             example = DocumentCounts(np.asarray(example, dtype=float))
         if example.counts.shape[0] != self.config.V:
             raise DataError("document width does not match the vocabulary")
-        return ClusterState(example)
+        return ClusterState(example, None)
 
     def max_decisions(self, example):
-        return 2
+        return 1
 
     def is_final(self, state):
-        return state.emitted is not None
-
-    def group_of(self, state):
-        return CLUSTER if state.cluster is None else DOC
+        return state.cluster is not None
 
     def legal_actions(self, state):
-        if state.cluster is None:
-            return tuple(range(self.config.K))
-        return (EMIT_DOC,)
+        return tuple(range(self.config.K))
 
     def features(self, state):
-        if state.cluster is None:
-            pairs = [(f"w={v}", c) for v, c in enumerate(state.doc.counts)
-                     if c > 0]
-            return FeatureVector.from_pairs(self.interner, pairs)
-        return FeatureVector.from_pairs(
-            self.interner,
-            [(f"cluster={state.cluster}", 1.0), ("total", state.doc.total)])
+        pairs = [(f"w={v}", c) for v, c in enumerate(state.doc.counts)
+                 if c > 0]
+        return FeatureVector.from_pairs(self.interner, pairs)
 
     def initial_action(self, state, legal, rng):
-        if state.cluster is None:
-            return int(rng.integers(self.config.K))
-        return state.doc.empirical()
-
-    def model_action(self, model, state, legal):
-        if state.cluster is not None:
-            return model.distribution_for(state.cluster)
-        return super().model_action(model, state, legal)
+        return int(rng.integers(self.config.K))
 
     def apply(self, state, action):
-        if state.cluster is None:
-            return ClusterState(state.doc, int(action))
-        return ClusterState(state.doc, state.cluster,
-                            np.asarray(action, dtype=float))
+        return ClusterState(state.doc, int(action))
 
     def rollout_loss(self, final, emitted):
-        return cluster_loss(final.doc, final.emitted)
+        raise TaskContractError("the cluster task rolls nothing out; "
+                                "exact_examples gives its costs")
 
     def train_estimator(self, record):
         """Weighted maximum-likelihood emission table from the corpus
@@ -213,12 +175,13 @@ class ClusterTask(Task):
 
         The corpus is checked once into an n x V count matrix D.  The cost
         of cluster k for document i is -log rho_k - sum_v D_iv log theta_kv
-        under the policy's tables: the emit decision's rollout loss minus
-        log rho_k, a prior term that makes the softmin rows of this n x K
-        matrix EM's E-step.  Those rows, the responsibilities Z, go out as
-        the (Z, D) record.  The policy is one learned rule with an emission
-        table, as the learning loop leaves it at beta = 1; the initial rule
-        has no closed form here, and it and any mixture are a ConfigError.
+        under the policy's tables: the document's log loss under theta_k
+        minus log rho_k, a prior term that makes the softmin rows of this
+        n x K matrix EM's E-step.  Those rows, the responsibilities Z, go
+        out as the (Z, D) record.  The policy is one learned rule with an
+        emission table, as the learning loop leaves it at beta = 1; the
+        initial rule has no closed form here, and it and any mixture are a
+        ConfigError.
         """
         rules = [rule for rule, _ in policy.components]
         if any(isinstance(rule, InitialRule) for rule in rules):

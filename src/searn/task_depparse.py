@@ -241,6 +241,7 @@ class ParseTask(Task):
     oracle; one without gets random parse actions and re-emits its tags,
     scored by tag mismatches."""
 
+    hidden_group = PARSE
     emit_group = TAG
 
     def __init__(self, tagset_size: int):
@@ -266,9 +267,6 @@ class ParseTask(Task):
 
     def is_final(self, state: ParseState) -> bool:
         return state.ps.i > state.sent.n_tokens
-
-    def group_of(self, state: ParseState) -> str:
-        return PARSE
 
     def legal_actions(self, state: ParseState) -> tuple:
         return legal_actions(state.ps, state.sent.n_tokens)

@@ -50,6 +50,7 @@ class SeqState(NamedTuple):
 
 
 class SequenceTask(Task):
+    hidden_group = LATENT
     emit_group = EMIT
 
     def __init__(self, config: SequenceTaskConfig):
@@ -84,9 +85,6 @@ class SequenceTask(Task):
 
     def is_final(self, state):
         return len(state.actions) == len(state.x)
-
-    def group_of(self, state):
-        return LATENT
 
     def legal_actions(self, state):
         return self._latent_legal

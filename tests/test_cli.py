@@ -1112,6 +1112,23 @@ def test_top_level_help_lists_every_command(capsys):
     # flag too: "reads no --1, --k"
     (["equivalence", "--runs", "2", "--documents", "10", "--seed", "1",
       "--k", "-1"], "'equivalence --task cluster' reads no --k"),
+    # each was once found by the library, after the data were read or the
+    # run had begun, and named by its field: "n_samples must be >= 1",
+    # "n_documents must be at least 1"
+    (["train", "--task", "sequence", "--method", "searn-nb", "--data",
+      "missing.txt", "--n-samples", "0"], "--n-samples 0: need at least 1"),
+    (["train", "--task", "depparse", "--method", "searn-lr", "--data",
+      "missing.conll", "--n-samples=-1"], "--n-samples -1: need at least 1"),
+    (["gen", "--task", "depparse", "--sentences", "0"],
+     "--sentences 0: need at least 1"),
+    (["learning-curve", "--sentences=-1"], "--sentences -1: need at least 1"),
+    (["gen", "--task", "cluster", "--documents", "0"],
+     "--documents 0: need at least 1"),
+    (["equivalence", "--documents=-1"], "--documents -1: need at least 1"),
+    (["gen", "--task", "sequence", "--sequences", "0"],
+     "--sequences 0: need at least 1"),
+    (["gen", "--task", "cluster", "--clusters", "0"],
+     "--clusters 0: need at least 1"),
 ], ids=["eval-task", "eval-method", "gen-method", "gen-depparse-method",
         "learning-curve-method", "equivalence-method", "gen-negative-seed",
         "train-negative-seed", "eval-negative-seed",
@@ -1120,7 +1137,10 @@ def test_top_level_help_lists_every_command(capsys):
         "learning-curve-negative-count", "train-negative-labeled-count",
         "train-sup-zero-labeled-count", "train-cluster-negative-k",
         "train-cluster-zero-k", "gen-sequence-negative-k",
-        "equivalence-unread-negative-value"])
+        "equivalence-unread-negative-value", "train-sequence-n-samples",
+        "train-depparse-n-samples", "gen-sentences",
+        "learning-curve-sentences", "gen-documents",
+        "equivalence-documents", "gen-sequences", "gen-clusters"])
 def test_bad_flag_is_config_error(tmp_path, capsys, monkeypatch, argv,
                                   error):
     import searn.experiments

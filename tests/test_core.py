@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from searn import core
+from searn import core, task_cluster, task_depparse, task_sequence
 from searn.classifiers import LROptimizerConfig
 from searn.core import (
     CostSensitiveExample,
@@ -24,6 +24,7 @@ from searn.core import (
     searn_learn,
     strip_initial_policy,
     train_rule,
+    vector_action,
 )
 from searn.errors import ConfigError, StateError, TrainingError
 from searn.features import FeatureVector, Interner
@@ -40,6 +41,8 @@ class ToyState:
 class ToyTask(Task):
     """Two actions, one decision; gold label is example[1]."""
 
+    hidden_group = "g"
+
     def __init__(self):
         self.interner = Interner()
 
@@ -54,9 +57,6 @@ class ToyTask(Task):
 
     def is_final(self, state):
         return state.action is not None
-
-    def group_of(self, state):
-        return "g"
 
     def legal_actions(self, state):
         return (0, 1)
@@ -258,7 +258,8 @@ class TestModelAction:
             for example in toy_dataset():
                 state = task.initial_state(example)
                 for legal in ((0, 1), (0,), (1,)):
-                    action = task.model_action(model, state, legal)
+                    action = vector_action(model, task.features(state),
+                                           legal)
                     assert action in legal
                     if legal == (0, 1):
                         assert action == example[1]
@@ -340,3 +341,31 @@ class TestPolicySerialization:
         with pytest.raises(ConfigError):
             policy_from_dict({"format_version": 99, "feature_names": [],
                               "components": []})
+
+
+def _package_tasks():
+    """One instance of every Task subclass the package defines."""
+    tasks = [task_cluster.ClusterTask(task_cluster.ClusterTaskConfig(K=2,
+                                                                     V=3)),
+             task_depparse.ParseTask(4),
+             task_sequence.SequenceTask(task_sequence.SequenceTaskConfig(
+                 K=2, V=3, feature_mode="nb_hmm"))]
+    defined = {cls for module in (task_cluster, task_depparse, task_sequence)
+               for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, Task)
+               and cls.__module__ == module.__name__}
+    assert {type(task) for task in tasks} == defined
+    return tasks
+
+
+@pytest.mark.parametrize("task", _package_tasks(),
+                         ids=lambda task: type(task).__name__)
+def test_step_and_emission_groups_are_task_groups(task):
+    # policy_act looks a rule's model up by hidden_group and _emitted by
+    # emit_group; a name missing from groups() would find no model and
+    # leave every such decision to the initial rule
+    named = [task.hidden_group]
+    if hasattr(task, "emit_group"):
+        named.append(task.emit_group)
+    assert len(set(named)) == len(named)
+    assert set(named) <= set(task.groups())

@@ -84,7 +84,7 @@ def oracle_exact_examples(task, dataset, policy):
         regrets = mix_costs - mix_costs.min()
         if K >= 2 and np.any(np.round(regrets, 12) != 0.0):
             out.append(CostSensitiveExample(
-                features=task.features(ClusterState(doc)),
+                features=task.features(ClusterState(doc, None)),
                 actions=tuple(range(K)), costs=regrets, group=CLUSTER))
         for k in range(K):
             records.append((k, doc, float(z[k])))

@@ -87,6 +87,19 @@ def _calls():
         ("doc-em-default", ["train", "--task", "cluster", "--method", "em",
                             "--data", docs, "--seed", "3"]),
     ]
+    # exact-mode runs whose model files depend on how the NB cluster
+    # table's row sums are grouped, so on its V + K + 1 columns
+    for v, k, seed in (("12", "3", "0"), ("7", "5", "1")):
+        step = f"doc-v{v}-k{k}"
+        calls += [
+            (f"{step}-data", ["gen", "--task", "cluster", "--documents", "25",
+                              "--v", v, "--k", k, "--seed", seed]),
+            (f"{step}-exact", ["train", "--task", "cluster", "--method",
+                               "searn-nb", "--exact", "--data",
+                               f"{{}}/{step}-data/documents.txt",
+                               "--iterations", "6", "--k", k,
+                               "--seed", seed]),
+        ]
     for method in ("em", "exact"):
         calls.append((f"doc-{method}-eval", [
             "eval", "--model", f"{{}}/doc-{method}/model.json",
@@ -239,6 +252,22 @@ GOLDEN = {
         "7ea72ff7cab348bea6c83943df4ff6f62e87617ecdba58c4017d69a9e0242681",
     "doc-exact/train-log.csv":
         "75760363b569e69d30e0d4167ba6c63c19e13384506cdd6a00203b688ffb8871",
+    "doc-v12-k3-data/documents.gold.txt":
+        "caad8d10235b9ceb23655fa31d360957931ba10ac1c5e497143532e2508a6f58",
+    "doc-v12-k3-data/documents.txt":
+        "0c63dcb46f6e5c520457d415c8d7f4d02f8bd67f15dd7aef23e80873910e5a2b",
+    "doc-v12-k3-exact/model.json":
+        "90bd1826ee2a084191fbfc6fd879d09ace774363f77a592799d10f5cce390131",
+    "doc-v12-k3-exact/train-log.csv":
+        "eade0702a8ceb7d760fb7fc6e2f7c2d1b668084b71ea043b69d726bf533eac17",
+    "doc-v7-k5-data/documents.gold.txt":
+        "6d5076144f7f3a7caf846ab718fba8a3ce7c6b40357bda670f91dc82773582a5",
+    "doc-v7-k5-data/documents.txt":
+        "9389c41792bf139e3a43114fd0199ab519ad50544b0f825a38b74463048ec4a3",
+    "doc-v7-k5-exact/model.json":
+        "4fef59d3515b707cf2e4af376bfd8f1cb197e0e82f7d52b7e6df7e0230cb19e4",
+    "doc-v7-k5-exact/train-log.csv":
+        "5b5dfe576f7590b2bb2b13137fff1e54fc186d60f469d7af047b12b4ccd969f0",
     "equivalence/equivalence.json":
         "cfcb09413d6421cc20e50b828c5edbd1ca9e17efd1bd5a6f85499aff20b448ad",
     "heldout/treebank.conll":

@@ -37,6 +37,7 @@ from searn.core import (
     policy_act,
     run_policy,
     train_rule,
+    vector_action,
 )
 from searn.errors import StateError
 from searn.features import FeatureVector, Interner
@@ -596,9 +597,10 @@ def test_cost_ties_go_to_lowest_id():
             oracle_run_policy(old, x, greedy, np.random.default_rng(i)))
     state = new.initial_state(data[0])
     model = rule.models[LATENT]
-    assert new.model_action(model, state, (1, 2)) == 1
-    assert new.model_action(model, state, (0, 1, 2)) == 0
-    assert new.model_action(model, state, (2,)) == 2
+    fv = new.features(state)
+    assert vector_action(model, fv, (1, 2)) == 1
+    assert vector_action(model, fv, (0, 1, 2)) == 0
+    assert vector_action(model, fv, (2,)) == 2
 
 
 def test_parse_steps_match_reference_per_state():

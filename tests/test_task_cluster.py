@@ -16,15 +16,15 @@ from searn.core import (
 )
 from searn.em import (MultinomialMixtureParams, mm_e_step, mm_em_train,
                       mm_log_likelihood, mm_random_init)
-from searn.errors import ConfigError, DataError
+from searn.errors import ConfigError, DataError, TaskContractError
 from searn.task_cluster import (
     CLUSTER,
     DOC,
+    ClusterState,
     ClusterTask,
     ClusterTaskConfig,
     DocumentCounts,
     EquivalenceReport,
-    cluster_loss,
     read_documents,
     run_equivalence,
     write_documents,
@@ -53,15 +53,18 @@ class CountingClusterTask(ClusterTask):
 
 
 class TestDecompose:
-    def test_two_decisions(self):
+    def test_one_decision(self):
+        # the hidden half is the cluster id; the document is re-emitted
+        # by the DOC table, never by a step
         task = make_task(K=3)
-        state = task.initial_state([1, 0, 2, 0, 0])
+        doc = [1, 0, 2, 0, 0]
+        assert task.max_decisions(doc) == 1
+        state = task.initial_state(doc)
+        assert not task.is_final(state)
         assert task.legal_actions(state) == (0, 1, 2)
         state = task.apply(state, 2)
-        assert len(task.legal_actions(state)) == 1
-        legal = task.legal_actions(state)
-        state = task.apply(state, task.initial_action(state, legal, None))
         assert task.is_final(state)
+        assert state == ClusterState(state.doc, 2)
 
     def test_cluster_features_are_raw_counts(self):
         task = make_task(V=4)
@@ -69,14 +72,6 @@ class TestDecompose:
         fv = task.features(state)
         assert fv.as_dict(task.interner) == {"w=0": 3.0, "w=2": 1.0,
                                              "w=3": 2.0}
-
-    def test_doc_features_contain_no_word_identities(self):
-        task = make_task(K=2, V=4)
-        state = task.apply(task.initial_state([3, 0, 1, 2]), 1)
-        fv = task.features(state)
-        names = set(fv.as_dict(task.interner))
-        assert names == {"cluster=1", "total"}
-        assert fv.as_dict(task.interner)["total"] == 6.0
 
     def test_config_rejects_degenerate(self):
         with pytest.raises(ConfigError):
@@ -91,24 +86,27 @@ class TestDecompose:
             ClusterTaskConfig(K=0, V=4)
 
     def test_rollout_terminates_and_validates(self):
+        # a run ends at its cluster id; the task's costs come from
+        # exact_examples, so it scores no rollout
         task = make_task(K=3, V=4)
         rng = np.random.default_rng(10)
         final = run_policy(task, np.array([1.0, 2.0, 0.0, 1.0]),
                            initial_policy(), rng)
-        assert final.emitted is not None
-        assert task.rollout_loss(final, ()) >= 0.0
+        assert final.cluster in (0, 1, 2)
+        with pytest.raises(TaskContractError, match="exact_examples"):
+            task.rollout_loss(final, ())
 
-    def test_learned_policy_emits_its_cluster_table(self):
-        # the emit decision acts through ClusterEmissionModel, which only
-        # ClusterTask.model_action knows how to act with
-        V, K = 5, 2
+    def test_learned_policy_picks_the_cheapest_cluster(self):
+        # the cluster decision is the NB model's cheapest class for the
+        # word counts, ties to the lowest id
+        V, K = 5, 3
         task = make_task(K=K, V=V)
-        params = mm_random_init(K, V, 12)
-        pol = task.policy_from_params(params)
+        pol = task.policy_from_params(mm_random_init(K, V, 12))
+        model = pol.components[0][0].models[CLUSTER]
         for i, doc in enumerate(random_corpus(8, V, 13)):
             final = run_policy(task, doc, pol, np.random.default_rng(i))
-            assert np.array_equal(final.emitted, params.theta[final.cluster])
-            assert np.isfinite(task.rollout_loss(final, ()))
+            costs = model.predict_costs(task.features(final))
+            assert final.cluster == min(range(K), key=lambda k: (costs[k], k))
 
     def test_document_validation(self):
         with pytest.raises(DataError):
@@ -118,33 +116,6 @@ class TestDecompose:
         task = make_task(V=3)
         with pytest.raises(DataError):
             task.initial_state([1, 0, 0, 0])
-
-
-class TestClusterLoss:
-    def test_uniform_case(self):
-        doc = DocumentCounts(np.array([1.0, 1.0]))
-        np.testing.assert_allclose(cluster_loss(doc, [0.5, 0.5]),
-                                   2 * np.log(2), atol=1e-12)
-
-    def test_skewed_case(self):
-        # frozen: -2 ln 0.9
-        doc = DocumentCounts(np.array([2.0, 0.0]))
-        np.testing.assert_allclose(cluster_loss(doc, [0.9, 0.1]),
-                                   0.21072103131565256, atol=1e-12)
-
-    def test_zero_probability_present_word(self):
-        doc = DocumentCounts(np.array([1.0, 1.0]))
-        assert cluster_loss(doc, [1.0, 0.0]) == np.inf
-
-    def test_zero_iff_all_mass_on_present(self):
-        doc = DocumentCounts(np.array([0.0, 3.0]))
-        assert cluster_loss(doc, [0.0, 1.0]) == 0.0
-        assert cluster_loss(doc, [0.1, 0.9]) > 0.0
-
-    def test_unnormalized_rejected(self):
-        doc = DocumentCounts(np.array([1.0, 1.0]))
-        with pytest.raises(ConfigError):
-            cluster_loss(doc, [0.7, 0.7])
 
 
 class TestExactCosts:
@@ -165,20 +136,22 @@ class TestExactCosts:
             np.testing.assert_allclose(post, z_oracle[n], atol=1e-10)
 
     @staticmethod
-    def _rollout_losses(task, rule, doc):
-        """Loss of choosing each cluster, then emitting by the rule."""
+    def _rollout_losses(rule, doc):
+        """Loss of choosing each cluster: the document's log loss under
+        that cluster's row of the rule's emission table."""
+        counts = np.asarray(doc, dtype=float)
+        present = counts > 0
         losses = []
-        for k in range(task.config.K):
-            state = task.apply(task.initial_state(doc), k)
-            emitted = task.model_action(rule.models[DOC], state,
-                                        task.legal_actions(state))
-            losses.append(task.rollout_loss(task.apply(state, emitted), ()))
+        for theta_k in rule.models[DOC].theta:
+            with np.errstate(divide="ignore"):
+                logs = np.log(theta_k[present])
+            losses.append(float(-(counts[present] * logs).sum()))
         return np.array(losses)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_costs_are_rollout_loss_minus_log_prior(self, seed):
         # the closed form is the negative log joint, not the expected
-        # rollout loss: the emit decision's loss minus the policy's log rho
+        # rollout loss: the document's log loss minus the policy's log rho
         V, K = 5, 3
         docs = random_corpus(6, V, 40 + seed)
         task = make_task(K=K, V=V)
@@ -187,7 +160,7 @@ class TestExactCosts:
         examples = task.exact_examples(list(docs), pol).cost_examples
         assert len(examples) == len(docs)
         for doc, ex in zip(docs, examples):
-            want = (self._rollout_losses(task, rule, doc)
+            want = (self._rollout_losses(rule, doc)
                     - rule.models[CLUSTER].class_log_prior)
             np.testing.assert_allclose(ex.costs, want - want.min(),
                                        rtol=0, atol=1e-10)
@@ -196,7 +169,7 @@ class TestExactCosts:
         task = make_task(K=3, V=5)
         pol = task.policy_from_params(mm_random_init(3, 5, 7))
         doc = np.array([3.0, 0.0, 1.0, 2.0, 1.0])
-        rollout = self._rollout_losses(task, pol.components[0][0], doc)
+        rollout = self._rollout_losses(pol.components[0][0], doc)
         (ex,) = task.exact_examples([doc], pol).cost_examples
         np.testing.assert_allclose(rollout - rollout.min(),
                                    [9.901, 0.0, 0.604], atol=5e-4)
